@@ -28,7 +28,6 @@ from .presets import PRESETS, SweepSpec, format_rows
 from .routing import build_routes
 from .simengine import ScenarioConfig, run_session
 
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 _SWEEP_FIELDS = {"trials", "seed", "out", "values", "param_min", "param_max",
                  "param_step", "workers"}
 
@@ -43,10 +42,6 @@ def load_config(path: str | None) -> dict:
     unknown = set(cfg) - {"scenario", "sweep"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    scenario = cfg.get("scenario", {})
-    bad = set(scenario) - _SCENARIO_FIELDS
-    if bad:
-        raise ConfigError(f"unknown scenario fields: {sorted(bad)}")
     sweep = cfg.get("sweep", {})
     bad = set(sweep) - _SWEEP_FIELDS
     if bad:
@@ -80,18 +75,8 @@ def _emit(text: str, out: str | None):
 
 
 def _scenario_from(cfg: dict, seed: int | None) -> ScenarioConfig:
-    fields = dict(cfg.get("scenario", {}))
-    if "relay_policy" in fields and isinstance(fields["relay_policy"], dict):
-        from .routing import ForwardPolicy
-
-        fields["relay_policy"] = ForwardPolicy(**fields["relay_policy"])
-    if "rate_tiers" in fields:
-        fields["rate_tiers"] = tuple(tuple(t) for t in fields["rate_tiers"])
-    sc = ScenarioConfig(**fields)
-    if seed is not None:
-        sc = dataclasses.replace(sc, seed=seed)
-    sc.validate()
-    return sc
+    sc = ScenarioConfig.from_dict(cfg.get("scenario", {}))
+    return sc if seed is None else dataclasses.replace(sc, seed=seed)
 
 
 def cmd_sweep(preset: str, args) -> int:

@@ -10,6 +10,7 @@ sweep-parameter order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -77,19 +78,12 @@ def _topology_rng(spec_seed: int, trial: int) -> np.random.Generator:
 
 
 def _base_config(spec: SweepSpec, **defaults) -> ScenarioConfig:
-    merged = dict(defaults)
-    merged.update(spec.scenario)
-    if "relay_policy" in merged and isinstance(merged["relay_policy"], dict):
-        from .routing import ForwardPolicy
-
-        merged["relay_policy"] = ForwardPolicy(**merged["relay_policy"])
-    if "rate_tiers" in merged:
-        merged["rate_tiers"] = tuple(tuple(t) for t in merged["rate_tiers"])
-    return ScenarioConfig(**merged)
+    return ScenarioConfig.from_dict({**defaults, **spec.scenario})
 
 
 def _pool_map(fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) <= 1:
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))

@@ -1,8 +1,9 @@
 """Hop-count routing over the WiFi graph and interface forwarding policies.
 
 A converged routing protocol is assumed: every node knows its hop distance
-to every other node.  Wired access links and the backbone bus count as one
-virtual hop.
+to every other node.  A wired access link is one hop; the backbone is one
+bus on which any two members are one virtual hop apart, kept as its member
+list rather than as a clique.
 """
 
 from __future__ import annotations
@@ -79,28 +80,32 @@ class RouteTable:
     def __init__(self, topo: HetNetTopology, targets=None):
         self.topology = topo
         n = len(topo)
-        self._adj = [
-            sorted(set(int(v) for v in topo.wifi_neighbors(i)) | set(topo.wired_peers(i)))
-            for i in range(n)
-        ]
+        self._wifi = [topo.wifi_neighbors(i).tolist() for i in range(n)]
+        self._wired = [topo.wired_peers(i) for i in range(n)]
+        self._bus = np.array(sorted(topo.backbone), dtype=np.int64)
         self._dist: dict[int, np.ndarray] = {}
         for t in range(n) if targets is None else targets:
             self._dist[int(t)] = self._bfs(int(t))
 
-    def adjacency(self, node: int) -> list[int]:
-        return self._adj[node]
-
     def _bfs(self, src: int) -> np.ndarray:
-        dist = np.full(len(self._adj), UNREACHABLE)
+        dist = np.full(len(self._wifi), UNREACHABLE)
         dist[src] = 0.0
         q = deque([src])
+        bus_pending = self._bus.size > 0
         while q:
             u = q.popleft()
-            du = dist[u]
-            for v in self._adj[u]:
+            nxt = dist[u] + 1
+            for v in self._wifi[u] + self._wired[u]:
                 if dist[v] == UNREACHABLE:
-                    dist[v] = du + 1
+                    dist[v] = nxt
                     q.append(v)
+            if bus_pending and u in self.topology.backbone:
+                # BFS reaches the bus first at its nearest member, so every
+                # member not yet reached is exactly one hop further
+                bus_pending = False
+                fresh = self._bus[dist[self._bus] == UNREACHABLE]
+                dist[fresh] = nxt
+                q.extend(fresh.tolist())
         return dist
 
     def distances_to(self, dst: int) -> np.ndarray:
@@ -111,13 +116,21 @@ class RouteTable:
     def hop_distance(self, src: int, dst: int) -> float:
         return float(self.distances_to(dst)[src])
 
-    def next_hops(self, node: int, dst: int) -> list[int]:
-        """Neighbors exactly one hop closer to dst (may be empty)."""
+    def next_hops(self, node: int, dst: int, interface: str | None = None) -> list[int]:
+        """Ascending neighbors exactly one hop closer to dst (may be empty) over
+        one interface, "wifi" or "wired" (which includes the bus), or both."""
         dist = self.distances_to(dst)
         if dist[node] == UNREACHABLE:
             return []
         want = dist[node] - 1
-        return [v for v in self._adj[node] if dist[v] == want]
+        hops = []
+        if interface != "wired":
+            hops += [v for v in self._wifi[node] if dist[v] == want]
+        if interface != "wifi":
+            hops += [v for v in self._wired[node] if dist[v] == want]
+            if node in self.topology.backbone:
+                hops += self._bus[dist[self._bus] == want].tolist()
+        return sorted(set(hops))
 
 
 def build_routes(topo: HetNetTopology, targets=None) -> RouteTable:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,31 @@ from .routing import (
 from .topology import HetNetTopology, TopologyParams, cellular_link_rate
 
 LOADING_MODES = ("equal-rate", "equal-time")
+
+# JSON value types a config field accepts, keyed by the type of its default
+_ACCEPTS = {bool: bool, int: int, float: (int, float), str: str,
+            type(None): (int, float, type(None))}
+
+
+def _type_ok(value, default) -> bool:
+    accepts = _ACCEPTS.get(type(default), object)
+    return isinstance(value, accepts) and isinstance(value, bool) == isinstance(default, bool)
+
+
+def _checked(cls, values) -> dict:
+    """values as keyword arguments of dataclass cls; every field must exist
+    and have the type of its default."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{cls.__name__} settings must be an object")
+    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                for f in fields(cls)}
+    for key, value in values.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown {cls.__name__} field {key!r}")
+        if not _type_ok(value, defaults[key]):
+            raise ConfigError(f"{key} must be of type {type(defaults[key]).__name__}, "
+                              f"not {value!r}")
+    return dict(values)
 
 
 @dataclass
@@ -79,6 +104,25 @@ class ScenarioConfig:
     wired_relay_rate: float = 1.0  # wired forwards per slot a relay can process
     seed: int = 0
 
+    @classmethod
+    def from_dict(cls, values: dict) -> ScenarioConfig:
+        """Validated config from JSON-style values, which may give relay_policy
+        as an object and rate_tiers as a list of [bound, fraction] pairs."""
+        kwargs = _checked(cls, values)
+        policy = kwargs.get("relay_policy", ForwardPolicy())
+        if not isinstance(policy, ForwardPolicy):
+            kwargs["relay_policy"] = ForwardPolicy(**_checked(ForwardPolicy, policy))
+        if "rate_tiers" in kwargs:
+            tiers = kwargs["rate_tiers"]
+            if not isinstance(tiers, (list, tuple)) or not all(
+                    isinstance(t, (list, tuple)) and len(t) == 2
+                    and all(_type_ok(x, 0.0) for x in t) for t in tiers):
+                raise ConfigError("rate_tiers must be a list of [bound, fraction] pairs")
+            kwargs["rate_tiers"] = tuple(tuple(t) for t in tiers)
+        config = cls(**kwargs)
+        config.validate()
+        return config
+
     def validate(self):
         if self.node_count < 2:
             raise ConfigError("need at least a source and a destination")
@@ -105,6 +149,9 @@ class ScenarioConfig:
         if self.wired_relay_rate <= 0:
             raise ConfigError("wired_relay_rate must be positive")
         self.relay_policy.validate()
+        if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
+            raise ConfigError(f"relay policy {self.relay_policy.mode!r} needs the "
+                              "cellular interface, which is disabled")
 
     def topology_params(self) -> TopologyParams:
         return TopologyParams(
@@ -322,16 +369,9 @@ class _Session:
         self.cell_down = _Credit(pipe)
         self.cell_queue: deque = deque()
 
-        n = len(topo)
-        self.wifi_sets = [set(int(v) for v in topo.wifi_neighbors(i)) for i in range(n)]
-        self.wired_sets = [set(topo.wired_peers(i)) for i in range(n)]
-        self.wired_active = config.wifi_enabled and any(self.wired_sets)
-
-        self.wifi_usable = bool(
-            config.wifi_enabled
-            and self.dist_to_dst[self.src] < UNREACHABLE
-            and self.routes.next_hops(self.src, self.dst)
-        )
+        self.wired_active = config.wifi_enabled and (
+            len(topo.backbone) > 1 or (topo.wired is not None and bool(topo.wired.edges)))
+        self.wifi_usable = config.wifi_enabled and self.dist_to_dst[self.src] < UNREACHABLE
         if not self.wifi_usable and pipe <= 0:
             raise NoPathError(
                 f"destination {self.dst} unreachable from {self.src} on every interface")
@@ -392,7 +432,7 @@ class _Session:
             phase = (node * cfg.wired_relay_rate) % 1.0
             selector = InterfaceSelector(cfg.relay_policy, rng=self.rng_relay)
             cell_up = None
-            if self.relay_cellular and cfg.cellular_enabled:
+            if self.relay_cellular:
                 up = loaded_cellular_rate(self.topo.nodes[node].cellular_rate,
                                           cfg.users_per_cell, cfg.loading_mode,
                                           cfg.r_cell)
@@ -429,22 +469,6 @@ class _Session:
 
     def _relay_can_send(self, relay: _Relay) -> bool:
         return relay.send_credit >= 1 and bool(relay.buffer.packets)
-
-    def _relay_interfaces(self, node: int, relay: _Relay) -> frozenset:
-        """Interfaces this relay's next packet goes out on."""
-        if not self.relay_cellular:
-            return frozenset({"wifi"})
-        available = []
-        if self.cfg.wifi_enabled:
-            available.append("wifi")
-        if relay.cell_up is not None:
-            available.append("cellular")
-        if not available:
-            return frozenset()
-        try:
-            return select_interfaces(relay.selector, available=tuple(available))
-        except ConfigError:
-            return frozenset()
 
     # -- per-slot phases ----------------------------------------------------
 
@@ -485,10 +509,6 @@ class _Session:
                 relay_plans[node] = ("dup", pkt)
         while self.cell_queue and self.cell_down.take():
             self._arrive_at_destination(self.cell_queue.popleft(), "cellular")
-
-    def _wired_targets(self, node: int) -> list[int]:
-        return [v for v in self.routes.next_hops(node, self.dst)
-                if v in self.wired_sets[node]]
 
     def _wired_send_ok(self, u: int, v: int) -> bool:
         edge = self.edge_cap.get((u, v))
@@ -532,22 +552,19 @@ class _Session:
             credit.tick()
         # the source floods up to one block's worth per slot; relays are
         # bounded by their processing rate and their send credit
-        if self.wired_sets[self.src]:
-            for _ in range(self.cfg.block_size):
-                targets = [v for v in self._wired_targets(self.src)
-                           if self._wired_send_ok(self.src, v)]
-                if not targets:
-                    break
-                v = targets[int(self.rng_wifi.integers(0, len(targets)))]
-                self._consume_wired(self.src, v)
-                self._wired_deliver(v, rlnc.encode(self.block, self.rng_wifi))
+        hops = self.routes.next_hops(self.src, self.dst, "wired")
+        for _ in range(self.cfg.block_size):
+            targets = [v for v in hops if self._wired_send_ok(self.src, v)]
+            if not targets:
+                break
+            v = targets[int(self.rng_wifi.integers(0, len(targets)))]
+            self._consume_wired(self.src, v)
+            self._wired_deliver(v, rlnc.encode(self.block, self.rng_wifi))
         for node in sorted(self.relays):
-            if not self.wired_sets[node]:
-                continue
             relay = self.relays[node]
             relay.proc.tick()
             while self._relay_can_send(relay) and relay.proc.value >= 1.0:
-                targets = [v for v in self._wired_targets(node)
+                targets = [v for v in self.routes.next_hops(node, self.dst, "wired")
                            if self._wired_send_ok(node, v)]
                 if not targets:
                     break
@@ -572,16 +589,14 @@ class _Session:
                 continue
             if dup_pkt is None and not self._relay_can_send(relay):
                 continue
-            cand = [v for v in self.routes.next_hops(node, self.dst)
-                    if v in self.wifi_sets[node]]
+            cand = self.routes.next_hops(node, self.dst, "wifi")
             if not cand:
                 continue
             rx = cand[int(self.rng_relay.integers(0, len(cand)))]
             pending.append((node, rx, dup_pkt))
             priorities.append(self.dist_to_dst[node])
         if self.wifi_usable:
-            cand = [v for v in self.routes.next_hops(self.src, self.dst)
-                    if v in self.wifi_sets[self.src]]
+            cand = self.routes.next_hops(self.src, self.dst, "wifi")
             if cand:
                 rx = cand[int(self.rng_wifi.integers(0, len(cand)))]
                 pending.append((self.src, rx, None))
@@ -645,7 +660,7 @@ class _Session:
                 for node in sorted(self.relays):
                     relay = self.relays[node]
                     if self._relay_can_send(relay):
-                        relay_plans[node] = self._relay_interfaces(node, relay)
+                        relay_plans[node] = select_interfaces(relay.selector)
             self._cellular_phase(relay_plans)
             self._wired_phase()
             self._radio_phase(relay_plans)

@@ -123,6 +123,11 @@ class HetNetTopology:
         self.backbone = frozenset(n.id for n in nodes if n.has_backbone)
         self.wired = wired
         self.neighbors = _bucket_neighbors(self.positions, params.wifi_range) if nodes else []
+        peers = [set() for _ in nodes]
+        for u, v in wired.edges if wired is not None else ():
+            peers[u].add(v)
+            peers[v].add(u)
+        self._wired_peers = [sorted(p) for p in peers]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -143,17 +148,9 @@ class HetNetTopology:
         return self.neighbors[node]
 
     def wired_peers(self, node: int) -> list[int]:
-        """Wired next hops: explicit spec edges plus the backbone bus clique."""
-        peers = set()
-        if self.wired is not None:
-            for u, v in self.wired.edges:
-                if u == node:
-                    peers.add(v)
-                elif v == node:
-                    peers.add(u)
-        if node in self.backbone:
-            peers.update(b for b in self.backbone if b != node)
-        return sorted(peers)
+        """Ascending peers over explicit spec edges; the backbone is one bus,
+        one virtual hop between any two members, and is not expanded here."""
+        return self._wired_peers[node]
 
     def protocol_model_ok(self, tx: int, rx: int, concurrent_txs) -> bool:
         """Guard check: every other transmitter k must satisfy
@@ -201,6 +198,8 @@ def load(fh) -> HetNetTopology:
             raise ConfigError(f"malformed node line: {line!r}")
         nodes.append(Node(int(parts[0]), float(parts[1]), float(parts[2]),
                           int(parts[3]), float(parts[4]), bool(int(parts[5]))))
+    if [n.id for n in nodes] != list(range(len(nodes))):
+        raise ConfigError("node ids must be 0..n-1 in file order")
     return HetNetTopology(params, nodes)
 
 

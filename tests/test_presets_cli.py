@@ -5,6 +5,7 @@ import pytest
 
 from hetnetcode import cli, presets
 from hetnetcode.errors import ConfigError
+from hetnetcode.routing import ForwardPolicy
 from hetnetcode.presets import (
     SweepSpec,
     format_rows,
@@ -232,6 +233,61 @@ def test_cli_error_exits(tmp_path):
     assert run_cli(["rate-sweep", "--config", str(bad_sweep)]) == 2
     # min/max/step must come as a trio
     assert run_cli(["rate-sweep", "--min", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("scenario", [
+    # relays would need the disabled cellular interface
+    {"relay_policy": {"mode": "both", "both_mode": "duplicate"}, "cellular_enabled": False},
+    {"node_count": "x"},
+    {"block_size": 2.5},
+    {"cellular_enabled": 1},
+    {"relay_policy": {"mode": "both", "p": "half"}},
+    {"relay_policy": None},
+    {"rate_tiers": [[0.5, 1.0], [1.0]]},
+])
+def test_cli_rejects_bad_scenario_values(tmp_path, scenario):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario}))
+    assert run_cli(["replay-trace", "--chain-hops", "3", "--config", str(cfg)]) == 2
+    assert run_cli(["rate-sweep", "--values", "0.5", "--trials", "1",
+                    "--config", str(cfg)]) == 2
+
+
+def test_config_coercion_keeps_json_values():
+    sc = presets._base_config(SweepSpec("topo1", scenario={
+        "relay_policy": {"mode": "both", "p": 1}, "rate_tiers": [[0.5, 1], [1.0, 0.5]],
+        "link_rate_override": 2}))
+    assert sc.relay_policy == ForwardPolicy(mode="both", p=1)
+    assert sc.rate_tiers == ((0.5, 1), (1.0, 0.5))
+    assert sc.link_rate_override == 2
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("cpus, tasks, workers, size", [
+    (4, 3, 1000, 3), (2, 5, 1000, 2), (None, 5, 8, None), (4, 1, 8, None), (4, 5, 1, None)])
+def test_pool_size_is_clamped(monkeypatch, cpus, tasks, workers, size):
+    monkeypatch.setattr(presets, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(presets.os, "cpu_count", lambda: cpus)
+    _RecordingPool.sizes = []
+    assert presets._pool_map(abs, [-t for t in range(tasks)], workers) == list(range(tasks))
+    assert _RecordingPool.sizes == ([] if size is None else [size])
 
 
 def test_cli_config_file_scenario_honored(tmp_path):

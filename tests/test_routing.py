@@ -131,6 +131,58 @@ def test_backbone_counts_as_one_virtual_hop():
     assert routes.hop_distance(0, 2) == 2  # bus hop then WiFi hop
 
 
+def clique_oracle(topo):
+    """Explicit adjacency with the backbone expanded into its full clique."""
+    wifi = [set(topo.wifi_neighbors(i).tolist()) for i in range(len(topo))]
+    wired = [set(topo.wired_peers(i)) for i in range(len(topo))]
+    for b in topo.backbone:
+        wired[b] |= topo.backbone - {b}
+    return wifi, wired
+
+
+def oracle_bfs(adj, dst):
+    dist = [routing.UNREACHABLE] * len(adj)
+    dist[dst] = 0
+    frontier = [dst]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] == routing.UNREACHABLE:
+                    dist[v] = dist[u] + 1
+                    reached.append(v)
+        frontier = reached
+    return dist
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
+def test_bus_routes_match_explicit_clique(fraction):
+    params = topology.TopologyParams(cell_radius=300.0, backbone_fraction=fraction)
+    base = topology.generate(120, np.random.default_rng(41), params)
+    edges = [(0, 7), (7, 19), (3, 90), (90, 3)]
+    wired = topology.WiredSpec(edges=edges, edge_capacity=1.0, node_out={}, node_in={})
+    topo = topology.HetNetTopology(params, base.nodes, wired=wired)
+    routes = routing.build_routes(topo)
+    wifi, wired_adj = clique_oracle(topo)
+    adj = [a | b for a, b in zip(wifi, wired_adj)]
+    assert 0 < len(topo.backbone) <= len(topo)
+    for dst in (0, 19, 55, 90, 119):
+        dist = oracle_bfs(adj, dst)
+        assert routes.distances_to(dst).tolist() == dist
+        for node in range(len(topo)):
+            want = dist[node] - 1
+            for links, interface in ((adj, None), (wifi, "wifi"), (wired_adj, "wired")):
+                expect = sorted(v for v in links[node] if dist[v] == want)
+                if dist[node] == routing.UNREACHABLE:
+                    expect = []
+                assert routes.next_hops(node, dst, interface) == expect
+    # the bus is stored once, so nothing grows as k^2
+    wifi_degrees = sum(len(topo.wifi_neighbors(i)) for i in range(len(topo)))
+    stored = sum(map(len, routes._wifi)) + sum(map(len, routes._wired))
+    assert stored <= wifi_degrees + 2 * len(edges)
+    assert routes._bus.tolist() == sorted(topo.backbone)
+
+
 def test_policy_validation():
     with pytest.raises(ConfigError):
         ForwardPolicy(mode="carrier-pigeon").validate()

@@ -162,6 +162,13 @@ def test_dump_load_round_trip():
     assert [n.tolist() for n in back.neighbors] == [n.tolist() for n in topo.neighbors]
 
 
+@pytest.mark.parametrize("ids", [(0, 5), (1, 0), (0, 0)])
+def test_load_rejects_ids_out_of_order(ids):
+    lines = "".join(f"{nid} {50.0 * k} 0.0 0 1.0 0\n" for k, nid in enumerate(ids))
+    with pytest.raises(ConfigError):
+        topology.load(io.StringIO(lines))
+
+
 def test_chain_topology():
     topo = topology.chain_topology(7)
     assert len(topo) == 8
