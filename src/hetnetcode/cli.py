@@ -26,10 +26,26 @@ from . import presets, topology as topo_mod
 from .errors import ConfigError, NoPathError
 from .presets import PRESETS, SweepSpec, format_rows
 from .routing import build_routes
-from .simengine import ScenarioConfig, run_session
+from .simengine import ScenarioConfig, _type_ok, run_session
 
 _SWEEP_FIELDS = {"trials", "seed", "out", "values", "param_min", "param_max",
                  "param_step", "workers"}
+
+
+def _check_sweep(sweep: dict):
+    bad = set(sweep) - _SWEEP_FIELDS
+    if bad:
+        raise ConfigError(f"unknown sweep fields: {sorted(bad)}")
+    for key, value in sweep.items():
+        if key == "out":
+            ok = value is None or isinstance(value, str)
+        elif key == "values":
+            ok = value is None or (isinstance(value, list)
+                                   and all(_type_ok(x, 0.0) for x in value))
+        else:  # a number of the type of the SweepSpec default
+            ok = _type_ok(value, getattr(SweepSpec, key))
+        if not ok:
+            raise ConfigError(f"sweep {key} has the wrong type: {value!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -42,10 +58,10 @@ def load_config(path: str | None) -> dict:
     unknown = set(cfg) - {"scenario", "sweep"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    sweep = cfg.get("sweep", {})
-    bad = set(sweep) - _SWEEP_FIELDS
-    if bad:
-        raise ConfigError(f"unknown sweep fields: {sorted(bad)}")
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"the {name} section must be an object")
+    _check_sweep(cfg.get("sweep", {}))
     return cfg
 
 

@@ -101,23 +101,42 @@ def _stderr(xs):
     return math.sqrt(var / len(xs))
 
 
-# --- Case 1: ad-hoc WiFi, rate and load sweeps -----------------------------
+# --- cellular-only vs combined at each sweep point --------------------------
 
 
-def _rate_trial(args):
-    spec_seed, trial, ratios, base = args
-    rng = _topology_rng(spec_seed, trial)
-    probe_cfg = trial_config(base, spec_seed, trial)
-    topo = simengine.make_topology(probe_cfg, rng)
+def _compare_trial(args):
+    """(cellular-only, combined) relative throughput of one trial at each
+    point's config overrides, on the trial's random topology or, given a hop
+    count, on that chain."""
+    spec_seed, trial, points, base, chain_hops = args
+    if chain_hops is None:
+        topo = simengine.make_topology(trial_config(base, spec_seed, trial),
+                                       _topology_rng(spec_seed, trial))
+        pair = None
+    else:
+        topo = topo_mod.chain_topology(chain_hops, base.topology_params())
+        pair = (0, chain_hops)
     routes = build_routes(topo, targets=[])
     out = []
-    for ratio in ratios:
-        cfg = trial_config(base, spec_seed, trial,
-                           link_rate_override=float(ratio), r_cell=float(ratio))
-        res = compare_modes(cfg, topo, routes=routes)
+    for overrides in points:
+        res = compare_modes(trial_config(base, spec_seed, trial, **overrides), topo,
+                            routes=routes, pair=pair)
         out.append((res["cellular_only"].relative_throughput,
                     res["combined"].relative_throughput))
     return out
+
+
+def _compare_sweep(spec: SweepSpec, base: ScenarioConfig, points, chain_hops=None):
+    """Per point: the trial means of cellular-only and combined throughput
+    and the standard error of the combined mean."""
+    tasks = [(spec.seed, t, points, base, chain_hops) for t in range(spec.trials)]
+    per_trial = _pool_map(_compare_trial, tasks, spec.workers)
+    for results in zip(*per_trial):
+        cell, comb = zip(*results)
+        yield _mean(cell), _mean(comb), _stderr(comb)
+
+
+# --- Case 1: ad-hoc WiFi, rate and load sweeps -----------------------------
 
 
 DEFAULT_RATE_RATIOS = tuple(round(0.1 * i, 2) for i in range(1, 21))
@@ -129,30 +148,9 @@ def preset_rate_sweep(spec: SweepSpec):
     if any(r <= 0 for r in ratios):
         raise ConfigError("rate ratios must be positive")
     base = _base_config(spec, block_target=3, slot_budget=4000)
-    tasks = [(spec.seed, t, ratios, base) for t in range(spec.trials)]
-    per_trial = _pool_map(_rate_trial, tasks, spec.workers)
-    rows = []
-    for i, ratio in enumerate(ratios):
-        cell = [pt[i][0] for pt in per_trial]
-        comb = [pt[i][1] for pt in per_trial]
-        rows.append((float(ratio), _mean(cell), _mean(comb), _stderr(comb)))
+    points = [{"link_rate_override": float(r), "r_cell": float(r)} for r in ratios]
+    rows = [(float(r), *means) for r, means in zip(ratios, _compare_sweep(spec, base, points))]
     return ["rate_ratio", "rel_tput_cellular", "rel_tput_combined", "stderr"], rows
-
-
-def _load_trial(args):
-    spec_seed, trial, users, ratio, base = args
-    rng = _topology_rng(spec_seed, trial)
-    probe_cfg = trial_config(base, spec_seed, trial)
-    topo = simengine.make_topology(probe_cfg, rng)
-    routes = build_routes(topo, targets=[])
-    out = []
-    for u in users:
-        cfg = trial_config(base, spec_seed, trial, users_per_cell=int(u),
-                           link_rate_override=ratio, r_cell=ratio)
-        res = compare_modes(cfg, topo, routes=routes)
-        out.append((res["cellular_only"].relative_throughput,
-                    res["combined"].relative_throughput))
-    return out
 
 
 DEFAULT_LOAD_USERS = (1, 2, 4, 8, 16, 32)
@@ -165,13 +163,10 @@ def preset_load_sweep(spec: SweepSpec, ratio: float = DEFAULT_LOAD_RATIO):
     if any(u < 1 for u in users):
         raise ConfigError("users_per_cell values must be >= 1")
     base = _base_config(spec, block_target=2, slot_budget=8000)
-    tasks = [(spec.seed, t, users, ratio, base) for t in range(spec.trials)]
-    per_trial = _pool_map(_load_trial, tasks, spec.workers)
-    rows = []
-    for i, u in enumerate(users):
-        cell = [pt[i][0] for pt in per_trial]
-        comb = [pt[i][1] for pt in per_trial]
-        rows.append((u, _mean(cell), _mean(comb)))
+    points = [{"users_per_cell": u, "link_rate_override": ratio, "r_cell": ratio}
+              for u in users]
+    rows = [(u, cell, comb)
+            for u, (cell, comb, _) in zip(users, _compare_sweep(spec, base, points))]
     return ["users_per_cell", "rel_tput_cellular", "rel_tput_combined"], rows
 
 
@@ -184,8 +179,8 @@ def _infra_trial(args):
     probe_cfg = trial_config(base, spec_seed, trial)
     base_topo = simengine.make_topology(probe_cfg, rng)
     base_routes = build_routes(base_topo, targets=[])
-    pair_rng = np.random.default_rng(np.random.SeedSequence(probe_cfg.seed).spawn(6)[0])
-    pair = pick_session_pair(base_topo, base_routes, probe_cfg.min_hops, pair_rng)
+    pair = pick_session_pair(base_topo, base_routes, probe_cfg.min_hops,
+                             simengine.pair_rng(probe_cfg.seed))
     out = []
     for frac in fracs:
         cfg = trial_config(base, spec_seed, trial, backbone_fraction=float(frac))
@@ -219,21 +214,6 @@ def preset_infra_sweep(spec: SweepSpec, ratio: float = DEFAULT_INFRA_RATIO):
 # --- testbed topology presets ----------------------------------------------
 
 
-def _topo1_trial(args):
-    spec_seed, trial, ratios, hops, base = args
-    topo = topo_mod.chain_topology(hops, base.topology_params())
-    routes = build_routes(topo)
-    pair = (0, hops)
-    out = []
-    for ratio in ratios:
-        cfg = trial_config(base, spec_seed, trial,
-                           link_rate_override=float(ratio), r_cell=float(ratio))
-        res = compare_modes(cfg, topo, routes=routes, pair=pair)
-        out.append((res["cellular_only"].relative_throughput,
-                    res["combined"].relative_throughput))
-    return out
-
-
 DEFAULT_TOPO1_RATIOS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 TOPO1_HOPS = 7
 
@@ -248,13 +228,9 @@ def preset_topo1(spec: SweepSpec, processing_delay: int | None = None):
     if processing_delay is not None:
         overrides["processing_delay"] = processing_delay
     base = _base_config(spec, **overrides)
-    tasks = [(spec.seed, t, ratios, TOPO1_HOPS, base) for t in range(spec.trials)]
-    per_trial = _pool_map(_topo1_trial, tasks, spec.workers)
-    rows = []
-    for i, ratio in enumerate(ratios):
-        wimax = [pt[i][0] for pt in per_trial]
-        comb = [pt[i][1] for pt in per_trial]
-        rows.append((float(ratio), _mean(wimax), _mean(comb)))
+    points = [{"link_rate_override": float(r), "r_cell": float(r)} for r in ratios]
+    rows = [(float(r), wimax, comb) for r, (wimax, comb, _)
+            in zip(ratios, _compare_sweep(spec, base, points, chain_hops=TOPO1_HOPS))]
     return ["rate_ratio", "rel_tput_wimax", "rel_tput_combined"], rows
 
 

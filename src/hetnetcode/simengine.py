@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rlnc, topology as topo_mod
 from .errors import ConfigError, NoPathError
-from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock, block_id_newer
+from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
 from .routing import (
     ForwardPolicy,
     InterfaceSelector,
@@ -132,7 +132,7 @@ class ScenarioConfig:
             raise ConfigError("payload_bytes must be >= 1")
         if self.buffer_capacity < 1:
             raise ConfigError("buffer_capacity must be >= 1")
-        if self.r_wifi <= 0 or self.r_cell <= 0:
+        if self.r_wifi <= 0:
             raise ConfigError("rates must be positive")
         if self.link_rate_override is not None and self.link_rate_override < 0:
             raise ConfigError("link_rate_override must be >= 0")
@@ -148,6 +148,7 @@ class ScenarioConfig:
             raise ConfigError("block_target must be >= 1")
         if self.wired_relay_rate <= 0:
             raise ConfigError("wired_relay_rate must be positive")
+        self.topology_params().validate()
         self.relay_policy.validate()
         if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
             raise ConfigError(f"relay policy {self.relay_policy.mode!r} needs the "
@@ -253,7 +254,8 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     guard inequality holds in both directions against everything already
     admitted and neither endpoint is already busy (half-duplex radios).
     Every admitted pair therefore satisfies d(rx, k) >= (1+delta)*d(tx, rx)
-    against every other admitted transmitter k.
+    against every other admitted transmitter k.  Each pending pair must lie
+    within WiFi range (LinkRangeError otherwise).
     """
     n = len(pending_txs)
     if n == 0:
@@ -263,26 +265,18 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
         order = np.argsort(jitter, kind="stable")
     else:
         order = sorted(range(n), key=lambda i: (priorities[i], jitter[i]))
-    delta = topo.delta
     admitted: list[tuple[int, int]] = []
+    admitted_txs: list[int] = []
     busy: set[int] = set()
     for i in order:
         tx, rx = pending_txs[i][0], pending_txs[i][1]
         if tx in busy or rx in busy:
             continue
-        guard = (1.0 + delta) * topo.distance(tx, rx)
-        ok = True
-        for atx, arx in admitted:
-            if topo.distance(rx, atx) < guard:
-                ok = False
-                break
-            if topo.distance(arx, tx) < (1.0 + delta) * topo.distance(atx, arx):
-                ok = False
-                break
-        if ok:
+        if topo.protocol_model_ok(tx, rx, admitted_txs) and all(
+                topo.protocol_model_ok(atx, arx, (tx,)) for atx, arx in admitted):
             admitted.append((tx, rx))
-            busy.add(tx)
-            busy.add(rx)
+            admitted_txs.append(tx)
+            busy.update((tx, rx))
     return admitted
 
 
@@ -297,6 +291,18 @@ def pick_session_pair(topo: HetNetTopology, routes: RouteTable, min_hops: int,
             d = int(cand[rng.integers(0, cand.size)])
             return int(s), d
     raise NoPathError(f"no node pair at >= {min_hops} hops exists in this topology")
+
+
+def session_rngs(seed: int) -> list[np.random.Generator]:
+    """A session's independent streams, in order: S-D pair pick, cellular
+    coefficients, source WiFi/wired draws, relay recodes and hop picks, radio
+    scheduler, block payloads."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
+
+
+def pair_rng(seed: int) -> np.random.Generator:
+    """The stream from which a session with this seed picks its S-D pair."""
+    return session_rngs(seed)[0]
 
 
 class _Credit:
@@ -344,16 +350,10 @@ class _Session:
         self.schedule_log = schedule_log
         self.no_skip = no_skip
 
-        streams = np.random.SeedSequence(config.seed).spawn(6)
-        self.rng_pair = np.random.default_rng(streams[0])
-        self.rng_cell = np.random.default_rng(streams[1])  # cellular coefficient draws
-        self.rng_wifi = np.random.default_rng(streams[2])  # source-side wifi/wired draws
-        self.rng_relay = np.random.default_rng(streams[3])  # relay recodes + hop picks
-        self.rng_sched = np.random.default_rng(streams[4])
-        self.rng_data = np.random.default_rng(streams[5])  # block payload contents
-
+        (rng_pair, self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
+         self.rng_data) = session_rngs(config.seed)
         if pair is None:
-            pair = pick_session_pair(topo, routes, config.min_hops, self.rng_pair)
+            pair = pick_session_pair(topo, routes, config.min_hops, rng_pair)
         self.src, self.dst = int(pair[0]), int(pair[1])
         if self.src == self.dst:
             raise ConfigError("source and destination must differ")
@@ -399,6 +399,7 @@ class _Session:
         if topo.backbone:
             self.bus = _Credit(config.backbone_rate / config.r_wifi)
             self._wired_credits.append(self.bus)
+        self._wired_hops: dict[int, list] = {}
 
         # transport state
         self.block_id = 0
@@ -446,15 +447,9 @@ class _Session:
         self._relay(node).inbox.append((avail, packet))
 
     def _arrive_at_destination(self, packet: CodedPacket, interface: str):
-        if packet.block_id == self.expected_block:
-            innovative = self.decoder.receive(packet)
-        elif block_id_newer(packet.block_id, self.expected_block):
-            # defensive: cannot happen under stop-and-wait, but newer wins
-            self.expected_block = packet.block_id
-            self.decoder = DecoderState(packet.block_id, self.cfg.block_size)
-            innovative = self.decoder.receive(packet)
-        else:
-            innovative = False  # stale block: discard
+        # under stop-and-wait no packet is newer than the decoder's block,
+        # and older (stale) ones are discarded
+        innovative = packet.block_id == self.expected_block and self.decoder.receive(packet)
         self.trace.append(TraceEvent(self.slot, self.dst, interface,
                                      packet.block_id, innovative))
         if self.decoder.rank == self.cfg.block_size:
@@ -487,56 +482,58 @@ class _Session:
                     relay.send_credit = min(self.cfg.buffer_capacity,
                                             relay.send_credit + 1)
 
-    def _cellular_phase(self, relay_plans: dict):
+    def _cellular_phase(self) -> dict:
+        """Cellular sends and arrivals.  Returns the relays planned onto the
+        radio, in id order, each mapped to the packet it already sent on
+        cellular under the duplicate schedule, else to None."""
         if self.cell_up.rate > 0:
             self.cell_up.tick()
             self.cell_down.tick()
             while self.cell_up.take():
                 self.cell_queue.append(rlnc.encode(self.block, self.rng_cell))
                 self.cellular_sent += 1
-        for node, ifaces in relay_plans.items():
-            if "cellular" not in ifaces:
-                continue
-            relay = self.relays[node]
-            relay.cell_up.tick()
-            if not self._relay_can_send(relay) or not relay.cell_up.take():
-                continue
-            pkt = rlnc.recode(relay.buffer, self.rng_relay)
-            relay.send_credit -= 1
-            self.cell_queue.append(pkt)
-            self.cellular_sent += 1
-            if "wifi" in ifaces:  # duplicate schedule: same copy on the radio too
-                relay_plans[node] = ("dup", pkt)
+        if not self.relay_cellular:
+            radio = dict.fromkeys(sorted(self.relays))
+        else:
+            # every relay picks its interfaces before any relay recodes
+            plans = [(node, relay, select_interfaces(relay.selector))
+                     for node, relay in sorted(self.relays.items())
+                     if self._relay_can_send(relay)]
+            radio = {}
+            for node, relay, ifaces in plans:
+                pkt = None
+                if "cellular" in ifaces:
+                    relay.cell_up.tick()
+                    if relay.cell_up.take():
+                        pkt = rlnc.recode(relay.buffer, self.rng_relay)
+                        relay.send_credit -= 1
+                        self.cell_queue.append(pkt)
+                        self.cellular_sent += 1
+                if "wifi" in ifaces:
+                    radio[node] = pkt
         while self.cell_queue and self.cell_down.take():
             self._arrive_at_destination(self.cell_queue.popleft(), "cellular")
+        return radio
 
-    def _wired_send_ok(self, u: int, v: int) -> bool:
-        edge = self.edge_cap.get((u, v))
-        if edge is not None:
-            if edge.value < 1.0:
-                return False
-        elif self.bus is not None and self.bus.value < 1.0:
-            return False
-        out = self.node_out.get(u)
-        if out is not None and out.value < 1.0:
-            return False
-        inn = self.node_in.get(v)
-        if inn is not None and inn.value < 1.0:
-            return False
-        return True
-
-    def _consume_wired(self, u: int, v: int):
-        edge = self.edge_cap.get((u, v))
-        if edge is not None:
-            edge.value -= 1.0
-        elif self.bus is not None:
-            self.bus.value -= 1.0
-        out = self.node_out.get(u)
-        if out is not None:
-            out.value -= 1.0
-        inn = self.node_in.get(v)
-        if inn is not None:
-            inn.value -= 1.0
+    def _wired_pick(self, u: int, rng: np.random.Generator) -> int | None:
+        """A random wired next hop v of u whose send credits all hold a
+        packet, with those credits spent; None if no hop can take one now.
+        A u->v send spends its edge (else the bus), u's out budget and v's
+        in budget; the hops and their credits are looked up once per u."""
+        hops = self._wired_hops.get(u)
+        if hops is None:
+            hops = self._wired_hops[u] = [
+                (v, tuple(c for c in (self.edge_cap.get((u, v), self.bus),
+                                      self.node_out.get(u), self.node_in.get(v))
+                          if c is not None))
+                for v in self.routes.next_hops(u, self.dst, "wired")]
+        targets = [(v, cost) for v, cost in hops if all(c.value >= 1.0 for c in cost)]
+        if not targets:
+            return None
+        v, cost = targets[int(rng.integers(0, len(targets)))]
+        for c in cost:
+            c.value -= 1.0
+        return v
 
     def _wired_deliver(self, v: int, pkt: CodedPacket):
         self.wired_sent += 1
@@ -552,42 +549,29 @@ class _Session:
             credit.tick()
         # the source floods up to one block's worth per slot; relays are
         # bounded by their processing rate and their send credit
-        hops = self.routes.next_hops(self.src, self.dst, "wired")
         for _ in range(self.cfg.block_size):
-            targets = [v for v in hops if self._wired_send_ok(self.src, v)]
-            if not targets:
+            v = self._wired_pick(self.src, self.rng_wifi)
+            if v is None:
                 break
-            v = targets[int(self.rng_wifi.integers(0, len(targets)))]
-            self._consume_wired(self.src, v)
             self._wired_deliver(v, rlnc.encode(self.block, self.rng_wifi))
         for node in sorted(self.relays):
             relay = self.relays[node]
             relay.proc.tick()
             while self._relay_can_send(relay) and relay.proc.value >= 1.0:
-                targets = [v for v in self.routes.next_hops(node, self.dst, "wired")
-                           if self._wired_send_ok(node, v)]
-                if not targets:
+                v = self._wired_pick(node, self.rng_relay)
+                if v is None:
                     break
-                v = targets[int(self.rng_relay.integers(0, len(targets)))]
                 relay.proc.value -= 1.0
                 relay.send_credit -= 1
-                self._consume_wired(node, v)
                 self._wired_deliver(v, rlnc.recode(relay.buffer, self.rng_relay))
 
-    def _radio_phase(self, relay_plans: dict):
+    def _radio_phase(self, radio: dict):
         if not self.cfg.wifi_enabled:
             return
         pending = []  # (tx, rx, prematerialized packet or None)
         priorities = []
-        for node in sorted(self.relays):
-            relay = self.relays[node]
-            plan = relay_plans.get(node)
-            dup_pkt = None
-            if isinstance(plan, tuple) and plan[0] == "dup":
-                dup_pkt = plan[1]
-            elif self.relay_cellular and (plan is None or "wifi" not in plan):
-                continue
-            if dup_pkt is None and not self._relay_can_send(relay):
+        for node, dup_pkt in radio.items():
+            if dup_pkt is None and not self._relay_can_send(self.relays[node]):
                 continue
             cand = self.routes.next_hops(node, self.dst, "wifi")
             if not cand:
@@ -655,15 +639,9 @@ class _Session:
             self.slot += 1
             self._maybe_advance_source()
             self._ingest_relays()
-            relay_plans = {}
-            if self.relay_cellular:
-                for node in sorted(self.relays):
-                    relay = self.relays[node]
-                    if self._relay_can_send(relay):
-                        relay_plans[node] = select_interfaces(relay.selector)
-            self._cellular_phase(relay_plans)
+            radio = self._cellular_phase()
             self._wired_phase()
-            self._radio_phase(relay_plans)
+            self._radio_phase(radio)
         elapsed = self.decode_slots[-1] if self.decode_slots else budget
         stats = SessionStats(
             source=self.src,
@@ -700,8 +678,7 @@ def compare_modes(config: ScenarioConfig, topo: HetNetTopology,
     if routes is None:
         routes = build_routes(topo, targets=[])
     if pair is None:
-        rng_pair = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(6)[0])
-        pair = pick_session_pair(topo, routes, config.min_hops, rng_pair)
+        pair = pick_session_pair(topo, routes, config.min_hops, pair_rng(config.seed))
     cell_stats, cell_trace = run_session(
         replace(config, wifi_enabled=False, cellular_enabled=True),
         topo, routes, pair=pair)

@@ -13,6 +13,13 @@ import pytest
 from hetnetcode import cli
 
 SMALL = {"node_count": 250, "cell_radius": 400.0}
+CHAIN3 = ["replay-trace", "--chain-hops", "3"]
+
+
+def _relays_on(**policy):
+    """Chain scenario whose relays also forward on their cellular uplink."""
+    return {"link_rate_override": 0.5, "relay_policy": policy}
+
 
 # name -> (scenario overrides, argv); infra-sweep reaches k/n = 1.0, so the
 # backbone bus carries traffic on every node of that topology
@@ -22,7 +29,12 @@ CASES = {
     "infra-sweep": (SMALL, ["infra-sweep", "--values", "0.1", "1.0", "--trials", "2"]),
     "topo1": ({}, ["topo1", "--values", "0.5", "1.0", "--trials", "2"]),
     "topo2": ({}, ["topo2", "--values", "1", "2", "--trials", "2"]),
-    "replay-chain": ({}, ["replay-trace", "--chain-hops", "3"]),
+    "replay-chain": ({}, CHAIN3),
+    "replay-relay-cellular-only": (_relays_on(mode="cellular-only"), CHAIN3),
+    "replay-relay-round-robin": (_relays_on(mode="both", both_mode="round-robin"), CHAIN3),
+    "replay-relay-duplicate": (_relays_on(mode="both", both_mode="duplicate"), CHAIN3),
+    "replay-relay-probabilistic": (
+        _relays_on(mode="both", both_mode="probabilistic", p=0.3), CHAIN3),
     "replay-relays": ({}, ["replay-trace", "--relays", "3"]),
     "gen-topology": ({"backbone_fraction": 0.2}, ["gen-topology", "--nodes", "40"]),
 }
@@ -35,6 +47,12 @@ GOLDEN = {
     "topo1": "a68e7028256eaecc4b434c7349babdd0b3e6c2addfc368ba8af0ff8d9a849edf",
     "topo2": "ffe528a964cb979f74cd1d9b114dbd0e75e598f102088ac693064c91243972a6",
     "replay-chain": "a825f099b5306c9c188087322eb95e842eb1ea4c02d64d782087b7e9fa3094c3",
+    "replay-relay-cellular-only":
+        "ca616eceedc31ea20c262ed33ac032bbf10b23264a3c89a0b7f908b0b11c8c86",
+    "replay-relay-round-robin": "1041e59e517c051c40f41319739127a197a9a24acd778727e9106dca280efe0c",
+    "replay-relay-duplicate": "3973fcd7ad12f2ed66d3c8916a005d6f33482fae945c8c5eeee081dbd66d8e9d",
+    "replay-relay-probabilistic":
+        "c490e7b071892e318110997b106d0d8bd2117b548c98417a931593360f4a8f96",
     "replay-relays": "b48f093e85b5d1e26286db74c6182d2593383ce8b1b19fed8dab44bae4bac909",
     "gen-topology": "e77c49851d1b5bf3e4f32312ca54960ab981c970a9cdc6cf744c7cca059cdacc",
 }

@@ -235,6 +235,35 @@ def test_cli_error_exits(tmp_path):
     assert run_cli(["rate-sweep", "--min", "0.1"]) == 2
 
 
+ONE_POINT = {"values": [0.5], "trials": 1}
+
+
+@pytest.mark.parametrize("section", [
+    {"sweep": {"trials": "x"}},
+    {"sweep": {"values": "ab"}},
+    {"sweep": {"values": [0.5, True], "trials": 1}},
+    {"sweep": dict(ONE_POINT, workers=1.5)},
+    {"sweep": dict(ONE_POINT, param_step="0.1")},
+    {"sweep": dict(ONE_POINT, out=3)},
+    {"sweep": [1]},
+    {"scenario": 5, "sweep": ONE_POINT},
+])
+def test_cli_rejects_bad_config_sections(tmp_path, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section))
+    assert run_cli(["rate-sweep", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("scenario", [
+    {"wifi_range": -1}, {"delta": -1, "cell_radius": 0}, {"backbone_fraction": 2.0}])
+def test_cli_rejects_bad_topology_fields_on_relay_star(tmp_path, scenario):
+    # the relay star takes no geometry from the scenario; the fields are
+    # still checked when the config is read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario}))
+    assert run_cli(["replay-trace", "--relays", "2", "--config", str(cfg)]) == 2
+
+
 @pytest.mark.parametrize("scenario", [
     # relays would need the disabled cellular interface
     {"relay_policy": {"mode": "both", "both_mode": "duplicate"}, "cellular_enabled": False},

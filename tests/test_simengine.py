@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import routing, simengine, topology
 from hetnetcode.errors import ConfigError, NoPathError
@@ -126,6 +127,29 @@ def test_schedule_admitted_sets_pass_bruteforce():
         admitted = schedule_wifi_slot(pending, topo, rng)
         assert brute_force_guard_ok(topo, admitted)
         assert len(admitted) >= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0, 300), st.floats(0, 300)), min_size=2,
+                       max_size=12),
+       delta=st.floats(0, 1), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_schedule_is_feasible_and_maximal(points, delta, seed, data):
+    params = topology.TopologyParams(delta=delta)
+    nodes = [topology.Node(i, x, y, 0, 1.0) for i, (x, y) in enumerate(points)]
+    topo = topology.HetNetTopology(params, nodes)
+    links = [(i, int(j)) for i in range(len(nodes)) for j in topo.wifi_neighbors(i)]
+    assume(links)
+    pending = data.draw(st.lists(st.sampled_from(links), min_size=1, unique=True))
+    priorities = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=len(pending),
+                                                max_size=len(pending)))
+    admitted = schedule_wifi_slot(pending, topo, np.random.default_rng(seed), priorities)
+    assert set(admitted) <= set(pending)
+    assert brute_force_guard_ok(topo, admitted)
+    # maximal: every pair left out shares a radio with the admitted set or
+    # breaks the guard in one direction or the other
+    busy = {node for pair in admitted for node in pair}
+    for tx, rx in set(pending) - set(admitted):
+        assert tx in busy or rx in busy or not brute_force_guard_ok(topo, admitted + [(tx, rx)])
 
 
 # --- single-path sanity checks (hand-derived schedules) ----------------------
