@@ -20,9 +20,7 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from . import presets, topology as topo_mod
+from . import presets
 from .errors import ConfigError, NoPathError
 from .presets import PRESETS, SweepSpec, format_rows
 from .routing import build_routes
@@ -114,8 +112,7 @@ def cmd_gen_topology(args) -> int:
     sc = _scenario_from(cfg, args.seed)
     if args.nodes is not None:
         sc = dataclasses.replace(sc, node_count=args.nodes)
-    rng = np.random.default_rng(np.random.SeedSequence((sc.seed, 0, 1)))
-    topo = topo_mod.generate(sc.node_count, rng, sc.topology_params())
+    topo = presets.cell_topology(sc, sc.seed)
     if args.out is None:
         topo.dump(sys.stdout)
     else:
@@ -130,24 +127,12 @@ def cmd_replay_trace(args) -> int:
     if args.chain_hops is not None and args.relays is not None:
         raise ConfigError("--chain-hops and --relays are mutually exclusive")
     if args.chain_hops is not None:
-        topo = topo_mod.chain_topology(args.chain_hops, sc.topology_params())
-        sc = dataclasses.replace(sc, node_count=args.chain_hops + 1,
-                                 min_hops=args.chain_hops)
-        pair = (0, args.chain_hops)
+        sc, topo, pair = presets.chain_scenario(sc, args.chain_hops)
     elif args.relays is not None:
-        link_cap = args.link_rate / presets.TOPO2_REFERENCE_RATE
-        topo = topo_mod.relay_star_topology(args.relays, link_capacity=link_cap,
-                                            interfaces_per_node=presets.TOPO2_INTERFACES)
-        sc = dataclasses.replace(sc, node_count=args.relays + 2, min_hops=2,
-                                 cellular_enabled=False,
-                                 wired_relay_rate=presets.TOPO2_RELAY_RATE)
-        pair = (0, args.relays + 1)
+        sc, topo, pair = presets.relay_star_scenario(sc, args.relays, args.link_rate)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence((sc.seed, 0, 1)))
-        topo = topo_mod.generate(sc.node_count, rng, sc.topology_params())
-        pair = None
-    routes = build_routes(topo, targets=[])
-    _, trace = run_session(sc, topo, routes, pair=pair)
+        topo, pair = presets.cell_topology(sc, sc.seed), None
+    _, trace = run_session(sc, topo, build_routes(topo), pair=pair)
     if args.out is None:
         trace.write_csv(sys.stdout)
     else:

@@ -16,7 +16,7 @@ class SingularMatrixError(ValueError):
     """Raised when a linear system has no unique solution."""
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_tables() -> tuple[np.ndarray, np.ndarray]:
     # exp/log over the generator 0x03; exp doubled so exp[la + lb] never wraps
     exp = np.zeros(510, dtype=np.uint8)
     log = np.zeros(256, dtype=np.int32)
@@ -36,10 +36,10 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     inv = np.zeros(256, dtype=np.uint8)
     inv[1:] = exp[255 - log[1:]]
-    return mul, inv, exp[:255].copy()
+    return mul, inv
 
 
-MUL_TABLE, INV_TABLE, EXP_TABLE = _build_tables()
+MUL_TABLE, INV_TABLE = _build_tables()
 
 
 def add(a, b):

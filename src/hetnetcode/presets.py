@@ -73,8 +73,28 @@ def trial_config(base: ScenarioConfig, spec_seed: int, trial: int, **overrides) 
     return replace(base, seed=spec_seed * 1_000_003 + trial, **overrides)
 
 
-def _topology_rng(spec_seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((spec_seed, trial, 1)))
+def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0) -> topo_mod.HetNetTopology:
+    """Random 7-cell topology of config's node count and topology fields;
+    trial t of a sweep with this seed sees the same one at every point."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
+    return topo_mod.generate(config.node_count, rng, config.topology_params())
+
+
+def chain_scenario(config: ScenarioConfig, hops: int):
+    """(config, topology, pair) of a WiFi chain of `hops` hops, end to end."""
+    config = replace(config, node_count=hops + 1, min_hops=hops)
+    return config, topo_mod.chain_topology(hops, config.topology_params()), (0, hops)
+
+
+def relay_star_scenario(config: ScenarioConfig, n_relays: int, link_rate: float):
+    """(config, topology, pair) of the dual-interface relay testbed: wired
+    only, access links at link_rate (Mbit/s) and relays processing-limited."""
+    topo = topo_mod.relay_star_topology(n_relays,
+                                        link_capacity=link_rate / TOPO2_REFERENCE_RATE,
+                                        interfaces_per_node=TOPO2_INTERFACES)
+    config = replace(config, node_count=n_relays + 2, min_hops=2, cellular_enabled=False,
+                     wired_relay_rate=TOPO2_RELAY_RATE)
+    return config, topo, (0, n_relays + 1)
 
 
 def _base_config(spec: SweepSpec, **defaults) -> ScenarioConfig:
@@ -110,19 +130,15 @@ def _compare_trial(args):
     count, on that chain."""
     spec_seed, trial, points, base, chain_hops = args
     if chain_hops is None:
-        topo = simengine.make_topology(trial_config(base, spec_seed, trial),
-                                       _topology_rng(spec_seed, trial))
-        pair = None
+        topo, pair = cell_topology(base, spec_seed, trial), None
     else:
-        topo = topo_mod.chain_topology(chain_hops, base.topology_params())
-        pair = (0, chain_hops)
-    routes = build_routes(topo, targets=[])
+        base, topo, pair = chain_scenario(base, chain_hops)
+    routes = build_routes(topo)
     out = []
     for overrides in points:
-        res = compare_modes(trial_config(base, spec_seed, trial, **overrides), topo,
-                            routes=routes, pair=pair)
-        out.append((res["cellular_only"].relative_throughput,
-                    res["combined"].relative_throughput))
+        cell, comb = compare_modes(trial_config(base, spec_seed, trial, **overrides),
+                                   topo, routes, pair)
+        out.append((cell.relative_throughput, comb.relative_throughput))
     return out
 
 
@@ -175,18 +191,15 @@ def preset_load_sweep(spec: SweepSpec, ratio: float = DEFAULT_LOAD_RATIO):
 
 def _infra_trial(args):
     spec_seed, trial, fracs, base = args
-    rng = _topology_rng(spec_seed, trial)
     probe_cfg = trial_config(base, spec_seed, trial)
-    base_topo = simengine.make_topology(probe_cfg, rng)
-    base_routes = build_routes(base_topo, targets=[])
-    pair = pick_session_pair(base_topo, base_routes, probe_cfg.min_hops,
+    base_topo = cell_topology(probe_cfg, spec_seed, trial)
+    pair = pick_session_pair(base_topo, build_routes(base_topo), probe_cfg.min_hops,
                              simengine.pair_rng(probe_cfg.seed))
     out = []
     for frac in fracs:
         cfg = trial_config(base, spec_seed, trial, backbone_fraction=float(frac))
-        topo = simengine.make_topology(cfg, _topology_rng(spec_seed, trial))
-        routes = build_routes(topo, targets=[])
-        stats, _ = run_session(cfg, topo, routes, pair=pair)
+        topo = cell_topology(cfg, spec_seed, trial)
+        stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
         out.append(stats.relative_throughput)
     return out
 
@@ -223,8 +236,7 @@ def preset_topo1(spec: SweepSpec, processing_delay: int | None = None):
     ratios = spec.sweep_values(DEFAULT_TOPO1_RATIOS)
     if any(r <= 0 for r in ratios):
         raise ConfigError("rate ratios must be positive")
-    overrides = {"node_count": TOPO1_HOPS + 1, "min_hops": TOPO1_HOPS,
-                 "block_target": 3, "slot_budget": 6000}
+    overrides = {"block_target": 3, "slot_budget": 6000}
     if processing_delay is not None:
         overrides["processing_delay"] = processing_delay
     base = _base_config(spec, **overrides)
@@ -234,25 +246,14 @@ def preset_topo1(spec: SweepSpec, processing_delay: int | None = None):
     return ["rate_ratio", "rel_tput_wimax", "rel_tput_combined"], rows
 
 
-def topo2_config(spec_seed: int, trial: int, n_relays: int, base: ScenarioConfig) -> ScenarioConfig:
-    return trial_config(base, spec_seed, trial,
-                        node_count=n_relays + 2,
-                        cellular_enabled=False,
-                        min_hops=2,
-                        wired_relay_rate=TOPO2_RELAY_RATE)
-
-
 def _topo2_trial(args):
     spec_seed, trial, rates, relay_counts, base = args
+    base = trial_config(base, spec_seed, trial)
     out = []
     for rate in rates:
-        link_cap = rate / TOPO2_REFERENCE_RATE
         for n in relay_counts:
-            topo = topo_mod.relay_star_topology(n, link_capacity=link_cap,
-                                                interfaces_per_node=TOPO2_INTERFACES)
-            routes = build_routes(topo)
-            cfg = topo2_config(spec_seed, trial, n, base)
-            stats, _ = run_session(cfg, topo, routes, pair=(0, n + 1))
+            cfg, topo, pair = relay_star_scenario(base, n, rate)
+            stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
             out.append(stats.relative_throughput)
     return out
 

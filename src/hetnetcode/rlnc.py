@@ -141,18 +141,6 @@ class RecodeBuffer:
         return self._stacks
 
 
-def combine(packets: list[CodedPacket], weights) -> CodedPacket:
-    """Weighted GF(2^8) combination of already-coded packets."""
-    weights = np.asarray(weights, dtype=np.uint8)
-    coef = np.stack([p.coefficients for p in packets])
-    pay = np.stack([p.payload for p in packets])
-    return CodedPacket(
-        packets[0].block_id,
-        gf256.matmul(weights, coef),
-        gf256.matmul(weights, pay),
-    )
-
-
 def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
     """Random recombination of the buffered packets (all-zero weights rejected)."""
     if not buffer.packets:

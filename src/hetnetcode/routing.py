@@ -47,9 +47,8 @@ class InterfaceSelector:
         self._count = 0
 
 
-def select_interfaces(selector: InterfaceSelector, available=("wifi", "cellular")):
+def select_interfaces(selector: InterfaceSelector):
     """Interfaces the next packet goes out on, per the node's policy."""
-    avail = frozenset(available)
     policy = selector.policy
     if policy.mode == "cellular-only":
         wanted = {"cellular"}
@@ -64,28 +63,23 @@ def select_interfaces(selector: InterfaceSelector, available=("wifi", "cellular"
         if selector.rng is None:
             raise ConfigError("probabilistic policy needs an rng")
         wanted = {"cellular"} if selector.rng.random() < policy.p else {"wifi"}
-    missing = wanted - avail
-    if missing:
-        raise ConfigError(f"policy requires unavailable interface(s): {sorted(missing)}")
     return frozenset(wanted)
 
 
 class RouteTable:
     """Hop distances and next-hop candidates toward each destination.
 
-    Distances for `targets` are filled at build time; further destinations
-    are computed on first use (single-threaded access only at that point).
+    Distances to a destination are computed on its first use (single-threaded
+    access only).
     """
 
-    def __init__(self, topo: HetNetTopology, targets=None):
+    def __init__(self, topo: HetNetTopology):
         self.topology = topo
         n = len(topo)
         self._wifi = [topo.wifi_neighbors(i).tolist() for i in range(n)]
         self._wired = [topo.wired_peers(i) for i in range(n)]
         self._bus = np.array(sorted(topo.backbone), dtype=np.int64)
         self._dist: dict[int, np.ndarray] = {}
-        for t in range(n) if targets is None else targets:
-            self._dist[int(t)] = self._bfs(int(t))
 
     def _bfs(self, src: int) -> np.ndarray:
         dist = np.full(len(self._wifi), UNREACHABLE)
@@ -133,8 +127,8 @@ class RouteTable:
         return sorted(set(hops))
 
 
-def build_routes(topo: HetNetTopology, targets=None) -> RouteTable:
-    return RouteTable(topo, targets=targets)
+def build_routes(topo: HetNetTopology) -> RouteTable:
+    return RouteTable(topo)
 
 
 def on_route(node: int, src: int, dst: int, routes: RouteTable) -> bool:

@@ -38,7 +38,6 @@ from .routing import (
     InterfaceSelector,
     RouteTable,
     UNREACHABLE,
-    build_routes,
     select_interfaces,
 )
 from .topology import HetNetTopology, TopologyParams, cellular_link_rate
@@ -666,29 +665,11 @@ def run_session(config: ScenarioConfig, topo: HetNetTopology, routes: RouteTable
     return _Session(config, topo, routes, pair, schedule_log, no_skip).run()
 
 
-def make_topology(config: ScenarioConfig, rng: np.random.Generator) -> HetNetTopology:
-    return topo_mod.generate(config.node_count, rng, config.topology_params())
-
-
-def compare_modes(config: ScenarioConfig, topo: HetNetTopology,
-                  routes: RouteTable | None = None,
-                  pair: tuple[int, int] | None = None) -> dict:
-    """Same seed, same topology, same pair: cellular-only vs both interfaces."""
-    config.validate()
-    if routes is None:
-        routes = build_routes(topo, targets=[])
-    if pair is None:
-        pair = pick_session_pair(topo, routes, config.min_hops, pair_rng(config.seed))
-    cell_stats, cell_trace = run_session(
-        replace(config, wifi_enabled=False, cellular_enabled=True),
-        topo, routes, pair=pair)
-    comb_stats, comb_trace = run_session(
-        replace(config, cellular_enabled=True),
-        topo, routes, pair=pair)
-    return {
-        "pair": pair,
-        "cellular_only": cell_stats,
-        "combined": comb_stats,
-        "cellular_trace": cell_trace,
-        "combined_trace": comb_trace,
-    }
+def compare_modes(config: ScenarioConfig, topo: HetNetTopology, routes: RouteTable,
+                  pair: tuple[int, int] | None = None) -> tuple[SessionStats, SessionStats]:
+    """(cellular-only, combined) stats of two sessions with the same seed on
+    the same topology; both pick the same pair when none is given."""
+    cellular_only, _ = run_session(replace(config, wifi_enabled=False, cellular_enabled=True),
+                                   topo, routes, pair=pair)
+    combined, _ = run_session(replace(config, cellular_enabled=True), topo, routes, pair=pair)
+    return cellular_only, combined

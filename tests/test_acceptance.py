@@ -121,7 +121,7 @@ def test_criterion_05_protocol_model_soundness():
     for t in range(100):
         topo = topology.generate(10, np.random.default_rng(np.random.SeedSequence((5, t))),
                                  params)
-        routes = routing.build_routes(topo, targets=[])
+        routes = routing.build_routes(topo)
         cfg = ScenarioConfig(node_count=10, cellular_enabled=False, min_hops=1,
                              block_target=2, slot_budget=300, seed=t)
         log = []

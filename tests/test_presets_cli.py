@@ -148,9 +148,9 @@ def test_topo1_rows_match_direct_engine_run():
     cell_vals, comb_vals = [], []
     for trial in range(2):
         cfg = presets.trial_config(base, 8, trial, link_rate_override=0.5, r_cell=0.5)
-        out = simengine.compare_modes(cfg, topo, routes=routes, pair=(0, 7))
-        cell_vals.append(out["cellular_only"].relative_throughput)
-        comb_vals.append(out["combined"].relative_throughput)
+        cell, comb = simengine.compare_modes(cfg, topo, routes, pair=(0, 7))
+        cell_vals.append(cell.relative_throughput)
+        comb_vals.append(comb.relative_throughput)
     assert rows[0][1] == pytest.approx(sum(cell_vals) / 2, abs=1e-12)
     assert rows[0][2] == pytest.approx(sum(comb_vals) / 2, abs=1e-12)
 

@@ -13,7 +13,6 @@ from hetnetcode.simengine import (
     TraceEvent,
     compare_modes,
     loaded_cellular_rate,
-    make_topology,
     pick_session_pair,
     run_session,
     schedule_wifi_slot,
@@ -174,8 +173,14 @@ def test_cellular_pipe_half_rate():
     assert all(ev.interface == "cellular" for ev in trace)
 
 
-def test_fast_path_matches_slot_by_slot():
-    cfg, topo, routes = chain_session(1, wifi_enabled=False, link_rate_override=0.37,
+@pytest.mark.parametrize("link_rate", [
+    0.37,
+    pytest.param(0.1, marks=pytest.mark.xfail(strict=True, reason=(
+        "FOUND in CHANGES.md: ten slot-by-slot ticks of 0.1 sum to 0.9999999999999999 < 1, "
+        "so the slot loop sends each packet one slot after the skip-ahead path does"))),
+])
+def test_fast_path_matches_slot_by_slot(link_rate):
+    cfg, topo, routes = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,
                                       block_target=2, slot_budget=800, min_hops=1)
     fast, ftrace = run_session(cfg, topo, routes, pair=(0, 1))
     slow, strace = run_session(cfg, topo, routes, pair=(0, 1), no_skip=True)
@@ -286,7 +291,7 @@ def test_no_path_error():
 def test_pick_session_pair_min_hops_and_determinism():
     rng = np.random.default_rng(11)
     topo = topology.generate(300, rng, topology.TopologyParams(cell_radius=400.0))
-    routes = routing.build_routes(topo, targets=[])
+    routes = routing.build_routes(topo)
     for seed in range(5):
         a = pick_session_pair(topo, routes, 2, np.random.default_rng(seed))
         b = pick_session_pair(topo, routes, 2, np.random.default_rng(seed))
@@ -305,13 +310,12 @@ def test_compare_modes_superset_dominance():
         cfg = ScenarioConfig(node_count=250, cell_radius=400.0, seed=seed,
                              link_rate_override=0.2, r_cell=0.2,
                              block_target=2, slot_budget=2500)
-        topo = make_topology(cfg, rng)
-        routes = routing.build_routes(topo, targets=[])
-        out = compare_modes(cfg, topo, routes=routes)
-        assert out["combined"].relative_throughput >= out["cellular_only"].relative_throughput
-        assert out["cellular_only"].source == out["combined"].source
-        assert out["cellular_only"].destination == out["combined"].destination
-        assert out["cellular_only"].wifi_sent == 0
+        topo = topology.generate(cfg.node_count, rng, cfg.topology_params())
+        cell, comb = compare_modes(cfg, topo, routing.build_routes(topo))
+        assert comb.relative_throughput >= cell.relative_throughput
+        assert cell.source == comb.source
+        assert cell.destination == comb.destination
+        assert cell.wifi_sent == 0
 
 
 def test_compare_modes_blocks_dominance_under_budget():
@@ -321,10 +325,9 @@ def test_compare_modes_blocks_dominance_under_budget():
         cfg = ScenarioConfig(node_count=250, cell_radius=400.0, seed=seed,
                              link_rate_override=0.15, r_cell=0.15,
                              block_target=1000, slot_budget=700)
-        topo = make_topology(cfg, rng)
-        routes = routing.build_routes(topo, targets=[])
-        out = compare_modes(cfg, topo, routes=routes)
-        assert out["combined"].blocks_delivered >= out["cellular_only"].blocks_delivered
+        topo = topology.generate(cfg.node_count, rng, cfg.topology_params())
+        cell, comb = compare_modes(cfg, topo, routing.build_routes(topo))
+        assert comb.blocks_delivered >= cell.blocks_delivered
 
 
 # --- backbone and relay policies ----------------------------------------------
@@ -335,8 +338,8 @@ def test_backbone_shortcut_speeds_up_session():
                          link_rate_override=0.1, r_cell=0.1,
                          block_target=2, slot_budget=3000)
     rng = np.random.default_rng(np.random.SeedSequence((21, 3)))
-    topo = make_topology(cfg, rng)
-    routes = routing.build_routes(topo, targets=[])
+    topo = topology.generate(cfg.node_count, rng, cfg.topology_params())
+    routes = routing.build_routes(topo)
     pair = pick_session_pair(topo, routes, 2,
                              np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(6)[0]))
     adhoc, _ = run_session(cfg, topo, routes, pair=pair)
@@ -345,8 +348,8 @@ def test_backbone_shortcut_speeds_up_session():
                             link_rate_override=0.1, r_cell=0.1,
                             backbone_fraction=1.0, block_target=2, slot_budget=3000)
     rng = np.random.default_rng(np.random.SeedSequence((21, 3)))
-    topo_bb = make_topology(cfg_bb, rng)
-    routes_bb = routing.build_routes(topo_bb, targets=[])
+    topo_bb = topology.generate(cfg_bb.node_count, rng, cfg_bb.topology_params())
+    routes_bb = routing.build_routes(topo_bb)
     infra, _ = run_session(cfg_bb, topo_bb, routes_bb, pair=pair)
     assert infra.wired_sent > 0
     assert infra.relative_throughput >= adhoc.relative_throughput
