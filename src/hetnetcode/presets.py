@@ -73,11 +73,26 @@ def trial_config(base: ScenarioConfig, spec_seed: int, trial: int, **overrides) 
     return replace(base, seed=spec_seed * 1_000_003 + trial, **overrides)
 
 
-def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0) -> topo_mod.HetNetTopology:
+def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0, fractions=None):
     """Random 7-cell topology of config's node count and topology fields;
-    trial t of a sweep with this seed sees the same one at every point."""
+    trial t of a sweep with this seed sees the same one at every point.
+
+    Given backbone fractions, returns one topology per fraction, all from
+    one placement: each backbone draw starts from the rng state placement
+    left, so each equals the single topology at that fraction.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
-    return topo_mod.generate(config.node_count, rng, config.topology_params())
+    params = config.topology_params()
+    if fractions is None:
+        return topo_mod.generate(config.node_count, rng, params)
+    # at fraction 0 generate makes no backbone draw: the rng stays where placement left it
+    plain = topo_mod.generate(config.node_count, rng, replace(params, backbone_fraction=0.0))
+    placed = rng.bit_generator.state
+    topos = []
+    for frac in fractions:
+        rng.bit_generator.state = placed
+        topos.append(topo_mod.with_backbone(plain, frac, rng))
+    return topos
 
 
 def chain_scenario(config: ScenarioConfig, hops: int):
@@ -192,13 +207,13 @@ def preset_load_sweep(spec: SweepSpec, ratio: float = DEFAULT_LOAD_RATIO):
 def _infra_trial(args):
     spec_seed, trial, fracs, base = args
     probe_cfg = trial_config(base, spec_seed, trial)
-    base_topo = cell_topology(probe_cfg, spec_seed, trial)
+    base_topo, *topos = cell_topology(probe_cfg, spec_seed, trial,
+                                      [probe_cfg.backbone_fraction, *map(float, fracs)])
     pair = pick_session_pair(base_topo, build_routes(base_topo), probe_cfg.min_hops,
                              simengine.pair_rng(probe_cfg.seed))
     out = []
-    for frac in fracs:
+    for frac, topo in zip(fracs, topos):
         cfg = trial_config(base, spec_seed, trial, backbone_fraction=float(frac))
-        topo = cell_topology(cfg, spec_seed, trial)
         stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
         out.append(stats.relative_throughput)
     return out

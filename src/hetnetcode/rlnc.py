@@ -8,6 +8,7 @@ packets until rank M and then solves for the original block.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,15 +167,17 @@ class DecoderState:
         self.rank = 0
         self._kept_coef: list[np.ndarray] = []
         self._kept_payload: list[np.ndarray] = []
-        # row-echelon workspace: reduced rows indexed by pivot column
-        self._pivot_rows: dict[int, np.ndarray] = {}
+        # row-echelon workspace: pivot columns ascending, with the reduced
+        # row of each at the same index
+        self._pivot_cols: list[int] = []
+        self._pivot_rows: list[np.ndarray] = []
 
     def _reduce(self, row: np.ndarray) -> np.ndarray:
         # sweep pivots in column order so earlier zeros are never disturbed
         row = row.copy()
-        for col in sorted(self._pivot_rows):
+        for col, pivot in zip(self._pivot_cols, self._pivot_rows):
             if row[col]:
-                row ^= gf256.MUL_TABLE[row[col], self._pivot_rows[col]]
+                row ^= gf256.MUL_TABLE[row[col], pivot]
         return row
 
     def receive(self, p: CodedPacket) -> bool:
@@ -190,7 +193,9 @@ class DecoderState:
         if cols.size == 0:
             return False
         lead = int(cols[0])
-        self._pivot_rows[lead] = gf256.MUL_TABLE[gf256.INV_TABLE[residual[lead]], residual]
+        at = bisect.bisect(self._pivot_cols, lead)
+        self._pivot_cols.insert(at, lead)
+        self._pivot_rows.insert(at, gf256.MUL_TABLE[gf256.INV_TABLE[residual[lead]], residual])
         self._kept_coef.append(p.coefficients.copy())
         self._kept_payload.append(p.payload.copy())
         self.rank += 1

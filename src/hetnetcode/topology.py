@@ -7,8 +7,9 @@ range, and the protocol interference model with guard factor delta.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,24 +83,34 @@ def rate_for_distance(dist: float, radius: float, tiers, cell_rate: float) -> fl
 
 
 def _bucket_neighbors(positions: np.ndarray, r: float) -> list[np.ndarray]:
-    """WiFi adjacency (distance <= r, boundary inclusive) via grid buckets."""
+    """WiFi adjacency (distance <= r, boundary inclusive) via grid buckets.
+
+    Candidates are the nodes of the 3x3 buckets around each node: three runs
+    of bucket codes, one per bucket column, looked up for all nodes at once
+    in the code-sorted order.  Memory grows with the candidate count, never
+    with n^2 unless most nodes share a few buckets.
+    """
     n = len(positions)
-    buckets: dict[tuple[int, int], list[int]] = {}
+    if n == 0:
+        return []
     keys = np.floor(positions / r).astype(np.int64)
-    for i, (kx, ky) in enumerate(keys):
-        buckets.setdefault((int(kx), int(ky)), []).append(i)
-    neighbors = []
-    for i in range(n):
-        kx, ky = int(keys[i, 0]), int(keys[i, 1])
-        cand = []
-        for bx in (kx - 1, kx, kx + 1):
-            for by in (ky - 1, ky, ky + 1):
-                cand.extend(buckets.get((bx, by), ()))
-        cand = np.array(sorted(cand), dtype=np.int64)
-        d = np.hypot(positions[cand, 0] - positions[i, 0], positions[cand, 1] - positions[i, 1])
-        ok = cand[(d <= r) & (cand != i)]
-        neighbors.append(ok)
-    return neighbors
+    kx = keys[:, 0] - keys[:, 0].min()
+    ky = keys[:, 1] - keys[:, 1].min() + 1
+    height = int(ky.max()) + 2  # a run ky - 1 .. ky + 1 stays in its column
+    codes = kx * height + ky
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    mids = (codes[:, None] + height * np.arange(-1, 2)).ravel()
+    lo = np.searchsorted(sorted_codes, mids - 1, "left")
+    counts = np.searchsorted(sorted_codes, mids + 1, "right") - lo
+    # candidate c of run t is order[lo[t] + c - (candidates before run t)]
+    src = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
+    dst = order[np.arange(len(src)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    d = np.hypot(positions[dst, 0] - positions[src, 0], positions[dst, 1] - positions[src, 1])
+    keep = (d <= r) & (dst != src)
+    src, dst = src[keep], dst[keep]
+    dst = dst[np.lexsort((dst, src))]
+    return np.split(dst, np.cumsum(np.bincount(src, minlength=n))[:-1])
 
 
 @dataclass
@@ -122,7 +133,7 @@ class HetNetTopology:
         self.positions = np.array([(n.x, n.y) for n in nodes]) if nodes else np.zeros((0, 2))
         self.backbone = frozenset(n.id for n in nodes if n.has_backbone)
         self.wired = wired
-        self.neighbors = _bucket_neighbors(self.positions, params.wifi_range) if nodes else []
+        self.neighbors = _bucket_neighbors(self.positions, params.wifi_range)
         peers = [set() for _ in nodes]
         for u, v in wired.edges if wired is not None else ():
             peers[u].add(v)
@@ -208,13 +219,15 @@ def cellular_link_rate(src: Node, dst: Node) -> float:
     return min(src.cellular_rate, dst.cellular_rate)
 
 
-def generate(node_count: int, rng: np.random.Generator,
-             params: TopologyParams | None = None) -> HetNetTopology:
-    """Uniform placement over the 7-hexagon region by rejection sampling.
+def place(node_count: int, rng: np.random.Generator,
+          params: TopologyParams | None = None) -> HetNetTopology:
+    """Uniform placement over the 7-hexagon region by rejection sampling,
+    with cells, cellular rates and WiFi neighbors but no backbone.
 
-    Pure function of (rng state, params): same seed, same topology.
+    Every draw of a placement is made here, before any backbone draw, so the
+    rng state after placing is where each with_backbone draw starts.
     """
-    params = params or TopologyParams()
+    params = replace(params or TopologyParams(), backbone_fraction=0.0)
     params.validate()
     if node_count <= 0:
         raise ConfigError("node_count must be positive")
@@ -247,17 +260,44 @@ def generate(node_count: int, rng: np.random.Generator,
         rate = rate_for_distance(dist, r, params.rate_tiers, params.cell_rate)
         nodes.append(Node(i, float(positions[i, 0]), float(positions[i, 1]),
                           int(cell_ids[i]), rate))
+    return HetNetTopology(params, nodes)
 
-    if params.backbone_fraction > 0:
-        for cell in range(len(centers)):
-            members = [n.id for n in nodes if n.cell_id == cell]
-            k = round(params.backbone_fraction * len(members))
+
+def with_backbone(plain: HetNetTopology, fraction: float,
+                  rng: np.random.Generator) -> HetNetTopology:
+    """plain with round(fraction * members) backbone nodes drawn per cell.
+
+    The result has its own Node objects and shares positions and neighbor
+    lists with plain, which is left unchanged.
+    """
+    topo = copy.copy(plain)
+    topo.params = replace(plain.params, backbone_fraction=fraction)
+    topo.params.validate()
+    topo.nodes = [Node(n.id, n.x, n.y, n.cell_id, n.cellular_rate) for n in plain.nodes]
+    if fraction > 0:
+        for cell in range(len(plain.cells)):
+            members = [n.id for n in topo.nodes if n.cell_id == cell]
+            k = round(fraction * len(members))
             if k > 0:
                 chosen = rng.choice(np.array(members), size=k, replace=False)
                 for nid in chosen:
-                    nodes[int(nid)].has_backbone = True
+                    topo.nodes[int(nid)].has_backbone = True
+    topo.backbone = frozenset(n.id for n in topo.nodes if n.has_backbone)
+    return topo
 
-    return HetNetTopology(params, nodes)
+
+def generate(node_count: int, rng: np.random.Generator,
+             params: TopologyParams | None = None) -> HetNetTopology:
+    """place, then with_backbone at params.backbone_fraction.
+
+    Pure function of (rng state, params): same seed, same topology.  Every
+    placement draw comes before any backbone draw, so topologies that differ
+    only in backbone_fraction can share one placement (see
+    presets.cell_topology) by restarting each backbone draw from the rng
+    state that place left.
+    """
+    params = params or TopologyParams()
+    return with_backbone(place(node_count, rng, params), params.backbone_fraction, rng)
 
 
 def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTopology:

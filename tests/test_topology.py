@@ -1,11 +1,14 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hetnetcode import topology
+from hetnetcode import presets, topology
 from hetnetcode.errors import ConfigError
+from hetnetcode.simengine import ScenarioConfig
 
 
 def small_topology(positions, wifi_range=100.0, delta=0.2):
@@ -94,6 +97,62 @@ def test_wifi_neighbors_boundary_and_symmetry():
     for i in range(len(rnd)):
         for j in rnd.wifi_neighbors(i):
             assert i in rnd.wifi_neighbors(int(j))
+
+
+def brute_force_neighbors(positions, r):
+    n = len(positions)
+    out = []
+    for i in range(n):
+        d = np.hypot(positions[:, 0] - positions[i, 0], positions[:, 1] - positions[i, 1])
+        out.append([j for j in range(n) if j != i and d[j] <= r])
+    return out
+
+
+# on a 5 m grid, 3-4-5 triangles put points exactly r = 100 m or 60 m apart
+grid_points = st.tuples(st.integers(-60, 60), st.integers(-60, 60)).map(
+    lambda p: (5.0 * p[0], 5.0 * p[1]))
+float_points = st.tuples(st.floats(-500, 500), st.floats(-500, 500))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(grid_points | float_points, max_size=40),
+       copies=st.integers(0, 4), r=st.sampled_from([100.0, 60.0]))
+@example(points=[], copies=0, r=100.0)
+@example(points=[(-3.0, 7.0)], copies=0, r=100.0)
+# exactly r apart across a bucket edge, along an axis and diagonally
+@example(points=[(-100.0, 0.0), (0.0, 0.0), (-60.0, -80.0), (60.0, 80.0)], copies=2, r=100.0)
+def test_bucket_neighbors_match_brute_force(points, copies, r):
+    points = points + points[:copies]  # duplicate points
+    positions = np.array(points, dtype=float).reshape(-1, 2)
+    got = topology._bucket_neighbors(positions, r)
+    assert len(got) == len(points)
+    for row, want in zip(got, brute_force_neighbors(positions, r)):
+        assert row.dtype == np.int64
+        assert np.all(np.diff(row) > 0)
+        assert row.tolist() == want
+
+
+def test_shared_placement_matches_fresh_generate():
+    config = ScenarioConfig()
+    seed, trial, fractions = 4, 2, [0.0, 0.01, 0.4, 1.0]
+    shared = presets.cell_topology(config, seed, trial, fractions)
+    assert len(shared) == len(fractions)
+    for frac, topo in zip(fractions, shared):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
+        params = replace(config.topology_params(), backbone_fraction=frac)
+        fresh = topology.generate(config.node_count, rng, params)
+        assert topo.params == fresh.params
+        assert np.array_equal(topo.positions, fresh.positions)
+        assert [n.cell_id for n in topo.nodes] == [n.cell_id for n in fresh.nodes]
+        assert [n.cellular_rate for n in topo.nodes] == [n.cellular_rate for n in fresh.nodes]
+        assert topo.backbone == fresh.backbone
+        assert [a.tolist() for a in topo.neighbors] == [b.tolist() for b in fresh.neighbors]
+        assert topo.positions is shared[0].positions
+        assert topo.neighbors is shared[0].neighbors
+    assert shared[1].backbone and len(shared[3].backbone) == config.node_count
+    # building k/n = 1.0 after k/n = 0 marked no node of the k/n = 0 topology
+    assert not any(n.has_backbone for n in shared[0].nodes)
+    assert not shared[0].backbone
 
 
 def test_protocol_model_examples():
