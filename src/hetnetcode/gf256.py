@@ -40,6 +40,8 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 MUL_TABLE, INV_TABLE = _build_tables()
+# entry 256*w + x is w*x, so a whole weighted combination is one 1-D gather
+_MUL_FLAT = MUL_TABLE.ravel()
 
 
 def add(a, b):
@@ -60,13 +62,12 @@ def inverse(a: int) -> int:
 def weighted_row_sum(weights, rows_index: np.ndarray) -> np.ndarray:
     """sum_t weights[t] * rows[t] where rows were pre-cast via as_row_index.
 
-    Hot path for encoding/recoding: the intp cast of the row matrix is the
-    expensive part of a table gather, so callers cache it.
+    Hot path for encoding/recoding: every product is gathered at once from
+    the flat table (row t offset by 256 * weights[t]) and XOR-reduced down
+    the rows.  Callers cache the intp index so each call casts only weights.
     """
-    out = np.zeros(rows_index.shape[1], dtype=np.uint8)
-    for t in np.nonzero(weights)[0]:
-        out ^= MUL_TABLE[weights[t]][rows_index[t]]
-    return out
+    w = np.asarray(weights, dtype=np.uint8).astype(np.intp)
+    return np.bitwise_xor.reduce(_MUL_FLAT[(w << 8)[:, None] + rows_index], axis=0)
 
 
 def as_row_index(rows) -> np.ndarray:
@@ -84,7 +85,7 @@ def matmul(a, b) -> np.ndarray:
         return matmul(a, b[:, None])[:, 0]
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    # row-by-row accumulation with a pre-cast index beats one big 3-D gather
+    # one flat gather per output row, sharing b's index cast (3-D is slower)
     bi = as_row_index(b)
     return np.stack([weighted_row_sum(a[r], bi) for r in range(a.shape[0])])
 
@@ -124,33 +125,28 @@ def solve(m, rhs) -> np.ndarray:
     m must be square and full rank; rhs is (n, k) or (n,).  Raises
     SingularMatrixError when no pivot can be found for some column.
     """
-    m = np.array(m, dtype=np.uint8, copy=True)
-    rhs_in = np.asarray(rhs, dtype=np.uint8)
-    vector_rhs = rhs_in.ndim == 1
-    b = np.array(rhs_in[:, None] if vector_rhs else rhs_in, dtype=np.uint8, copy=True)
+    m = np.asarray(m, dtype=np.uint8)
+    b = np.asarray(rhs, dtype=np.uint8)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("solve expects a square coefficient matrix")
     n = m.shape[0]
     if b.shape[0] != n:
         raise ValueError("rhs row count must match the matrix")
+    vector_rhs = b.ndim == 1
+    # eliminate the augmented [m | rhs] in one pass; hstack copies the inputs
+    aug = np.hstack([m, b[:, None] if vector_rhs else b])
 
     for col in range(n):
-        nz = np.nonzero(m[col:, col])[0]
+        nz = np.nonzero(aug[col:, col])[0]
         if nz.size == 0:
             raise SingularMatrixError(f"rank-deficient at column {col}")
         piv = col + int(nz[0])
         if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        inv_p = INV_TABLE[m[col, col]]
-        m[col] = MUL_TABLE[inv_p, m[col]]
-        b[col] = MUL_TABLE[inv_p, b[col]]
-        others = np.nonzero(m[:, col])[0]
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] = MUL_TABLE[INV_TABLE[aug[col, col]], aug[col]]
+        others = np.nonzero(aug[:, col])[0]
         others = others[others != col]
         if others.size:
-            factors = m[others, col]
-            m[others] ^= MUL_TABLE[factors[:, None], m[col][None, :]]
-            pivot_row = b[col].astype(np.intp)
-            for i, f in zip(others, factors):
-                b[i] ^= MUL_TABLE[f][pivot_row]
-    return b[:, 0] if vector_rhs else b
+            f = aug[others, col].astype(np.intp) << 8
+            aug[others] ^= _MUL_FLAT[f[:, None] + aug[col]]
+    return aug[:, n] if vector_rhs else aug[:, n:]

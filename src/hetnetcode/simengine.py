@@ -44,6 +44,11 @@ from .topology import HetNetTopology, TopologyParams, cellular_link_rate
 
 LOADING_MODES = ("equal-rate", "equal-time")
 
+# Payload bytes a session carries: coefficients alone decide rank and timing,
+# and 8 columns coded alike still catch a payload that disagrees with its
+# coefficients in the decoded == source check, missing it w.p. 2^-64 per block.
+CHECK_PAYLOAD_BYTES = 8
+
 # JSON value types a config field accepts, keyed by the type of its default
 _ACCEPTS = {bool: bool, int: int, float: (int, float), str: str,
             type(None): (int, float, type(None))}
@@ -82,7 +87,7 @@ class ScenarioConfig:
     backbone_rate: float = 100.0  # wired bus capacity as a multiple of R_WiFi
     # coding
     block_size: int = 20  # M packets per block
-    payload_bytes: int = 1400
+    payload_bytes: int = 1400  # byte accounting only; sessions carry CHECK_PAYLOAD_BYTES
     buffer_capacity: int = 8  # N_buf at relays
     # rates, all in the same units as r_wifi
     r_wifi: float = 1.0
@@ -420,8 +425,7 @@ class _Session:
     # -- small helpers -----------------------------------------------------
 
     def _make_block(self, block_id: int) -> SourceBlock:
-        cfg = self.cfg
-        data = self.rng_data.integers(0, 256, size=(cfg.block_size, cfg.payload_bytes),
+        data = self.rng_data.integers(0, 256, size=(self.cfg.block_size, CHECK_PAYLOAD_BYTES),
                                       dtype=np.uint8)
         return SourceBlock(block_id, data)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hetnetcode import gf256
 
@@ -189,3 +190,80 @@ def test_matmul_shapes_and_errors():
     # row-vector @ matrix
     r = gf256.matmul(np.ones(3, dtype=np.uint8), a)
     assert r.shape == (4,)
+
+
+# --- weighted_row_sum and solve against pure-python oracles on gf256.mul ------
+#
+# The solve tests above take matmul as their reference, and matmul is built on
+# weighted_row_sum; these oracles share no code with either.
+
+WIDTHS = st.sampled_from([1, 8, 1400])
+# a small alphabet next to the full field gives zeros and repeats often
+ELEMENTS = st.sampled_from([0, 1, 2, 255]) | st.integers(0, 255)
+
+
+def oracle_weighted_row_sum(weights, rows, width):
+    out = [0] * width
+    for w, row in zip(weights, rows):
+        out = [o ^ gf256.mul(w, x) for o, x in zip(out, row)]
+    return out
+
+
+def oracle_solve(m, rhs):
+    """Gauss-Jordan on [m | rhs] as python ints; None when m is singular."""
+    n = len(m)
+    aug = [list(a) + list(b) for a, b in zip(m, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = gf256.inverse(aug[col][col])
+        aug[col] = [gf256.mul(inv, v) for v in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [v ^ gf256.mul(f, p) for v, p in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(ELEMENTS, max_size=20), width=WIDTHS, seed=st.integers(0, 2**32 - 1))
+@example(weights=[], width=8, seed=0)
+@example(weights=[0, 0, 0], width=1400, seed=1)
+@example(weights=[7, 7, 0, 7], width=1, seed=2)
+def test_weighted_row_sum_matches_oracle(weights, width, seed):
+    rows = np.random.default_rng(seed).integers(0, 256, size=(len(weights), width),
+                                                dtype=np.uint8)
+    index = gf256.as_row_index(rows)
+    w = np.array(weights, dtype=np.uint8)
+    kept_w, kept_index = w.copy(), index.copy()
+    got = gf256.weighted_row_sum(w, index)
+    assert got.dtype == np.uint8 and got.shape == (width,)
+    assert got.tolist() == oracle_weighted_row_sum(weights, rows.tolist(), width)
+    assert np.array_equal(w, kept_w) and np.array_equal(index, kept_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), entries=st.lists(ELEMENTS, min_size=64, max_size=64),
+       width=WIDTHS | st.none(), repeat_row=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=3, entries=[1, 2, 3, 4, 5, 6, 1, 2, 3] + [0] * 55, width=None, repeat_row=1, seed=0)
+@example(n=1, entries=[0] * 64, width=8, repeat_row=1, seed=0)
+@example(n=8, entries=list(range(1, 65)), width=1400, repeat_row=1, seed=3)
+def test_solve_matches_oracle(n, entries, width, repeat_row, seed):
+    """width None is a vector rhs; repeat_row 0 copies a row, so m is singular."""
+    m = np.array(entries[:n * n], dtype=np.uint8).reshape(n, n)
+    if n > 1 and repeat_row == 0:
+        m[-1] = m[0]
+    rng = np.random.default_rng(seed)
+    rhs = rng.integers(0, 256, size=(n,) if width is None else (n, width), dtype=np.uint8)
+    kept_m, kept_rhs = m.copy(), rhs.copy()
+    want = oracle_solve(m.tolist(), rhs.reshape(n, -1).tolist())
+    if want is None:
+        with pytest.raises(gf256.SingularMatrixError):
+            gf256.solve(m, rhs)
+    else:
+        got = gf256.solve(m, rhs)
+        assert got.dtype == np.uint8 and got.shape == rhs.shape
+        assert got.reshape(n, -1).tolist() == want
+    assert np.array_equal(m, kept_m) and np.array_equal(rhs, kept_rhs)

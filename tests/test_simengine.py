@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hetnetcode import routing, simengine, topology
+from hetnetcode import gf256, rlnc, routing, simengine, topology
 from hetnetcode.errors import ConfigError, NoPathError
 from hetnetcode.routing import ForwardPolicy
 from hetnetcode.simengine import (
@@ -387,3 +387,24 @@ def test_stats_payload_accounting():
     assert stats.payload_bytes_delivered == 2 * 20 * 1400
     assert stats.relative_throughput >= 0
     assert stats.throughput == stats.relative_throughput * cfg.r_wifi
+
+
+def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypatch):
+    """Relays whose payload combines the buffer with other weights than the
+    coefficients they send: only the session's 8-byte check payload can tell."""
+    cfg, topo, routes = chain_session(3, cellular_enabled=False, block_target=2,
+                                      slot_budget=1000)
+    stats, _ = run_session(cfg, topo, routes, pair=(0, 3))
+    assert stats.blocks_delivered == 2
+    real_recode = rlnc.recode
+    other = np.random.default_rng(99)
+
+    def mismatched_recode(buffer, rng):
+        pkt = real_recode(buffer, rng)
+        weights = other.integers(1, 256, size=len(buffer), dtype=np.uint8)
+        return rlnc.CodedPacket(pkt.block_id, pkt.coefficients,
+                                gf256.weighted_row_sum(weights, buffer.stacked()[1]))
+
+    monkeypatch.setattr(rlnc, "recode", mismatched_recode)
+    with pytest.raises(AssertionError, match="does not match the source block"):
+        run_session(cfg, topo, routes, pair=(0, 3))
