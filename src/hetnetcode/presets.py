@@ -45,6 +45,10 @@ class SweepSpec:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        numbers = [v for v in (*(self.values or ()), self.param_min, self.param_max,
+                               self.param_step) if v is not None]
+        if not all(math.isfinite(v) for v in numbers):
+            raise ConfigError("sweep values must be finite numbers")
         if self.values is not None:
             if len(self.values) == 0:
                 raise ConfigError("explicit sweep values must be non-empty")
@@ -124,6 +128,19 @@ def _pool_map(fn, args_list, workers: int):
         return list(pool.map(fn, args_list))
 
 
+def _per_point(fn, tasks, workers: int) -> list:
+    """Run fn on every trial's task, each returning one result per sweep
+    point; returns, per point, that point's results in trial order."""
+    return list(zip(*_pool_map(fn, tasks, workers)))
+
+
+def _counts(values, what: str) -> list[int]:
+    """Sweep values that count things: whole numbers >= 1, as ints."""
+    if any(v != int(v) or v < 1 for v in values):
+        raise ConfigError(f"{what} must be whole numbers >= 1")
+    return [int(v) for v in values]
+
+
 def _mean(xs):
     return sum(xs) / len(xs)
 
@@ -161,8 +178,7 @@ def _compare_sweep(spec: SweepSpec, base: ScenarioConfig, points, chain_hops=Non
     """Per point: the trial means of cellular-only and combined throughput
     and the standard error of the combined mean."""
     tasks = [(spec.seed, t, points, base, chain_hops) for t in range(spec.trials)]
-    per_trial = _pool_map(_compare_trial, tasks, spec.workers)
-    for results in zip(*per_trial):
+    for results in _per_point(_compare_trial, tasks, spec.workers):
         cell, comb = zip(*results)
         yield _mean(cell), _mean(comb), _stderr(comb)
 
@@ -190,9 +206,7 @@ DEFAULT_LOAD_RATIO = 0.5
 
 def preset_load_sweep(spec: SweepSpec, ratio: float = DEFAULT_LOAD_RATIO):
     """Cell loading: per-user throughput vs the number of users per cell."""
-    users = [int(u) for u in spec.sweep_values(DEFAULT_LOAD_USERS)]
-    if any(u < 1 for u in users):
-        raise ConfigError("users_per_cell values must be >= 1")
+    users = _counts(spec.sweep_values(DEFAULT_LOAD_USERS), "users_per_cell values")
     base = _base_config(spec, block_target=2, slot_budget=8000)
     points = [{"users_per_cell": u, "link_rate_override": ratio, "r_cell": ratio}
               for u in users]
@@ -231,11 +245,8 @@ def preset_infra_sweep(spec: SweepSpec, ratio: float = DEFAULT_INFRA_RATIO):
     base = _base_config(spec, block_target=3, slot_budget=4000,
                         link_rate_override=ratio, r_cell=ratio)
     tasks = [(spec.seed, t, fracs, base) for t in range(spec.trials)]
-    per_trial = _pool_map(_infra_trial, tasks, spec.workers)
-    rows = []
-    for i, frac in enumerate(fracs):
-        vals = [pt[i] for pt in per_trial]
-        rows.append((float(frac), _mean(vals)))
+    rows = [(float(frac), _mean(vals))
+            for frac, vals in zip(fracs, _per_point(_infra_trial, tasks, spec.workers))]
     return ["k_over_n", "rel_tput"], rows
 
 
@@ -262,14 +273,13 @@ def preset_topo1(spec: SweepSpec, processing_delay: int | None = None):
 
 
 def _topo2_trial(args):
-    spec_seed, trial, rates, relay_counts, base = args
+    spec_seed, trial, points, base = args
     base = trial_config(base, spec_seed, trial)
     out = []
-    for rate in rates:
-        for n in relay_counts:
-            cfg, topo, pair = relay_star_scenario(base, n, rate)
-            stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
-            out.append(stats.relative_throughput)
+    for rate, n in points:
+        cfg, topo, pair = relay_star_scenario(base, n, rate)
+        stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
+        out.append(stats.relative_throughput)
     return out
 
 
@@ -278,19 +288,12 @@ DEFAULT_TOPO2_RELAYS = (1, 2, 3, 4, 5, 6)
 
 def preset_topo2(spec: SweepSpec, rates=TOPO2_RATES):
     """Dual-interface access-point topology: throughput vs relay count N."""
-    relay_counts = [int(n) for n in spec.sweep_values(DEFAULT_TOPO2_RELAYS)]
-    if any(n < 1 for n in relay_counts):
-        raise ConfigError("relay counts must be >= 1")
+    relay_counts = _counts(spec.sweep_values(DEFAULT_TOPO2_RELAYS), "relay counts")
     base = _base_config(spec, block_target=4, slot_budget=60000)
-    tasks = [(spec.seed, t, tuple(rates), relay_counts, base) for t in range(spec.trials)]
-    per_trial = _pool_map(_topo2_trial, tasks, spec.workers)
-    rows = []
-    idx = 0
-    for rate in rates:
-        for n in relay_counts:
-            vals = [pt[idx] for pt in per_trial]
-            rows.append((float(rate), n, _mean(vals)))
-            idx += 1
+    points = [(rate, n) for rate in rates for n in relay_counts]
+    tasks = [(spec.seed, t, points, base) for t in range(spec.trials)]
+    rows = [(float(rate), n, _mean(vals))
+            for (rate, n), vals in zip(points, _per_point(_topo2_trial, tasks, spec.workers))]
     return ["link_rate", "n_relays", "throughput"], rows
 
 

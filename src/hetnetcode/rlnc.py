@@ -44,10 +44,6 @@ class SourceBlock:
     def size(self) -> int:
         return self.packets.shape[0]
 
-    @property
-    def payload_len(self) -> int:
-        return self.packets.shape[1]
-
     def row_index(self) -> np.ndarray:
         """Cached gather index of the payload matrix (used by every encode).
 
@@ -114,7 +110,6 @@ class RecodeBuffer:
         self.capacity = capacity
         self.block_id: int | None = None
         self.packets: list[CodedPacket] = []
-        self._stacks: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -129,27 +124,24 @@ class RecodeBuffer:
         self.packets.append(p)
         if len(self.packets) > self.capacity:
             self.packets.pop(0)
-        self._stacks = None
         return True
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pre-cast coefficient and payload gather indexes of the buffer."""
-        if self._stacks is None:
-            self._stacks = (
-                gf256.as_row_index(np.stack([p.coefficients for p in self.packets])),
-                gf256.as_row_index(np.stack([p.payload for p in self.packets])),
-            )
-        return self._stacks
 
 
 def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
-    """Random recombination of the buffered packets (all-zero weights rejected)."""
+    """Random recombination of the buffered packets (all-zero weights rejected).
+
+    The buffer is stacked afresh as [coefficients | payload] rows, so one
+    weighted row sum forms both halves of the new packet; its coefficients
+    therefore describe its payload in terms of the source block exactly as
+    an encode's do.
+    """
     if not buffer.packets:
         raise ValueError("cannot recode from an empty buffer")
     weights = _random_nonzero_vector(len(buffer.packets), rng)
-    coef, pay = buffer.stacked()
-    return CodedPacket(buffer.block_id, gf256.weighted_row_sum(weights, coef),
-                       gf256.weighted_row_sum(weights, pay))
+    rows = [np.concatenate((p.coefficients, p.payload)) for p in buffer.packets]
+    row = gf256.weighted_row_sum(weights, gf256.as_row_index(rows))
+    m = buffer.packets[0].coefficients.size
+    return CodedPacket(buffer.block_id, row[:m], row[m:])
 
 
 class DecoderState:

@@ -55,8 +55,10 @@ _ACCEPTS = {bool: bool, int: int, float: (int, float), str: str,
 
 
 def _type_ok(value, default) -> bool:
+    """value has the JSON type of default; floats must also be finite."""
     accepts = _ACCEPTS.get(type(default), object)
-    return isinstance(value, accepts) and isinstance(value, bool) == isinstance(default, bool)
+    return (isinstance(value, accepts) and isinstance(value, bool) == isinstance(default, bool)
+            and not (isinstance(value, float) and not math.isfinite(value)))
 
 
 def _checked(cls, values) -> dict:
@@ -128,6 +130,10 @@ class ScenarioConfig:
         return config
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value}")
         if self.node_count < 2:
             raise ConfigError("need at least a source and a destination")
         if self.block_size < 1:
@@ -416,9 +422,7 @@ class _Session:
 
         self.relays: dict[int, _Relay] = {}
         self.trace = EventTrace()
-        self.wifi_sent = 0
-        self.cellular_sent = 0
-        self.wired_sent = 0
+        self.sent = {"wifi": 0, "cellular": 0, "wired": 0}
         self.slot = 0
         self.relay_cellular = config.relay_policy.mode != "wifi-only"
 
@@ -445,11 +449,35 @@ class _Session:
             self.relays[node] = r
         return r
 
-    def _deliver_to_node(self, node: int, packet: CodedPacket):
-        avail = self.slot + 1 + self.cfg.processing_delay
-        self._relay(node).inbox.append((avail, packet))
+    def _can_send(self, node: int) -> bool:
+        """The source always can; a relay needs a send credit and a packet."""
+        if node == self.src:
+            return True
+        relay = self.relays[node]
+        return relay.send_credit >= 1 and bool(relay.buffer.packets)
 
-    def _arrive_at_destination(self, packet: CodedPacket, interface: str):
+    def _rng(self, node: int) -> np.random.Generator:
+        """The stream of node's WiFi and wired draws: hop picks and packets."""
+        return self.rng_wifi if node == self.src else self.rng_relay
+
+    def _emit(self, node: int, interface: str) -> CodedPacket:
+        """A fresh coded packet that node sends on interface: an encode at the
+        source (cellular coefficients have their own stream), or a recode at
+        a relay, which spends one send credit."""
+        self.sent[interface] += 1
+        if node == self.src:
+            rng = self.rng_cell if interface == "cellular" else self.rng_wifi
+            return rlnc.encode(self.block, rng)
+        relay = self.relays[node]
+        relay.send_credit -= 1
+        return rlnc.recode(relay.buffer, self.rng_relay)
+
+    def _land(self, rx: int, packet: CodedPacket, interface: str):
+        """packet arrives at rx over interface: a relay ingests it after the
+        processing delay, the destination's decoder consumes it now."""
+        if rx != self.dst:
+            self._relay(rx).inbox.append((self.slot + 1 + self.cfg.processing_delay, packet))
+            return
         # under stop-and-wait no packet is newer than the decoder's block,
         # and older (stale) ones are discarded
         innovative = packet.block_id == self.expected_block and self.decoder.receive(packet)
@@ -464,9 +492,6 @@ class _Session:
             self.ack_slot = self.slot + 1 + self.cfg.ack_delay
             self.expected_block = (self.expected_block + 1) % rlnc.BLOCK_ID_MODULUS
             self.decoder = DecoderState(self.expected_block, self.cfg.block_size)
-
-    def _relay_can_send(self, relay: _Relay) -> bool:
-        return relay.send_credit >= 1 and bool(relay.buffer.packets)
 
     # -- per-slot phases ----------------------------------------------------
 
@@ -493,32 +518,29 @@ class _Session:
             self.cell_up.tick()
             self.cell_down.tick()
             while self.cell_up.take():
-                self.cell_queue.append(rlnc.encode(self.block, self.rng_cell))
-                self.cellular_sent += 1
+                self.cell_queue.append(self._emit(self.src, "cellular"))
         if not self.relay_cellular:
             radio = dict.fromkeys(sorted(self.relays))
         else:
             # every relay picks its interfaces before any relay recodes
             plans = [(node, relay, select_interfaces(relay.selector))
                      for node, relay in sorted(self.relays.items())
-                     if self._relay_can_send(relay)]
+                     if self._can_send(node)]
             radio = {}
             for node, relay, ifaces in plans:
                 pkt = None
                 if "cellular" in ifaces:
                     relay.cell_up.tick()
                     if relay.cell_up.take():
-                        pkt = rlnc.recode(relay.buffer, self.rng_relay)
-                        relay.send_credit -= 1
+                        pkt = self._emit(node, "cellular")
                         self.cell_queue.append(pkt)
-                        self.cellular_sent += 1
                 if "wifi" in ifaces:
                     radio[node] = pkt
         while self.cell_queue and self.cell_down.take():
-            self._arrive_at_destination(self.cell_queue.popleft(), "cellular")
+            self._land(self.dst, self.cell_queue.popleft(), "cellular")
         return radio
 
-    def _wired_pick(self, u: int, rng: np.random.Generator) -> int | None:
+    def _wired_pick(self, u: int) -> int | None:
         """A random wired next hop v of u whose send credits all hold a
         packet, with those credits spent; None if no hop can take one now.
         A u->v send spends its edge (else the bus), u's out budget and v's
@@ -533,17 +555,10 @@ class _Session:
         targets = [(v, cost) for v, cost in hops if all(c.value >= 1.0 for c in cost)]
         if not targets:
             return None
-        v, cost = targets[int(rng.integers(0, len(targets)))]
+        v, cost = targets[int(self._rng(u).integers(0, len(targets)))]
         for c in cost:
             c.value -= 1.0
         return v
-
-    def _wired_deliver(self, v: int, pkt: CodedPacket):
-        self.wired_sent += 1
-        if v == self.dst:
-            self._arrive_at_destination(pkt, "wired")
-        else:
-            self._deliver_to_node(v, pkt)
 
     def _wired_phase(self):
         if not self.wired_active:
@@ -553,61 +568,45 @@ class _Session:
         # the source floods up to one block's worth per slot; relays are
         # bounded by their processing rate and their send credit
         for _ in range(self.cfg.block_size):
-            v = self._wired_pick(self.src, self.rng_wifi)
+            v = self._wired_pick(self.src)
             if v is None:
                 break
-            self._wired_deliver(v, rlnc.encode(self.block, self.rng_wifi))
+            self._land(v, self._emit(self.src, "wired"), "wired")
         for node in sorted(self.relays):
             relay = self.relays[node]
             relay.proc.tick()
-            while self._relay_can_send(relay) and relay.proc.value >= 1.0:
-                v = self._wired_pick(node, self.rng_relay)
+            while self._can_send(node) and relay.proc.value >= 1.0:
+                v = self._wired_pick(node)
                 if v is None:
                     break
                 relay.proc.value -= 1.0
-                relay.send_credit -= 1
-                self._wired_deliver(v, rlnc.recode(relay.buffer, self.rng_relay))
+                self._land(v, self._emit(node, "wired"), "wired")
 
     def _radio_phase(self, radio: dict):
         if not self.cfg.wifi_enabled:
             return
-        pending = []  # (tx, rx, prematerialized packet or None)
-        priorities = []
+        if self.wifi_usable:
+            radio[self.src] = None  # the source picks its hop after the relays
+        pending = []  # (tx, rx), each tx mapped in radio to its duplicate or None
         for node, dup_pkt in radio.items():
-            if dup_pkt is None and not self._relay_can_send(self.relays[node]):
+            if dup_pkt is None and not self._can_send(node):
                 continue
             cand = self.routes.next_hops(node, self.dst, "wifi")
-            if not cand:
-                continue
-            rx = cand[int(self.rng_relay.integers(0, len(cand)))]
-            pending.append((node, rx, dup_pkt))
-            priorities.append(self.dist_to_dst[node])
-        if self.wifi_usable:
-            cand = self.routes.next_hops(self.src, self.dst, "wifi")
             if cand:
-                rx = cand[int(self.rng_wifi.integers(0, len(cand)))]
-                pending.append((self.src, rx, None))
-                priorities.append(self.dist_to_dst[self.src])
+                pending.append((node, cand[int(self._rng(node).integers(0, len(cand)))]))
         if not pending:
             return
-        admitted = schedule_wifi_slot(pending, self.topo, self.rng_sched, priorities)
+        admitted = schedule_wifi_slot(pending, self.topo, self.rng_sched,
+                                      [self.dist_to_dst[tx] for tx, _ in pending])
         if self.schedule_log is not None and admitted:
             self.schedule_log.append((self.slot, list(admitted)))
-        staged = {(tx, rx): pkt for tx, rx, pkt in pending}
         for tx, rx in admitted:
-            pkt = staged[(tx, rx)]
+            pkt = radio[tx]
             if pkt is None:
-                if tx == self.src:
-                    pkt = rlnc.encode(self.block, self.rng_wifi)
-                else:
-                    relay = self.relays[tx]
-                    pkt = rlnc.recode(relay.buffer, self.rng_relay)
-                    relay.send_credit -= 1
-            self.wifi_sent += 1
-            if rx == self.dst:
-                self._arrive_at_destination(pkt, "wifi")
-            else:
-                self._deliver_to_node(rx, pkt)
+                pkt = self._emit(tx, "wifi")
+            else:  # the packet tx also sent on cellular
+                self.sent["wifi"] += 1
+            self._land(rx, pkt, "wifi")
 
     # -- fast path for cellular-only runs ------------------------------------
 
@@ -651,9 +650,9 @@ class _Session:
             destination=self.dst,
             blocks_delivered=self.blocks_delivered,
             slots_elapsed=elapsed,
-            wifi_sent=self.wifi_sent,
-            cellular_sent=self.cellular_sent,
-            wired_sent=self.wired_sent,
+            wifi_sent=self.sent["wifi"],
+            cellular_sent=self.sent["cellular"],
+            wired_sent=self.sent["wired"],
             decode_slots=self.decode_slots,
             block_size=self.cfg.block_size,
             payload_bytes=self.cfg.payload_bytes,

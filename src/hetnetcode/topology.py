@@ -322,8 +322,8 @@ def relay_star_topology(n_relays: int, link_capacity: float,
     """
     if n_relays < 1:
         raise ConfigError("need at least one relay")
-    if link_capacity <= 0:
-        raise ConfigError("link capacity must be positive")
+    if not 0 < link_capacity < math.inf:
+        raise ConfigError("link capacity must be positive and finite")
     params = params or TopologyParams()
     src, dst = 0, n_relays + 1
     # positions are only cosmetic here; keep nodes far apart so no WiFi links form

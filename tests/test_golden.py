@@ -14,6 +14,8 @@ from hetnetcode import cli
 
 SMALL = {"node_count": 250, "cell_radius": 400.0}
 CHAIN3 = ["replay-trace", "--chain-hops", "3"]
+# random cell with a backbone bus: cellular, radio and bus packets all land
+BUS_CELL = dict(SMALL, backbone_fraction=0.2)
 
 
 def _relays_on(**policy):
@@ -25,6 +27,8 @@ def _relays_on(**policy):
 # backbone bus carries traffic on every node of that topology
 CASES = {
     "rate-sweep": (SMALL, ["rate-sweep", "--values", "0.5", "2.0", "--trials", "2"]),
+    # combined sessions at non-dyadic cellular rates
+    "rate-sweep-low": (SMALL, ["rate-sweep", "--values", "0.1", "0.3", "--trials", "2"]),
     "load-sweep": (SMALL, ["load-sweep", "--values", "1", "4", "--trials", "2"]),
     "infra-sweep": (SMALL, ["infra-sweep", "--values", "0.1", "1.0", "--trials", "2"]),
     "topo1": ({}, ["topo1", "--values", "0.5", "1.0", "--trials", "2"]),
@@ -36,12 +40,17 @@ CASES = {
     "replay-relay-probabilistic": (
         _relays_on(mode="both", both_mode="probabilistic", p=0.3), CHAIN3),
     "replay-relays": ({}, ["replay-trace", "--relays", "3"]),
+    # the bus carries packets between relays, which forward them to the
+    # destination by radio; with the wider range the destination is on the bus
+    "replay-cell-bus": (BUS_CELL, ["replay-trace"]),
+    "replay-cell-bus-destination": (dict(BUS_CELL, wifi_range=120.0), ["replay-trace"]),
     "gen-topology": ({"backbone_fraction": 0.2}, ["gen-topology", "--nodes", "40"]),
 }
 PRESET_CASES = ("rate-sweep", "load-sweep", "infra-sweep", "topo1", "topo2")
 
 GOLDEN = {
     "rate-sweep": "2f6c36875ef41b6925c00ae20b104c57f7a134fcbc402f4e894df230c1c942e5",
+    "rate-sweep-low": "8521cdabf222329a6fe8e4061e70eeff6aedef44e7a14f0e90497a60480138b4",
     "load-sweep": "c312103890335ffad032621c230296c5d188c47d197edf3fdfef2a8e0f6451b9",
     "infra-sweep": "48747341ffee72a7239973526ca3557584543be99f6c721d0712805ec20daaa1",
     "topo1": "a68e7028256eaecc4b434c7349babdd0b3e6c2addfc368ba8af0ff8d9a849edf",
@@ -54,6 +63,9 @@ GOLDEN = {
     "replay-relay-probabilistic":
         "c490e7b071892e318110997b106d0d8bd2117b548c98417a931593360f4a8f96",
     "replay-relays": "b48f093e85b5d1e26286db74c6182d2593383ce8b1b19fed8dab44bae4bac909",
+    "replay-cell-bus": "c099eb3c39a536029dff6d2482fe56a0dc834ccff0d65be96b691433539dfb8b",
+    "replay-cell-bus-destination":
+        "85582b55c9ccc0a878db2a44a178bf99041fab59d716018854e7ad933fe1e2de",
     "gen-topology": "e77c49851d1b5bf3e4f32312ca54960ab981c970a9cdc6cf744c7cca059cdacc",
 }
 

@@ -30,6 +30,11 @@ def test_sweep_spec_validation():
         SweepSpec("rate-sweep", param_min=0.1, param_max=1.0).validate()
     with pytest.raises(ConfigError):
         SweepSpec("rate-sweep", values=()).validate()
+    with pytest.raises(ConfigError):
+        SweepSpec("rate-sweep", values=(0.5, float("nan"))).validate()
+    with pytest.raises(ConfigError):
+        SweepSpec("rate-sweep", param_min=0.1, param_max=float("inf"),
+                  param_step=0.1).validate()
     assert SweepSpec("rate-sweep", param_min=0.5, param_max=1.0,
                      param_step=0.25).sweep_values(()) == [0.5, 0.75, 1.0]
     assert SweepSpec("rate-sweep").sweep_values((1, 2)) == [1, 2]
@@ -235,6 +240,21 @@ def test_cli_error_exits(tmp_path):
     assert run_cli(["rate-sweep", "--min", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # counts must be whole numbers
+    ["load-sweep", "--values", "1.5", "--trials", "1"],
+    ["topo2", "--values", "2.5", "--trials", "1"],
+    # and every number finite
+    ["rate-sweep", "--values", "nan", "--trials", "1"],
+    ["rate-sweep", "--min", "0.1", "--max", "inf", "--step", "0.1", "--trials", "1"],
+    ["load-sweep", "--values", "1", "--ratio", "nan", "--trials", "1"],
+    ["infra-sweep", "--values", "0.5", "--ratio", "inf", "--trials", "1"],
+    ["replay-trace", "--relays", "2", "--link-rate", "inf"],
+])
+def test_cli_rejects_bad_flag_values(argv):
+    assert run_cli(argv) == 2
+
+
 ONE_POINT = {"values": [0.5], "trials": 1}
 
 
@@ -247,6 +267,7 @@ ONE_POINT = {"values": [0.5], "trials": 1}
     {"sweep": dict(ONE_POINT, out=3)},
     {"sweep": [1]},
     {"scenario": 5, "sweep": ONE_POINT},
+    {"sweep": {"values": [0.5, float("nan")], "trials": 1}},
 ])
 def test_cli_rejects_bad_config_sections(tmp_path, section):
     cfg = tmp_path / "cfg.json"
@@ -273,6 +294,9 @@ def test_cli_rejects_bad_topology_fields_on_relay_star(tmp_path, scenario):
     {"relay_policy": {"mode": "both", "p": "half"}},
     {"relay_policy": None},
     {"rate_tiers": [[0.5, 1.0], [1.0]]},
+    {"link_rate_override": float("nan")},
+    {"delta": float("inf")},
+    {"rate_tiers": [[0.5, float("nan")], [1.0, 0.5]]},
 ])
 def test_cli_rejects_bad_scenario_values(tmp_path, scenario):
     cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetnetcode import gf256, rlnc
 
@@ -239,6 +240,45 @@ def test_round_trip_through_recode_layers(layers):
             dec.receive(p)
     assert dec.rank == 20
     assert np.array_equal(dec.decode().packets, block.packets)
+
+
+# per stage: the buffer capacity and, per packet offered, whether it is
+# offered (and later received) twice
+_STAGES = st.lists(st.tuples(st.integers(1, 8), st.lists(st.booleans(), min_size=1, max_size=10)),
+                   min_size=2, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 20), width=st.sampled_from([1, 8, 1400]),
+       seed=st.integers(0, 2**32 - 1), stages=_STAGES)
+def test_recode_layers_keep_payloads_and_receive_tracks_rank(m, width, seed, stages):
+    """A buffer filled by encodes feeds 1-3 layers of recoding buffers; every
+    recode's payload is the combination its coefficients name, and the
+    decoder calls a packet innovative exactly when the rank grows."""
+    rng = np.random.default_rng(seed)
+    block = make_block(rng, m=m, k=width)
+    sent = []
+    upstream = None
+    for capacity, dups in stages:
+        buf = rlnc.RecodeBuffer(capacity)
+        for dup in dups:
+            if upstream is None:
+                p = rlnc.encode(block, rng)
+            else:
+                p = rlnc.recode(upstream, rng)
+                assert p == rlnc.coded_packet(block, p.coefficients)
+            for _ in range(1 + dup):
+                assert buf.offer(p)
+                sent.append(p)
+        upstream = buf
+    dec = rlnc.DecoderState(0, m)
+    rows = []
+    for p in sent:
+        before = gf256.rank(np.stack(rows)) if rows else 0
+        rows.append(p.coefficients)
+        assert dec.receive(p) == (gf256.rank(np.stack(rows)) > before)
+    if dec.rank == m:
+        assert np.array_equal(dec.decode().packets, block.packets)
 
 
 def test_header_layout_oracle():

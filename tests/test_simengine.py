@@ -362,8 +362,11 @@ def test_relay_cellular_policies_run():
         cfg, topo, routes = chain_session(2, link_rate_override=1.0,
                                           relay_policy=policy,
                                           block_target=2, slot_budget=500)
-        stats, trace = run_session(cfg, topo, routes, pair=(0, 2))
+        log = []
+        stats, trace = run_session(cfg, topo, routes, pair=(0, 2), schedule_log=log)
         assert stats.blocks_delivered == 2
+        # every admitted radio transmission sends one packet, duplicates included
+        assert stats.wifi_sent == sum(len(admitted) for _, admitted in log)
         again, _ = run_session(cfg, topo, routes, pair=(0, 2))
         assert again == stats
 
@@ -402,8 +405,9 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
     def mismatched_recode(buffer, rng):
         pkt = real_recode(buffer, rng)
         weights = other.integers(1, 256, size=len(buffer), dtype=np.uint8)
+        payloads = gf256.as_row_index(np.stack([p.payload for p in buffer.packets]))
         return rlnc.CodedPacket(pkt.block_id, pkt.coefficients,
-                                gf256.weighted_row_sum(weights, buffer.stacked()[1]))
+                                gf256.weighted_row_sum(weights, payloads))
 
     monkeypatch.setattr(rlnc, "recode", mismatched_recode)
     with pytest.raises(AssertionError, match="does not match the source block"):
