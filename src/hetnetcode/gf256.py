@@ -70,6 +70,11 @@ def weighted_row_sum(weights, rows_index: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_MUL_FLAT[(w << 8)[:, None] + rows_index], axis=0)
 
 
+def scaled_rows(factors: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Row i is factors[i] * row, in one gather; factors must be intp."""
+    return _MUL_FLAT[(factors << 8)[:, None] + row]
+
+
 def as_row_index(rows) -> np.ndarray:
     """Pre-cast a uint8 matrix for repeated weighted_row_sum calls."""
     return np.asarray(rows, dtype=np.uint8).astype(np.intp)
@@ -123,7 +128,11 @@ def solve(m, rhs) -> np.ndarray:
     """Solve m @ x = rhs over GF(2^8) by Gauss-Jordan elimination.
 
     m must be square and full rank; rhs is (n, k) or (n,).  Raises
-    SingularMatrixError when no pivot can be found for some column.
+    SingularMatrixError when no pivot can be found for some column.  Each
+    column updates the whole uint8 augmented [m | rhs] with one gather: row
+    i is XORed with f[i] times the pivot row p, where f[i] = m[i] / p[col]
+    clears column col, and the pivot row's own f = 1 ^ 1/p[col] leaves it
+    normalised (p ^ (1 ^ a) p = a p).
     """
     m = np.asarray(m, dtype=np.uint8)
     b = np.asarray(rhs, dtype=np.uint8)
@@ -137,16 +146,14 @@ def solve(m, rhs) -> np.ndarray:
     aug = np.hstack([m, b[:, None] if vector_rhs else b])
 
     for col in range(n):
-        nz = np.nonzero(aug[col:, col])[0]
+        nz = aug[col:, col].nonzero()[0]
         if nz.size == 0:
             raise SingularMatrixError(f"rank-deficient at column {col}")
         piv = col + int(nz[0])
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = MUL_TABLE[INV_TABLE[aug[col, col]], aug[col]]
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != col]
-        if others.size:
-            f = aug[others, col].astype(np.intp) << 8
-            aug[others] ^= _MUL_FLAT[f[:, None] + aug[col]]
+        inv = INV_TABLE[aug[col, col]]
+        f = MUL_TABLE[aug[:, col], inv].astype(np.intp)
+        f[col] = 1 ^ inv
+        aug ^= scaled_rows(f, aug[col])
     return aug[:, n] if vector_rhs else aug[:, n:]

@@ -8,7 +8,6 @@ packets until rank M and then solves for the original block.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +100,9 @@ class RecodeBuffer:
 
     Holds at most `capacity` packets, all sharing one block id; a packet with
     a newer block id (mod 2^16) purges the buffer and starts the new block.
-    Oldest packets are dropped first when full.
+    Oldest packets are dropped first when full.  `packets` lists them oldest
+    first, and row t of `rows` is packet t's [coefficients | payload], cast
+    once for gf256.weighted_row_sum, so a recode stacks nothing.
     """
 
     def __init__(self, capacity: int):
@@ -110,46 +111,61 @@ class RecodeBuffer:
         self.capacity = capacity
         self.block_id: int | None = None
         self.packets: list[CodedPacket] = []
+        # (capacity, M + k) intp, allocated by the first offer of a block
+        self.rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.packets)
 
     def offer(self, p: CodedPacket) -> bool:
         """Store p; returns False when p is stale for this buffer."""
+        m = p.coefficients.size
         if self.block_id is None or block_id_newer(p.block_id, self.block_id):
             self.block_id = p.block_id
             self.packets = []
+            width = m + p.payload.size
+            if self.rows is None or self.rows.shape[1] != width:
+                self.rows = np.empty((self.capacity, width), dtype=np.intp)
         elif p.block_id != self.block_id:
             return False
-        self.packets.append(p)
-        if len(self.packets) > self.capacity:
+        n = len(self.packets)
+        if n == self.capacity:
             self.packets.pop(0)
+            self.rows[:-1] = self.rows[1:]
+            n -= 1
+        self.rows[n, :m] = p.coefficients
+        self.rows[n, m:] = p.payload
+        self.packets.append(p)
         return True
 
 
 def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
     """Random recombination of the buffered packets (all-zero weights rejected).
 
-    The buffer is stacked afresh as [coefficients | payload] rows, so one
-    weighted row sum forms both halves of the new packet; its coefficients
-    therefore describe its payload in terms of the source block exactly as
-    an encode's do.
+    Weight t goes to packet t, oldest first.  One weighted row sum over the
+    buffer's stacked [coefficients | payload] rows forms both halves of the
+    new packet, so its coefficients describe its payload in terms of the
+    source block exactly as an encode's do.
     """
-    if not buffer.packets:
+    n = len(buffer.packets)
+    if not n:
         raise ValueError("cannot recode from an empty buffer")
-    weights = _random_nonzero_vector(len(buffer.packets), rng)
-    rows = [np.concatenate((p.coefficients, p.payload)) for p in buffer.packets]
-    row = gf256.weighted_row_sum(weights, gf256.as_row_index(rows))
+    weights = _random_nonzero_vector(n, rng)
+    row = gf256.weighted_row_sum(weights, buffer.rows[:n])
     m = buffer.packets[0].coefficients.size
     return CodedPacket(buffer.block_id, row[:m], row[m:])
 
 
 class DecoderState:
-    """Incremental Gaussian-elimination workspace for one block.
+    """Incremental Gauss-Jordan workspace for one block.
 
-    Arriving coefficient rows are reduced against the current pivots; a packet
-    is innovative iff a nonzero residual remains.  Original (unreduced) rows
-    of innovative packets are kept so decode() can hand the full system to
+    The basis of the received coefficient rows is kept in reduced row-echelon
+    form: basis row i is 1 at pivot column i and 0 at every other pivot
+    column ("seen packets", Sundararajan et al., INFOCOM 2009).  An arrival's
+    residual is the arrival minus the basis rows weighted by its own entries
+    at the pivot columns, one weighted row sum; the packet is innovative iff
+    the residual is nonzero.  The original rows of innovative packets are
+    kept, in arrival order, so decode() can hand the full system to
     gf256.solve.
     """
 
@@ -157,20 +173,11 @@ class DecoderState:
         self.block_id = block_id
         self.block_size = block_size
         self.rank = 0
-        self._kept_coef: list[np.ndarray] = []
-        self._kept_payload: list[np.ndarray] = []
-        # row-echelon workspace: pivot columns ascending, with the reduced
-        # row of each at the same index
-        self._pivot_cols: list[int] = []
-        self._pivot_rows: list[np.ndarray] = []
-
-    def _reduce(self, row: np.ndarray) -> np.ndarray:
-        # sweep pivots in column order so earlier zeros are never disturbed
-        row = row.copy()
-        for col, pivot in zip(self._pivot_cols, self._pivot_rows):
-            if row[col]:
-                row ^= gf256.MUL_TABLE[row[col], pivot]
-        return row
+        self._basis = np.zeros((block_size, block_size), dtype=np.intp)
+        self._pivots = np.zeros(block_size, dtype=np.intp)
+        # [coefficients | payload] of the innovative arrivals, allocated by
+        # the first one, when the payload width is known
+        self._kept: np.ndarray | None = None
 
     def receive(self, p: CodedPacket) -> bool:
         """Store p and return True iff it raises the decoder rank."""
@@ -178,39 +185,48 @@ class DecoderState:
             raise ValueError(
                 f"packet block {p.block_id} does not match decoder block {self.block_id}"
             )
-        if p.coefficients.shape != (self.block_size,):
+        m = self.block_size
+        coef = p.coefficients
+        if coef.shape != (m,):
             raise ValueError("coefficient vector length must equal the block size")
-        residual = self._reduce(p.coefficients)
-        cols = np.nonzero(residual)[0]
-        if cols.size == 0:
+        r = self.rank
+        residual = coef ^ gf256.weighted_row_sum(coef[self._pivots[:r]], self._basis[:r])
+        nz = residual.nonzero()[0]
+        if nz.size == 0:
             return False
-        lead = int(cols[0])
-        at = bisect.bisect(self._pivot_cols, lead)
-        self._pivot_cols.insert(at, lead)
-        self._pivot_rows.insert(at, gf256.MUL_TABLE[gf256.INV_TABLE[residual[lead]], residual])
-        self._kept_coef.append(p.coefficients.copy())
-        self._kept_payload.append(p.payload.copy())
-        self.rank += 1
+        lead = int(nz[0])
+        # normalise, then clear the lead column from the older rows
+        row = gf256.MUL_TABLE[gf256.INV_TABLE[residual[lead]], residual]
+        basis = self._basis
+        basis[r] = row
+        basis[:r] ^= gf256.scaled_rows(basis[:r, lead], basis[r])
+        self._pivots[r] = lead
+        if self._kept is None:
+            self._kept = np.empty((m, m + p.payload.size), dtype=np.uint8)
+        self._kept[r, :m] = coef
+        self._kept[r, m:] = p.payload
+        self.rank = r + 1
         return True
 
     @property
     def coefficient_matrix(self) -> np.ndarray:
-        if not self._kept_coef:
+        if self._kept is None:
             return np.zeros((0, self.block_size), dtype=np.uint8)
-        return np.stack(self._kept_coef)
+        return self._kept[:self.rank, :self.block_size].copy()
 
     @property
     def payload_matrix(self) -> np.ndarray:
-        if not self._kept_payload:
+        if self._kept is None:
             return np.zeros((0, 0), dtype=np.uint8)
-        return np.stack(self._kept_payload)
+        return self._kept[:self.rank, self.block_size:].copy()
 
     def decode(self) -> SourceBlock:
         if self.rank < self.block_size:
             raise NotDecodableError(
                 f"rank {self.rank} < block size {self.block_size}"
             )
-        packets = gf256.solve(self.coefficient_matrix, self.payload_matrix)
+        m = self.block_size
+        packets = gf256.solve(self._kept[:, :m], self._kept[:, m:])
         return SourceBlock(self.block_id, packets)
 
 

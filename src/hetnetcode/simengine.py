@@ -49,14 +49,18 @@ LOADING_MODES = ("equal-rate", "equal-time")
 # coefficients in the decoded == source check, missing it w.p. 2^-64 per block.
 CHECK_PAYLOAD_BYTES = 8
 
-# JSON value types a config field accepts, keyed by the type of its default
-_ACCEPTS = {bool: bool, int: int, float: (int, float), str: str,
-            type(None): (int, float, type(None))}
+# JSON value types a config field accepts, and their name in errors, keyed by
+# the type of its default; a list or an object is checked by its reader
+_ACCEPTS = {bool: (bool, "true or false"), int: (int, "an integer"),
+            float: ((int, float), "a number"), str: (str, "a string"),
+            type(None): ((int, float, type(None)), "a number or null"),
+            tuple: (object, "a list")}
+_OBJECT = (object, "an object")
 
 
 def _type_ok(value, default) -> bool:
     """value has the JSON type of default; floats must also be finite."""
-    accepts = _ACCEPTS.get(type(default), object)
+    accepts = _ACCEPTS.get(type(default), _OBJECT)[0]
     return (isinstance(value, accepts) and isinstance(value, bool) == isinstance(default, bool)
             and not (isinstance(value, float) and not math.isfinite(value)))
 
@@ -72,8 +76,8 @@ def _checked(cls, values) -> dict:
         if key not in defaults:
             raise ConfigError(f"unknown {cls.__name__} field {key!r}")
         if not _type_ok(value, defaults[key]):
-            raise ConfigError(f"{key} must be of type {type(defaults[key]).__name__}, "
-                              f"not {value!r}")
+            expected = _ACCEPTS.get(type(defaults[key]), _OBJECT)[1]
+            raise ConfigError(f"{key} must be {expected}, not {value!r}")
     return dict(values)
 
 
@@ -517,7 +521,10 @@ class _Session:
         if self.cell_up.rate > 0:
             self.cell_up.tick()
             self.cell_down.tick()
-            while self.cell_up.take():
+            # like the wired flood, at most one block's worth per slot
+            for _ in range(self.cfg.block_size):
+                if not self.cell_up.take():
+                    break
                 self.cell_queue.append(self._emit(self.src, "cellular"))
         if not self.relay_cellular:
             radio = dict.fromkeys(sorted(self.relays))

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hetnetcode import cli, presets
 from hetnetcode.errors import ConfigError
 from hetnetcode.routing import ForwardPolicy
+from hetnetcode.simengine import ScenarioConfig
 from hetnetcode.presets import (
     SweepSpec,
     format_rows,
@@ -229,6 +231,22 @@ def test_cli_replay_trace_relay_star(tmp_path):
     assert all(line.split(",")[2] == "wired" for line in body)
 
 
+def test_cli_replay_trace_caps_a_fast_cellular_pipe(tmp_path):
+    # a pipe of 1e6 packets per slot releases at most one block's worth per
+    # slot, so the run stays small and still decodes every block it targets
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"link_rate_override": 1e6, "r_cell": 1e6}}))
+    out = tmp_path / "trace.csv"
+    assert run_cli(["replay-trace", "--chain-hops", "2", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    m, target = ScenarioConfig.block_size, ScenarioConfig.block_target
+    per_slot = Counter(slot for slot, _, iface, _, _ in rows if iface == "cellular")
+    assert max(per_slot.values()) == m
+    innovative = Counter(int(block) for _, _, _, block, new in rows if new == "1")
+    assert innovative == {b: m for b in range(target)}
+
+
 def test_cli_error_exits(tmp_path):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"scenario": {"definitely_not_a_field": 1}}))
@@ -297,13 +315,16 @@ def test_cli_rejects_bad_topology_fields_on_relay_star(tmp_path, scenario):
     {"link_rate_override": float("nan")},
     {"delta": float("inf")},
     {"rate_tiers": [[0.5, float("nan")], [1.0, 0.5]]},
+    {"link_rate_override": "x"},
 ])
-def test_cli_rejects_bad_scenario_values(tmp_path, scenario):
+def test_cli_rejects_bad_scenario_values(tmp_path, capsys, scenario):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": scenario}))
     assert run_cli(["replay-trace", "--chain-hops", "3", "--config", str(cfg)]) == 2
     assert run_cli(["rate-sweep", "--values", "0.5", "--trials", "1",
                     "--config", str(cfg)]) == 2
+    # errors name the JSON types a field accepts, not a Python type
+    assert "NoneType" not in capsys.readouterr().err
 
 
 def test_config_coercion_keeps_json_values():

@@ -281,6 +281,106 @@ def test_recode_layers_keep_payloads_and_receive_tracks_rank(m, width, seed, sta
         assert np.array_equal(dec.decode().packets, block.packets)
 
 
+def _mul_oracle(w, row):
+    """w * row entry by entry through gf256.mul (one 256-entry map per weight)."""
+    table = np.array([gf256.mul(int(w), x) for x in range(256)], dtype=np.uint8)
+    return table[row]
+
+
+# block id steps from the buffer's current block: the same block, newer by 1
+# (wrapping at 2^16) or by the widest newer step, older by 1, or half the id
+# space away, which is not newer either
+_ID_STEPS = st.lists(st.sampled_from([0, 1, 2**15 - 1, -1, 2**15]), min_size=1, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 8), m=st.integers(1, 20), width=st.sampled_from([1, 8, 1400]),
+       first_id=st.sampled_from([0, 1, 2**16 - 2, 2**16 - 1]), steps=_ID_STEPS,
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_ring_matches_packets_and_recode_oracle(capacity, m, width, first_id, steps,
+                                                        seed):
+    """After every offer the ring's stacked rows are [coefficients | payload]
+    of its packets, oldest first, and a recode puts weight t on packet t."""
+    rng = np.random.default_rng(seed)
+    buf = rlnc.RecodeBuffer(capacity)
+    expected = []
+    block_id = first_id
+    for i, step in enumerate(steps):
+        pid = (block_id + (step if i else 0)) % rlnc.BLOCK_ID_MODULUS
+        p = rlnc.CodedPacket(pid, rng.integers(0, 256, size=m, dtype=np.uint8),
+                             rng.integers(0, 256, size=width, dtype=np.uint8))
+        accepted = not expected or pid == block_id or rlnc.block_id_newer(pid, block_id)
+        assert buf.offer(p) == accepted
+        if accepted:
+            if expected and pid != block_id:
+                expected = []
+            block_id = pid
+            expected = (expected + [p])[-capacity:]
+        assert buf.block_id == block_id and buf.packets == expected
+        stacked = np.stack([np.concatenate((q.coefficients, q.payload)) for q in expected])
+        assert np.array_equal(buf.rows[:len(buf)], stacked)
+
+        weights = rng.integers(0, 256, size=len(expected), dtype=np.uint8)
+        weights[-1] |= not weights.any()
+        out = rlnc.recode(buf, ForcedRng(weights))
+        want = np.zeros(m + width, dtype=np.uint8)
+        for w, row in zip(weights, stacked):
+            want ^= _mul_oracle(w, row)
+        assert out == rlnc.CodedPacket(block_id, want[:m], want[m:])
+
+
+def _scaled(s, coefficients):
+    return np.array([gf256.mul(s, int(c)) for c in coefficients], dtype=np.uint8)
+
+
+# arrival kinds: a fresh random vector, an exact duplicate of an earlier
+# arrival, a scalar multiple of one, the XOR sum of two, or all zeros
+_ARRIVALS = st.lists(st.tuples(st.sampled_from(["fresh", "dup", "scaled", "sum", "zero"]),
+                               st.integers(0, 2**16), st.integers(1, 255)),
+                     max_size=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 20), width=st.sampled_from([1, 8]), seed=st.integers(0, 2**32 - 1),
+       arrivals=_ARRIVALS)
+def test_rref_decoder_against_rank_oracle(m, width, seed, arrivals):
+    """receive() is True exactly when gf256.rank grows, the kept matrices are
+    the innovative arrivals in order, and decode() returns the block."""
+    rng = np.random.default_rng(seed)
+    block = make_block(rng, m=m, k=width)
+    dec = rlnc.DecoderState(0, m)
+    seen, kept = [], []
+
+    def arrive(coefficients):
+        p = rlnc.coded_packet(block, coefficients)
+        grows = gf256.rank(np.stack(seen + [p.coefficients])) > dec.rank
+        assert dec.receive(p) == grows
+        seen.append(p.coefficients)
+        if grows:
+            kept.append(p)
+        assert dec.rank == len(kept)
+        if kept:
+            assert np.array_equal(dec.coefficient_matrix, [q.coefficients for q in kept])
+            assert np.array_equal(dec.payload_matrix, [q.payload for q in kept])
+        else:
+            assert dec.coefficient_matrix.shape == (0, m)
+
+    for kind, pick, s in arrivals:
+        if kind == "zero":
+            arrive(np.zeros(m, dtype=np.uint8))
+        elif kind == "fresh" or not seen:
+            arrive(rng.integers(0, 256, size=m, dtype=np.uint8))
+        elif kind == "dup":
+            arrive(seen[pick % len(seen)])
+        elif kind == "scaled":
+            arrive(_scaled(s, seen[pick % len(seen)]))
+        else:
+            arrive(seen[pick % len(seen)] ^ seen[(pick // 7) % len(seen)])
+    while dec.rank < m:
+        arrive(rng.integers(0, 256, size=m, dtype=np.uint8))
+    assert np.array_equal(dec.decode().packets, block.packets)
+
+
 def test_header_layout_oracle():
     coeffs = np.zeros(20, dtype=np.uint8)
     coeffs[0] = 0x01
