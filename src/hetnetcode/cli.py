@@ -90,7 +90,11 @@ def _emit(text: str, out: str | None):
 
 def _scenario_from(cfg: dict, seed: int | None) -> ScenarioConfig:
     sc = ScenarioConfig.from_dict(cfg.get("scenario", {}))
-    return sc if seed is None else dataclasses.replace(sc, seed=seed)
+    if seed is not None:
+        # replace skips validation
+        sc = dataclasses.replace(sc, seed=seed)
+        sc.validate()
+    return sc
 
 
 def cmd_sweep(preset: str, args) -> int:

@@ -42,6 +42,8 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 MUL_TABLE, INV_TABLE = _build_tables()
 # entry 256*w + x is w*x, so a whole weighted combination is one 1-D gather
 _MUL_FLAT = MUL_TABLE.ravel()
+# entry w is 256*w, the offset of row w in _MUL_FLAT, as intp
+_ROW_OFFSET = np.arange(256, dtype=np.intp) << 8
 
 
 def add(a, b):
@@ -64,10 +66,11 @@ def weighted_row_sum(weights, rows_index: np.ndarray) -> np.ndarray:
 
     Hot path for encoding/recoding: every product is gathered at once from
     the flat table (row t offset by 256 * weights[t]) and XOR-reduced down
-    the rows.  Callers cache the intp index so each call casts only weights.
+    the rows.  Callers cache the intp index, and each weight's row offset
+    comes from a table, so a call neither casts nor shifts the weights.
     """
-    w = np.asarray(weights, dtype=np.uint8).astype(np.intp)
-    return np.bitwise_xor.reduce(_MUL_FLAT[(w << 8)[:, None] + rows_index], axis=0)
+    w = np.asarray(weights, dtype=np.uint8)
+    return np.bitwise_xor.reduce(_MUL_FLAT[_ROW_OFFSET[w][:, None] + rows_index], axis=0)
 
 
 def scaled_rows(factors: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -152,8 +155,8 @@ def solve(m, rhs) -> np.ndarray:
         piv = col + int(nz[0])
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
-        inv = INV_TABLE[aug[col, col]]
-        f = MUL_TABLE[aug[:, col], inv].astype(np.intp)
-        f[col] = 1 ^ inv
-        aug ^= scaled_rows(f, aug[col])
+        inv = int(INV_TABLE[aug[col, col]])
+        f = _ROW_OFFSET[MUL_TABLE[inv][aug[:, col]]]
+        f[col] = (1 ^ inv) << 8
+        aug ^= _MUL_FLAT[f[:, None] + aug[col]]
     return aug[:, n] if vector_rhs else aug[:, n:]

@@ -45,6 +45,8 @@ class SweepSpec:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         numbers = [v for v in (*(self.values or ()), self.param_min, self.param_max,
                                self.param_step) if v is not None]
         if not all(math.isfinite(v) for v in numbers):

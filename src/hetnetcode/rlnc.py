@@ -77,7 +77,7 @@ class CodedPacket:
 def _random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.integers(0, 256, size=n, dtype=np.uint8)
-        if v.any():
+        if np.count_nonzero(v):
             return v
 
 

@@ -162,6 +162,8 @@ class ScenarioConfig:
             raise ConfigError("block_target must be >= 1")
         if self.wired_relay_rate <= 0:
             raise ConfigError("wired_relay_rate must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.topology_params().validate()
         self.relay_policy.validate()
         if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
@@ -413,7 +415,11 @@ class _Session:
         if topo.backbone:
             self.bus = _Credit(config.backbone_rate / config.r_wifi)
             self._wired_credits.append(self.bus)
+        # session caches, fixed once filled because the routes and the
+        # destination are: each node's wired hops with their credits and
+        # its WiFi next hops, looked up on first use
         self._wired_hops: dict[int, list] = {}
+        self._wifi_hops: dict[int, list[int]] = {}
 
         # transport state
         self.block_id = 0
@@ -425,6 +431,9 @@ class _Session:
         self.decode_slots: list[int] = []
 
         self.relays: dict[int, _Relay] = {}
+        # relay ids ascending, rebuilt when a relay is created; a loop keeps
+        # the tuple it started with, so a relay made during it waits a slot
+        self.relay_order: tuple[int, ...] = ()
         self.trace = EventTrace()
         self.sent = {"wifi": 0, "cellular": 0, "wired": 0}
         self.slot = 0
@@ -451,6 +460,7 @@ class _Session:
                 cell_up = _Credit(up / cfg.r_wifi)
             r = _Relay(cfg.buffer_capacity, cfg.wired_relay_rate, phase, selector, cell_up)
             self.relays[node] = r
+            self.relay_order = tuple(sorted(self.relays))
         return r
 
     def _can_send(self, node: int) -> bool:
@@ -506,7 +516,7 @@ class _Session:
             self.block = self._make_block(self.block_id)
 
     def _ingest_relays(self):
-        for node in sorted(self.relays):
+        for node in self.relay_order:
             relay = self.relays[node]
             while relay.inbox and relay.inbox[0][0] <= self.slot:
                 _, packet = relay.inbox.popleft()
@@ -527,18 +537,18 @@ class _Session:
                     break
                 self.cell_queue.append(self._emit(self.src, "cellular"))
         if not self.relay_cellular:
-            radio = dict.fromkeys(sorted(self.relays))
+            radio = dict.fromkeys(self.relay_order)
         else:
             # every relay picks its interfaces before any relay recodes
-            plans = [(node, relay, select_interfaces(relay.selector))
-                     for node, relay in sorted(self.relays.items())
-                     if self._can_send(node)]
+            plans = [(node, select_interfaces(self.relays[node].selector))
+                     for node in self.relay_order if self._can_send(node)]
             radio = {}
-            for node, relay, ifaces in plans:
+            for node, ifaces in plans:
                 pkt = None
                 if "cellular" in ifaces:
-                    relay.cell_up.tick()
-                    if relay.cell_up.take():
+                    cell_up = self.relays[node].cell_up
+                    cell_up.tick()
+                    if cell_up.take():
                         pkt = self._emit(node, "cellular")
                         self.cell_queue.append(pkt)
                 if "wifi" in ifaces:
@@ -559,7 +569,8 @@ class _Session:
                                       self.node_out.get(u), self.node_in.get(v))
                           if c is not None))
                 for v in self.routes.next_hops(u, self.dst, "wired")]
-        targets = [(v, cost) for v, cost in hops if all(c.value >= 1.0 for c in cost)]
+        # all() over a list: for a few credits it beats a generator
+        targets = [(v, cost) for v, cost in hops if all([c.value >= 1.0 for c in cost])]
         if not targets:
             return None
         v, cost = targets[int(self._rng(u).integers(0, len(targets)))]
@@ -579,7 +590,7 @@ class _Session:
             if v is None:
                 break
             self._land(v, self._emit(self.src, "wired"), "wired")
-        for node in sorted(self.relays):
+        for node in self.relay_order:
             relay = self.relays[node]
             relay.proc.tick()
             while self._can_send(node) and relay.proc.value >= 1.0:
@@ -598,7 +609,9 @@ class _Session:
         for node, dup_pkt in radio.items():
             if dup_pkt is None and not self._can_send(node):
                 continue
-            cand = self.routes.next_hops(node, self.dst, "wifi")
+            cand = self._wifi_hops.get(node)
+            if cand is None:
+                cand = self._wifi_hops[node] = self.routes.next_hops(node, self.dst, "wifi")
             if cand:
                 pending.append((node, cand[int(self._rng(node).integers(0, len(cand)))]))
         if not pending:

@@ -44,6 +44,16 @@ CASES = {
     # destination by radio; with the wider range the destination is on the bus
     "replay-cell-bus": (BUS_CELL, ["replay-trace"]),
     "replay-cell-bus-destination": (dict(BUS_CELL, wifi_range=120.0), ["replay-trace"]),
+    # relays on the bus also send on cellular, each picking its interfaces
+    # before any relay recodes
+    "replay-cell-bus-probabilistic": (
+        dict(BUS_CELL, relay_policy={"mode": "both", "both_mode": "probabilistic", "p": 0.3}),
+        ["replay-trace"]),
+    # relays slower than one wired send per slot: a relay that another relay
+    # creates in the middle of the wired loop must not tick in that slot
+    "replay-cell-bus-slow-relays": (dict(BUS_CELL, wired_relay_rate=0.3), ["replay-trace"]),
+    # the source picks among six wired hops on slow access links
+    "replay-relays-6-slow": ({}, ["replay-trace", "--relays", "6", "--link-rate", "12"]),
     "gen-topology": ({"backbone_fraction": 0.2}, ["gen-topology", "--nodes", "40"]),
 }
 PRESET_CASES = ("rate-sweep", "load-sweep", "infra-sweep", "topo1", "topo2")
@@ -66,6 +76,11 @@ GOLDEN = {
     "replay-cell-bus": "c099eb3c39a536029dff6d2482fe56a0dc834ccff0d65be96b691433539dfb8b",
     "replay-cell-bus-destination":
         "85582b55c9ccc0a878db2a44a178bf99041fab59d716018854e7ad933fe1e2de",
+    "replay-cell-bus-probabilistic":
+        "0b751cc888ce05ac2c0b96ed07635a46b6885f8bdad507e6291099c293414c01",
+    "replay-cell-bus-slow-relays":
+        "edb0e36d91dcca8839060a2ba0c993a3c19b19ce977fb597b72ced67114c2606",
+    "replay-relays-6-slow": "8eee18b0585f5ff6e4eb358369ecd66a1f5db79994866c1f4a3be11806bf2394",
     "gen-topology": "e77c49851d1b5bf3e4f32312ca54960ab981c970a9cdc6cf744c7cca059cdacc",
 }
 

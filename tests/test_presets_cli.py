@@ -327,6 +327,25 @@ def test_cli_rejects_bad_scenario_values(tmp_path, capsys, scenario):
     assert "NoneType" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, section", [
+    (["rate-sweep", "--values", "0.5", "--trials", "1", "--seed", "-1"], None),
+    (["topo2", "--values", "1", "--trials", "1", "--seed", "-2"], None),
+    (["replay-trace", "--seed", "-3", "--chain-hops", "2"], None),
+    (["gen-topology", "--seed", "-1", "--nodes", "5"], None),
+    (["rate-sweep", "--values", "0.5", "--trials", "1"], {"sweep": {"seed": -4}}),
+    (["replay-trace", "--chain-hops", "2"], {"scenario": {"seed": -4}}),
+])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv, section):
+    if section is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        argv = [*argv, "--config", str(cfg)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err
+    assert captured.out == ""
+
+
 def test_config_coercion_keeps_json_values():
     sc = presets._base_config(SweepSpec("topo1", scenario={
         "relay_policy": {"mode": "both", "p": 1}, "rate_tiers": [[0.5, 1], [1.0, 0.5]],

@@ -1,10 +1,11 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hetnetcode import gf256, rlnc, routing, simengine, topology
+from hetnetcode import gf256, presets, rlnc, routing, simengine, topology
 from hetnetcode.errors import ConfigError, NoPathError
 from hetnetcode.routing import ForwardPolicy
 from hetnetcode.simengine import (
@@ -381,6 +382,38 @@ def test_relay_star_wired_flow():
     assert stats.wifi_sent == 0 and stats.cellular_sent == 0
     assert stats.wired_sent > 0
     assert all(ev.interface == "wired" for ev in trace)
+
+
+def _route_test_session(name):
+    """(config, topology, pair) of one of the route-cache test scenarios."""
+    if name == "relay-star":
+        return presets.relay_star_scenario(ScenarioConfig(seed=3), 6, 54.0)
+    if name == "chain-round-robin":
+        policy = ForwardPolicy(mode="both", both_mode="round-robin")
+        return presets.chain_scenario(
+            ScenarioConfig(seed=3, link_rate_override=0.5, relay_policy=policy), 3)
+    cfg = ScenarioConfig(node_count=250, cell_radius=400.0, backbone_fraction=0.2, seed=3)
+    return cfg, presets.cell_topology(cfg, cfg.seed), None
+
+
+@pytest.mark.parametrize("name", ["relay-star", "chain-round-robin", "bus-cell"])
+def test_session_looks_up_each_route_once(monkeypatch, name):
+    cfg, topo, pair = _route_test_session(name)
+    routes = routing.build_routes(topo)
+    calls = Counter()
+    real_next_hops = routing.RouteTable.next_hops
+
+    def counted(self, node, dst, interface=None):
+        calls[node, interface] += 1
+        return real_next_hops(self, node, dst, interface)
+
+    monkeypatch.setattr(routing.RouteTable, "next_hops", counted)
+    session = simengine._Session(cfg, topo, routes, pair, None, False)
+    stats, _ = session.run()
+    assert stats.blocks_delivered == cfg.block_target
+    assert calls and max(calls.values()) == 1
+    assert session.relays
+    assert session.relay_order == tuple(sorted(session.relays))
 
 
 def test_stats_payload_accounting():
