@@ -10,7 +10,8 @@ field-for-field:
                     "workers": 1, "out": "rows.csv" }
     }
 
-Command-line flags override config file values.
+A command-line flag that sets a config field has an argparse dest named
+after that field and overrides the file's value (see merged_sections).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .presets import PRESETS, SweepSpec, format_rows
 from .routing import build_routes
 from .simengine import ScenarioConfig, _type_ok, run_session
 
-_SWEEP_FIELDS = {"trials", "seed", "out", "values", "param_min", "param_max",
-                 "param_step", "workers"}
+_SWEEP_FIELDS = {f.name for f in dataclasses.fields(SweepSpec)} - {"preset", "scenario"}
+_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _check_sweep(sweep: dict):
@@ -49,8 +50,11 @@ def _check_sweep(sweep: dict):
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must contain a JSON object")
     unknown = set(cfg) - {"scenario", "sweep"}
@@ -59,75 +63,61 @@ def load_config(path: str | None) -> dict:
     for name, section in cfg.items():
         if not isinstance(section, dict):
             raise ConfigError(f"the {name} section must be an object")
-    _check_sweep(cfg.get("sweep", {}))
     return cfg
 
 
-def build_spec(preset: str, args, cfg: dict) -> SweepSpec:
-    sweep = dict(cfg.get("sweep", {}))
-    if getattr(args, "values", None):
-        sweep["values"] = tuple(args.values)
-    for attr, key in (("min", "param_min"), ("max", "param_max"), ("step", "param_step"),
-                      ("trials", "trials"), ("seed", "seed"), ("out", "out"),
-                      ("workers", "workers")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            sweep[key] = v
-    if "values" in sweep and sweep["values"] is not None:
-        sweep["values"] = tuple(sweep["values"])
-    spec = SweepSpec(preset=preset, scenario=dict(cfg.get("scenario", {})), **sweep)
-    spec.validate()
-    return spec
+def merged_sections(args) -> tuple[dict, dict]:
+    """The config file's scenario and sweep sections with every flag given
+    written over the field it sets (each flag's dest names its field); the
+    sweep section is checked, the scenario is left to ScenarioConfig.from_dict.
+
+    --seed seeds a sweep's trials on a sweep command and the session
+    elsewhere; --ratio sets both fields of presets.rate_fields.
+    """
+    cfg = load_config(args.config)
+    scenario, sweep = dict(cfg.get("scenario", {})), dict(cfg.get("sweep", {}))
+    sweep_flags = _SWEEP_FIELDS if args.command in PRESETS else set()
+    for key, value in vars(args).items():
+        if value is None:
+            continue
+        if key in sweep_flags:
+            sweep[key] = value
+        elif key in _SCENARIO_FIELDS:
+            scenario[key] = value
+    if getattr(args, "ratio", None) is not None:
+        scenario.update(presets.rate_fields(args.ratio))
+    _check_sweep(sweep)
+    return scenario, sweep
 
 
-def _emit(text: str, out: str | None):
+def _emit(write, out: str | None):
+    """write(fh) to the file at out, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            write(fh)
 
 
-def _scenario_from(cfg: dict, seed: int | None) -> ScenarioConfig:
-    sc = ScenarioConfig.from_dict(cfg.get("scenario", {}))
-    if seed is not None:
-        # replace skips validation
-        sc = dataclasses.replace(sc, seed=seed)
-        sc.validate()
-    return sc
-
-
-def cmd_sweep(preset: str, args) -> int:
-    cfg = load_config(args.config)
-    spec = build_spec(preset, args, cfg)
-    fn = PRESETS[preset]
-    kwargs = {}
-    if preset == "topo1" and args.proc_delay is not None:
-        kwargs["processing_delay"] = args.proc_delay
-    if preset in ("load-sweep", "infra-sweep") and args.ratio is not None:
-        kwargs["ratio"] = args.ratio
-    header, rows = fn(spec, **kwargs)
-    _emit(format_rows(header, rows), spec.out)
+def cmd_sweep(args) -> int:
+    scenario, sweep = merged_sections(args)
+    if sweep.get("values") is not None:
+        sweep["values"] = tuple(sweep["values"])
+    spec = SweepSpec(preset=args.command, scenario=scenario, **sweep)
+    spec.validate()
+    header, rows = PRESETS[args.command](spec)
+    _emit(lambda fh: fh.write(format_rows(header, rows)), spec.out)
     return 0
 
 
 def cmd_gen_topology(args) -> int:
-    cfg = load_config(args.config)
-    sc = _scenario_from(cfg, args.seed)
-    if args.nodes is not None:
-        sc = dataclasses.replace(sc, node_count=args.nodes)
-    topo = presets.cell_topology(sc, sc.seed)
-    if args.out is None:
-        topo.dump(sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            topo.dump(fh)
+    sc = ScenarioConfig.from_dict(merged_sections(args)[0])
+    _emit(presets.cell_topology(sc, sc.seed).dump, args.out)
     return 0
 
 
 def cmd_replay_trace(args) -> int:
-    cfg = load_config(args.config)
-    sc = _scenario_from(cfg, args.seed)
+    sc = ScenarioConfig.from_dict(merged_sections(args)[0])
     if args.chain_hops is not None and args.relays is not None:
         raise ConfigError("--chain-hops and --relays are mutually exclusive")
     if args.chain_hops is not None:
@@ -137,11 +127,7 @@ def cmd_replay_trace(args) -> int:
     else:
         topo, pair = presets.cell_topology(sc, sc.seed), None
     _, trace = run_session(sc, topo, build_routes(topo), pair=pair)
-    if args.out is None:
-        trace.write_csv(sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            trace.write_csv(fh)
+    _emit(trace.write_csv, args.out)
     return 0
 
 
@@ -155,9 +141,9 @@ def _add_sweep_flags(p):
     _add_common(p)
     p.add_argument("--trials", type=int, help="trials per sweep point")
     p.add_argument("--workers", type=int, help="process pool size")
-    p.add_argument("--min", type=float, help="sweep minimum")
-    p.add_argument("--max", type=float, help="sweep maximum")
-    p.add_argument("--step", type=float, help="sweep step")
+    p.add_argument("--min", type=float, dest="param_min", help="sweep minimum")
+    p.add_argument("--max", type=float, dest="param_max", help="sweep maximum")
+    p.add_argument("--step", type=float, dest="param_step", help="sweep step")
     p.add_argument("--values", type=float, nargs="+", help="explicit sweep points")
 
 
@@ -172,7 +158,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(preset, help=f"run the {preset} preset")
         _add_sweep_flags(p)
         if preset == "topo1":
-            p.add_argument("--proc-delay", type=int,
+            p.add_argument("--proc-delay", type=int, dest="processing_delay",
                            help="per-hop processing delay in slots")
         if preset in ("load-sweep", "infra-sweep"):
             p.add_argument("--ratio", type=float,
@@ -180,7 +166,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-topology", help="generate and dump a topology")
     _add_common(p)
-    p.add_argument("--nodes", type=int, help="node count")
+    p.add_argument("--nodes", type=int, dest="node_count", help="node count")
 
     p = sub.add_parser("replay-trace", help="run one session and dump its event trace")
     _add_common(p)
@@ -197,7 +183,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command in PRESETS:
-            return cmd_sweep(args.command, args)
+            return cmd_sweep(args)
         if args.command == "gen-topology":
             return cmd_gen_topology(args)
         if args.command == "replay-trace":

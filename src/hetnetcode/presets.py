@@ -118,7 +118,14 @@ def relay_star_scenario(config: ScenarioConfig, n_relays: int, link_rate: float)
     return config, topo, (0, n_relays + 1)
 
 
+def rate_fields(ratio: float) -> dict:
+    """Scenario fields that pin the S-D cellular link and the cell maximum at
+    this cellular/WiFi link-rate ratio."""
+    return {"link_rate_override": float(ratio), "r_cell": float(ratio)}
+
+
 def _base_config(spec: SweepSpec, **defaults) -> ScenarioConfig:
+    """The spec's scenario over the preset's defaults, validated."""
     return ScenarioConfig.from_dict({**defaults, **spec.scenario})
 
 
@@ -197,7 +204,7 @@ def preset_rate_sweep(spec: SweepSpec):
     if any(r <= 0 for r in ratios):
         raise ConfigError("rate ratios must be positive")
     base = _base_config(spec, block_target=3, slot_budget=4000)
-    points = [{"link_rate_override": float(r), "r_cell": float(r)} for r in ratios]
+    points = [rate_fields(r) for r in ratios]
     rows = [(float(r), *means) for r, means in zip(ratios, _compare_sweep(spec, base, points))]
     return ["rate_ratio", "rel_tput_cellular", "rel_tput_combined", "stderr"], rows
 
@@ -206,12 +213,12 @@ DEFAULT_LOAD_USERS = (1, 2, 4, 8, 16, 32)
 DEFAULT_LOAD_RATIO = 0.5
 
 
-def preset_load_sweep(spec: SweepSpec, ratio: float = DEFAULT_LOAD_RATIO):
+def preset_load_sweep(spec: SweepSpec):
     """Cell loading: per-user throughput vs the number of users per cell."""
     users = _counts(spec.sweep_values(DEFAULT_LOAD_USERS), "users_per_cell values")
-    base = _base_config(spec, block_target=2, slot_budget=8000)
-    points = [{"users_per_cell": u, "link_rate_override": ratio, "r_cell": ratio}
-              for u in users]
+    base = _base_config(spec, block_target=2, slot_budget=8000,
+                        **rate_fields(DEFAULT_LOAD_RATIO))
+    points = [{"users_per_cell": u} for u in users]
     rows = [(u, cell, comb)
             for u, (cell, comb, _) in zip(users, _compare_sweep(spec, base, points))]
     return ["users_per_cell", "rel_tput_cellular", "rel_tput_combined"], rows
@@ -239,13 +246,13 @@ DEFAULT_INFRA_FRACS = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
 DEFAULT_INFRA_RATIO = 0.1
 
 
-def preset_infra_sweep(spec: SweepSpec, ratio: float = DEFAULT_INFRA_RATIO):
+def preset_infra_sweep(spec: SweepSpec):
     """Combined throughput vs the fraction k/n of backbone-connected nodes."""
     fracs = spec.sweep_values(DEFAULT_INFRA_FRACS)
     if any(not 0 < f <= 1 for f in fracs):
         raise ConfigError("k/n values must lie in (0, 1]")
     base = _base_config(spec, block_target=3, slot_budget=4000,
-                        link_rate_override=ratio, r_cell=ratio)
+                        **rate_fields(DEFAULT_INFRA_RATIO))
     tasks = [(spec.seed, t, fracs, base) for t in range(spec.trials)]
     rows = [(float(frac), _mean(vals))
             for frac, vals in zip(fracs, _per_point(_infra_trial, tasks, spec.workers))]
@@ -259,16 +266,13 @@ DEFAULT_TOPO1_RATIOS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 TOPO1_HOPS = 7
 
 
-def preset_topo1(spec: SweepSpec, processing_delay: int | None = None):
+def preset_topo1(spec: SweepSpec):
     """Seven-hop chain in parallel with a constant-rate WiMAX-style pipe."""
     ratios = spec.sweep_values(DEFAULT_TOPO1_RATIOS)
     if any(r <= 0 for r in ratios):
         raise ConfigError("rate ratios must be positive")
-    overrides = {"block_target": 3, "slot_budget": 6000}
-    if processing_delay is not None:
-        overrides["processing_delay"] = processing_delay
-    base = _base_config(spec, **overrides)
-    points = [{"link_rate_override": float(r), "r_cell": float(r)} for r in ratios]
+    base = _base_config(spec, block_target=3, slot_budget=6000)
+    points = [rate_fields(r) for r in ratios]
     rows = [(float(r), wimax, comb) for r, (wimax, comb, _)
             in zip(ratios, _compare_sweep(spec, base, points, chain_hops=TOPO1_HOPS))]
     return ["rate_ratio", "rel_tput_wimax", "rel_tput_combined"], rows

@@ -93,7 +93,9 @@ def _bucket_neighbors(positions: np.ndarray, r: float) -> list[np.ndarray]:
     n = len(positions)
     if n == 0:
         return []
-    keys = np.floor(positions / r).astype(np.int64)
+    # buckets a hair wider than r: a pair whose rounded distance is r may lie
+    # further apart exactly, and must still fall in adjacent buckets
+    keys = np.floor(positions / (r * (1 + 1e-6))).astype(np.int64)
     kx = keys[:, 0] - keys[:, 0].min()
     ky = keys[:, 1] - keys[:, 1].min() + 1
     height = int(ky.max()) + 2  # a run ky - 1 .. ky + 1 stays in its column

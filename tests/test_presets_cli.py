@@ -136,7 +136,8 @@ def test_topo1_zero_delay_matches_engine_and_delay_hurts():
     _, rows = preset_topo1(spec)
     _, rows_again = preset_topo1(spec)
     assert rows == rows_again
-    _, slow_rows = preset_topo1(spec, processing_delay=3)
+    _, slow_rows = preset_topo1(SweepSpec("topo1", values=(0.25, 1.0), trials=3, seed=8,
+                                          scenario={"processing_delay": 3}))
     for fast, slow in zip(rows, slow_rows):
         assert slow[2] < fast[2]  # combined uniformly lower with processing delay
         assert slow[1] == pytest.approx(fast[1])  # pure WiMAX path unaffected
@@ -268,6 +269,8 @@ def test_cli_error_exits(tmp_path):
     ["load-sweep", "--values", "1", "--ratio", "nan", "--trials", "1"],
     ["infra-sweep", "--values", "0.5", "--ratio", "inf", "--trials", "1"],
     ["replay-trace", "--relays", "2", "--link-rate", "inf"],
+    # a flag is checked like the config field it sets
+    ["gen-topology", "--nodes", "1"],
 ])
 def test_cli_rejects_bad_flag_values(argv):
     assert run_cli(argv) == 2
@@ -291,6 +294,17 @@ def test_cli_rejects_bad_config_sections(tmp_path, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))
     assert run_cli(["rate-sweep", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"sweep": {trials: 1}}',  # not JSON
+    b'{"scenario": {"loading_mode": "\xe9qual-rate"}}',  # not UTF-8
+])
+def test_cli_rejects_a_malformed_config_file(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    assert run_cli(["rate-sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("scenario", [
@@ -392,3 +406,60 @@ def test_cli_config_file_scenario_honored(tmp_path):
     out = tmp_path / "r.csv"
     assert run_cli(["rate-sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2  # header + one point
+
+
+# --- flags over config files ---------------------------------------------------
+
+
+def _cli_output(tmp_path, argv, scenario=None):
+    """Bytes the CLI writes for argv, with scenario as the config file's
+    scenario section when given."""
+    out = tmp_path / "out"
+    if scenario is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario}))
+        argv = [*argv, "--config", str(cfg)]
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["infra-sweep", "--values", "0.01", "--trials", "1"],
+    ["load-sweep", "--values", "1", "--trials", "1"],
+])
+def test_cli_ratio_flag_beats_the_file(tmp_path, argv):
+    fast = dict(SMALL, link_rate_override=2.0, r_cell=2.0)
+    from_file = _cli_output(tmp_path, argv, fast)
+    flag_over_file = _cli_output(tmp_path, [*argv, "--ratio", "0.3"], fast)
+    assert flag_over_file == _cli_output(tmp_path, [*argv, "--ratio", "0.3"], SMALL)
+    assert flag_over_file != from_file
+
+
+def test_cli_load_sweep_honours_the_files_link_rate(tmp_path):
+    # equal-time loading takes the pinned link rate alone, with no cell cap
+    scenario = dict(SMALL, link_rate_override=2.0, loading_mode="equal-time")
+    csv = _cli_output(tmp_path, ["load-sweep", "--values", "1", "--trials", "1"], scenario)
+    _, cellular, combined = csv.decode().splitlines()[1].split(",")
+    assert float(cellular) > 1.5 and float(combined) >= float(cellular)
+
+
+def test_cli_proc_delay_flag_beats_the_file(tmp_path):
+    argv = ["topo1", "--values", "0.5", "--trials", "1"]
+    no_delay = {"processing_delay": 0}
+    delayed = _cli_output(tmp_path, [*argv, "--proc-delay", "3"], no_delay)
+    assert delayed == _cli_output(tmp_path, [*argv, "--proc-delay", "3"])
+    assert delayed != _cli_output(tmp_path, argv, no_delay)
+
+
+def test_cli_nodes_and_seed_flags_beat_the_file_on_gen_topology(tmp_path):
+    argv = ["gen-topology", "--nodes", "40", "--seed", "5"]
+    flags = _cli_output(tmp_path, argv)
+    # the file's one node fails validation unless --nodes replaces it
+    assert _cli_output(tmp_path, argv, {"node_count": 1, "seed": 9}) == flags
+    assert _cli_output(tmp_path, argv[:3], {"seed": 9}) != flags
+
+
+def test_cli_seed_flag_beats_the_file_on_replay_trace(tmp_path):
+    flags = _cli_output(tmp_path, ["replay-trace", "--seed", "5"], SMALL)
+    assert _cli_output(tmp_path, ["replay-trace", "--seed", "5"], dict(SMALL, seed=9)) == flags
+    assert _cli_output(tmp_path, ["replay-trace"], dict(SMALL, seed=9)) != flags

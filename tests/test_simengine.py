@@ -174,6 +174,17 @@ def test_cellular_pipe_half_rate():
     assert all(ev.interface == "cellular" for ev in trace)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md: _Credit.tick clips value + rate at max(1, rate) before the slot's "
+    "take, so a busy pipe below rate 1 releases one packet per ceil(1/rate) slots"))
+@pytest.mark.parametrize("link_rate", [0.6, 0.75, 0.9])
+def test_cellular_pipe_keeps_its_fractional_credit(link_rate):
+    cfg, topo, routes = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,
+                                      block_target=3, slot_budget=600, min_hops=1)
+    stats, _ = run_session(cfg, topo, routes, pair=(0, 1))
+    assert stats.relative_throughput > 0.5
+
+
 @pytest.mark.parametrize("link_rate", [
     0.37,
     pytest.param(0.1, marks=pytest.mark.xfail(strict=True, reason=(

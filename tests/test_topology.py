@@ -121,6 +121,8 @@ float_points = st.tuples(st.floats(-500, 500), st.floats(-500, 500))
 @example(points=[(-3.0, 7.0)], copies=0, r=100.0)
 # exactly r apart across a bucket edge, along an axis and diagonally
 @example(points=[(-100.0, 0.0), (0.0, 0.0), (-60.0, -80.0), (60.0, 80.0)], copies=2, r=100.0)
+# more than r apart exactly, two buckets apart, yet 100.0 - -8.9e-176 rounds to r
+@example(points=[(0.0, 100.0), (0.0, -8.892538588976726e-176)], copies=0, r=100.0)
 def test_bucket_neighbors_match_brute_force(points, copies, r):
     points = points + points[:copies]  # duplicate points
     positions = np.array(points, dtype=float).reshape(-1, 2)
