@@ -13,6 +13,6 @@ from .simengine import (
     run_session,
     schedule_wifi_slot,
 )
-from .topology import HetNetTopology, Node, TopologyParams, generate
+from .topology import HetNetTopology, TopologyParams, generate
 
 __version__ = "0.1.0"

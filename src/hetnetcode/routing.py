@@ -75,21 +75,19 @@ class RouteTable:
 
     def __init__(self, topo: HetNetTopology):
         self.topology = topo
-        n = len(topo)
-        self._wifi = [topo.wifi_neighbors(i).tolist() for i in range(n)]
-        self._wired = [topo.wired_peers(i) for i in range(n)]
         self._bus = np.array(sorted(topo.backbone), dtype=np.int64)
         self._dist: dict[int, np.ndarray] = {}
 
     def _bfs(self, src: int) -> np.ndarray:
-        dist = np.full(len(self._wifi), UNREACHABLE)
+        links = self.topology.links
+        dist = np.full(len(links), UNREACHABLE)
         dist[src] = 0.0
         q = deque([src])
         bus_pending = self._bus.size > 0
         while q:
             u = q.popleft()
             nxt = dist[u] + 1
-            for v in self._wifi[u] + self._wired[u]:
+            for v in links[u]:
                 if dist[v] == UNREACHABLE:
                     dist[v] = nxt
                     q.append(v)
@@ -107,9 +105,6 @@ class RouteTable:
             self._dist[dst] = self._bfs(dst)
         return self._dist[dst]
 
-    def hop_distance(self, src: int, dst: int) -> float:
-        return float(self.distances_to(dst)[src])
-
     def next_hops(self, node: int, dst: int, interface: str | None = None) -> list[int]:
         """Ascending neighbors exactly one hop closer to dst (may be empty) over
         one interface, "wifi" or "wired" (which includes the bus), or both."""
@@ -117,12 +112,13 @@ class RouteTable:
         if dist[node] == UNREACHABLE:
             return []
         want = dist[node] - 1
+        topo = self.topology
         hops = []
         if interface != "wired":
-            hops += [v for v in self._wifi[node] if dist[v] == want]
+            hops += [v for v in topo.neighbors[node] if dist[v] == want]
         if interface != "wifi":
-            hops += [v for v in self._wired[node] if dist[v] == want]
-            if node in self.topology.backbone:
+            hops += [v for v in topo.wired_peers(node) if dist[v] == want]
+            if node in topo.backbone:
                 hops += self._bus[dist[self._bus] == want].tolist()
         return sorted(set(hops))
 
@@ -130,10 +126,3 @@ class RouteTable:
 def build_routes(topo: HetNetTopology) -> RouteTable:
     return RouteTable(topo)
 
-
-def on_route(node: int, src: int, dst: int, routes: RouteTable) -> bool:
-    """True iff node lies on some shortest src->dst path."""
-    total = routes.hop_distance(src, dst)
-    if total == UNREACHABLE:
-        return False
-    return routes.hop_distance(src, node) + routes.hop_distance(node, dst) == total

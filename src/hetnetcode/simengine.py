@@ -377,7 +377,7 @@ class _Session:
 
         link = config.link_rate_override
         if link is None:
-            link = cellular_link_rate(topo.nodes[self.src], topo.nodes[self.dst])
+            link = cellular_link_rate(topo, self.src, self.dst)
         loaded = loaded_cellular_rate(link, config.users_per_cell,
                                       config.loading_mode, config.r_cell)
         pipe = loaded / config.r_wifi if config.cellular_enabled else 0.0
@@ -454,7 +454,7 @@ class _Session:
             selector = InterfaceSelector(cfg.relay_policy, rng=self.rng_relay)
             cell_up = None
             if self.relay_cellular:
-                up = loaded_cellular_rate(self.topo.nodes[node].cellular_rate,
+                up = loaded_cellular_rate(float(self.topo.cellular_rates[node]),
                                           cfg.users_per_cell, cfg.loading_mode,
                                           cfg.r_cell)
                 cell_up = _Credit(up / cfg.r_wifi)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError
 
 SQRT3 = math.sqrt(3.0)
+CELLS = 7  # a center cell and its six neighbors
 
 # cellular rate tiers: (upper bound on d/R, fraction of the cell max rate);
 # the last tier catches everything up to the cell edge
@@ -49,20 +50,10 @@ class TopologyParams:
             raise ConfigError("rate tiers must be non-empty with positive fractions")
 
 
-@dataclass
-class Node:
-    id: int
-    x: float
-    y: float
-    cell_id: int
-    cellular_rate: float
-    has_backbone: bool = False
-
-
 def hex_centers(radius: float) -> np.ndarray:
     """Center cell at the origin plus the six adjacent cells."""
     centers = [(0.0, 0.0)]
-    for k in range(6):
+    for k in range(CELLS - 1):
         ang = math.radians(30 + 60 * k)
         centers.append((SQRT3 * radius * math.cos(ang), SQRT3 * radius * math.sin(ang)))
     return np.array(centers)
@@ -74,21 +65,26 @@ def _inside_hex(points: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     return (dy <= SQRT3 / 2 * radius + 1e-9) & (SQRT3 * dx + dy <= SQRT3 * radius + 1e-9)
 
 
-def rate_for_distance(dist: float, radius: float, tiers, cell_rate: float) -> float:
+def tier_rates(dist: np.ndarray, radius: float, tiers, cell_rate: float) -> np.ndarray:
+    """Cellular rate at each distance from the base station: cell_rate times
+    the fraction of the first tier whose bound exceeds dist / radius, else of
+    the last tier."""
     dnorm = dist / radius
-    for bound, frac in tiers[:-1]:
-        if dnorm < bound:
-            return frac * cell_rate
-    return tiers[-1][1] * cell_rate
+    rates = np.full(len(dnorm), tiers[-1][1] * cell_rate, dtype=float)
+    # the first matching tier wins, so earlier tiers are written last
+    for bound, frac in reversed(tiers[:-1]):
+        rates[dnorm < bound] = frac * cell_rate
+    return rates
 
 
-def _bucket_neighbors(positions: np.ndarray, r: float) -> list[np.ndarray]:
+def _bucket_neighbors(positions: np.ndarray, r: float) -> list[list[int]]:
     """WiFi adjacency (distance <= r, boundary inclusive) via grid buckets.
 
     Candidates are the nodes of the 3x3 buckets around each node: three runs
     of bucket codes, one per bucket column, looked up for all nodes at once
     in the code-sorted order.  Memory grows with the candidate count, never
-    with n^2 unless most nodes share a few buckets.
+    with n^2 unless most nodes share a few buckets.  Each node's neighbors
+    come out as an ascending list of ints.
     """
     n = len(positions)
     if n == 0:
@@ -111,8 +107,9 @@ def _bucket_neighbors(positions: np.ndarray, r: float) -> list[np.ndarray]:
     d = np.hypot(positions[dst, 0] - positions[src, 0], positions[dst, 1] - positions[src, 1])
     keep = (d <= r) & (dst != src)
     src, dst = src[keep], dst[keep]
-    dst = dst[np.lexsort((dst, src))]
-    return np.split(dst, np.cumsum(np.bincount(src, minlength=n))[:-1])
+    flat = dst[np.lexsort((dst, src))].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 @dataclass
@@ -126,24 +123,34 @@ class WiredSpec:
 
 
 class HetNetTopology:
-    def __init__(self, params: TopologyParams, nodes: list[Node],
-                 wired: WiredSpec | None = None):
+    """Per-node fields as arrays by node id (cell ids default to 0, rates to
+    params.cell_rate) and the backbone as a set.  neighbors (WiFi) and links
+    (WiFi and wired, the bus aside) list each node's adjacent ids; backbone
+    variants of one placement share them all."""
+
+    def __init__(self, params: TopologyParams, positions, cell_ids=None,
+                 cellular_rates=None, backbone=(), wired: WiredSpec | None = None):
         params.validate()
         self.params = params
         self.cells = hex_centers(params.cell_radius)
-        self.nodes = nodes
-        self.positions = np.array([(n.x, n.y) for n in nodes]) if nodes else np.zeros((0, 2))
-        self.backbone = frozenset(n.id for n in nodes if n.has_backbone)
+        self.positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+        n = len(self.positions)
+        self.cell_ids = np.zeros(n, dtype=np.int64) if cell_ids is None else np.asarray(cell_ids)
+        self.cellular_rates = (np.full(n, params.cell_rate, dtype=float) if cellular_rates is None
+                               else np.asarray(cellular_rates, dtype=float))
+        self.backbone = frozenset(int(b) for b in backbone)
         self.wired = wired
         self.neighbors = _bucket_neighbors(self.positions, params.wifi_range)
-        peers = [set() for _ in nodes]
+        peers = [set() for _ in range(n)]
         for u, v in wired.edges if wired is not None else ():
             peers[u].add(v)
             peers[v].add(u)
         self._wired_peers = [sorted(p) for p in peers]
+        self.links = self.neighbors if wired is None else [
+            w + p for w, p in zip(self.neighbors, self._wired_peers)]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.positions)
 
     @property
     def wifi_range(self) -> float:
@@ -156,9 +163,6 @@ class HetNetTopology:
     def distance(self, a: int, b: int) -> float:
         pa, pb = self.positions[a], self.positions[b]
         return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-
-    def wifi_neighbors(self, node: int) -> np.ndarray:
-        return self.neighbors[node]
 
     def wired_peers(self, node: int) -> list[int]:
         """Ascending peers over explicit spec edges; the backbone is one bus,
@@ -188,37 +192,54 @@ class HetNetTopology:
         fh.write(f"cell_rate={p.cell_rate!r}\n")
         fh.write(f"backbone_rate={p.backbone_rate!r}\n")
         fh.write("# id x y cell rate backbone\n")
-        for n in self.nodes:
-            fh.write(f"{n.id} {n.x!r} {n.y!r} {n.cell_id} {n.cellular_rate!r} "
-                     f"{int(n.has_backbone)}\n")
+        rows = zip(self.positions.tolist(), self.cell_ids.tolist(), self.cellular_rates.tolist())
+        for i, ((x, y), cell, rate) in enumerate(rows):
+            fh.write(f"{i} {x!r} {y!r} {cell} {rate!r} {int(i in self.backbone)}\n")
+
+
+# the parameters a dump writes back: every number-valued TopologyParams field
+_LOADABLE = tuple(f.name for f in fields(TopologyParams) if isinstance(f.default, float))
+_NODE_FIELDS = (int, float, float, int, float, int)  # id x y cell rate backbone
+
+
+def _parsed(kinds, texts: list[str], line: str) -> list:
+    """Each text converted by its kind; ConfigError unless all convert."""
+    try:
+        return [kind(text) for kind, text in zip(kinds, texts, strict=True)]
+    except ValueError:
+        raise ConfigError(f"malformed topology line: {line!r}") from None
 
 
 def load(fh) -> HetNetTopology:
+    """The topology dump wrote; malformed input raises ConfigError."""
     params = TopologyParams()
-    nodes = []
+    rows = []
     for line in fh:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" in line and " " not in line:
             key, val = line.split("=", 1)
-            if not hasattr(params, key):
+            if key not in _LOADABLE:
                 raise ConfigError(f"unknown topology parameter {key!r}")
-            setattr(params, key, float(val))
+            setattr(params, key, *_parsed((float,), [val], line))
             continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ConfigError(f"malformed node line: {line!r}")
-        nodes.append(Node(int(parts[0]), float(parts[1]), float(parts[2]),
-                          int(parts[3]), float(parts[4]), bool(int(parts[5]))))
-    if [n.id for n in nodes] != list(range(len(nodes))):
+        nid, x, y, cell, rate, flag = _parsed(_NODE_FIELDS, line.split(), line)
+        if not (0 <= cell < CELLS and rate > 0 and flag in (0, 1)
+                and all(map(math.isfinite, (x, y, rate)))):
+            raise ConfigError(f"node field out of range: {line!r}")
+        rows.append((nid, x, y, cell, rate, flag))
+    if not all(math.isfinite(getattr(params, key)) for key in _LOADABLE):
+        raise ConfigError("topology parameters must be finite")
+    if [row[0] for row in rows] != list(range(len(rows))):
         raise ConfigError("node ids must be 0..n-1 in file order")
-    return HetNetTopology(params, nodes)
+    return HetNetTopology(params, [row[1:3] for row in rows], [row[3] for row in rows],
+                          [row[4] for row in rows], [row[0] for row in rows if row[5]])
 
 
-def cellular_link_rate(src: Node, dst: Node) -> float:
+def cellular_link_rate(topo: HetNetTopology, src: int, dst: int) -> float:
     """Session cellular quality is the worse of the two access links."""
-    return min(src.cellular_rate, dst.cellular_rate)
+    return float(min(topo.cellular_rates[src], topo.cellular_rates[dst]))
 
 
 def place(node_count: int, rng: np.random.Generator,
@@ -239,9 +260,9 @@ def place(node_count: int, rng: np.random.Generator,
     lo_x, hi_x = centers[:, 0].min() - r, centers[:, 0].max() + r
     lo_y, hi_y = centers[:, 1].min() - r, centers[:, 1].max() + r
 
-    pts: list[np.ndarray] = []
+    chunks, placed = [], 0
     batch = max(128, node_count)
-    while len(pts) < node_count:
+    while placed < node_count:
         cand = np.column_stack([
             rng.uniform(lo_x, hi_x, size=batch),
             rng.uniform(lo_y, hi_y, size=batch),
@@ -249,42 +270,34 @@ def place(node_count: int, rng: np.random.Generator,
         inside = np.zeros(batch, dtype=bool)
         for c in centers:
             inside |= _inside_hex(cand, c, r)
-        pts.extend(cand[inside])
-    positions = np.array(pts[:node_count])
+        chunks.append(cand[inside])
+        placed += len(chunks[-1])
+    positions = np.concatenate(chunks)[:node_count]
 
     # nearest base station; exact ties resolve to the lowest cell index
     d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     cell_ids = np.argmin(d2, axis=1)
-
-    nodes = []
-    for i in range(node_count):
-        dist = math.sqrt(d2[i, cell_ids[i]])
-        rate = rate_for_distance(dist, r, params.rate_tiers, params.cell_rate)
-        nodes.append(Node(i, float(positions[i, 0]), float(positions[i, 1]),
-                          int(cell_ids[i]), rate))
-    return HetNetTopology(params, nodes)
+    dist = np.sqrt(d2[np.arange(node_count), cell_ids])
+    rates = tier_rates(dist, r, params.rate_tiers, params.cell_rate)
+    return HetNetTopology(params, positions, cell_ids, rates)
 
 
 def with_backbone(plain: HetNetTopology, fraction: float,
                   rng: np.random.Generator) -> HetNetTopology:
-    """plain with round(fraction * members) backbone nodes drawn per cell.
-
-    The result has its own Node objects and shares positions and neighbor
-    lists with plain, which is left unchanged.
-    """
+    """plain with round(fraction * members) backbone nodes drawn per cell;
+    the result shares plain's arrays and adjacency lists, and plain is left
+    unchanged."""
     topo = copy.copy(plain)
     topo.params = replace(plain.params, backbone_fraction=fraction)
     topo.params.validate()
-    topo.nodes = [Node(n.id, n.x, n.y, n.cell_id, n.cellular_rate) for n in plain.nodes]
+    chosen = []
     if fraction > 0:
         for cell in range(len(plain.cells)):
-            members = [n.id for n in topo.nodes if n.cell_id == cell]
+            members = np.flatnonzero(plain.cell_ids == cell)
             k = round(fraction * len(members))
             if k > 0:
-                chosen = rng.choice(np.array(members), size=k, replace=False)
-                for nid in chosen:
-                    topo.nodes[int(nid)].has_backbone = True
-    topo.backbone = frozenset(n.id for n in topo.nodes if n.has_backbone)
+                chosen += rng.choice(members, size=k, replace=False).tolist()
+    topo.backbone = frozenset(chosen)
     return topo
 
 
@@ -309,8 +322,7 @@ def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTop
     params = params or TopologyParams()
     params.validate()
     spacing = params.wifi_range
-    nodes = [Node(i, i * spacing, 0.0, 0, params.cell_rate) for i in range(hops + 1)]
-    return HetNetTopology(params, nodes)
+    return HetNetTopology(params, [(i * spacing, 0.0) for i in range(hops + 1)])
 
 
 def relay_star_topology(n_relays: int, link_capacity: float,
@@ -330,9 +342,7 @@ def relay_star_topology(n_relays: int, link_capacity: float,
     src, dst = 0, n_relays + 1
     # positions are only cosmetic here; keep nodes far apart so no WiFi links form
     gap = 10 * params.wifi_range
-    nodes = [Node(src, 0.0, 0.0, 0, params.cell_rate)]
-    nodes += [Node(i, gap * i, gap, 0, params.cell_rate) for i in range(1, n_relays + 1)]
-    nodes.append(Node(dst, gap * dst, 0.0, 0, params.cell_rate))
+    positions = [(0.0, 0.0), *((gap * i, gap) for i in range(1, n_relays + 1)), (gap * dst, 0.0)]
     edges = [(src, i) for i in range(1, n_relays + 1)]
     edges += [(i, dst) for i in range(1, n_relays + 1)]
     cap = interfaces_per_node * link_capacity
@@ -340,4 +350,4 @@ def relay_star_topology(n_relays: int, link_capacity: float,
     node_in = {dst: cap, **{i: link_capacity for i in range(1, n_relays + 1)}}
     wired = WiredSpec(edges=edges, edge_capacity=link_capacity,
                       node_out=node_out, node_in=node_in)
-    return HetNetTopology(params, nodes, wired=wired)
+    return HetNetTopology(params, positions, wired=wired)

@@ -6,6 +6,7 @@ import pytest
 from hetnetcode import routing, topology
 from hetnetcode.errors import ConfigError
 from hetnetcode.routing import ForwardPolicy, InterfaceSelector, select_interfaces
+from oracles import hop_distance, on_route
 
 
 def graph_topology(n, edges, wifi_range=100.0):
@@ -15,9 +16,9 @@ def graph_topology(n, edges, wifi_range=100.0):
     # uses the wired edge list, which routing treats identically.
     params = topology.TopologyParams(wifi_range=wifi_range)
     gap = 50 * wifi_range
-    nodes = [topology.Node(i, i * gap, 0.0, 0, 1.0) for i in range(n)]
+    positions = [(i * gap, 0.0) for i in range(n)]
     wired = topology.WiredSpec(edges=list(edges), edge_capacity=1.0, node_out={}, node_in={})
-    return topology.HetNetTopology(params, nodes, wired=wired)
+    return topology.HetNetTopology(params, positions, wired=wired)
 
 
 def oracle_distance(n, edges, src, dst):
@@ -42,10 +43,9 @@ def oracle_distance(n, edges, src, dst):
 
 def test_line_graph_distances():
     params = topology.TopologyParams()
-    nodes = [topology.Node(i, 100.0 * i, 0.0, 0, 1.0) for i in range(3)]
-    topo = topology.HetNetTopology(params, nodes)
+    topo = topology.HetNetTopology(params, [(100.0 * i, 0.0) for i in range(3)])
     routes = routing.build_routes(topo)
-    assert routes.hop_distance(0, 2) == 2
+    assert hop_distance(routes, 0, 2) == 2
     assert routes.next_hops(0, 2) == [1]
     assert routes.next_hops(1, 2) == [2]
 
@@ -53,7 +53,7 @@ def test_line_graph_distances():
 def test_isolated_destination_unreachable():
     topo = graph_topology(4, [(0, 1), (1, 2)])
     routes = routing.build_routes(topo)
-    assert routes.hop_distance(0, 3) == routing.UNREACHABLE
+    assert hop_distance(routes, 0, 3) == routing.UNREACHABLE
     assert routes.next_hops(0, 3) == []
 
 
@@ -71,17 +71,17 @@ def test_distances_match_enumeration_oracle():
         routes = routing.build_routes(topo)
         for src in range(n):
             for dst in range(src, n):
-                assert routes.hop_distance(src, dst) == oracle_distance(n, edges, src, dst)
-                assert routes.hop_distance(src, dst) == routes.hop_distance(dst, src)
+                assert hop_distance(routes, src, dst) == oracle_distance(n, edges, src, dst)
+                assert hop_distance(routes, src, dst) == hop_distance(routes, dst, src)
 
 
 def test_on_route_examples():
     # line 0-1-2 plus a detour node 3 hanging off node 1
     topo = graph_topology(4, [(0, 1), (1, 2), (1, 3)])
     routes = routing.build_routes(topo)
-    assert routing.on_route(0, 0, 2, routes) is True
-    assert routing.on_route(1, 0, 2, routes) is True
-    assert routing.on_route(3, 0, 2, routes) is False
+    assert on_route(0, 0, 2, routes) is True
+    assert on_route(1, 0, 2, routes) is True
+    assert on_route(3, 0, 2, routes) is False
 
 
 def test_on_route_matches_enumeration():
@@ -103,7 +103,7 @@ def test_on_route_matches_enumeration():
         for node in range(n):
             a = oracle_distance(n, edges, src, node)
             b = oracle_distance(n, edges, node, dst)
-            assert routing.on_route(node, src, dst, routes) == (a + b == total)
+            assert on_route(node, src, dst, routes) == (a + b == total)
 
 
 def test_next_hops_strictly_closer():
@@ -111,29 +111,25 @@ def test_next_hops_strictly_closer():
     topo = topology.generate(120, rng, topology.TopologyParams(cell_radius=300.0))
     routes = routing.build_routes(topo)
     for node in range(1, 120):
-        d = routes.hop_distance(node, 0)
+        d = hop_distance(routes, node, 0)
         if d == routing.UNREACHABLE:
             continue
         for nh in routes.next_hops(node, 0):
-            assert routes.hop_distance(nh, 0) == d - 1
+            assert hop_distance(routes, nh, 0) == d - 1
 
 
 def test_backbone_counts_as_one_virtual_hop():
     params = topology.TopologyParams()
-    nodes = [
-        topology.Node(0, 0.0, 0.0, 0, 1.0, has_backbone=True),
-        topology.Node(1, 5000.0, 0.0, 1, 1.0, has_backbone=True),
-        topology.Node(2, 5100.0, 0.0, 1, 1.0),
-    ]
-    topo = topology.HetNetTopology(params, nodes)
+    topo = topology.HetNetTopology(params, [(0.0, 0.0), (5000.0, 0.0), (5100.0, 0.0)],
+                                   cell_ids=[0, 1, 1], backbone={0, 1})
     routes = routing.build_routes(topo)
-    assert routes.hop_distance(0, 1) == 1
-    assert routes.hop_distance(0, 2) == 2  # bus hop then WiFi hop
+    assert hop_distance(routes, 0, 1) == 1
+    assert hop_distance(routes, 0, 2) == 2  # bus hop then WiFi hop
 
 
 def clique_oracle(topo):
     """Explicit adjacency with the backbone expanded into its full clique."""
-    wifi = [set(topo.wifi_neighbors(i).tolist()) for i in range(len(topo))]
+    wifi = [set(row) for row in topo.neighbors]
     wired = [set(topo.wired_peers(i)) for i in range(len(topo))]
     for b in topo.backbone:
         wired[b] |= topo.backbone - {b}
@@ -161,7 +157,8 @@ def test_bus_routes_match_explicit_clique(fraction):
     base = topology.generate(120, np.random.default_rng(41), params)
     edges = [(0, 7), (7, 19), (3, 90), (90, 3)]
     wired = topology.WiredSpec(edges=edges, edge_capacity=1.0, node_out={}, node_in={})
-    topo = topology.HetNetTopology(params, base.nodes, wired=wired)
+    topo = topology.HetNetTopology(params, base.positions, base.cell_ids, base.cellular_rates,
+                                   base.backbone, wired=wired)
     routes = routing.build_routes(topo)
     wifi, wired_adj = clique_oracle(topo)
     adj = [a | b for a, b in zip(wifi, wired_adj)]
@@ -177,9 +174,8 @@ def test_bus_routes_match_explicit_clique(fraction):
                     expect = []
                 assert routes.next_hops(node, dst, interface) == expect
     # the bus is stored once, so nothing grows as k^2
-    wifi_degrees = sum(len(topo.wifi_neighbors(i)) for i in range(len(topo)))
-    stored = sum(map(len, routes._wifi)) + sum(map(len, routes._wired))
-    assert stored <= wifi_degrees + 2 * len(edges)
+    wifi_degrees = sum(map(len, topo.neighbors))
+    assert sum(map(len, topo.links)) <= wifi_degrees + 2 * len(edges)
     assert routes._bus.tolist() == sorted(topo.backbone)
 
 

@@ -87,13 +87,7 @@ def test_schedule_far_apart_both_admitted():
     topo = topology.chain_topology(1)
     # two parallel links 10 km apart never interfere
     params = topology.TopologyParams()
-    nodes = [
-        topology.Node(0, 0, 0, 0, 1.0),
-        topology.Node(1, 100, 0, 0, 1.0),
-        topology.Node(2, 10000, 0, 0, 1.0),
-        topology.Node(3, 10100, 0, 0, 1.0),
-    ]
-    topo = topology.HetNetTopology(params, nodes)
+    topo = topology.HetNetTopology(params, [(0, 0), (100, 0), (10000, 0), (10100, 0)])
     rng = np.random.default_rng(0)
     admitted = schedule_wifi_slot([(0, 1), (2, 3)], topo, rng)
     assert sorted(admitted) == [(0, 1), (2, 3)]
@@ -119,9 +113,8 @@ def test_schedule_admitted_sets_pass_bruteforce():
     for _ in range(60):
         pts = rng.uniform(0, 500, size=(10, 2))
         params = topology.TopologyParams()
-        nodes = [topology.Node(i, float(x), float(y), 0, 1.0) for i, (x, y) in enumerate(pts)]
-        topo = topology.HetNetTopology(params, nodes)
-        pending = [(i, int(j)) for i in range(10) for j in topo.wifi_neighbors(i)]
+        topo = topology.HetNetTopology(params, pts)
+        pending = [(i, j) for i in range(10) for j in topo.neighbors[i]]
         if not pending:
             continue
         admitted = schedule_wifi_slot(pending, topo, rng)
@@ -135,9 +128,8 @@ def test_schedule_admitted_sets_pass_bruteforce():
        delta=st.floats(0, 1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_schedule_is_feasible_and_maximal(points, delta, seed, data):
     params = topology.TopologyParams(delta=delta)
-    nodes = [topology.Node(i, x, y, 0, 1.0) for i, (x, y) in enumerate(points)]
-    topo = topology.HetNetTopology(params, nodes)
-    links = [(i, int(j)) for i in range(len(nodes)) for j in topo.wifi_neighbors(i)]
+    topo = topology.HetNetTopology(params, points)
+    links = [(i, j) for i in range(len(topo)) for j in topo.neighbors[i]]
     assume(links)
     pending = data.draw(st.lists(st.sampled_from(links), min_size=1, unique=True))
     priorities = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=len(pending),
@@ -292,8 +284,7 @@ def test_run_session_deterministic():
 
 def test_no_path_error():
     params = topology.TopologyParams()
-    nodes = [topology.Node(0, 0, 0, 0, 1.0), topology.Node(1, 5000, 0, 0, 1.0)]
-    topo = topology.HetNetTopology(params, nodes)
+    topo = topology.HetNetTopology(params, [(0, 0), (5000, 0)])
     routes = routing.build_routes(topo)
     cfg = ScenarioConfig(node_count=2, cellular_enabled=False, min_hops=1)
     with pytest.raises(NoPathError):
@@ -308,7 +299,7 @@ def test_pick_session_pair_min_hops_and_determinism():
         a = pick_session_pair(topo, routes, 2, np.random.default_rng(seed))
         b = pick_session_pair(topo, routes, 2, np.random.default_rng(seed))
         assert a == b
-        assert routes.hop_distance(a[0], a[1]) >= 2
+        assert routes.distances_to(a[1])[a[0]] >= 2
     with pytest.raises(NoPathError):
         pick_session_pair(topo, routes, 10_000, np.random.default_rng(0))
 

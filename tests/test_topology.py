@@ -8,24 +8,30 @@ from hypothesis import example, given, settings, strategies as st
 
 from hetnetcode import presets, topology
 from hetnetcode.errors import ConfigError
+from hetnetcode.routing import build_routes
 from hetnetcode.simengine import ScenarioConfig
+from oracles import backbone_draw, node_rates, rate_for_distance
 
 
 def small_topology(positions, wifi_range=100.0, delta=0.2):
     params = topology.TopologyParams(wifi_range=wifi_range, delta=delta)
-    nodes = [topology.Node(i, float(x), float(y), 0, 1.0) for i, (x, y) in enumerate(positions)]
-    return topology.HetNetTopology(params, nodes)
+    return topology.HetNetTopology(params, positions)
+
+
+def same_nodes(a, b) -> bool:
+    return (np.array_equal(a.positions, b.positions) and np.array_equal(a.cell_ids, b.cell_ids)
+            and a.cellular_rates.tolist() == b.cellular_rates.tolist()
+            and a.backbone == b.backbone)
 
 
 def test_generate_deterministic():
     params = topology.TopologyParams()
     a = topology.generate(50, np.random.default_rng(123), params)
     b = topology.generate(50, np.random.default_rng(123), params)
-    assert np.array_equal(a.positions, b.positions)
-    assert [n.cellular_rate for n in a.nodes] == [n.cellular_rate for n in b.nodes]
+    assert same_nodes(a, b)
     one = topology.generate(1, np.random.default_rng(9), params)
     two = topology.generate(1, np.random.default_rng(9), params)
-    assert one.nodes[0] == two.nodes[0]
+    assert len(one) == 1 and same_nodes(one, two)
 
 
 def test_generate_rejects_bad_params():
@@ -41,7 +47,7 @@ def test_generate_uniform_over_hexagons():
     # 7 equal-area cells: per-cell counts within 5 sigma of n/7
     n = 10_000
     topo = topology.generate(n, np.random.default_rng(77))
-    counts = np.bincount([nd.cell_id for nd in topo.nodes], minlength=7)
+    counts = np.bincount(topo.cell_ids, minlength=7)
     expect = n / 7
     sigma = math.sqrt(n * (1 / 7) * (6 / 7))
     assert np.all(np.abs(counts - expect) < 5 * sigma)
@@ -55,48 +61,53 @@ def test_nodes_inside_region_and_assigned_nearest():
     for c in centers:
         in_union |= topology._inside_hex(pts, c, topo.params.cell_radius)
     assert in_union.all()
-    for nd in topo.nodes:
-        d = np.hypot(centers[:, 0] - nd.x, centers[:, 1] - nd.y)
-        assert nd.cell_id == int(np.argmin(d))
+    for (x, y), cell in zip(pts, topo.cell_ids):
+        d = np.hypot(centers[:, 0] - x, centers[:, 1] - y)
+        assert cell == int(np.argmin(d))
         # inside its own hexagon means within circumradius of its center
-        assert d[nd.cell_id] <= topo.params.cell_radius + 1e-6
+        assert d[cell] <= topo.params.cell_radius + 1e-6
 
 
 def test_rate_tiers():
     tiers = topology.DEFAULT_RATE_TIERS
-    assert topology.rate_for_distance(0.0, 1000, tiers, 4.0) == 4.0
-    assert topology.rate_for_distance(249.9, 1000, tiers, 4.0) == 4.0
-    assert topology.rate_for_distance(250.0, 1000, tiers, 4.0) == 2.0
-    assert topology.rate_for_distance(700.0, 1000, tiers, 4.0) == 1.0
-    assert topology.rate_for_distance(1000.0, 1000, tiers, 4.0) == 0.5
-    # non-increasing in distance
-    rates = [topology.rate_for_distance(d, 1000, tiers, 1.0) for d in range(0, 1001, 10)]
+    dist = np.array([0.0, 249.9, 250.0, 700.0, 1000.0])
+    assert topology.tier_rates(dist, 1000, tiers, 4.0).tolist() == [4.0, 4.0, 2.0, 1.0, 0.5]
+    # non-increasing in distance, and equal to the per-distance tier loop
+    dist = np.arange(0.0, 1001.0, 10.0)
+    rates = topology.tier_rates(dist, 1000, tiers, 1.0).tolist()
     assert all(a >= b for a, b in zip(rates, rates[1:]))
+    assert rates == [rate_for_distance(d, 1000, tiers, 1.0) for d in dist.tolist()]
+    # the first tier whose bound exceeds d / R wins, in the given order
+    unsorted = ((0.5, 2.0), (0.25, 3.0), (1.0, 0.5))
+    assert topology.tier_rates(dist, 1000, unsorted, 1.0).tolist() == [
+        rate_for_distance(d, 1000, unsorted, 1.0) for d in dist.tolist()]
 
 
 def test_cellular_link_rate():
-    a = topology.Node(0, 0, 0, 0, 2.0)
-    b = topology.Node(1, 0, 0, 0, 5.0)
-    assert topology.cellular_link_rate(a, b) == 2.0
-    assert topology.cellular_link_rate(b, b) == 5.0
+    two = topology.HetNetTopology(topology.TopologyParams(), [(0, 0), (0, 0)],
+                                  cellular_rates=[2.0, 5.0])
+    assert topology.cellular_link_rate(two, 0, 1) == 2.0
+    assert topology.cellular_link_rate(two, 1, 1) == 5.0
+    assert type(topology.cellular_link_rate(two, 0, 1)) is float
     rng = np.random.default_rng(3)
     topo = topology.generate(40, rng)
+    rates = topo.cellular_rates
     for _ in range(50):
         i, j = rng.integers(0, 40, size=2)
-        r = topology.cellular_link_rate(topo.nodes[i], topo.nodes[j])
-        assert r <= topo.nodes[i].cellular_rate and r <= topo.nodes[j].cellular_rate
+        r = topology.cellular_link_rate(topo, i, j)
+        assert r <= rates[i] and r <= rates[j]
 
 
 def test_wifi_neighbors_boundary_and_symmetry():
     topo = small_topology([(0, 0), (100, 0), (500, 500)])
-    assert topo.wifi_neighbors(0).tolist() == [1]
-    assert topo.wifi_neighbors(1).tolist() == [0]
-    assert topo.wifi_neighbors(2).tolist() == []
+    assert topo.neighbors[0] == [1]
+    assert topo.neighbors[1] == [0]
+    assert topo.neighbors[2] == []
     rnd = topology.generate(300, np.random.default_rng(8),
                             topology.TopologyParams(cell_radius=400.0))
     for i in range(len(rnd)):
-        for j in rnd.wifi_neighbors(i):
-            assert i in rnd.wifi_neighbors(int(j))
+        for j in rnd.neighbors[i]:
+            assert i in rnd.neighbors[j]
 
 
 def brute_force_neighbors(positions, r):
@@ -129,32 +140,65 @@ def test_bucket_neighbors_match_brute_force(points, copies, r):
     got = topology._bucket_neighbors(positions, r)
     assert len(got) == len(points)
     for row, want in zip(got, brute_force_neighbors(positions, r)):
-        assert row.dtype == np.int64
-        assert np.all(np.diff(row) > 0)
-        assert row.tolist() == want
+        assert all(type(v) is int for v in row)
+        assert row == want
 
 
-def test_shared_placement_matches_fresh_generate():
-    config = ScenarioConfig()
-    seed, trial, fractions = 4, 2, [0.0, 0.01, 0.4, 1.0]
+rate_tiers = st.just(topology.DEFAULT_RATE_TIERS) | st.lists(
+    st.tuples(st.floats(0.05, 1.2), st.floats(0.01, 4.0)), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_count=st.integers(1, 60),
+       fractions=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), min_size=1, max_size=4),
+       cell_radius=st.sampled_from([150.0, 400.0, 1000.0]), tiers=rate_tiers,
+       cell_rate=st.floats(0.1, 8.0), seed=st.integers(0, 2**16), trial=st.integers(0, 3))
+@example(node_count=750, fractions=[0.0, 0.01, 0.4, 1.0], cell_radius=1000.0,
+         tiers=topology.DEFAULT_RATE_TIERS, cell_rate=1.0, seed=4, trial=2)
+@example(node_count=1, fractions=[1.0, 0.0], cell_radius=150.0,
+         tiers=topology.DEFAULT_RATE_TIERS, cell_rate=1.0, seed=0, trial=0)
+@example(node_count=2, fractions=[0.5], cell_radius=150.0,
+         tiers=((0.5, 3), (0.25, 2.0), (1.0, 0.5)), cell_rate=2.5, seed=1, trial=0)
+@example(node_count=3, fractions=[0.0, 1.0], cell_radius=150.0,
+         tiers=((1.0, 0.5),), cell_rate=4.0, seed=2, trial=1)
+def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_radius, tiers,
+                                                 cell_rate, seed, trial):
+    config = replace(ScenarioConfig(), node_count=node_count, cell_radius=cell_radius,
+                     rate_tiers=tiers, r_cell=cell_rate)
     shared = presets.cell_topology(config, seed, trial, fractions)
     assert len(shared) == len(fractions)
+    first = shared[0]
+    assert first.cellular_rates.tolist() == node_rates(first)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
+    topology.place(node_count, rng, config.topology_params())
+    placed = rng.bit_generator.state
+    # every variant is built before any is checked: a later draw must not
+    # touch an earlier variant
     for frac, topo in zip(fractions, shared):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
+        rng.bit_generator.state = placed
+        assert topo.backbone == backbone_draw(topo.cell_ids.tolist(), frac, rng)
+        fresh_rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
         params = replace(config.topology_params(), backbone_fraction=frac)
-        fresh = topology.generate(config.node_count, rng, params)
+        fresh = topology.generate(node_count, fresh_rng, params)
         assert topo.params == fresh.params
-        assert np.array_equal(topo.positions, fresh.positions)
-        assert [n.cell_id for n in topo.nodes] == [n.cell_id for n in fresh.nodes]
-        assert [n.cellular_rate for n in topo.nodes] == [n.cellular_rate for n in fresh.nodes]
-        assert topo.backbone == fresh.backbone
-        assert [a.tolist() for a in topo.neighbors] == [b.tolist() for b in fresh.neighbors]
-        assert topo.positions is shared[0].positions
-        assert topo.neighbors is shared[0].neighbors
-    assert shared[1].backbone and len(shared[3].backbone) == config.node_count
-    # building k/n = 1.0 after k/n = 0 marked no node of the k/n = 0 topology
-    assert not any(n.has_backbone for n in shared[0].nodes)
-    assert not shared[0].backbone
+        assert same_nodes(topo, fresh)
+        assert topo.neighbors == fresh.neighbors
+        for name in ("positions", "cell_ids", "cellular_rates", "neighbors", "links"):
+            assert getattr(topo, name) is getattr(first, name)
+        routes, fresh_routes = build_routes(topo), build_routes(fresh)
+        for dst in range(0, node_count, max(1, node_count // 8)):
+            assert np.array_equal(routes.distances_to(dst), fresh_routes.distances_to(dst))
+            for node in range(node_count):
+                assert routes.next_hops(node, dst) == fresh_routes.next_hops(node, dst)
+
+
+@pytest.mark.parametrize("text", ["validate=1\n", "delta=abc\n", "0 0 0 0 x 0\n",
+                                  "0 0.0 0.0 7 1.0 0\n"],
+                         ids=["method-name", "non-numeric-param", "non-numeric-field",
+                              "cell-out-of-range"])
+def test_load_rejects_malformed_input(text):
+    with pytest.raises(ConfigError):
+        topology.load(io.StringIO(text))
 
 
 def test_protocol_model_examples():
@@ -185,7 +229,7 @@ def test_protocol_model_matches_bruteforce():
     for _ in range(100):
         pts = rng.uniform(0, 400, size=(10, 2))
         topo = small_topology(pts.tolist())
-        pairs = [(i, j) for i in range(10) for j in topo.wifi_neighbors(i)]
+        pairs = [(i, j) for i in range(10) for j in topo.neighbors[i]]
         if not pairs:
             continue
         tx, rx = pairs[rng.integers(0, len(pairs))]
@@ -201,12 +245,11 @@ def test_backbone_selection_counts():
     params = topology.TopologyParams(backbone_fraction=0.5)
     topo = topology.generate(350, np.random.default_rng(55), params)
     by_cell: dict[int, list] = {}
-    for nd in topo.nodes:
-        by_cell.setdefault(nd.cell_id, []).append(nd)
+    for nid, cell in enumerate(topo.cell_ids.tolist()):
+        by_cell.setdefault(cell, []).append(nid)
     for cell, members in by_cell.items():
-        chosen = sum(nd.has_backbone for nd in members)
+        chosen = sum(nid in topo.backbone for nid in members)
         assert chosen == round(0.5 * len(members))
-    assert topo.backbone == frozenset(nd.id for nd in topo.nodes if nd.has_backbone)
 
 
 def test_dump_load_round_trip():
@@ -217,10 +260,11 @@ def test_dump_load_round_trip():
     buf.seek(0)
     back = topology.load(buf)
     assert len(back) == len(topo)
-    for a, b in zip(topo.nodes, back.nodes):
-        assert a == b
-    assert back.backbone == topo.backbone
-    assert [n.tolist() for n in back.neighbors] == [n.tolist() for n in topo.neighbors]
+    assert same_nodes(back, topo)
+    assert back.neighbors == topo.neighbors
+    again = io.StringIO()
+    back.dump(again)
+    assert again.getvalue() == buf.getvalue()
 
 
 @pytest.mark.parametrize("ids", [(0, 5), (1, 0), (0, 0)])
@@ -234,9 +278,9 @@ def test_chain_topology():
     topo = topology.chain_topology(7)
     assert len(topo) == 8
     for i in range(7):
-        assert topo.wifi_neighbors(i + 1).tolist()[0] == i
-    assert topo.wifi_neighbors(0).tolist() == [1]
-    assert topo.wifi_neighbors(3).tolist() == [2, 4]
+        assert topo.neighbors[i + 1][0] == i
+    assert topo.neighbors[0] == [1]
+    assert topo.neighbors[3] == [2, 4]
 
 
 def test_relay_star_topology():
@@ -246,6 +290,6 @@ def test_relay_star_topology():
     assert topo.wired_peers(dst) == [1, 2, 3]
     assert topo.wired_peers(2) == [src, dst]
     # access-point preset has no radio links at all
-    assert all(topo.wifi_neighbors(i).size == 0 for i in range(len(topo)))
+    assert topo.neighbors == [[]] * len(topo)
     assert topo.wired.node_out[src] == 4.0
     assert topo.wired.node_in[dst] == 4.0
