@@ -1,7 +1,8 @@
 """Arithmetic and linear algebra over GF(2^8).
 
 Field elements are plain ints in [0, 255] (or uint8 numpy arrays when
-operating elementwise); matrices are 2-D uint8 arrays.  Multiplication is
+operating elementwise); matrices are 2-D uint8 arrays.  A row kept as
+`bytes` is scaled by w with row.translate(MUL_BYTES[w]).  Multiplication is
 reduced by the conventional polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
 """
 
@@ -44,11 +45,8 @@ MUL_TABLE, INV_TABLE = _build_tables()
 _MUL_FLAT = MUL_TABLE.ravel()
 # entry w is 256*w, the offset of row w in _MUL_FLAT, as intp
 _ROW_OFFSET = np.arange(256, dtype=np.intp) << 8
-
-
-def add(a, b):
-    """Field addition: bitwise XOR (works on ints and uint8 arrays alike)."""
-    return a ^ b
+# entry w is the 256-byte map x -> w*x, a bytes.translate table
+MUL_BYTES = tuple(map(bytes, MUL_TABLE))
 
 
 def mul(a: int, b: int) -> int:
@@ -73,58 +71,9 @@ def weighted_row_sum(weights, rows_index: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_MUL_FLAT[_ROW_OFFSET[w][:, None] + rows_index], axis=0)
 
 
-def scaled_rows(factors: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Row i is factors[i] * row, in one gather; factors must be intp."""
-    return _MUL_FLAT[(factors << 8)[:, None] + row]
-
-
 def as_row_index(rows) -> np.ndarray:
     """Pre-cast a uint8 matrix for repeated weighted_row_sum calls."""
     return np.asarray(rows, dtype=np.uint8).astype(np.intp)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product over GF(2^8).  a is (m, p); b is (p, n) or (p,)."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.ndim == 1:
-        return matmul(a[None, :], b)[0]
-    if b.ndim == 1:
-        return matmul(a, b[:, None])[:, 0]
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    # one flat gather per output row, sharing b's index cast (3-D is slower)
-    bi = as_row_index(b)
-    return np.stack([weighted_row_sum(a[r], bi) for r in range(a.shape[0])])
-
-
-def rank(m) -> int:
-    """Row rank by Gaussian elimination.
-
-    Pivot = first nonzero entry in the column, lowest row index first, so
-    results are deterministic for a given matrix.
-    """
-    m = np.array(m, dtype=np.uint8, copy=True)
-    if m.ndim != 2:
-        raise ValueError("rank expects a 2-D matrix")
-    rows, cols = m.shape
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        below = m[r + 1:, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            factors = MUL_TABLE[below[hit], INV_TABLE[m[r, col]]]
-            m[r + 1 + hit] ^= MUL_TABLE[factors[:, None], m[r][None, :]]
-        r += 1
-    return r
 
 
 def solve(m, rhs) -> np.ndarray:

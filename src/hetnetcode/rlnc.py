@@ -1,9 +1,10 @@
 """Block-based random linear network coding.
 
 A source block holds M equal-length payload packets.  Coded packets carry a
-length-M coefficient vector over GF(2^8) plus the combined payload; relays
-recode buffered packets without decoding; the destination collects innovative
-packets until rank M and then solves for the original block.
+length-M coefficient vector over GF(2^8) plus the combined payload, as one
+`bytes` row; relays recode buffered packets without decoding; the destination
+collects innovative packets until rank M and then solves for the original
+block.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import gf256
 
 BLOCK_ID_MODULUS = 1 << 16
 _HALF_WINDOW = 1 << 15
+_INV = gf256.INV_TABLE.tolist()
 
 
 class NotDecodableError(RuntimeError):
@@ -55,23 +57,44 @@ class SourceBlock:
         return cached
 
 
-@dataclass
 class CodedPacket:
-    block_id: int
-    coefficients: np.ndarray  # (M,) uint8
-    payload: np.ndarray  # (k,) uint8
+    """One coded packet: its block id, the block size m, and one immutable
+    `bytes` row [coefficients (m bytes) | payload].  `coefficients` and
+    `payload` are read-only uint8 views of the row."""
 
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.uint8)
-        self.payload = np.asarray(self.payload, dtype=np.uint8)
+    __slots__ = ("block_id", "m", "row")
+
+    def __init__(self, block_id: int, coefficients, payload):
+        coefficients = np.asarray(coefficients, dtype=np.uint8)
+        self.block_id = block_id
+        self.m = coefficients.size
+        self.row = coefficients.tobytes() + np.asarray(payload, dtype=np.uint8).tobytes()
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return np.frombuffer(self.row, dtype=np.uint8, count=self.m)
+
+    @property
+    def payload(self) -> np.ndarray:
+        return np.frombuffer(self.row, dtype=np.uint8, offset=self.m)
 
     def __eq__(self, other):
         return (
             isinstance(other, CodedPacket)
             and self.block_id == other.block_id
-            and np.array_equal(self.coefficients, other.coefficients)
-            and np.array_equal(self.payload, other.payload)
+            and self.m == other.m
+            and self.row == other.row
         )
+
+    def __repr__(self):
+        return f"CodedPacket({self.block_id}, m={self.m}, row={self.row.hex()})"
+
+
+def _packet(block_id: int, m: int, row: bytes) -> CodedPacket:
+    """A CodedPacket around a row that is already [coefficients | payload]."""
+    p = object.__new__(CodedPacket)
+    p.block_id, p.m, p.row = block_id, m, row
+    return p
 
 
 def _random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,7 +110,7 @@ def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
     if coefficients.shape != (block.size,):
         raise ValueError("coefficient vector length must equal the block size")
     payload = gf256.weighted_row_sum(coefficients, block.row_index())
-    return CodedPacket(block.block_id, coefficients, payload)
+    return _packet(block.block_id, block.size, coefficients.tobytes() + payload.tobytes())
 
 
 def encode(block: SourceBlock, rng: np.random.Generator) -> CodedPacket:
@@ -101,8 +124,7 @@ class RecodeBuffer:
     Holds at most `capacity` packets, all sharing one block id; a packet with
     a newer block id (mod 2^16) purges the buffer and starts the new block.
     Oldest packets are dropped first when full.  `packets` lists them oldest
-    first, and row t of `rows` is packet t's [coefficients | payload], cast
-    once for gf256.weighted_row_sum, so a recode stacks nothing.
+    first.
     """
 
     def __init__(self, capacity: int):
@@ -111,30 +133,19 @@ class RecodeBuffer:
         self.capacity = capacity
         self.block_id: int | None = None
         self.packets: list[CodedPacket] = []
-        # (capacity, M + k) intp, allocated by the first offer of a block
-        self.rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.packets)
 
     def offer(self, p: CodedPacket) -> bool:
         """Store p; returns False when p is stale for this buffer."""
-        m = p.coefficients.size
         if self.block_id is None or block_id_newer(p.block_id, self.block_id):
             self.block_id = p.block_id
             self.packets = []
-            width = m + p.payload.size
-            if self.rows is None or self.rows.shape[1] != width:
-                self.rows = np.empty((self.capacity, width), dtype=np.intp)
         elif p.block_id != self.block_id:
             return False
-        n = len(self.packets)
-        if n == self.capacity:
+        if len(self.packets) == self.capacity:
             self.packets.pop(0)
-            self.rows[:-1] = self.rows[1:]
-            n -= 1
-        self.rows[n, :m] = p.coefficients
-        self.rows[n, m:] = p.payload
         self.packets.append(p)
         return True
 
@@ -142,42 +153,46 @@ class RecodeBuffer:
 def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
     """Random recombination of the buffered packets (all-zero weights rejected).
 
-    Weight t goes to packet t, oldest first.  One weighted row sum over the
-    buffer's stacked [coefficients | payload] rows forms both halves of the
-    new packet, so its coefficients describe its payload in terms of the
-    source block exactly as an encode's do.
+    Weight t goes to packet t, oldest first.  Each packet's whole
+    [coefficients | payload] row is scaled by its weight with one translate
+    and the rows are summed as XORed ints, so the new packet's coefficients
+    describe its payload in terms of the source block exactly as an
+    encode's do.
     """
-    n = len(buffer.packets)
-    if not n:
+    packets = buffer.packets
+    if not packets:
         raise ValueError("cannot recode from an empty buffer")
-    weights = _random_nonzero_vector(n, rng)
-    row = gf256.weighted_row_sum(weights, buffer.rows[:n])
-    m = buffer.packets[0].coefficients.size
-    return CodedPacket(buffer.block_id, row[:m], row[m:])
+    weights = _random_nonzero_vector(len(packets), rng).tobytes()
+    mul = gf256.MUL_BYTES
+    acc = 0
+    for w, p in zip(weights, packets):
+        acc ^= int.from_bytes(p.row.translate(mul[w]), "little")
+    first = packets[0]
+    return _packet(buffer.block_id, first.m, acc.to_bytes(len(first.row), "little"))
 
 
 class DecoderState:
-    """Incremental Gauss-Jordan workspace for one block.
+    """Incremental elimination workspace for one block.
 
-    The basis of the received coefficient rows is kept in reduced row-echelon
-    form: basis row i is 1 at pivot column i and 0 at every other pivot
-    column ("seen packets", Sundararajan et al., INFOCOM 2009).  An arrival's
-    residual is the arrival minus the basis rows weighted by its own entries
-    at the pivot columns, one weighted row sum; the packet is innovative iff
-    the residual is nonzero.  The original rows of innovative packets are
-    kept, in arrival order, so decode() can hand the full system to
-    gf256.solve.
+    The received coefficient rows are reduced to an echelon basis of `bytes`
+    rows, in insertion order: basis row i is 1 at its lead column and 0 at
+    the lead columns of the rows stored before it.  An arrival's residual,
+    an int over the row's little-endian bytes, is reduced against the basis
+    rows in that order, each weighted by the residual's current entry at
+    the row's lead column, so no older row ever needs clearing.  The packet
+    is innovative iff the residual is nonzero; its lowest nonzero byte is
+    the new row's lead.  The original rows of innovative packets are kept,
+    in arrival order, so decode() can hand the full system to gf256.solve.
     """
 
     def __init__(self, block_id: int, block_size: int):
         self.block_id = block_id
         self.block_size = block_size
         self.rank = 0
-        self._basis = np.zeros((block_size, block_size), dtype=np.intp)
-        self._pivots = np.zeros(block_size, dtype=np.intp)
-        # [coefficients | payload] of the innovative arrivals, allocated by
-        # the first one, when the payload width is known
-        self._kept: np.ndarray | None = None
+        # (bit shift of the lead column, normalised coefficient row) per row
+        self._basis: list[tuple[int, bytes]] = []
+        # the [coefficients | payload] rows of the innovative arrivals
+        self._kept: list[bytes] = []
 
     def receive(self, p: CodedPacket) -> bool:
         """Store p and return True iff it raises the decoder rank."""
@@ -186,39 +201,22 @@ class DecoderState:
                 f"packet block {p.block_id} does not match decoder block {self.block_id}"
             )
         m = self.block_size
-        coef = p.coefficients
-        if coef.shape != (m,):
+        if p.m != m:
             raise ValueError("coefficient vector length must equal the block size")
-        r = self.rank
-        residual = coef ^ gf256.weighted_row_sum(coef[self._pivots[:r]], self._basis[:r])
-        nz = residual.nonzero()[0]
-        if nz.size == 0:
+        mul = gf256.MUL_BYTES
+        res = int.from_bytes(p.row[:m], "little")
+        for shift, row in self._basis:
+            w = (res >> shift) & 255
+            if w:
+                res ^= int.from_bytes(row.translate(mul[w]), "little")
+        if not res:
             return False
-        lead = int(nz[0])
-        # normalise, then clear the lead column from the older rows
-        row = gf256.MUL_TABLE[gf256.INV_TABLE[residual[lead]], residual]
-        basis = self._basis
-        basis[r] = row
-        basis[:r] ^= gf256.scaled_rows(basis[:r, lead], basis[r])
-        self._pivots[r] = lead
-        if self._kept is None:
-            self._kept = np.empty((m, m + p.payload.size), dtype=np.uint8)
-        self._kept[r, :m] = coef
-        self._kept[r, m:] = p.payload
-        self.rank = r + 1
+        shift = ((res & -res).bit_length() - 1) & ~7
+        row = res.to_bytes(m, "little").translate(mul[_INV[(res >> shift) & 255]])
+        self._basis.append((shift, row))
+        self._kept.append(p.row)
+        self.rank += 1
         return True
-
-    @property
-    def coefficient_matrix(self) -> np.ndarray:
-        if self._kept is None:
-            return np.zeros((0, self.block_size), dtype=np.uint8)
-        return self._kept[:self.rank, :self.block_size].copy()
-
-    @property
-    def payload_matrix(self) -> np.ndarray:
-        if self._kept is None:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return self._kept[:self.rank, self.block_size:].copy()
 
     def decode(self) -> SourceBlock:
         if self.rank < self.block_size:
@@ -226,17 +224,13 @@ class DecoderState:
                 f"rank {self.rank} < block size {self.block_size}"
             )
         m = self.block_size
-        packets = gf256.solve(self._kept[:, :m], self._kept[:, m:])
-        return SourceBlock(self.block_id, packets)
+        kept = np.frombuffer(b"".join(self._kept), dtype=np.uint8).reshape(m, -1)
+        return SourceBlock(self.block_id, gf256.solve(kept[:, :m], kept[:, m:]))
 
 
 def serialize_header(p: CodedPacket) -> bytes:
     """[block_id: 2 bytes big-endian][coefficients: M bytes][payload: k bytes]."""
-    return (
-        int(p.block_id).to_bytes(2, "big")
-        + p.coefficients.tobytes()
-        + p.payload.tobytes()
-    )
+    return int(p.block_id).to_bytes(2, "big") + p.row
 
 
 def parse_header(buf: bytes, block_size: int) -> CodedPacket:
@@ -245,10 +239,7 @@ def parse_header(buf: bytes, block_size: int) -> CodedPacket:
         raise ValueError(
             f"buffer of {len(buf)} bytes too short for a {2 + block_size}-byte header"
         )
-    block_id = int.from_bytes(buf[:2], "big")
-    coefficients = np.frombuffer(buf, dtype=np.uint8, count=block_size, offset=2)
-    payload = np.frombuffer(buf, dtype=np.uint8, offset=2 + block_size)
-    return CodedPacket(block_id, coefficients.copy(), payload.copy())
+    return _packet(int.from_bytes(buf[:2], "big"), block_size, bytes(buf[2:]))
 
 
 def header_overhead(block_size: int, packet_size: int) -> float:

@@ -317,8 +317,9 @@ def session_rngs(seed: int) -> list[np.random.Generator]:
 
 
 def pair_rng(seed: int) -> np.random.Generator:
-    """The stream from which a session with this seed picks its S-D pair."""
-    return session_rngs(seed)[0]
+    """The stream from which a session with this seed picks its S-D pair:
+    session_rngs(seed)[0], without building the other five."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 class _Credit:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from hetnetcode import gf256
 
 
@@ -53,10 +54,10 @@ def oracle_rank(rows):
 
 
 def test_add_examples():
-    assert gf256.add(0x57, 0x83) == 0xD4
+    assert oracles.add(0x57, 0x83) == 0xD4
     for a in (0x00, 0x01, 0x7F, 0xFF):
-        assert gf256.add(a, a) == 0
-        assert gf256.add(a, 0x00) == a
+        assert oracles.add(a, a) == 0
+        assert oracles.add(a, 0x00) == a
 
 
 def test_mul_examples():
@@ -69,6 +70,13 @@ def test_mul_examples():
 def test_mul_exhaustive_against_oracle():
     oracle = np.array(ORACLE_MUL, dtype=np.uint8)
     assert np.array_equal(gf256.MUL_TABLE, oracle)
+
+
+def test_mul_bytes_rows_are_translate_tables():
+    assert len(gf256.MUL_BYTES) == 256
+    for w in range(256):
+        assert gf256.MUL_BYTES[w] == bytes(ORACLE_MUL[w])
+    assert bytes([3, 0, 0x80]).translate(gf256.MUL_BYTES[2]) == bytes([6, 0, 0x1B])
 
 
 def test_inverse_examples():
@@ -102,12 +110,12 @@ def test_field_axioms_exhaustive():
 
 
 def test_rank_identity_and_duplicates():
-    assert gf256.rank(np.eye(20, dtype=np.uint8)) == 20
+    assert oracles.rank(np.eye(20, dtype=np.uint8)) == 20
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = rng.integers(0, 256, size=(6, 6), dtype=np.uint8)
         m[4] = m[1]
-        assert gf256.rank(m) <= 5
+        assert oracles.rank(m) <= 5
 
 
 def test_rank_invariant_under_row_permutation():
@@ -115,14 +123,14 @@ def test_rank_invariant_under_row_permutation():
     for _ in range(25):
         m = rng.integers(0, 3, size=(5, 7), dtype=np.uint8)
         perm = rng.permutation(5)
-        assert gf256.rank(m) == gf256.rank(m[perm])
+        assert oracles.rank(m) == oracles.rank(m[perm])
 
 
 def test_rank_random_20x20_against_oracle():
     rng = np.random.default_rng(42)
     for _ in range(20):
         m = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
-        assert gf256.rank(m) == oracle_rank(m.tolist())
+        assert oracles.rank(m) == oracle_rank(m.tolist())
 
 
 def test_rank_small_instances_exhaustive():
@@ -135,7 +143,7 @@ def test_rank_small_instances_exhaustive():
                 flat.append(v % 3)
                 v //= 3
             m = np.array(flat, dtype=np.uint8).reshape(n, n)
-            assert gf256.rank(m) == oracle_rank(m.tolist())
+            assert oracles.rank(m) == oracle_rank(m.tolist())
 
 
 def test_rank_mixed_sizes_sampled_against_oracle():
@@ -143,7 +151,7 @@ def test_rank_mixed_sizes_sampled_against_oracle():
     for n in (4, 5, 6):
         for _ in range(300):
             m = rng.integers(0, 3, size=(n, n), dtype=np.uint8)
-            assert gf256.rank(m) == oracle_rank(m.tolist())
+            assert oracles.rank(m) == oracle_rank(m.tolist())
 
 
 def test_solve_identity():
@@ -158,19 +166,19 @@ def test_solve_round_trip_random():
         k = int(rng.integers(1, 40))
         while True:
             c = rng.integers(0, 256, size=(n, n), dtype=np.uint8)
-            if gf256.rank(c) == n:
+            if oracles.rank(c) == n:
                 break
         a = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
-        assert np.array_equal(gf256.solve(c, gf256.matmul(c, a)), a)
+        assert np.array_equal(gf256.solve(c, oracles.matmul(c, a)), a)
 
 
 def test_solve_vector_rhs():
     rng = np.random.default_rng(9)
     c = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-    while gf256.rank(c) < 8:
+    while oracles.rank(c) < 8:
         c = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
     x = rng.integers(0, 256, size=8, dtype=np.uint8)
-    got = gf256.solve(c, gf256.matmul(c, x))
+    got = gf256.solve(c, oracles.matmul(c, x))
     assert got.shape == (8,)
     assert np.array_equal(got, x)
 
@@ -184,18 +192,18 @@ def test_solve_singular_raises():
 def test_matmul_shapes_and_errors():
     a = np.ones((3, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
-        gf256.matmul(a, np.ones((3, 2), dtype=np.uint8))
-    v = gf256.matmul(a, np.ones(4, dtype=np.uint8))
+        oracles.matmul(a, np.ones((3, 2), dtype=np.uint8))
+    v = oracles.matmul(a, np.ones(4, dtype=np.uint8))
     assert v.shape == (3,)
     # row-vector @ matrix
-    r = gf256.matmul(np.ones(3, dtype=np.uint8), a)
+    r = oracles.matmul(np.ones(3, dtype=np.uint8), a)
     assert r.shape == (4,)
 
 
 # --- weighted_row_sum and solve against pure-python oracles on gf256.mul ------
 #
-# The solve tests above take matmul as their reference, and matmul is built on
-# weighted_row_sum; these oracles share no code with either.
+# The solve tests above take oracles.matmul, a MUL_TABLE lookup, as their
+# reference; these oracles share no code with weighted_row_sum or solve.
 
 WIDTHS = st.sampled_from([1, 8, 1400])
 # a small alphabet next to the full field gives zeros and repeats often

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from hetnetcode import gf256, rlnc
 
 
@@ -33,7 +34,7 @@ def test_encode_hand_example():
     # payload = mul(3, a1) + mul(1, a2) evaluated with the scalar field ops
     block = rlnc.SourceBlock(0, np.array([[0x01], [0x02]], dtype=np.uint8))
     p = rlnc.coded_packet(block, [0x03, 0x01])
-    expected = gf256.add(gf256.mul(0x03, 0x01), gf256.mul(0x01, 0x02))
+    expected = oracles.add(gf256.mul(0x03, 0x01), gf256.mul(0x01, 0x02))
     assert expected == 0x01
     assert p.payload.tolist() == [0x01]
 
@@ -85,7 +86,7 @@ def test_recode_never_exceeds_buffer_span():
     buf = rlnc.RecodeBuffer(capacity=3)
     for _ in range(3):
         buf.offer(rlnc.encode(block, rng))
-    buffer_rank = gf256.rank(np.stack([p.coefficients for p in buf.packets]))
+    buffer_rank = oracles.rank(np.stack([p.coefficients for p in buf.packets]))
     dec = rlnc.DecoderState(0, 8)
     for _ in range(40):
         dec.receive(rlnc.recode(buf, rng))
@@ -180,8 +181,8 @@ def test_decode_random_round_trip_and_reencode():
     out = dec.decode()
     assert np.array_equal(out.packets, block.packets)
     # re-encoding with the stored coefficient matrix reproduces stored payloads
-    reenc = gf256.matmul(dec.coefficient_matrix, out.packets)
-    assert np.array_equal(reenc, dec.payload_matrix)
+    reenc = oracles.matmul(oracles.coefficient_matrix(dec), out.packets)
+    assert np.array_equal(reenc, oracles.payload_matrix(dec))
 
 
 def test_decode_insufficient_rank():
@@ -235,7 +236,7 @@ def test_round_trip_through_recode_layers(layers):
     dec = rlnc.DecoderState(0, 20)
     for p in shuffled_relay_delivery(block, layers, rng):
         # span preservation: payload is always the coefficient view of the block
-        assert np.array_equal(p.payload, gf256.matmul(p.coefficients, block.packets))
+        assert np.array_equal(p.payload, oracles.matmul(p.coefficients, block.packets))
         if dec.rank < 20:
             dec.receive(p)
     assert dec.rank == 20
@@ -274,9 +275,9 @@ def test_recode_layers_keep_payloads_and_receive_tracks_rank(m, width, seed, sta
     dec = rlnc.DecoderState(0, m)
     rows = []
     for p in sent:
-        before = gf256.rank(np.stack(rows)) if rows else 0
+        before = oracles.rank(np.stack(rows)) if rows else 0
         rows.append(p.coefficients)
-        assert dec.receive(p) == (gf256.rank(np.stack(rows)) > before)
+        assert dec.receive(p) == (oracles.rank(np.stack(rows)) > before)
     if dec.rank == m:
         assert np.array_equal(dec.decode().packets, block.packets)
 
@@ -294,13 +295,14 @@ _ID_STEPS = st.lists(st.sampled_from([0, 1, 2**15 - 1, -1, 2**15]), min_size=1, 
 
 
 @settings(max_examples=60, deadline=None)
-@given(capacity=st.integers(1, 8), m=st.integers(1, 20), width=st.sampled_from([1, 8, 1400]),
+@given(capacity=st.integers(1, 8), m=st.integers(1, 20), width=st.sampled_from([0, 1, 8, 1400]),
        first_id=st.sampled_from([0, 1, 2**16 - 2, 2**16 - 1]), steps=_ID_STEPS,
        seed=st.integers(0, 2**32 - 1))
 def test_stacked_ring_matches_packets_and_recode_oracle(capacity, m, width, first_id, steps,
                                                         seed):
-    """After every offer the ring's stacked rows are [coefficients | payload]
-    of its packets, oldest first, and a recode puts weight t on packet t."""
+    """After every offer the ring holds the accepted packets of the newest
+    block, oldest first, at most capacity of them, and a recode puts weight t
+    on packet t's [coefficients | payload] row."""
     rng = np.random.default_rng(seed)
     buf = rlnc.RecodeBuffer(capacity)
     expected = []
@@ -317,15 +319,14 @@ def test_stacked_ring_matches_packets_and_recode_oracle(capacity, m, width, firs
             block_id = pid
             expected = (expected + [p])[-capacity:]
         assert buf.block_id == block_id and buf.packets == expected
-        stacked = np.stack([np.concatenate((q.coefficients, q.payload)) for q in expected])
-        assert np.array_equal(buf.rows[:len(buf)], stacked)
+        assert len(buf) == len(expected) <= capacity
 
         weights = rng.integers(0, 256, size=len(expected), dtype=np.uint8)
         weights[-1] |= not weights.any()
         out = rlnc.recode(buf, ForcedRng(weights))
         want = np.zeros(m + width, dtype=np.uint8)
-        for w, row in zip(weights, stacked):
-            want ^= _mul_oracle(w, row)
+        for w, q in zip(weights, expected):
+            want ^= _mul_oracle(w, np.concatenate((q.coefficients, q.payload)))
         assert out == rlnc.CodedPacket(block_id, want[:m], want[m:])
 
 
@@ -333,19 +334,21 @@ def _scaled(s, coefficients):
     return np.array([gf256.mul(s, int(c)) for c in coefficients], dtype=np.uint8)
 
 
-# arrival kinds: a fresh random vector, an exact duplicate of an earlier
-# arrival, a scalar multiple of one, the XOR sum of two, or all zeros
-_ARRIVALS = st.lists(st.tuples(st.sampled_from(["fresh", "dup", "scaled", "sum", "zero"]),
+# arrival kinds: a fresh random vector, a fresh vector with mostly zero
+# bytes, an exact duplicate of an earlier arrival, a scalar multiple of one,
+# the XOR sum of two, or all zeros
+_ARRIVALS = st.lists(st.tuples(st.sampled_from(["fresh", "sparse", "dup", "scaled", "sum",
+                                                "zero"]),
                                st.integers(0, 2**16), st.integers(1, 255)),
                      max_size=30)
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 20), width=st.sampled_from([1, 8]), seed=st.integers(0, 2**32 - 1),
+@given(m=st.integers(1, 40), width=st.integers(0, 16), seed=st.integers(0, 2**32 - 1),
        arrivals=_ARRIVALS)
-def test_rref_decoder_against_rank_oracle(m, width, seed, arrivals):
-    """receive() is True exactly when gf256.rank grows, the kept matrices are
-    the innovative arrivals in order, and decode() returns the block."""
+def test_echelon_decoder_against_rank_oracle(m, width, seed, arrivals):
+    """receive() is True exactly when the oracle rank grows, the kept matrices
+    are the innovative arrivals in order, and decode() returns the block."""
     rng = np.random.default_rng(seed)
     block = make_block(rng, m=m, k=width)
     dec = rlnc.DecoderState(0, m)
@@ -353,21 +356,25 @@ def test_rref_decoder_against_rank_oracle(m, width, seed, arrivals):
 
     def arrive(coefficients):
         p = rlnc.coded_packet(block, coefficients)
-        grows = gf256.rank(np.stack(seen + [p.coefficients])) > dec.rank
+        grows = oracles.rank(np.stack(seen + [p.coefficients])) > dec.rank
         assert dec.receive(p) == grows
         seen.append(p.coefficients)
         if grows:
             kept.append(p)
         assert dec.rank == len(kept)
         if kept:
-            assert np.array_equal(dec.coefficient_matrix, [q.coefficients for q in kept])
-            assert np.array_equal(dec.payload_matrix, [q.payload for q in kept])
+            assert np.array_equal(oracles.coefficient_matrix(dec), [q.coefficients for q in kept])
+            assert np.array_equal(oracles.payload_matrix(dec), [q.payload for q in kept])
         else:
-            assert dec.coefficient_matrix.shape == (0, m)
+            assert oracles.coefficient_matrix(dec).shape == (0, m)
 
     for kind, pick, s in arrivals:
         if kind == "zero":
             arrive(np.zeros(m, dtype=np.uint8))
+        elif kind == "sparse":
+            v = rng.integers(0, 256, size=m, dtype=np.uint8)
+            v[rng.random(m) < 0.8] = 0
+            arrive(v)
         elif kind == "fresh" or not seen:
             arrive(rng.integers(0, 256, size=m, dtype=np.uint8))
         elif kind == "dup":
@@ -379,6 +386,54 @@ def test_rref_decoder_against_rank_oracle(m, width, seed, arrivals):
     while dec.rank < m:
         arrive(rng.integers(0, 256, size=m, dtype=np.uint8))
     assert np.array_equal(dec.decode().packets, block.packets)
+
+
+@st.composite
+def _rings(draw):
+    """Block size m, 1-8 [coefficients | payload] rows of width m + 0..16
+    (hypothesis favours zero bytes), and nonzero recode weights."""
+    m = draw(st.integers(1, 40))
+    width = m + draw(st.integers(0, 16))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.binary(min_size=width, max_size=width), min_size=n, max_size=n))
+    weights = draw(st.binary(min_size=n, max_size=n).filter(any))
+    return m, rows, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=_rings(), block_id=st.integers(0, 2**16 - 1))
+def test_recode_matches_weighted_row_sum(ring, block_id):
+    """A recode on bytes rows equals the numpy kernel over the stacked rows of
+    the ring with the same weights."""
+    m, rows, weights = ring
+    buf = rlnc.RecodeBuffer(8)
+    for row in rows:
+        assert buf.offer(rlnc.CodedPacket(block_id, list(row[:m]), list(row[m:])))
+    w = np.frombuffer(weights, dtype=np.uint8)
+    stacked = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
+    want = gf256.weighted_row_sum(w, gf256.as_row_index(stacked))
+    out = rlnc.recode(buf, ForcedRng(w))
+    assert out.block_id == block_id and out.m == m
+    assert out.row == want.tobytes()
+    assert out == rlnc.CodedPacket(block_id, want[:m], want[m:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_id=st.integers(0, 2**16 - 1), coefficients=st.binary(min_size=1, max_size=40),
+       payload=st.binary(max_size=16))
+def test_coded_packet_round_trips_byte_for_byte(block_id, coefficients, payload):
+    """A packet is one [coefficients | payload] bytes row with read-only views,
+    and the header functions carry it through unchanged."""
+    m = len(coefficients)
+    p = rlnc.CodedPacket(block_id, np.frombuffer(coefficients, dtype=np.uint8), list(payload))
+    assert p.m == m and p.row == coefficients + payload
+    assert p.coefficients.tobytes() == coefficients and p.payload.tobytes() == payload
+    assert not p.coefficients.flags.writeable and not p.payload.flags.writeable
+    assert rlnc.CodedPacket(block_id, p.coefficients, p.payload) == p
+    raw = rlnc.serialize_header(p)
+    assert raw == block_id.to_bytes(2, "big") + coefficients + payload
+    back = rlnc.parse_header(raw, m)
+    assert back == p and back.row == p.row and rlnc.serialize_header(back) == raw
 
 
 def test_header_layout_oracle():

@@ -447,3 +447,33 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
     monkeypatch.setattr(rlnc, "recode", mismatched_recode)
     with pytest.raises(AssertionError, match="does not match the source block"):
         run_session(cfg, topo, routes, pair=(0, 3))
+
+
+def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
+    """Over a chain session, relay recodes and destination receives run on
+    bytes rows: gf256.weighted_row_sum is called once per encode and never
+    otherwise."""
+    cfg, topo, routes = chain_session(4, block_target=3, slot_budget=2000)
+    calls = Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(gf256, "weighted_row_sum")
+    counting(rlnc, "encode")
+    counting(rlnc, "recode")
+    stats, _ = run_session(cfg, topo, routes, pair=(0, 4))
+    assert stats.blocks_delivered == 3
+    assert calls["recode"] > 0 and calls["encode"] > 0
+    assert calls["weighted_row_sum"] == calls["encode"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 123456])
+def test_pair_rng_is_the_first_session_stream(seed):
+    want = simengine.session_rngs(seed)[0].integers(0, 2**32, size=10)
+    assert simengine.pair_rng(seed).integers(0, 2**32, size=10).tolist() == want.tolist()
