@@ -27,7 +27,7 @@ from .presets import PRESETS, SweepSpec, format_rows
 from .routing import build_routes
 from .simengine import ScenarioConfig, _type_ok, run_session
 
-_SWEEP_FIELDS = {f.name for f in dataclasses.fields(SweepSpec)} - {"preset", "scenario"}
+_SWEEP_FIELDS = {f.name for f in dataclasses.fields(SweepSpec)} - {"scenario"}
 _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
@@ -103,7 +103,7 @@ def cmd_sweep(args) -> int:
     scenario, sweep = merged_sections(args)
     if sweep.get("values") is not None:
         sweep["values"] = tuple(sweep["values"])
-    spec = SweepSpec(preset=args.command, scenario=scenario, **sweep)
+    spec = SweepSpec(scenario=scenario, **sweep)
     spec.validate()
     header, rows = PRESETS[args.command](spec)
     _emit(lambda fh: fh.write(format_rows(header, rows)), spec.out)

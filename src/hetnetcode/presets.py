@@ -29,7 +29,6 @@ TOPO2_INTERFACES = 2
 
 @dataclass
 class SweepSpec:
-    preset: str
     param_min: float | None = None
     param_max: float | None = None
     param_step: float | None = None

@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import rlnc, topology as topo_mod
+from . import rlnc
 from .errors import ConfigError, NoPathError
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
 from .routing import (
@@ -82,22 +82,17 @@ def _checked(cls, values) -> dict:
 
 
 @dataclass
-class ScenarioConfig:
-    # topology
+class ScenarioConfig(TopologyParams):
+    """A session: the topology fields it inherits, whose r_cell is also the
+    cell maximum of the loading model, and the session's own."""
+
     node_count: int = 750
-    cell_radius: float = 1000.0
-    wifi_range: float = 100.0
-    delta: float = 0.2
-    rate_tiers: tuple = topo_mod.DEFAULT_RATE_TIERS
-    backbone_fraction: float = 0.0
-    backbone_rate: float = 100.0  # wired bus capacity as a multiple of R_WiFi
     # coding
     block_size: int = 20  # M packets per block
     payload_bytes: int = 1400  # byte accounting only; sessions carry CHECK_PAYLOAD_BYTES
     buffer_capacity: int = 8  # N_buf at relays
     # rates, all in the same units as r_wifi
     r_wifi: float = 1.0
-    r_cell: float = 1.0  # cell maximum used by the loading model
     link_rate_override: float | None = None  # pin the S-D cellular link rate
     users_per_cell: int = 1
     loading_mode: str = "equal-rate"
@@ -134,10 +129,7 @@ class ScenarioConfig:
         return config
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, not {value}")
+        super().validate()
         if self.node_count < 2:
             raise ConfigError("need at least a source and a destination")
         if self.block_size < 1:
@@ -164,22 +156,13 @@ class ScenarioConfig:
             raise ConfigError("wired_relay_rate must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        self.topology_params().validate()
         self.relay_policy.validate()
         if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
             raise ConfigError(f"relay policy {self.relay_policy.mode!r} needs the "
                               "cellular interface, which is disabled")
 
     def topology_params(self) -> TopologyParams:
-        return TopologyParams(
-            cell_radius=self.cell_radius,
-            wifi_range=self.wifi_range,
-            delta=self.delta,
-            cell_rate=self.r_cell,
-            rate_tiers=self.rate_tiers,
-            backbone_fraction=self.backbone_fraction,
-            backbone_rate=self.backbone_rate,
-        )
+        return TopologyParams(**{f.name: getattr(self, f.name) for f in fields(TopologyParams)})
 
 
 @dataclass
@@ -376,9 +359,11 @@ class _Session:
             raise ConfigError("source and destination must differ")
         self.dist_to_dst = routes.distances_to(self.dst)
 
+        # node rates scale with the session's cell maximum, not the topology's
+        self.rate_scale = config.r_cell / topo.params.r_cell
         link = config.link_rate_override
         if link is None:
-            link = cellular_link_rate(topo, self.src, self.dst)
+            link = cellular_link_rate(topo, self.src, self.dst) * self.rate_scale
         loaded = loaded_cellular_rate(link, config.users_per_cell,
                                       config.loading_mode, config.r_cell)
         pipe = loaded / config.r_wifi if config.cellular_enabled else 0.0
@@ -455,9 +440,8 @@ class _Session:
             selector = InterfaceSelector(cfg.relay_policy, rng=self.rng_relay)
             cell_up = None
             if self.relay_cellular:
-                up = loaded_cellular_rate(float(self.topo.cellular_rates[node]),
-                                          cfg.users_per_cell, cfg.loading_mode,
-                                          cfg.r_cell)
+                up = loaded_cellular_rate(float(self.topo.cellular_rates[node]) * self.rate_scale,
+                                          cfg.users_per_cell, cfg.loading_mode, cfg.r_cell)
                 cell_up = _Credit(up / cfg.r_wifi)
             r = _Relay(cfg.buffer_capacity, cfg.wired_relay_rate, phase, selector, cell_up)
             self.relays[node] = r

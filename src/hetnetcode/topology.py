@@ -32,17 +32,23 @@ class TopologyParams:
     cell_radius: float = 1000.0
     wifi_range: float = 100.0
     delta: float = 0.2
-    cell_rate: float = 1.0  # max cellular rate R_cell, in units of R_WiFi
+    r_cell: float = 1.0  # max cellular rate R_cell, in units of R_WiFi
     rate_tiers: tuple = DEFAULT_RATE_TIERS
     backbone_fraction: float = 0.0  # k/n, applied per cell
     backbone_rate: float = 100.0  # wired bus capacity, in units of R_WiFi
 
     def validate(self):
+        """Every float field (a subclass's too) finite, then the topology's
+        own ranges."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value}")
         if self.cell_radius <= 0 or self.wifi_range <= 0:
             raise ConfigError("cell_radius and wifi_range must be positive")
         if self.delta < 0:
             raise ConfigError("delta must be non-negative")
-        if self.cell_rate <= 0 or self.backbone_rate <= 0:
+        if self.r_cell <= 0 or self.backbone_rate <= 0:
             raise ConfigError("rates must be positive")
         if not 0.0 <= self.backbone_fraction <= 1.0:
             raise ConfigError("backbone_fraction must be in [0, 1]")
@@ -124,7 +130,7 @@ class WiredSpec:
 
 class HetNetTopology:
     """Per-node fields as arrays by node id (cell ids default to 0, rates to
-    params.cell_rate) and the backbone as a set.  neighbors (WiFi) and links
+    params.r_cell) and the backbone as a set.  neighbors (WiFi) and links
     (WiFi and wired, the bus aside) list each node's adjacent ids; backbone
     variants of one placement share them all."""
 
@@ -136,7 +142,7 @@ class HetNetTopology:
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 2)
         n = len(self.positions)
         self.cell_ids = np.zeros(n, dtype=np.int64) if cell_ids is None else np.asarray(cell_ids)
-        self.cellular_rates = (np.full(n, params.cell_rate, dtype=float) if cellular_rates is None
+        self.cellular_rates = (np.full(n, params.r_cell, dtype=float) if cellular_rates is None
                                else np.asarray(cellular_rates, dtype=float))
         self.backbone = frozenset(int(b) for b in backbone)
         self.wired = wired
@@ -151,14 +157,6 @@ class HetNetTopology:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @property
-    def wifi_range(self) -> float:
-        return self.params.wifi_range
-
-    @property
-    def delta(self) -> float:
-        return self.params.delta
 
     def distance(self, a: int, b: int) -> float:
         pa, pb = self.positions[a], self.positions[b]
@@ -184,21 +182,18 @@ class HetNetTopology:
         return True
 
     def dump(self, fh):
-        p = self.params
         fh.write("# hetnetcode topology v1\n")
-        fh.write(f"cell_radius={p.cell_radius!r}\n")
-        fh.write(f"wifi_range={p.wifi_range!r}\n")
-        fh.write(f"delta={p.delta!r}\n")
-        fh.write(f"cell_rate={p.cell_rate!r}\n")
-        fh.write(f"backbone_rate={p.backbone_rate!r}\n")
+        for key, name in _DUMP_KEYS.items():
+            fh.write(f"{key}={getattr(self.params, name)!r}\n")
         fh.write("# id x y cell rate backbone\n")
         rows = zip(self.positions.tolist(), self.cell_ids.tolist(), self.cellular_rates.tolist())
         for i, ((x, y), cell, rate) in enumerate(rows):
             fh.write(f"{i} {x!r} {y!r} {cell} {rate!r} {int(i in self.backbone)}\n")
 
 
-# the parameters a dump writes back: every number-valued TopologyParams field
-_LOADABLE = tuple(f.name for f in fields(TopologyParams) if isinstance(f.default, float))
+# the parameters a dump writes and load reads back: file key -> field
+_DUMP_KEYS = {"cell_radius": "cell_radius", "wifi_range": "wifi_range", "delta": "delta",
+              "cell_rate": "r_cell", "backbone_rate": "backbone_rate"}
 _NODE_FIELDS = (int, float, float, int, float, int)  # id x y cell rate backbone
 
 
@@ -220,17 +215,15 @@ def load(fh) -> HetNetTopology:
             continue
         if "=" in line and " " not in line:
             key, val = line.split("=", 1)
-            if key not in _LOADABLE:
+            if key not in _DUMP_KEYS:
                 raise ConfigError(f"unknown topology parameter {key!r}")
-            setattr(params, key, *_parsed((float,), [val], line))
+            setattr(params, _DUMP_KEYS[key], *_parsed((float,), [val], line))
             continue
         nid, x, y, cell, rate, flag = _parsed(_NODE_FIELDS, line.split(), line)
         if not (0 <= cell < CELLS and rate > 0 and flag in (0, 1)
                 and all(map(math.isfinite, (x, y, rate)))):
             raise ConfigError(f"node field out of range: {line!r}")
         rows.append((nid, x, y, cell, rate, flag))
-    if not all(math.isfinite(getattr(params, key)) for key in _LOADABLE):
-        raise ConfigError("topology parameters must be finite")
     if [row[0] for row in rows] != list(range(len(rows))):
         raise ConfigError("node ids must be 0..n-1 in file order")
     return HetNetTopology(params, [row[1:3] for row in rows], [row[3] for row in rows],
@@ -278,7 +271,7 @@ def place(node_count: int, rng: np.random.Generator,
     d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     cell_ids = np.argmin(d2, axis=1)
     dist = np.sqrt(d2[np.arange(node_count), cell_ids])
-    rates = tier_rates(dist, r, params.rate_tiers, params.cell_rate)
+    rates = tier_rates(dist, r, params.rate_tiers, params.r_cell)
     return HetNetTopology(params, positions, cell_ids, rates)
 
 

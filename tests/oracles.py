@@ -103,7 +103,7 @@ def node_rates(topo) -> list[float]:
     for (x, y), cell in zip(topo.positions.tolist(), topo.cell_ids.tolist()):
         cx, cy = topo.cells[cell].tolist()
         dist = math.sqrt((x - cx) ** 2 + (y - cy) ** 2)
-        rates.append(rate_for_distance(dist, p.cell_radius, p.rate_tiers, p.cell_rate))
+        rates.append(rate_for_distance(dist, p.cell_radius, p.rate_tiers, p.r_cell))
     return rates
 
 

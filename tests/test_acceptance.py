@@ -137,7 +137,7 @@ def test_criterion_05_protocol_model_soundness():
                 for j, (otx, orx) in enumerate(admitted):
                     if i == j or otx in (tx, rx):
                         continue
-                    if topo.distance(rx, otx) < (1 + topo.delta) * link:
+                    if topo.distance(rx, otx) < (1 + topo.params.delta) * link:
                         violations += 1
     ok = violations == 0 and checked > 500 and sessions > 50
     report(5, "protocol-model soundness", ok,
@@ -146,7 +146,7 @@ def test_criterion_05_protocol_model_soundness():
 
 @pytest.fixture(scope="module")
 def rate_sweep_rows():
-    spec = SweepSpec("rate-sweep", values=RATE_RATIOS, trials=TRIALS, seed=0)
+    spec = SweepSpec(values=RATE_RATIOS, trials=TRIALS, seed=0)
     header, rows = preset_rate_sweep(spec)
     return rows
 
@@ -165,7 +165,7 @@ def test_criterion_06_rate_trend(rate_sweep_rows):
 
 
 def test_criterion_07_loading_trend():
-    spec = SweepSpec("load-sweep", values=(1, 2, 4, 8, 16, 32), trials=TRIALS, seed=0)
+    spec = SweepSpec(values=(1, 2, 4, 8, 16, 32), trials=TRIALS, seed=0)
     _, rows = preset_load_sweep(spec)
     users = np.array([r[0] for r in rows], dtype=float)
     cell = np.array([r[1] for r in rows])
@@ -179,7 +179,7 @@ def test_criterion_07_loading_trend():
 
 
 def test_criterion_08_infrastructure_trend(rate_sweep_rows):
-    spec = SweepSpec("infra-sweep", trials=TRIALS, seed=0)
+    spec = SweepSpec(trials=TRIALS, seed=0)
     _, rows = preset_infra_sweep(spec)
     vals = [v for _, v in rows]
     pairs = list(zip(vals, vals[1:]))
@@ -195,7 +195,7 @@ def test_criterion_08_infrastructure_trend(rate_sweep_rows):
 
 
 def test_criterion_09_relay_scaling_trend():
-    spec = SweepSpec("topo2", values=(1, 2, 3, 4, 5, 6), trials=5, seed=0)
+    spec = SweepSpec(values=(1, 2, 3, 4, 5, 6), trials=5, seed=0)
     _, rows = preset_topo2(spec, rates=(54,))
     n = np.array([r[1] for r in rows], dtype=float)
     tput = np.array([r[2] for r in rows])
@@ -235,10 +235,10 @@ def test_criterion_10_stale_block_transitions():
 
 def test_criterion_11_determinism():
     small = {"node_count": 250, "cell_radius": 400.0}
-    rate_spec = SweepSpec("rate-sweep", values=(0.5,), trials=3, seed=42, scenario=small)
+    rate_spec = SweepSpec(values=(0.5,), trials=3, seed=42, scenario=small)
     a = format_rows(*preset_rate_sweep(rate_spec))
     b = format_rows(*preset_rate_sweep(rate_spec))
-    topo_spec = SweepSpec("topo2", values=(2,), trials=2, seed=42)
+    topo_spec = SweepSpec(values=(2,), trials=2, seed=42)
     c = format_rows(*preset_topo2(topo_spec, rates=(54,)))
     d = format_rows(*preset_topo2(topo_spec, rates=(54,)))
     # and a full CLI round trip through the trace writer

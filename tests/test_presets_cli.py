@@ -23,27 +23,26 @@ SMALL = {"node_count": 250, "cell_radius": 400.0}
 
 def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
-        SweepSpec("rate-sweep", trials=0).validate()
+        SweepSpec(trials=0).validate()
     with pytest.raises(ConfigError):
-        SweepSpec("rate-sweep", param_min=2.0, param_max=1.0, param_step=0.1).validate()
+        SweepSpec(param_min=2.0, param_max=1.0, param_step=0.1).validate()
     with pytest.raises(ConfigError):
-        SweepSpec("rate-sweep", param_min=0.1, param_max=1.0, param_step=0.0).validate()
+        SweepSpec(param_min=0.1, param_max=1.0, param_step=0.0).validate()
     with pytest.raises(ConfigError):
-        SweepSpec("rate-sweep", param_min=0.1, param_max=1.0).validate()
+        SweepSpec(param_min=0.1, param_max=1.0).validate()
     with pytest.raises(ConfigError):
-        SweepSpec("rate-sweep", values=()).validate()
+        SweepSpec(values=()).validate()
     with pytest.raises(ConfigError):
-        SweepSpec("rate-sweep", values=(0.5, float("nan"))).validate()
+        SweepSpec(values=(0.5, float("nan"))).validate()
     with pytest.raises(ConfigError):
-        SweepSpec("rate-sweep", param_min=0.1, param_max=float("inf"),
-                  param_step=0.1).validate()
-    assert SweepSpec("rate-sweep", param_min=0.5, param_max=1.0,
+        SweepSpec(param_min=0.1, param_max=float("inf"), param_step=0.1).validate()
+    assert SweepSpec(param_min=0.5, param_max=1.0,
                      param_step=0.25).sweep_values(()) == [0.5, 0.75, 1.0]
-    assert SweepSpec("rate-sweep").sweep_values((1, 2)) == [1, 2]
+    assert SweepSpec().sweep_values((1, 2)) == [1, 2]
 
 
 def test_rate_sweep_gain_trend_and_dominance():
-    spec = SweepSpec("rate-sweep", values=(0.1, 2.0), trials=6, seed=1, scenario=SMALL)
+    spec = SweepSpec(values=(0.1, 2.0), trials=6, seed=1, scenario=SMALL)
     header, rows = preset_rate_sweep(spec)
     assert header == ["rate_ratio", "rel_tput_cellular", "rel_tput_combined", "stderr"]
     by_ratio = {r[0]: r for r in rows}
@@ -56,40 +55,42 @@ def test_rate_sweep_gain_trend_and_dominance():
 
 
 def test_rate_sweep_deterministic():
-    spec = SweepSpec("rate-sweep", values=(0.5,), trials=3, seed=7, scenario=SMALL)
+    spec = SweepSpec(values=(0.5,), trials=3, seed=7, scenario=SMALL)
     assert preset_rate_sweep(spec) == preset_rate_sweep(spec)
 
 
 def test_rate_sweep_degenerate_wifi_disabled():
     scenario = dict(SMALL, wifi_enabled=False)
-    spec = SweepSpec("rate-sweep", values=(0.5,), trials=3, seed=2, scenario=scenario)
+    spec = SweepSpec(values=(0.5,), trials=3, seed=2, scenario=scenario)
     _, rows = preset_rate_sweep(spec)
     (_, cell, comb, _) = rows[0]
     assert comb == cell
 
 
 def test_rate_sweep_worker_pool_matches_serial():
-    serial = SweepSpec("rate-sweep", values=(0.5,), trials=2, seed=3, scenario=SMALL)
-    pooled = SweepSpec("rate-sweep", values=(0.5,), trials=2, seed=3, workers=2,
-                       scenario=SMALL)
+    serial = SweepSpec(values=(0.5,), trials=2, seed=3, scenario=SMALL)
+    pooled = SweepSpec(values=(0.5,), trials=2, seed=3, workers=2, scenario=SMALL)
     assert preset_rate_sweep(serial)[1] == preset_rate_sweep(pooled)[1]
 
 
-def test_load_sweep_consistent_with_rate_sweep_at_single_user():
-    trials, seed = 4, 5
-    rate_spec = SweepSpec("rate-sweep", values=(presets.DEFAULT_LOAD_RATIO,),
-                          trials=trials, seed=seed, scenario=dict(SMALL, block_target=2,
-                                                                  slot_budget=8000))
+@pytest.mark.parametrize("policy", [{"mode": "wifi-only"},
+                                    {"mode": "both", "both_mode": "duplicate"}],
+                         ids=["wifi-only", "both-duplicate"])
+def test_load_sweep_consistent_with_rate_sweep_at_single_user(policy):
+    # rate-sweep builds its topology at the default r_cell and load-sweep at
+    # its ratio; relays that send on cellular must see the same rates in both
+    trials, seed, scenario = 4, 5, dict(SMALL, relay_policy=policy)
+    rate_spec = SweepSpec(values=(presets.DEFAULT_LOAD_RATIO,), trials=trials, seed=seed,
+                          scenario=dict(scenario, block_target=2, slot_budget=8000))
     _, rate_rows = preset_rate_sweep(rate_spec)
-    load_spec = SweepSpec("load-sweep", values=(1,), trials=trials, seed=seed,
-                          scenario=SMALL)
+    load_spec = SweepSpec(values=(1,), trials=trials, seed=seed, scenario=scenario)
     _, load_rows = preset_load_sweep(load_spec)
     assert load_rows[0][1] == pytest.approx(rate_rows[0][1], abs=1e-12)
     assert load_rows[0][2] == pytest.approx(rate_rows[0][2], abs=1e-12)
 
 
 def test_load_sweep_hyperbola_and_plateau():
-    spec = SweepSpec("load-sweep", values=(1, 4, 16), trials=5, seed=4, scenario=SMALL)
+    spec = SweepSpec(values=(1, 4, 16), trials=5, seed=4, scenario=SMALL)
     header, rows = preset_load_sweep(spec)
     assert header == ["users_per_cell", "rel_tput_cellular", "rel_tput_combined"]
     cell = {u: c for u, c, _ in rows}
@@ -102,14 +103,13 @@ def test_load_sweep_hyperbola_and_plateau():
 
 
 def test_infra_sweep_monotone_smoke():
-    spec = SweepSpec("infra-sweep", values=(0.002, 0.2, 1.0), trials=4, seed=6,
-                     scenario=SMALL)
+    spec = SweepSpec(values=(0.002, 0.2, 1.0), trials=4, seed=6, scenario=SMALL)
     header, rows = preset_infra_sweep(spec)
     assert header == ["k_over_n", "rel_tput"]
     vals = [v for _, v in rows]
     assert vals[0] <= vals[1] <= vals[2]
     with pytest.raises(ConfigError):
-        preset_infra_sweep(SweepSpec("infra-sweep", values=(0.0, 0.5), trials=1))
+        preset_infra_sweep(SweepSpec(values=(0.0, 0.5), trials=1))
 
 
 def test_infra_knee_shifts_left_with_density():
@@ -124,19 +124,18 @@ def test_infra_knee_shifts_left_with_density():
 
     knees = {}
     for nodes in (400, 900):
-        spec = SweepSpec("infra-sweep", values=fracs, trials=6, seed=0,
-                         scenario={"node_count": nodes})
+        spec = SweepSpec(values=fracs, trials=6, seed=0, scenario={"node_count": nodes})
         _, rows = preset_infra_sweep(spec)
         knees[nodes] = knee(rows)
     assert knees[900] < knees[400]
 
 
 def test_topo1_zero_delay_matches_engine_and_delay_hurts():
-    spec = SweepSpec("topo1", values=(0.25, 1.0), trials=3, seed=8)
+    spec = SweepSpec(values=(0.25, 1.0), trials=3, seed=8)
     _, rows = preset_topo1(spec)
     _, rows_again = preset_topo1(spec)
     assert rows == rows_again
-    _, slow_rows = preset_topo1(SweepSpec("topo1", values=(0.25, 1.0), trials=3, seed=8,
+    _, slow_rows = preset_topo1(SweepSpec(values=(0.25, 1.0), trials=3, seed=8,
                                           scenario={"processing_delay": 3}))
     for fast, slow in zip(rows, slow_rows):
         assert slow[2] < fast[2]  # combined uniformly lower with processing delay
@@ -147,7 +146,7 @@ def test_topo1_rows_match_direct_engine_run():
     # the preset is the plain engine on a 7-hop chain, nothing more
     from hetnetcode import routing, simengine, topology
 
-    spec = SweepSpec("topo1", values=(0.5,), trials=2, seed=8)
+    spec = SweepSpec(values=(0.5,), trials=2, seed=8)
     _, rows = preset_topo1(spec)
     base = presets._base_config(spec, node_count=8, min_hops=7,
                                 block_target=3, slot_budget=6000)
@@ -164,7 +163,7 @@ def test_topo1_rows_match_direct_engine_run():
 
 
 def test_topo2_linear_scaling_quick():
-    spec = SweepSpec("topo2", values=(2, 4), trials=2, seed=9)
+    spec = SweepSpec(values=(2, 4), trials=2, seed=9)
     header, rows = preset_topo2(spec, rates=(54,))
     assert header == ["link_rate", "n_relays", "throughput"]
     n2 = next(r[2] for r in rows if r[1] == 2)
@@ -361,7 +360,7 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv, section):
 
 
 def test_config_coercion_keeps_json_values():
-    sc = presets._base_config(SweepSpec("topo1", scenario={
+    sc = presets._base_config(SweepSpec(scenario={
         "relay_policy": {"mode": "both", "p": 1}, "rate_tiers": [[0.5, 1], [1.0, 0.5]],
         "link_rate_override": 2}))
     assert sc.relay_policy == ForwardPolicy(mode="both", p=1)

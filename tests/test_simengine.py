@@ -1,5 +1,6 @@
 import io
 from collections import Counter
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def brute_force_guard_ok(topo, admitted):
                 continue
             if otx in (tx, rx):
                 return False  # half-duplex violation doubles as guard failure
-            if topo.distance(rx, otx) < (1 + topo.delta) * topo.distance(tx, rx):
+            if topo.distance(rx, otx) < (1 + topo.params.delta) * topo.distance(tx, rx):
                 return False
     return True
 
@@ -54,6 +55,20 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(loading_mode="fair-ish").validate()
     ScenarioConfig().validate()
+
+
+def test_config_keys_are_pinned():
+    # the field names are the JSON keys of a config file's scenario section
+    assert {f.name for f in fields(ScenarioConfig)} == {
+        "cell_radius", "wifi_range", "delta", "r_cell", "rate_tiers", "backbone_fraction",
+        "backbone_rate", "node_count", "block_size", "payload_bytes", "buffer_capacity",
+        "r_wifi", "link_rate_override", "users_per_cell", "loading_mode", "ack_delay",
+        "processing_delay", "min_hops", "slot_budget", "block_target", "relay_policy",
+        "wifi_enabled", "cellular_enabled", "wired_relay_rate", "seed"}
+    assert ScenarioConfig.from_dict(asdict(ScenarioConfig())) == ScenarioConfig()
+    # the topology fields are inherited, never declared again
+    inherited = {f.name for f in fields(topology.TopologyParams)}
+    assert not set(ScenarioConfig.__annotations__) & inherited
 
 
 def test_loaded_cellular_rate_examples():

@@ -41,6 +41,10 @@ def test_generate_rejects_bad_params():
         topology.generate(5, np.random.default_rng(0), topology.TopologyParams(cell_radius=-1))
     with pytest.raises(ConfigError):
         topology.generate(5, np.random.default_rng(0), topology.TopologyParams(delta=-0.5))
+    # non-finite numbers: NaN would pass every range check and inf overflow numpy
+    for bad in ({"delta": math.nan}, {"wifi_range": math.inf}, {"cell_radius": math.inf}):
+        with pytest.raises(ConfigError):
+            topology.generate(5, np.random.default_rng(0), topology.TopologyParams(**bad))
 
 
 def test_generate_uniform_over_hexagons():
@@ -192,9 +196,11 @@ def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_rad
                 assert routes.next_hops(node, dst) == fresh_routes.next_hops(node, dst)
 
 
-@pytest.mark.parametrize("text", ["validate=1\n", "delta=abc\n", "0 0 0 0 x 0\n",
+@pytest.mark.parametrize("text", ["validate=1\n", "delta=abc\n", "delta=inf\n",
+                                  "backbone_fraction=0.5\n", "0 0 0 0 x 0\n",
                                   "0 0.0 0.0 7 1.0 0\n"],
-                         ids=["method-name", "non-numeric-param", "non-numeric-field",
+                         ids=["method-name", "non-numeric-param", "non-finite-param",
+                              "param-dump-never-writes", "non-numeric-field",
                               "cell-out-of-range"])
 def test_load_rejects_malformed_input(text):
     with pytest.raises(ConfigError):
