@@ -25,26 +25,10 @@ from . import presets
 from .errors import ConfigError, NoPathError
 from .presets import PRESETS, SweepSpec, format_rows
 from .routing import build_routes
-from .simengine import ScenarioConfig, _type_ok, run_session
+from .simengine import ScenarioConfig, run_session
 
 _SWEEP_FIELDS = {f.name for f in dataclasses.fields(SweepSpec)} - {"scenario"}
 _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-
-
-def _check_sweep(sweep: dict):
-    bad = set(sweep) - _SWEEP_FIELDS
-    if bad:
-        raise ConfigError(f"unknown sweep fields: {sorted(bad)}")
-    for key, value in sweep.items():
-        if key == "out":
-            ok = value is None or isinstance(value, str)
-        elif key == "values":
-            ok = value is None or (isinstance(value, list)
-                                   and all(_type_ok(x, 0.0) for x in value))
-        else:  # a number of the type of the SweepSpec default
-            ok = _type_ok(value, getattr(SweepSpec, key))
-        if not ok:
-            raise ConfigError(f"sweep {key} has the wrong type: {value!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -63,13 +47,16 @@ def load_config(path: str | None) -> dict:
     for name, section in cfg.items():
         if not isinstance(section, dict):
             raise ConfigError(f"the {name} section must be an object")
+    if "scenario" in cfg.get("sweep", {}):
+        raise ConfigError("the scenario is a section of its own, not a sweep field")
     return cfg
 
 
-def merged_sections(args) -> tuple[dict, dict]:
-    """The config file's scenario and sweep sections with every flag given
-    written over the field it sets (each flag's dest names its field); the
-    sweep section is checked, the scenario is left to ScenarioConfig.from_dict.
+def merged_sections(args) -> SweepSpec:
+    """The config file's sweep section, with the file's scenario section as
+    its scenario, after every flag given is written over the field it sets
+    (each flag's dest names its field).  SweepSpec.from_dict reads the sweep
+    fields; the scenario is left to ScenarioConfig.from_dict.
 
     --seed seeds a sweep's trials on a sweep command and the session
     elsewhere; --ratio sets both fields of presets.rate_fields.
@@ -86,8 +73,7 @@ def merged_sections(args) -> tuple[dict, dict]:
             scenario[key] = value
     if getattr(args, "ratio", None) is not None:
         scenario.update(presets.rate_fields(args.ratio))
-    _check_sweep(sweep)
-    return scenario, sweep
+    return SweepSpec.from_dict({**sweep, "scenario": scenario})
 
 
 def _emit(write, out: str | None):
@@ -100,24 +86,20 @@ def _emit(write, out: str | None):
 
 
 def cmd_sweep(args) -> int:
-    scenario, sweep = merged_sections(args)
-    if sweep.get("values") is not None:
-        sweep["values"] = tuple(sweep["values"])
-    spec = SweepSpec(scenario=scenario, **sweep)
-    spec.validate()
+    spec = merged_sections(args)
     header, rows = PRESETS[args.command](spec)
     _emit(lambda fh: fh.write(format_rows(header, rows)), spec.out)
     return 0
 
 
 def cmd_gen_topology(args) -> int:
-    sc = ScenarioConfig.from_dict(merged_sections(args)[0])
+    sc = ScenarioConfig.from_dict(merged_sections(args).scenario)
     _emit(presets.cell_topology(sc, sc.seed).dump, args.out)
     return 0
 
 
 def cmd_replay_trace(args) -> int:
-    sc = ScenarioConfig.from_dict(merged_sections(args)[0])
+    sc = ScenarioConfig.from_dict(merged_sections(args).scenario)
     if args.chain_hops is not None and args.relays is not None:
         raise ConfigError("--chain-hops and --relays are mutually exclusive")
     if args.chain_hops is not None:

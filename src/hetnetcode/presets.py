@@ -39,6 +39,10 @@ class SweepSpec:
     workers: int = 1
     scenario: dict = field(default_factory=dict)  # ScenarioConfig overrides
 
+    @classmethod
+    def from_dict(cls, values: dict) -> SweepSpec:
+        return simengine.config_from_dict(cls, values)
+
     def validate(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -46,15 +50,17 @@ class SweepSpec:
             raise ConfigError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        numbers = [v for v in (*(self.values or ()), self.param_min, self.param_max,
-                               self.param_step) if v is not None]
-        if not all(math.isfinite(v) for v in numbers):
+        if not isinstance(self.values, (list, tuple, type(None))):
+            raise ConfigError("explicit sweep values must be a list")
+        bounds = (self.param_min, self.param_max, self.param_step)
+        numbers = [*(self.values or ()), *(b for b in bounds if b is not None)]
+        if not all(map(topo_mod.finite_number, numbers)):
             raise ConfigError("sweep values must be finite numbers")
         if self.values is not None:
             if len(self.values) == 0:
                 raise ConfigError("explicit sweep values must be non-empty")
             return
-        have = [v is not None for v in (self.param_min, self.param_max, self.param_step)]
+        have = [b is not None for b in bounds]
         if any(have) and not all(have):
             raise ConfigError("param_min, param_max, param_step must be given together")
         if all(have):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,36 +49,42 @@ LOADING_MODES = ("equal-rate", "equal-time")
 # coefficients in the decoded == source check, missing it w.p. 2^-64 per block.
 CHECK_PAYLOAD_BYTES = 8
 
-# JSON value types a config field accepts, and their name in errors, keyed by
-# the type of its default; a list or an object is checked by its reader
-_ACCEPTS = {bool: (bool, "true or false"), int: (int, "an integer"),
-            float: ((int, float), "a number"), str: (str, "a string"),
-            type(None): ((int, float, type(None)), "a number or null"),
-            tuple: (object, "a list")}
-_OBJECT = (object, "an object")
+# JSON value types each declared field type accepts, and their name in errors
+_JSON_TYPES = {"bool": (bool, "true or false"), "int": (int, "an integer"),
+               "float": ((int, float), "a number"), "str": (str, "a string"),
+               "None": (type(None), "null"), "tuple": ((list, tuple), "a list"),
+               "dict": (dict, "an object"), "ForwardPolicy": (dict, "an object")}
 
 
-def _type_ok(value, default) -> bool:
-    """value has the JSON type of default; floats must also be finite."""
-    accepts = _ACCEPTS.get(type(default), _OBJECT)[0]
-    return (isinstance(value, accepts) and isinstance(value, bool) == isinstance(default, bool)
-            and not (isinstance(value, float) and not math.isfinite(value)))
+def _tupled(value):
+    """value with every list or tuple in it, itself included, a tuple."""
+    return tuple(map(_tupled, value)) if isinstance(value, (list, tuple)) else value
 
 
-def _checked(cls, values) -> dict:
-    """values as keyword arguments of dataclass cls; every field must exist
-    and have the type of its default."""
+def config_from_dict(cls, values):
+    """Validated dataclass cls from JSON-style values, the one reader of
+    every config section: each key must be a field of cls and each value of
+    a JSON type the field's declared type accepts.  Lists become tuples and
+    an object for a ForwardPolicy field becomes one; every other check on a
+    value is cls.validate()'s."""
     if not isinstance(values, dict):
         raise ConfigError(f"{cls.__name__} settings must be an object")
-    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
-                for f in fields(cls)}
+    declared = {f.name: f.type.split(" | ") for f in fields(cls)}
+    kwargs = {}
     for key, value in values.items():
-        if key not in defaults:
+        if key not in declared:
             raise ConfigError(f"unknown {cls.__name__} field {key!r}")
-        if not _type_ok(value, defaults[key]):
-            expected = _ACCEPTS.get(type(defaults[key]), _OBJECT)[1]
+        accepts = [_JSON_TYPES[kind] for kind in declared[key]]
+        if not any(isinstance(value, json_type) and isinstance(value, bool) == (json_type is bool)
+                   for json_type, _ in accepts):
+            expected = " or ".join(name for _, name in accepts)
             raise ConfigError(f"{key} must be {expected}, not {value!r}")
-    return dict(values)
+        if declared[key] == ["ForwardPolicy"]:
+            value = config_from_dict(ForwardPolicy, value)
+        kwargs[key] = _tupled(value)
+    config = cls(**kwargs)
+    config.validate()
+    return config
 
 
 @dataclass
@@ -111,22 +117,7 @@ class ScenarioConfig(TopologyParams):
 
     @classmethod
     def from_dict(cls, values: dict) -> ScenarioConfig:
-        """Validated config from JSON-style values, which may give relay_policy
-        as an object and rate_tiers as a list of [bound, fraction] pairs."""
-        kwargs = _checked(cls, values)
-        policy = kwargs.get("relay_policy", ForwardPolicy())
-        if not isinstance(policy, ForwardPolicy):
-            kwargs["relay_policy"] = ForwardPolicy(**_checked(ForwardPolicy, policy))
-        if "rate_tiers" in kwargs:
-            tiers = kwargs["rate_tiers"]
-            if not isinstance(tiers, (list, tuple)) or not all(
-                    isinstance(t, (list, tuple)) and len(t) == 2
-                    and all(_type_ok(x, 0.0) for x in t) for t in tiers):
-                raise ConfigError("rate_tiers must be a list of [bound, fraction] pairs")
-            kwargs["rate_tiers"] = tuple(tuple(t) for t in tiers)
-        config = cls(**kwargs)
-        config.validate()
-        return config
+        return config_from_dict(cls, values)
 
     def validate(self):
         super().validate()
@@ -226,19 +217,17 @@ class SessionStats:
         return self.blocks_delivered * self.block_size * self.payload_bytes
 
 
-def loaded_cellular_rate(link_rate: float, users: int, mode: str,
-                         cell_rate: float | None = None) -> float:
+def loaded_cellular_rate(link_rate: float, users: int, mode: str, cell_rate: float) -> float:
     """Per-user cellular rate once the cell serves `users` users.
 
-    equal-rate divides the cell maximum evenly, capped by the node's own
+    equal-rate divides the cell maximum cell_rate evenly, capped by the node's own
     supported rate; equal-time gives each user a 1/users time share of its
     own rate.
     """
     if users < 1:
         raise ConfigError("users must be >= 1")
     if mode == "equal-rate":
-        cap = link_rate if cell_rate is None else cell_rate
-        return min(link_rate, cap / users)
+        return min(link_rate, cell_rate / users)
     if mode == "equal-time":
         return link_rate / users
     raise ConfigError(f"unknown loading mode {mode!r}")
@@ -248,8 +237,8 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
                        priorities=None):
     """Greedy maximal feasible subset of the pending (tx, rx) transmissions.
 
-    Candidates are visited in random order (optionally pre-sorted by
-    caller-supplied priority keys, random within ties) and admitted iff the
+    Candidates are visited in order of the caller's priority keys (all equal
+    if None), in random order within ties, and admitted iff the
     guard inequality holds in both directions against everything already
     admitted and neither endpoint is already busy (half-duplex radios).
     Every admitted pair therefore satisfies d(rx, k) >= (1+delta)*d(tx, rx)
@@ -261,9 +250,8 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
         return []
     jitter = rng.random(n)
     if priorities is None:
-        order = np.argsort(jitter, kind="stable")
-    else:
-        order = sorted(range(n), key=lambda i: (priorities[i], jitter[i]))
+        priorities = (0,) * n
+    order = sorted(range(n), key=lambda i: (priorities[i], jitter[i]))
     admitted: list[tuple[int, int]] = []
     admitted_txs: list[int] = []
     busy: set[int] = set()

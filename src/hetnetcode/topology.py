@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -25,6 +26,11 @@ DEFAULT_RATE_TIERS = ((0.25, 1.0), (0.5, 0.5), (0.75, 0.25), (1.0, 0.125))
 
 class LinkRangeError(ValueError):
     """Receiver is outside the transmitter's WiFi range."""
+
+
+def finite_number(x) -> bool:
+    """x is a finite real number and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass
@@ -52,8 +58,12 @@ class TopologyParams:
             raise ConfigError("rates must be positive")
         if not 0.0 <= self.backbone_fraction <= 1.0:
             raise ConfigError("backbone_fraction must be in [0, 1]")
-        if not self.rate_tiers or any(f <= 0 for _, f in self.rate_tiers):
-            raise ConfigError("rate tiers must be non-empty with positive fractions")
+        tiers = self.rate_tiers
+        if not (isinstance(tiers, (list, tuple)) and tiers and all(
+                isinstance(t, (list, tuple)) and len(t) == 2 and all(map(finite_number, t))
+                and t[1] > 0 for t in tiers)):
+            raise ConfigError("rate_tiers must be a non-empty list of [bound, fraction] "
+                              "pairs of finite numbers, with positive fractions")
 
 
 def hex_centers(radius: float) -> np.ndarray:

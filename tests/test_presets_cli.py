@@ -36,6 +36,10 @@ def test_sweep_spec_validation():
         SweepSpec(values=(0.5, float("nan"))).validate()
     with pytest.raises(ConfigError):
         SweepSpec(param_min=0.1, param_max=float("inf"), param_step=0.1).validate()
+    # sweep values built in Python get the checks a config file's do
+    for values in (("a",), (True,), (0.5, float("inf")), "ab"):
+        with pytest.raises(ConfigError):
+            SweepSpec(values=values).validate()
     assert SweepSpec(param_min=0.5, param_max=1.0,
                      param_step=0.25).sweep_values(()) == [0.5, 0.75, 1.0]
     assert SweepSpec().sweep_values((1, 2)) == [1, 2]
@@ -288,6 +292,9 @@ ONE_POINT = {"values": [0.5], "trials": 1}
     {"sweep": [1]},
     {"scenario": 5, "sweep": ONE_POINT},
     {"sweep": {"values": [0.5, float("nan")], "trials": 1}},
+    {"sweep": {"values": [[0.5]], "trials": 1}},
+    {"sweep": dict(ONE_POINT, scenario={})},
+    {"sweep": dict(ONE_POINT, bogus=1)},
 ])
 def test_cli_rejects_bad_config_sections(tmp_path, section):
     cfg = tmp_path / "cfg.json"

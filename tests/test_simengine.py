@@ -1,4 +1,5 @@
 import io
+import json
 from collections import Counter
 from dataclasses import asdict, fields
 
@@ -71,15 +72,25 @@ def test_config_keys_are_pinned():
     assert not set(ScenarioConfig.__annotations__) & inherited
 
 
+@pytest.mark.parametrize("cls", [ScenarioConfig, ForwardPolicy, presets.SweepSpec])
+def test_config_reader_knows_every_declared_type(cls):
+    # a field whose annotation the reader cannot map to JSON types would
+    # fail only when a config file names it
+    for f in fields(cls):
+        assert set(f.type.split(" | ")) <= set(simengine._JSON_TYPES), f.name
+    # and every default survives a JSON round trip through the reader
+    assert simengine.config_from_dict(cls, json.loads(json.dumps(asdict(cls())))) == cls()
+
+
 def test_loaded_cellular_rate_examples():
     for mode in ("equal-rate", "equal-time"):
         assert loaded_cellular_rate(4.0, 1, mode, cell_rate=4.0) == 4.0
-    assert loaded_cellular_rate(4.0, 4, "equal-time") == 1.0
+    assert loaded_cellular_rate(4.0, 4, "equal-time", cell_rate=4.0) == 1.0
     # equal-rate is capped by the node's own supported rate
     assert loaded_cellular_rate(1.0, 2, "equal-rate", cell_rate=4.0) == 1.0
     assert loaded_cellular_rate(4.0, 8, "equal-rate", cell_rate=4.0) == 0.5
     with pytest.raises(ConfigError):
-        loaded_cellular_rate(4.0, 0, "equal-rate")
+        loaded_cellular_rate(4.0, 0, "equal-rate", cell_rate=4.0)
 
 
 def test_loaded_cellular_rate_conservation_and_monotone():
@@ -150,6 +161,10 @@ def test_schedule_is_feasible_and_maximal(points, delta, seed, data):
     priorities = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=len(pending),
                                                 max_size=len(pending)))
     admitted = schedule_wifi_slot(pending, topo, np.random.default_rng(seed), priorities)
+    if priorities is None:
+        # no priorities are all-equal priorities, from the same jitter draw
+        assert admitted == schedule_wifi_slot(pending, topo, np.random.default_rng(seed),
+                                              [0] * len(pending))
     assert set(admitted) <= set(pending)
     assert brute_force_guard_ok(topo, admitted)
     # maximal: every pair left out shares a radio with the admitted set or

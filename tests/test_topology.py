@@ -45,6 +45,11 @@ def test_generate_rejects_bad_params():
     for bad in ({"delta": math.nan}, {"wifi_range": math.inf}, {"cell_radius": math.inf}):
         with pytest.raises(ConfigError):
             topology.generate(5, np.random.default_rng(0), topology.TopologyParams(**bad))
+    # rate tiers built in Python get the checks a config file's do
+    for tiers in (((0.25, math.nan), (1.0, math.nan)), ((0.5, 1.0), (1.0, math.inf)),
+                  ((0.5,),), ((0.5, True),), ((0.5, 1.0), (math.inf, 0.5)), ()):
+        with pytest.raises(ConfigError):
+            topology.TopologyParams(rate_tiers=tiers).validate()
 
 
 def test_generate_uniform_over_hexagons():
