@@ -220,9 +220,9 @@ class SessionStats:
 def loaded_cellular_rate(link_rate: float, users: int, mode: str, cell_rate: float) -> float:
     """Per-user cellular rate once the cell serves `users` users.
 
-    equal-rate divides the cell maximum cell_rate evenly, capped by the node's own
-    supported rate; equal-time gives each user a 1/users time share of its
-    own rate.
+    equal-rate divides the cell maximum cell_rate evenly, capped by the
+    node's own supported rate; equal-time gives each user a 1/users time
+    share of its own rate.
     """
     if users < 1:
         raise ConfigError("users must be >= 1")
