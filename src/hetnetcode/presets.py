@@ -44,23 +44,20 @@ class SweepSpec:
         return simengine.config_from_dict(cls, values)
 
     def validate(self):
+        topo_mod.check_types(self)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not isinstance(self.values, (list, tuple, type(None))):
-            raise ConfigError("explicit sweep values must be a list")
-        bounds = (self.param_min, self.param_max, self.param_step)
-        numbers = [*(self.values or ()), *(b for b in bounds if b is not None)]
-        if not all(map(topo_mod.finite_number, numbers)):
+        if not all(map(topo_mod.finite_number, self.values or ())):
             raise ConfigError("sweep values must be finite numbers")
         if self.values is not None:
             if len(self.values) == 0:
                 raise ConfigError("explicit sweep values must be non-empty")
             return
-        have = [b is not None for b in bounds]
+        have = [b is not None for b in (self.param_min, self.param_max, self.param_step)]
         if any(have) and not all(have):
             raise ConfigError("param_min, param_max, param_step must be given together")
         if all(have):

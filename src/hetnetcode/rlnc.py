@@ -9,6 +9,7 @@ block.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +98,27 @@ def _packet(block_id: int, m: int, row: bytes) -> CodedPacket:
     return p
 
 
-def _random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+def _random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
+    """n uniform bytes, redrawn while all zero: the bytes of
+    rng.integers(0, 256, size=n, dtype=np.uint8), drawn through the bit
+    generator's C interface.  numpy fills that uint8 draw from ceil(n / 4)
+    next_uint32 words, low byte first, and drops a last word's spare bytes,
+    so both advance the generator alike.  No lock is taken: the generator
+    must not be shared across threads."""
+    c = rng.bit_generator.ctypes
+    next_uint32, state = c.next_uint32, c.state
+    words = (n + 3) >> 2
     while True:
-        v = rng.integers(0, 256, size=n, dtype=np.uint8)
-        if np.count_nonzero(v):
+        v = struct.pack(f"<{words}I", *[next_uint32(state) for _ in range(words)])[:n]
+        if any(v):
             return v
+
+
+def _combined(block: SourceBlock, coefficients: bytes) -> CodedPacket:
+    """The packet with these coefficient bytes, one per block packet."""
+    payload = gf256.weighted_row_sum(np.frombuffer(coefficients, dtype=np.uint8),
+                                     block.row_index())
+    return _packet(block.block_id, block.size, coefficients + payload.tobytes())
 
 
 def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
@@ -109,13 +126,12 @@ def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
     coefficients = np.asarray(coefficients, dtype=np.uint8)
     if coefficients.shape != (block.size,):
         raise ValueError("coefficient vector length must equal the block size")
-    payload = gf256.weighted_row_sum(coefficients, block.row_index())
-    return _packet(block.block_id, block.size, coefficients.tobytes() + payload.tobytes())
+    return _combined(block, coefficients.tobytes())
 
 
 def encode(block: SourceBlock, rng: np.random.Generator) -> CodedPacket:
     """Fresh coded packet with coefficients drawn uniformly (all-zero rejected)."""
-    return coded_packet(block, _random_nonzero_vector(block.size, rng))
+    return _combined(block, _random_nonzero_bytes(block.size, rng))
 
 
 class RecodeBuffer:
@@ -162,7 +178,7 @@ def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
     packets = buffer.packets
     if not packets:
         raise ValueError("cannot recode from an empty buffer")
-    weights = _random_nonzero_vector(len(packets), rng).tobytes()
+    weights = _random_nonzero_bytes(len(packets), rng)
     mul = gf256.MUL_BYTES
     acc = 0
     for w, p in zip(weights, packets):

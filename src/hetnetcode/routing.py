@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .topology import HetNetTopology
+from .topology import HetNetTopology, check_types
 
 UNREACHABLE = float("inf")
 
@@ -29,6 +29,7 @@ class ForwardPolicy:
     p: float = 0.5  # probability of picking cellular in probabilistic mode
 
     def validate(self):
+        check_types(self)
         if self.mode not in POLICY_MODES:
             raise ConfigError(f"unknown policy mode {self.mode!r}")
         if self.both_mode not in BOTH_MODES:

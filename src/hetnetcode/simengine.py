@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .routing import (
     UNREACHABLE,
     select_interfaces,
 )
-from .topology import HetNetTopology, TopologyParams, cellular_link_rate
+from .topology import HetNetTopology, TopologyParams, cellular_link_rate, declared_types
 
 LOADING_MODES = ("equal-rate", "equal-time")
 
@@ -48,12 +48,6 @@ LOADING_MODES = ("equal-rate", "equal-time")
 # and 8 columns coded alike still catch a payload that disagrees with its
 # coefficients in the decoded == source check, missing it w.p. 2^-64 per block.
 CHECK_PAYLOAD_BYTES = 8
-
-# JSON value types each declared field type accepts, and their name in errors
-_JSON_TYPES = {"bool": (bool, "true or false"), "int": (int, "an integer"),
-               "float": ((int, float), "a number"), "str": (str, "a string"),
-               "None": (type(None), "null"), "tuple": ((list, tuple), "a list"),
-               "dict": (dict, "an object"), "ForwardPolicy": (dict, "an object")}
 
 
 def _tupled(value):
@@ -63,25 +57,23 @@ def _tupled(value):
 
 def config_from_dict(cls, values):
     """Validated dataclass cls from JSON-style values, the one reader of
-    every config section: each key must be a field of cls and each value of
-    a JSON type the field's declared type accepts.  Lists become tuples and
-    an object for a ForwardPolicy field becomes one; every other check on a
-    value is cls.validate()'s."""
+    every config section: each key must be a field of cls.  A list for a
+    tuple field becomes a tuple and an object for a dataclass field (a
+    ForwardPolicy) becomes one; cls.validate() checks each value against
+    the field's declared type, then the value itself."""
     if not isinstance(values, dict):
         raise ConfigError(f"{cls.__name__} settings must be an object")
-    declared = {f.name: f.type.split(" | ") for f in fields(cls)}
+    declared = declared_types(cls)
     kwargs = {}
     for key, value in values.items():
         if key not in declared:
             raise ConfigError(f"unknown {cls.__name__} field {key!r}")
-        accepts = [_JSON_TYPES[kind] for kind in declared[key]]
-        if not any(isinstance(value, json_type) and isinstance(value, bool) == (json_type is bool)
-                   for json_type, _ in accepts):
-            expected = " or ".join(name for _, name in accepts)
-            raise ConfigError(f"{key} must be {expected}, not {value!r}")
-        if declared[key] == ["ForwardPolicy"]:
-            value = config_from_dict(ForwardPolicy, value)
-        kwargs[key] = _tupled(value)
+        kinds = declared[key][0]
+        if isinstance(value, dict) and is_dataclass(kinds[0]):
+            value = config_from_dict(kinds[0], value)
+        elif tuple in kinds:
+            value = _tupled(value)
+        kwargs[key] = value
     config = cls(**kwargs)
     config.validate()
     return config

@@ -8,9 +8,11 @@ range, and the protocol interference model with guard factor delta.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -33,6 +35,41 @@ def finite_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+# the values a declared field type accepts, and their name in errors; a JSON
+# list is read as a tuple, a JSON object for a dataclass field as that class
+_ACCEPTS = {bool: (bool, "true or false"), int: (int, "an integer"),
+            float: ((int, float), "a number"), str: (str, "a string"),
+            type(None): (type(None), "null"), tuple: ((list, tuple), "a list"),
+            dict: (dict, "an object")}
+
+
+@functools.cache
+def declared_types(cls) -> dict:
+    """Per field of the config dataclass cls: the members of its declared
+    type, the types a value other than a bool may have, and the declared
+    type's name in errors, read once per class."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        accepts = [(kind, f"a {kind.__name__} (an object)") if is_dataclass(kind)
+                   else _ACCEPTS[kind] for kind in kinds]
+        table[f.name] = (kinds, tuple(t for t, _ in accepts if t is not bool),
+                         " or ".join(label for _, label in accepts))
+    return table
+
+
+def check_types(config):
+    """ConfigError unless every field of config holds a value of its declared
+    type, a bool being no number, and every float is finite."""
+    for name, (kinds, accepted, expected) in declared_types(type(config)).items():
+        value = getattr(config, name)
+        if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):
+            raise ConfigError(f"{name} must be {expected}, not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, not {value}")
+
+
 @dataclass
 class TopologyParams:
     cell_radius: float = 1000.0
@@ -44,12 +81,9 @@ class TopologyParams:
     backbone_rate: float = 100.0  # wired bus capacity, in units of R_WiFi
 
     def validate(self):
-        """Every float field (a subclass's too) finite, then the topology's
-        own ranges."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, not {value}")
+        """Every field's type (a subclass's too), then the topology's own
+        ranges."""
+        check_types(self)
         if self.cell_radius <= 0 or self.wifi_range <= 0:
             raise ConfigError("cell_radius and wifi_range must be positive")
         if self.delta < 0:
@@ -59,7 +93,7 @@ class TopologyParams:
         if not 0.0 <= self.backbone_fraction <= 1.0:
             raise ConfigError("backbone_fraction must be in [0, 1]")
         tiers = self.rate_tiers
-        if not (isinstance(tiers, (list, tuple)) and tiers and all(
+        if not (tiers and all(
                 isinstance(t, (list, tuple)) and len(t) == 2 and all(map(finite_number, t))
                 and t[1] > 0 for t in tiers)):
             raise ConfigError("rate_tiers must be a non-empty list of [bound, fraction] "

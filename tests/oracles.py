@@ -1,5 +1,6 @@
-"""Reference implementations that the tests compare the program with: GF(2^8)
-linear algebra on uint8 matrices, and per-node topology and routing scans."""
+"""Reference implementations that the tests compare the program with: the
+coefficient draw through numpy's uint8 integers, GF(2^8) linear algebra on
+uint8 matrices, and per-node topology and routing scans."""
 
 from __future__ import annotations
 
@@ -9,6 +10,15 @@ import numpy as np
 
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
+
+
+def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform coefficient bytes from numpy's uint8 draw, redrawn while all
+    zero."""
+    while True:
+        v = rng.integers(0, 256, size=n, dtype=np.uint8)
+        if np.count_nonzero(v):
+            return v
 
 
 def add(a, b):

@@ -1,3 +1,6 @@
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +14,19 @@ def make_block(rng, block_id=0, m=20, k=64):
 
 
 class ForcedRng:
-    """Stands in for numpy Generator; returns queued coefficient vectors."""
+    """Stands in for numpy Generator; its bit generator's C interface serves
+    the queued coefficient vectors as little-endian 32-bit words, each vector
+    padded with zero bytes to whole words, as numpy frames a uint8 draw."""
 
     def __init__(self, *vectors):
-        self.queue = [np.asarray(v, dtype=np.uint8) for v in vectors]
-
-    def integers(self, low, high, size=None, dtype=None):
-        return self.queue.pop(0)
+        words = []
+        for v in vectors:
+            raw = np.asarray(v, dtype=np.uint8).tobytes()
+            raw += bytes(-len(raw) % 4)
+            words += struct.unpack(f"<{len(raw) // 4}I", raw)
+        self.words = words
+        self.bit_generator = SimpleNamespace(
+            ctypes=SimpleNamespace(state=None, next_uint32=lambda state: self.words.pop(0)))
 
 
 def test_encode_identity_rows():
@@ -44,6 +53,45 @@ def test_encode_rejects_all_zero_draw():
     rng = ForcedRng([0, 0, 0], [0, 5, 0])
     p = rlnc.encode(block, rng)
     assert p.coefficients.tolist() == [0, 5, 0]
+    assert rng.words == []
+
+
+# steps on one generator: a coefficient draw of n bytes, a hop pick
+# integers(0, k), where k = 1 draws nothing, or a scheduler draw random(k)
+_DRAWS = st.lists(st.one_of(st.tuples(st.just("coefficients"), st.integers(1, 64)),
+                            st.tuples(st.just("pick"), st.integers(1, 9)),
+                            st.tuples(st.just("random"), st.integers(1, 5))),
+                  min_size=1, max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
+       seed=st.integers(0, 2**32 - 1), steps=_DRAWS)
+def test_coefficient_draw_is_numpys_uint8_draw(bit_generator, seed, steps):
+    """The C-interface draw returns the bytes of numpy's uint8 draw and
+    leaves the generator where numpy's leaves it, among other draws."""
+    ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for kind, n in steps:
+        if kind == "coefficients":
+            want = oracles.random_nonzero_vector(n, theirs).tobytes()
+            assert rlnc._random_nonzero_bytes(n, ours) == want
+        elif kind == "pick":
+            assert ours.integers(0, n) == theirs.integers(0, n)
+        else:
+            assert ours.random(n).tobytes() == theirs.random(n).tobytes()
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator, seed", [(np.random.PCG64, 121),
+                                                 (np.random.MT19937, 14)])
+def test_coefficient_draw_rejects_a_zero_byte(bit_generator, seed):
+    """At n = 1 a first byte of 0 is redrawn, as numpy's draw would be."""
+    first = np.random.Generator(bit_generator(seed)).integers(0, 256, size=1, dtype=np.uint8)
+    assert first[0] == 0
+    ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    got = rlnc._random_nonzero_bytes(1, ours)
+    assert got != b"\0" and got == oracles.random_nonzero_vector(1, theirs).tobytes()
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
 
 
 def test_encode_distinct_coefficient_vectors():

@@ -75,11 +75,29 @@ def test_config_keys_are_pinned():
 @pytest.mark.parametrize("cls", [ScenarioConfig, ForwardPolicy, presets.SweepSpec])
 def test_config_reader_knows_every_declared_type(cls):
     # a field whose annotation the reader cannot map to JSON types would
-    # fail only when a config file names it
-    for f in fields(cls):
-        assert set(f.type.split(" | ")) <= set(simengine._JSON_TYPES), f.name
+    # fail only when a config file names it; the table raises KeyError on one
+    declared = topology.declared_types(cls)
+    assert list(declared) == [f.name for f in fields(cls)]
     # and every default survives a JSON round trip through the reader
     assert simengine.config_from_dict(cls, json.loads(json.dumps(asdict(cls())))) == cls()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: presets.SweepSpec(trials="x"),
+    lambda: presets.SweepSpec(values="ab"),
+    lambda: ScenarioConfig(block_size="x"),
+    lambda: ScenarioConfig(seed=True),
+    lambda: ScenarioConfig(relay_policy={"mode": "both"}),
+    lambda: ScenarioConfig(wifi_enabled="no"),
+    lambda: ScenarioConfig(link_rate_override="x"),
+    lambda: ScenarioConfig(delta=float("nan")),
+    lambda: ForwardPolicy(p="x"),
+    lambda: topology.TopologyParams(rate_tiers="x"),
+])
+def test_mistyped_config_built_in_python_is_a_config_error(make):
+    # validate() checks each field's declared type, as the JSON reader does
+    with pytest.raises(ConfigError):
+        make().validate()
 
 
 def test_loaded_cellular_rate_examples():
