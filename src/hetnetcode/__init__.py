@@ -3,7 +3,7 @@
 from . import gf256, rlnc, routing, simengine, topology
 from .errors import ConfigError, NoPathError
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
-from .routing import ForwardPolicy, RouteTable, build_routes
+from .routing import ForwardPolicy
 from .simengine import (
     EventTrace,
     ScenarioConfig,

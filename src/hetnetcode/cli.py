@@ -24,7 +24,6 @@ import sys
 from . import presets
 from .errors import ConfigError, NoPathError
 from .presets import PRESETS, SweepSpec, format_rows
-from .routing import build_routes
 from .simengine import ScenarioConfig, run_session
 
 _SWEEP_FIELDS = {f.name for f in dataclasses.fields(SweepSpec)} - {"scenario"}
@@ -108,7 +107,7 @@ def cmd_replay_trace(args) -> int:
         sc, topo, pair = presets.relay_star_scenario(sc, args.relays, args.link_rate)
     else:
         topo, pair = presets.cell_topology(sc, sc.seed), None
-    _, trace = run_session(sc, topo, build_routes(topo), pair=pair)
+    _, trace = run_session(sc, topo, pair=pair)
     _emit(trace.write_csv, args.out)
     return 0
 

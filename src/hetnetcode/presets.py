@@ -18,7 +18,6 @@ import numpy as np
 
 from . import simengine, topology as topo_mod
 from .errors import ConfigError
-from .routing import build_routes
 from .simengine import ScenarioConfig, compare_modes, pick_session_pair, run_session
 
 TOPO2_RATES = (12, 18, 24, 36, 48, 54)
@@ -176,11 +175,10 @@ def _compare_trial(args):
         topo, pair = cell_topology(base, spec_seed, trial), None
     else:
         base, topo, pair = chain_scenario(base, chain_hops)
-    routes = build_routes(topo)
     out = []
     for overrides in points:
         cell, comb = compare_modes(trial_config(base, spec_seed, trial, **overrides),
-                                   topo, routes, pair)
+                                   topo, pair)
         out.append((cell.relative_throughput, comb.relative_throughput))
     return out
 
@@ -234,12 +232,11 @@ def _infra_trial(args):
     probe_cfg = trial_config(base, spec_seed, trial)
     base_topo, *topos = cell_topology(probe_cfg, spec_seed, trial,
                                       [probe_cfg.backbone_fraction, *map(float, fracs)])
-    pair = pick_session_pair(base_topo, build_routes(base_topo), probe_cfg.min_hops,
-                             simengine.pair_rng(probe_cfg.seed))
+    pair = pick_session_pair(base_topo, probe_cfg.min_hops, simengine.pair_rng(probe_cfg.seed))
     out = []
     for frac, topo in zip(fracs, topos):
         cfg = trial_config(base, spec_seed, trial, backbone_fraction=float(frac))
-        stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
+        stats, _ = run_session(cfg, topo, pair=pair)
         out.append(stats.relative_throughput)
     return out
 
@@ -286,7 +283,7 @@ def _topo2_trial(args):
     out = []
     for rate, n in points:
         cfg, topo, pair = relay_star_scenario(base, n, rate)
-        stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
+        stats, _ = run_session(cfg, topo, pair=pair)
         out.append(stats.relative_throughput)
     return out
 

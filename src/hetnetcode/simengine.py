@@ -36,7 +36,6 @@ from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
 from .routing import (
     ForwardPolicy,
     InterfaceSelector,
-    RouteTable,
     UNREACHABLE,
     select_interfaces,
 )
@@ -259,12 +258,12 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     return admitted
 
 
-def pick_session_pair(topo: HetNetTopology, routes: RouteTable, min_hops: int,
+def pick_session_pair(topo: HetNetTopology, min_hops: int,
                       rng: np.random.Generator) -> tuple[int, int]:
     """Random S-D pair with a finite route of at least min_hops hops."""
     order = rng.permutation(len(topo))
     for s in order:
-        dist = routes.distances_to(int(s))
+        dist = topo.routes.distances_to(int(s))
         cand = np.nonzero((dist >= min_hops) & (dist < UNREACHABLE))[0]
         if cand.size:
             d = int(cand[rng.integers(0, cand.size)])
@@ -321,23 +320,23 @@ class _Relay:
 class _Session:
     """Single-run state; drive via run_session()."""
 
-    def __init__(self, config: ScenarioConfig, topo: HetNetTopology, routes: RouteTable,
-                 pair: tuple[int, int] | None, schedule_log, no_skip: bool):
+    def __init__(self, config: ScenarioConfig, topo: HetNetTopology, pair: tuple[int, int] | None,
+                 schedule_log, no_skip: bool):
         config.validate()
         self.cfg = config
         self.topo = topo
-        self.routes = routes
+        self.routes = topo.routes
         self.schedule_log = schedule_log
         self.no_skip = no_skip
 
         (rng_pair, self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
          self.rng_data) = session_rngs(config.seed)
         if pair is None:
-            pair = pick_session_pair(topo, routes, config.min_hops, rng_pair)
+            pair = pick_session_pair(topo, config.min_hops, rng_pair)
         self.src, self.dst = int(pair[0]), int(pair[1])
         if self.src == self.dst:
             raise ConfigError("source and destination must differ")
-        self.dist_to_dst = routes.distances_to(self.dst)
+        self.dist_to_dst = self.routes.distances_to(self.dst)
 
         # node rates scale with the session's cell maximum, not the topology's
         self.rate_scale = config.r_cell / topo.params.r_cell
@@ -646,18 +645,17 @@ class _Session:
         return stats, self.trace
 
 
-def run_session(config: ScenarioConfig, topo: HetNetTopology, routes: RouteTable,
-                pair: tuple[int, int] | None = None, schedule_log=None,
-                no_skip: bool = False) -> tuple[SessionStats, EventTrace]:
-    """Simulate one S-D session; deterministic in (config, topology, routes)."""
-    return _Session(config, topo, routes, pair, schedule_log, no_skip).run()
+def run_session(config: ScenarioConfig, topo: HetNetTopology, pair: tuple[int, int] | None = None,
+                schedule_log=None, no_skip: bool = False) -> tuple[SessionStats, EventTrace]:
+    """Simulate one S-D session; deterministic in (config, topology)."""
+    return _Session(config, topo, pair, schedule_log, no_skip).run()
 
 
-def compare_modes(config: ScenarioConfig, topo: HetNetTopology, routes: RouteTable,
+def compare_modes(config: ScenarioConfig, topo: HetNetTopology,
                   pair: tuple[int, int] | None = None) -> tuple[SessionStats, SessionStats]:
     """(cellular-only, combined) stats of two sessions with the same seed on
     the same topology; both pick the same pair when none is given."""
     cellular_only, _ = run_session(replace(config, wifi_enabled=False, cellular_enabled=True),
-                                   topo, routes, pair=pair)
-    combined, _ = run_session(replace(config, cellular_enabled=True), topo, routes, pair=pair)
+                                   topo, pair=pair)
+    combined, _ = run_session(replace(config, cellular_enabled=True), topo, pair=pair)
     return cellular_only, combined

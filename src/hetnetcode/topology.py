@@ -31,8 +31,11 @@ class LinkRangeError(ValueError):
 
 
 def finite_number(x) -> bool:
-    """x is a finite real number and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """x is a real number other than a bool with a finite float value."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 # the values a declared field type accepts, and their name in errors; a JSON
@@ -61,13 +64,15 @@ def declared_types(cls) -> dict:
 
 def check_types(config):
     """ConfigError unless every field of config holds a value of its declared
-    type, a bool being no number, and every float is finite."""
+    type, a bool being no number, and every float, or int in a float field,
+    has a finite float value."""
     for name, (kinds, accepted, expected) in declared_types(type(config)).items():
         value = getattr(config, name)
         if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):
             raise ConfigError(f"{name} must be {expected}, not {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, not {value}")
+        number = isinstance(value, float) or float in kinds and type(value) is int
+        if number and not finite_number(value):
+            raise ConfigError(f"{name} must be a finite number")
 
 
 @dataclass
@@ -202,6 +207,12 @@ class HetNetTopology:
     def __len__(self) -> int:
         return len(self.positions)
 
+    @functools.cached_property
+    def routes(self):
+        """This topology's hop-count RouteTable, built on first use."""
+        from . import routing  # routing imports this module
+        return routing.build_routes(self)
+
     def distance(self, a: int, b: int) -> float:
         pa, pb = self.positions[a], self.positions[b]
         return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
@@ -322,9 +333,10 @@ def place(node_count: int, rng: np.random.Generator,
 def with_backbone(plain: HetNetTopology, fraction: float,
                   rng: np.random.Generator) -> HetNetTopology:
     """plain with round(fraction * members) backbone nodes drawn per cell;
-    the result shares plain's arrays and adjacency lists, and plain is left
-    unchanged."""
+    the result shares plain's arrays and adjacency lists but builds its own
+    routes, and plain is left unchanged."""
     topo = copy.copy(plain)
+    topo.__dict__.pop("routes", None)  # plain's table, if built, has plain's bus
     topo.params = replace(plain.params, backbone_fraction=fraction)
     topo.params.validate()
     chosen = []

@@ -85,16 +85,16 @@ def payload_matrix(dec) -> np.ndarray:
     return kept_rows(dec)[:, dec.block_size:]
 
 
-def hop_distance(routes, src: int, dst: int) -> float:
-    return float(routes.distances_to(dst)[src])
+def hop_distance(topo, src: int, dst: int) -> float:
+    return float(topo.routes.distances_to(dst)[src])
 
 
-def on_route(node: int, src: int, dst: int, routes) -> bool:
-    """True iff node lies on some shortest src->dst path."""
-    total = hop_distance(routes, src, dst)
+def on_route(node: int, src: int, dst: int, topo) -> bool:
+    """True iff node lies on some shortest src->dst path of topo."""
+    total = hop_distance(topo, src, dst)
     if total == UNREACHABLE:
         return False
-    return hop_distance(routes, src, node) + hop_distance(routes, node, dst) == total
+    return hop_distance(topo, src, node) + hop_distance(topo, node, dst) == total
 
 
 def rate_for_distance(dist: float, radius: float, tiers, cell_rate: float) -> float:

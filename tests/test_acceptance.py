@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hetnetcode import gf256, rlnc, routing, topology
+from hetnetcode import gf256, rlnc, topology
 from hetnetcode.errors import NoPathError
 from hetnetcode.presets import (
     SweepSpec,
@@ -121,12 +121,11 @@ def test_criterion_05_protocol_model_soundness():
     for t in range(100):
         topo = topology.generate(10, np.random.default_rng(np.random.SeedSequence((5, t))),
                                  params)
-        routes = routing.build_routes(topo)
         cfg = ScenarioConfig(node_count=10, cellular_enabled=False, min_hops=1,
                              block_target=2, slot_budget=300, seed=t)
         log = []
         try:
-            run_session(cfg, topo, routes, schedule_log=log)
+            run_session(cfg, topo, schedule_log=log)
         except NoPathError:
             continue  # no WiFi pair in this draw; topology still counts
         sessions += 1
@@ -210,11 +209,10 @@ def test_criterion_09_relay_scaling_trend():
 
 def test_criterion_10_stale_block_transitions():
     topo = topology.relay_star_topology(3, link_capacity=1.0)
-    routes = routing.build_routes(topo)
     cfg = ScenarioConfig(node_count=5, cellular_enabled=False, min_hops=2, ack_delay=1,
                          wired_relay_rate=TOPO2_RELAY_RATE, block_target=4,
                          slot_budget=8000, seed=0)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 4))
+    stats, trace = run_session(cfg, topo, pair=(0, 4))
     transitions_with_stale = 0
     innovative_ok = True
     for b, decode_slot in enumerate(stats.decode_slots[:-1]):
@@ -243,12 +241,11 @@ def test_criterion_11_determinism():
     d = format_rows(*preset_topo2(topo_spec, rates=(54,)))
     # and a full CLI round trip through the trace writer
     topo = topology.chain_topology(3)
-    routes = routing.build_routes(topo)
     cfg = ScenarioConfig(node_count=4, min_hops=3, link_rate_override=0.4, seed=7,
                          block_target=2, slot_budget=600)
     bufs = []
     for _ in range(2):
-        _, trace = run_session(cfg, topo, routes, pair=(0, 3))
+        _, trace = run_session(cfg, topo, pair=(0, 3))
         out = io.StringIO()
         trace.write_csv(out)
         bufs.append(out.getvalue())

@@ -21,7 +21,6 @@ from hetnetcode.presets import (
     TOPO2_REFERENCE_RATE,
     TOPO2_RELAY_RATE,
 )
-from hetnetcode.routing import build_routes
 from hetnetcode.simengine import ScenarioConfig, run_session
 
 SEEDS = (0, 1, 2)
@@ -32,7 +31,7 @@ def test_wifi_chain_stays_under_one_in_three_reuse(hops):
     for seed in SEEDS:
         cfg, topo, pair = presets.chain_scenario(
             ScenarioConfig(cellular_enabled=False, seed=seed), hops)
-        stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
+        stats, _ = run_session(cfg, topo, pair=pair)
         # at most 1/3, and a saturated chain comes close to it
         assert 0.25 <= stats.relative_throughput <= 1 / 3, (hops, seed)
 
@@ -54,6 +53,6 @@ def test_relay_star_never_beats_its_min_cut(rate):
     for seed in SEEDS:
         for n in range(1, 7):
             cfg, topo, pair = presets.relay_star_scenario(replace(base, seed=seed), n, rate)
-            stats, _ = run_session(cfg, topo, build_routes(topo), pair=pair)
+            stats, _ = run_session(cfg, topo, pair=pair)
             delivered = stats.blocks_delivered * stats.block_size
             assert delivered <= relay_star_cut(n, rate, stats.slots_elapsed) + 1e-9, (n, seed)

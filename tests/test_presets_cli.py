@@ -148,18 +148,17 @@ def test_topo1_zero_delay_matches_engine_and_delay_hurts():
 
 def test_topo1_rows_match_direct_engine_run():
     # the preset is the plain engine on a 7-hop chain, nothing more
-    from hetnetcode import routing, simengine, topology
+    from hetnetcode import simengine, topology
 
     spec = SweepSpec(values=(0.5,), trials=2, seed=8)
     _, rows = preset_topo1(spec)
     base = presets._base_config(spec, node_count=8, min_hops=7,
                                 block_target=3, slot_budget=6000)
     topo = topology.chain_topology(7, base.topology_params())
-    routes = routing.build_routes(topo)
     cell_vals, comb_vals = [], []
     for trial in range(2):
         cfg = presets.trial_config(base, 8, trial, link_rate_override=0.5, r_cell=0.5)
-        cell, comb = simengine.compare_modes(cfg, topo, routes, pair=(0, 7))
+        cell, comb = simengine.compare_modes(cfg, topo, pair=(0, 7))
         cell_vals.append(cell.relative_throughput)
         comb_vals.append(comb.relative_throughput)
     assert rows[0][1] == pytest.approx(sum(cell_vals) / 2, abs=1e-12)
@@ -295,6 +294,9 @@ ONE_POINT = {"values": [0.5], "trials": 1}
     {"sweep": {"values": [[0.5]], "trials": 1}},
     {"sweep": dict(ONE_POINT, scenario={})},
     {"sweep": dict(ONE_POINT, bogus=1)},
+    # a 401-digit integer has no finite float value
+    {"sweep": {"values": [10**400], "trials": 1}},
+    {"scenario": {"r_cell": 10**400}, "sweep": ONE_POINT},
 ])
 def test_cli_rejects_bad_config_sections(tmp_path, section):
     cfg = tmp_path / "cfg.json"

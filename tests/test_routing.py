@@ -44,17 +44,15 @@ def oracle_distance(n, edges, src, dst):
 def test_line_graph_distances():
     params = topology.TopologyParams()
     topo = topology.HetNetTopology(params, [(100.0 * i, 0.0) for i in range(3)])
-    routes = routing.build_routes(topo)
-    assert hop_distance(routes, 0, 2) == 2
-    assert routes.next_hops(0, 2) == [1]
-    assert routes.next_hops(1, 2) == [2]
+    assert hop_distance(topo, 0, 2) == 2
+    assert topo.routes.next_hops(0, 2) == [1]
+    assert topo.routes.next_hops(1, 2) == [2]
 
 
 def test_isolated_destination_unreachable():
     topo = graph_topology(4, [(0, 1), (1, 2)])
-    routes = routing.build_routes(topo)
-    assert hop_distance(routes, 0, 3) == routing.UNREACHABLE
-    assert routes.next_hops(0, 3) == []
+    assert hop_distance(topo, 0, 3) == routing.UNREACHABLE
+    assert topo.routes.next_hops(0, 3) == []
 
 
 def test_distances_match_enumeration_oracle():
@@ -68,20 +66,18 @@ def test_distances_match_enumeration_oracle():
             if rng.random() < 0.3
         ]
         topo = graph_topology(n, edges)
-        routes = routing.build_routes(topo)
         for src in range(n):
             for dst in range(src, n):
-                assert hop_distance(routes, src, dst) == oracle_distance(n, edges, src, dst)
-                assert hop_distance(routes, src, dst) == hop_distance(routes, dst, src)
+                assert hop_distance(topo, src, dst) == oracle_distance(n, edges, src, dst)
+                assert hop_distance(topo, src, dst) == hop_distance(topo, dst, src)
 
 
 def test_on_route_examples():
     # line 0-1-2 plus a detour node 3 hanging off node 1
     topo = graph_topology(4, [(0, 1), (1, 2), (1, 3)])
-    routes = routing.build_routes(topo)
-    assert on_route(0, 0, 2, routes) is True
-    assert on_route(1, 0, 2, routes) is True
-    assert on_route(3, 0, 2, routes) is False
+    assert on_route(0, 0, 2, topo) is True
+    assert on_route(1, 0, 2, topo) is True
+    assert on_route(3, 0, 2, topo) is False
 
 
 def test_on_route_matches_enumeration():
@@ -95,7 +91,6 @@ def test_on_route_matches_enumeration():
             if rng.random() < 0.35
         ]
         topo = graph_topology(n, edges)
-        routes = routing.build_routes(topo)
         src, dst = 0, n - 1
         total = oracle_distance(n, edges, src, dst)
         if total == routing.UNREACHABLE:
@@ -103,28 +98,26 @@ def test_on_route_matches_enumeration():
         for node in range(n):
             a = oracle_distance(n, edges, src, node)
             b = oracle_distance(n, edges, node, dst)
-            assert on_route(node, src, dst, routes) == (a + b == total)
+            assert on_route(node, src, dst, topo) == (a + b == total)
 
 
 def test_next_hops_strictly_closer():
     rng = np.random.default_rng(31)
     topo = topology.generate(120, rng, topology.TopologyParams(cell_radius=300.0))
-    routes = routing.build_routes(topo)
     for node in range(1, 120):
-        d = hop_distance(routes, node, 0)
+        d = hop_distance(topo, node, 0)
         if d == routing.UNREACHABLE:
             continue
-        for nh in routes.next_hops(node, 0):
-            assert hop_distance(routes, nh, 0) == d - 1
+        for nh in topo.routes.next_hops(node, 0):
+            assert hop_distance(topo, nh, 0) == d - 1
 
 
 def test_backbone_counts_as_one_virtual_hop():
     params = topology.TopologyParams()
     topo = topology.HetNetTopology(params, [(0.0, 0.0), (5000.0, 0.0), (5100.0, 0.0)],
                                    cell_ids=[0, 1, 1], backbone={0, 1})
-    routes = routing.build_routes(topo)
-    assert hop_distance(routes, 0, 1) == 1
-    assert hop_distance(routes, 0, 2) == 2  # bus hop then WiFi hop
+    assert hop_distance(topo, 0, 1) == 1
+    assert hop_distance(topo, 0, 2) == 2  # bus hop then WiFi hop
 
 
 def clique_oracle(topo):
@@ -159,24 +152,23 @@ def test_bus_routes_match_explicit_clique(fraction):
     wired = topology.WiredSpec(edges=edges, edge_capacity=1.0, node_out={}, node_in={})
     topo = topology.HetNetTopology(params, base.positions, base.cell_ids, base.cellular_rates,
                                    base.backbone, wired=wired)
-    routes = routing.build_routes(topo)
     wifi, wired_adj = clique_oracle(topo)
     adj = [a | b for a, b in zip(wifi, wired_adj)]
     assert 0 < len(topo.backbone) <= len(topo)
     for dst in (0, 19, 55, 90, 119):
         dist = oracle_bfs(adj, dst)
-        assert routes.distances_to(dst).tolist() == dist
+        assert topo.routes.distances_to(dst).tolist() == dist
         for node in range(len(topo)):
             want = dist[node] - 1
             for links, interface in ((adj, None), (wifi, "wifi"), (wired_adj, "wired")):
                 expect = sorted(v for v in links[node] if dist[v] == want)
                 if dist[node] == routing.UNREACHABLE:
                     expect = []
-                assert routes.next_hops(node, dst, interface) == expect
+                assert topo.routes.next_hops(node, dst, interface) == expect
     # the bus is stored once, so nothing grows as k^2
     wifi_degrees = sum(map(len, topo.neighbors))
     assert sum(map(len, topo.links)) <= wifi_degrees + 2 * len(edges)
-    assert routes._bus.tolist() == sorted(topo.backbone)
+    assert topo.routes._bus.tolist() == sorted(topo.backbone)
 
 
 def test_policy_validation():

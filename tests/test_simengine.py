@@ -24,10 +24,9 @@ from hetnetcode.simengine import (
 
 def chain_session(hops, seed=0, **overrides):
     topo = topology.chain_topology(hops)
-    routes = routing.build_routes(topo)
     overrides.setdefault("min_hops", hops)
     cfg = ScenarioConfig(node_count=hops + 1, seed=seed, **overrides)
-    return cfg, topo, routes
+    return cfg, topo
 
 
 def brute_force_guard_ok(topo, admitted):
@@ -93,6 +92,9 @@ def test_config_reader_knows_every_declared_type(cls):
     lambda: ScenarioConfig(delta=float("nan")),
     lambda: ForwardPolicy(p="x"),
     lambda: topology.TopologyParams(rate_tiers="x"),
+    lambda: ScenarioConfig(r_cell=10**400),  # an int with no finite float value
+    lambda: presets.SweepSpec(values=(0.5, 10**400)),
+    lambda: presets.SweepSpec(param_min=0.1, param_max=10**400, param_step=0.1),
 ])
 def test_mistyped_config_built_in_python_is_a_config_error(make):
     # validate() checks each field's declared type, as the JSON reader does
@@ -196,18 +198,18 @@ def test_schedule_is_feasible_and_maximal(points, delta, seed, data):
 
 
 def test_single_wifi_hop_saturates():
-    cfg, topo, routes = chain_session(1, cellular_enabled=False, ack_delay=0,
-                                      block_target=3, slot_budget=400)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 1))
+    cfg, topo = chain_session(1, cellular_enabled=False, ack_delay=0,
+                              block_target=3, slot_budget=400)
+    stats, trace = run_session(cfg, topo, pair=(0, 1))
     assert stats.decode_slots == [20, 40, 60]
     assert stats.relative_throughput == 1.0
     assert stats.cellular_sent == 0
 
 
 def test_cellular_pipe_half_rate():
-    cfg, topo, routes = chain_session(1, wifi_enabled=False, link_rate_override=0.5,
-                                      block_target=3, slot_budget=600, min_hops=1)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 1))
+    cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=0.5,
+                              block_target=3, slot_budget=600, min_hops=1)
+    stats, trace = run_session(cfg, topo, pair=(0, 1))
     assert stats.decode_slots == [40, 80, 120]
     assert stats.relative_throughput == 0.5
     assert stats.wifi_sent == 0
@@ -219,9 +221,9 @@ def test_cellular_pipe_half_rate():
     "take, so a busy pipe below rate 1 releases one packet per ceil(1/rate) slots"))
 @pytest.mark.parametrize("link_rate", [0.6, 0.75, 0.9])
 def test_cellular_pipe_keeps_its_fractional_credit(link_rate):
-    cfg, topo, routes = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,
-                                      block_target=3, slot_budget=600, min_hops=1)
-    stats, _ = run_session(cfg, topo, routes, pair=(0, 1))
+    cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,
+                              block_target=3, slot_budget=600, min_hops=1)
+    stats, _ = run_session(cfg, topo, pair=(0, 1))
     assert stats.relative_throughput > 0.5
 
 
@@ -232,10 +234,10 @@ def test_cellular_pipe_keeps_its_fractional_credit(link_rate):
         "so the slot loop sends each packet one slot after the skip-ahead path does"))),
 ])
 def test_fast_path_matches_slot_by_slot(link_rate):
-    cfg, topo, routes = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,
-                                      block_target=2, slot_budget=800, min_hops=1)
-    fast, ftrace = run_session(cfg, topo, routes, pair=(0, 1))
-    slow, strace = run_session(cfg, topo, routes, pair=(0, 1), no_skip=True)
+    cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,
+                              block_target=2, slot_budget=800, min_hops=1)
+    fast, ftrace = run_session(cfg, topo, pair=(0, 1))
+    slow, strace = run_session(cfg, topo, pair=(0, 1), no_skip=True)
     assert fast == slow
     assert [(e.slot, e.block_id, e.innovative) for e in ftrace] == \
         [(e.slot, e.block_id, e.innovative) for e in strace]
@@ -249,18 +251,17 @@ def two_hop_decode_oracle(block_size, blocks):
 
 
 def test_two_hop_relay_alternation():
-    cfg, topo, routes = chain_session(2, cellular_enabled=False, ack_delay=0,
-                                      block_target=2, slot_budget=400)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 2))
+    cfg, topo = chain_session(2, cellular_enabled=False, ack_delay=0,
+                              block_target=2, slot_budget=400)
+    stats, trace = run_session(cfg, topo, pair=(0, 2))
     assert stats.decode_slots == two_hop_decode_oracle(20, 2)
     assert stats.relative_throughput == 0.5
 
 
 def test_long_chain_saturates_near_one_third():
     log = []
-    cfg, topo, routes = chain_session(7, cellular_enabled=False, block_target=5,
-                                      slot_budget=2000)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 7), schedule_log=log)
+    cfg, topo = chain_session(7, cellular_enabled=False, block_target=5, slot_budget=2000)
+    stats, trace = run_session(cfg, topo, pair=(0, 7), schedule_log=log)
     assert 0.25 <= stats.relative_throughput <= 0.35
     # spatial reuse: concurrent transmissions happen constantly
     multi = sum(1 for _, adm in log if len(adm) >= 2)
@@ -270,12 +271,11 @@ def test_long_chain_saturates_near_one_third():
 
 
 def test_processing_delay_slows_chain():
-    base_cfg, topo, routes = chain_session(7, cellular_enabled=False, block_target=3,
-                                           slot_budget=3000)
-    base, _ = run_session(base_cfg, topo, routes, pair=(0, 7))
-    slow_cfg, _, _ = chain_session(7, cellular_enabled=False, block_target=3,
-                                   slot_budget=3000, processing_delay=3)
-    slow, _ = run_session(slow_cfg, topo, routes, pair=(0, 7))
+    base_cfg, topo = chain_session(7, cellular_enabled=False, block_target=3, slot_budget=3000)
+    base, _ = run_session(base_cfg, topo, pair=(0, 7))
+    slow_cfg, _ = chain_session(7, cellular_enabled=False, block_target=3,
+                                slot_budget=3000, processing_delay=3)
+    slow, _ = run_session(slow_cfg, topo, pair=(0, 7))
     assert slow.relative_throughput < base.relative_throughput
 
 
@@ -283,9 +283,9 @@ def test_processing_delay_slows_chain():
 
 
 def test_ack_gating_and_stale_discards():
-    cfg, topo, routes = chain_session(2, cellular_enabled=False, ack_delay=1,
-                                      block_target=3, slot_budget=500)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 2))
+    cfg, topo = chain_session(2, cellular_enabled=False, ack_delay=1,
+                              block_target=3, slot_budget=500)
+    stats, trace = run_session(cfg, topo, pair=(0, 2))
     events = list(trace)
     # the source never leaks block b+1 before the ACK for b could have arrived
     for b, decode_slot in enumerate(stats.decode_slots):
@@ -303,9 +303,8 @@ def test_ack_gating_and_stale_discards():
 
 
 def test_trace_slots_non_decreasing_and_destination_only():
-    cfg, topo, routes = chain_session(3, cellular_enabled=False, block_target=2,
-                                      slot_budget=500)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 3))
+    cfg, topo = chain_session(3, cellular_enabled=False, block_target=2, slot_budget=500)
+    stats, trace = run_session(cfg, topo, pair=(0, 3))
     slots = [ev.slot for ev in trace]
     assert slots == sorted(slots)
     assert {ev.node for ev in trace} == {3}
@@ -319,10 +318,9 @@ def test_event_trace_rejects_time_travel():
 
 
 def test_run_session_deterministic():
-    cfg, topo, routes = chain_session(4, block_target=2, slot_budget=800,
-                                      link_rate_override=0.3)
-    a_stats, a_trace = run_session(cfg, topo, routes, pair=(0, 4))
-    b_stats, b_trace = run_session(cfg, topo, routes, pair=(0, 4))
+    cfg, topo = chain_session(4, block_target=2, slot_budget=800, link_rate_override=0.3)
+    a_stats, a_trace = run_session(cfg, topo, pair=(0, 4))
+    b_stats, b_trace = run_session(cfg, topo, pair=(0, 4))
     assert a_stats == b_stats
     buf_a, buf_b = io.StringIO(), io.StringIO()
     a_trace.write_csv(buf_a)
@@ -333,23 +331,21 @@ def test_run_session_deterministic():
 def test_no_path_error():
     params = topology.TopologyParams()
     topo = topology.HetNetTopology(params, [(0, 0), (5000, 0)])
-    routes = routing.build_routes(topo)
     cfg = ScenarioConfig(node_count=2, cellular_enabled=False, min_hops=1)
     with pytest.raises(NoPathError):
-        run_session(cfg, topo, routes, pair=(0, 1))
+        run_session(cfg, topo, pair=(0, 1))
 
 
 def test_pick_session_pair_min_hops_and_determinism():
     rng = np.random.default_rng(11)
     topo = topology.generate(300, rng, topology.TopologyParams(cell_radius=400.0))
-    routes = routing.build_routes(topo)
     for seed in range(5):
-        a = pick_session_pair(topo, routes, 2, np.random.default_rng(seed))
-        b = pick_session_pair(topo, routes, 2, np.random.default_rng(seed))
+        a = pick_session_pair(topo, 2, np.random.default_rng(seed))
+        b = pick_session_pair(topo, 2, np.random.default_rng(seed))
         assert a == b
-        assert routes.distances_to(a[1])[a[0]] >= 2
+        assert topo.routes.distances_to(a[1])[a[0]] >= 2
     with pytest.raises(NoPathError):
-        pick_session_pair(topo, routes, 10_000, np.random.default_rng(0))
+        pick_session_pair(topo, 10_000, np.random.default_rng(0))
 
 
 # --- mode comparison ----------------------------------------------------------
@@ -362,7 +358,7 @@ def test_compare_modes_superset_dominance():
                              link_rate_override=0.2, r_cell=0.2,
                              block_target=2, slot_budget=2500)
         topo = topology.generate(cfg.node_count, rng, cfg.topology_params())
-        cell, comb = compare_modes(cfg, topo, routing.build_routes(topo))
+        cell, comb = compare_modes(cfg, topo)
         assert comb.relative_throughput >= cell.relative_throughput
         assert cell.source == comb.source
         assert cell.destination == comb.destination
@@ -377,8 +373,29 @@ def test_compare_modes_blocks_dominance_under_budget():
                              link_rate_override=0.15, r_cell=0.15,
                              block_target=1000, slot_budget=700)
         topo = topology.generate(cfg.node_count, rng, cfg.topology_params())
-        cell, comb = compare_modes(cfg, topo, routing.build_routes(topo))
+        cell, comb = compare_modes(cfg, topo)
         assert comb.blocks_delivered >= cell.blocks_delivered
+
+
+def test_sessions_on_one_topology_build_its_routes_once(monkeypatch):
+    built = []
+    real_build_routes = routing.build_routes
+
+    def counted(topo):
+        built.append(topo)
+        return real_build_routes(topo)
+
+    monkeypatch.setattr(routing, "build_routes", counted)
+    cfg = ScenarioConfig(node_count=250, cell_radius=400.0, seed=1, link_rate_override=0.2,
+                         r_cell=0.2, block_target=1, slot_budget=1500)
+    cell = presets.cell_topology(cfg, cfg.seed)
+    compare_modes(cfg, cell)  # two sessions, each picking its pair on the routes
+    assert built == [cell]
+    cfg, chain = chain_session(3, block_target=1, slot_budget=500)
+    run_session(cfg, chain, pair=(0, 3))
+    run_session(cfg, chain)
+    assert built == [cell, chain]
+    assert cell.routes.topology is cell and chain.routes.topology is chain
 
 
 # --- backbone and relay policies ----------------------------------------------
@@ -390,18 +407,16 @@ def test_backbone_shortcut_speeds_up_session():
                          block_target=2, slot_budget=3000)
     rng = np.random.default_rng(np.random.SeedSequence((21, 3)))
     topo = topology.generate(cfg.node_count, rng, cfg.topology_params())
-    routes = routing.build_routes(topo)
-    pair = pick_session_pair(topo, routes, 2,
+    pair = pick_session_pair(topo, 2,
                              np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(6)[0]))
-    adhoc, _ = run_session(cfg, topo, routes, pair=pair)
+    adhoc, _ = run_session(cfg, topo, pair=pair)
 
     cfg_bb = ScenarioConfig(node_count=250, cell_radius=400.0, seed=3,
                             link_rate_override=0.1, r_cell=0.1,
                             backbone_fraction=1.0, block_target=2, slot_budget=3000)
     rng = np.random.default_rng(np.random.SeedSequence((21, 3)))
     topo_bb = topology.generate(cfg_bb.node_count, rng, cfg_bb.topology_params())
-    routes_bb = routing.build_routes(topo_bb)
-    infra, _ = run_session(cfg_bb, topo_bb, routes_bb, pair=pair)
+    infra, _ = run_session(cfg_bb, topo_bb, pair=pair)
     assert infra.wired_sent > 0
     assert infra.relative_throughput >= adhoc.relative_throughput
 
@@ -410,24 +425,23 @@ def test_relay_cellular_policies_run():
     for policy in (ForwardPolicy(mode="cellular-only"),
                    ForwardPolicy(mode="both", both_mode="round-robin"),
                    ForwardPolicy(mode="both", both_mode="duplicate")):
-        cfg, topo, routes = chain_session(2, link_rate_override=1.0,
-                                          relay_policy=policy,
-                                          block_target=2, slot_budget=500)
+        cfg, topo = chain_session(2, link_rate_override=1.0,
+                                  relay_policy=policy,
+                                  block_target=2, slot_budget=500)
         log = []
-        stats, trace = run_session(cfg, topo, routes, pair=(0, 2), schedule_log=log)
+        stats, trace = run_session(cfg, topo, pair=(0, 2), schedule_log=log)
         assert stats.blocks_delivered == 2
         # every admitted radio transmission sends one packet, duplicates included
         assert stats.wifi_sent == sum(len(admitted) for _, admitted in log)
-        again, _ = run_session(cfg, topo, routes, pair=(0, 2))
+        again, _ = run_session(cfg, topo, pair=(0, 2))
         assert again == stats
 
 
 def test_relay_star_wired_flow():
     topo = topology.relay_star_topology(3, link_capacity=1.0)
-    routes = routing.build_routes(topo)
     cfg = ScenarioConfig(node_count=5, cellular_enabled=False, min_hops=2,
                          wired_relay_rate=0.125, block_target=2, slot_budget=5000)
-    stats, trace = run_session(cfg, topo, routes, pair=(0, 4))
+    stats, trace = run_session(cfg, topo, pair=(0, 4))
     assert stats.blocks_delivered == 2
     assert stats.wifi_sent == 0 and stats.cellular_sent == 0
     assert stats.wired_sent > 0
@@ -449,7 +463,6 @@ def _route_test_session(name):
 @pytest.mark.parametrize("name", ["relay-star", "chain-round-robin", "bus-cell"])
 def test_session_looks_up_each_route_once(monkeypatch, name):
     cfg, topo, pair = _route_test_session(name)
-    routes = routing.build_routes(topo)
     calls = Counter()
     real_next_hops = routing.RouteTable.next_hops
 
@@ -458,7 +471,7 @@ def test_session_looks_up_each_route_once(monkeypatch, name):
         return real_next_hops(self, node, dst, interface)
 
     monkeypatch.setattr(routing.RouteTable, "next_hops", counted)
-    session = simengine._Session(cfg, topo, routes, pair, None, False)
+    session = simengine._Session(cfg, topo, pair, None, False)
     stats, _ = session.run()
     assert stats.blocks_delivered == cfg.block_target
     assert calls and max(calls.values()) == 1
@@ -467,9 +480,9 @@ def test_session_looks_up_each_route_once(monkeypatch, name):
 
 
 def test_stats_payload_accounting():
-    cfg, topo, routes = chain_session(1, cellular_enabled=False, ack_delay=0,
-                                      block_target=2, slot_budget=100)
-    stats, _ = run_session(cfg, topo, routes, pair=(0, 1))
+    cfg, topo = chain_session(1, cellular_enabled=False, ack_delay=0,
+                              block_target=2, slot_budget=100)
+    stats, _ = run_session(cfg, topo, pair=(0, 1))
     assert stats.payload_bytes_delivered == 2 * 20 * 1400
     assert stats.relative_throughput >= 0
     assert stats.throughput == stats.relative_throughput * cfg.r_wifi
@@ -478,9 +491,8 @@ def test_stats_payload_accounting():
 def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypatch):
     """Relays whose payload combines the buffer with other weights than the
     coefficients they send: only the session's 8-byte check payload can tell."""
-    cfg, topo, routes = chain_session(3, cellular_enabled=False, block_target=2,
-                                      slot_budget=1000)
-    stats, _ = run_session(cfg, topo, routes, pair=(0, 3))
+    cfg, topo = chain_session(3, cellular_enabled=False, block_target=2, slot_budget=1000)
+    stats, _ = run_session(cfg, topo, pair=(0, 3))
     assert stats.blocks_delivered == 2
     real_recode = rlnc.recode
     other = np.random.default_rng(99)
@@ -494,14 +506,14 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
 
     monkeypatch.setattr(rlnc, "recode", mismatched_recode)
     with pytest.raises(AssertionError, match="does not match the source block"):
-        run_session(cfg, topo, routes, pair=(0, 3))
+        run_session(cfg, topo, pair=(0, 3))
 
 
 def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
     """Over a chain session, relay recodes and destination receives run on
     bytes rows: gf256.weighted_row_sum is called once per encode and never
     otherwise."""
-    cfg, topo, routes = chain_session(4, block_target=3, slot_budget=2000)
+    cfg, topo = chain_session(4, block_target=3, slot_budget=2000)
     calls = Counter()
 
     def counting(owner, name):
@@ -515,7 +527,7 @@ def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
     counting(gf256, "weighted_row_sum")
     counting(rlnc, "encode")
     counting(rlnc, "recode")
-    stats, _ = run_session(cfg, topo, routes, pair=(0, 4))
+    stats, _ = run_session(cfg, topo, pair=(0, 4))
     assert stats.blocks_delivered == 3
     assert calls["recode"] > 0 and calls["encode"] > 0
     assert calls["weighted_row_sum"] == calls["encode"]

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hetnetcode import presets, topology
 from hetnetcode.errors import ConfigError
-from hetnetcode.routing import build_routes
 from hetnetcode.simengine import ScenarioConfig
 from oracles import backbone_draw, node_rates, rate_for_distance
 
@@ -50,6 +49,14 @@ def test_generate_rejects_bad_params():
                   ((0.5,),), ((0.5, True),), ((0.5, 1.0), (math.inf, 0.5)), ()):
         with pytest.raises(ConfigError):
             topology.TopologyParams(rate_tiers=tiers).validate()
+
+
+def test_finite_number_needs_a_finite_float_value():
+    assert topology.finite_number(10**300) and topology.finite_number(2.5)
+    for x in (10**400, -10**400, math.inf, math.nan, True, "1", None):
+        assert topology.finite_number(x) is False
+    # a float field still takes an int with a finite float value
+    ScenarioConfig(r_cell=2, wifi_range=10**300).validate()
 
 
 def test_generate_uniform_over_hexagons():
@@ -179,13 +186,22 @@ def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_rad
     first = shared[0]
     assert first.cellular_rates.tolist() == node_rates(first)
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
-    topology.place(node_count, rng, config.topology_params())
+    plain = topology.place(node_count, rng, config.topology_params())
     placed = rng.bit_generator.state
+    # plain's routes are built before its variants, which must not inherit them
+    dsts = range(0, node_count, max(1, node_count // 8))
+    plain_routes = plain.routes
+    plain_dist = [plain_routes.distances_to(dst).copy() for dst in dsts]
+    variants = []
+    for frac in fractions:
+        rng.bit_generator.state = placed
+        variants.append(topology.with_backbone(plain, frac, rng))
     # every variant is built before any is checked: a later draw must not
     # touch an earlier variant
-    for frac, topo in zip(fractions, shared):
+    for frac, topo, variant in zip(fractions, shared, variants):
         rng.bit_generator.state = placed
         assert topo.backbone == backbone_draw(topo.cell_ids.tolist(), frac, rng)
+        assert variant.backbone == topo.backbone
         fresh_rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
         params = replace(config.topology_params(), backbone_fraction=frac)
         fresh = topology.generate(node_count, fresh_rng, params)
@@ -194,11 +210,16 @@ def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_rad
         assert topo.neighbors == fresh.neighbors
         for name in ("positions", "cell_ids", "cellular_rates", "neighbors", "links"):
             assert getattr(topo, name) is getattr(first, name)
-        routes, fresh_routes = build_routes(topo), build_routes(fresh)
-        for dst in range(0, node_count, max(1, node_count // 8)):
-            assert np.array_equal(routes.distances_to(dst), fresh_routes.distances_to(dst))
-            for node in range(node_count):
-                assert routes.next_hops(node, dst) == fresh_routes.next_hops(node, dst)
+        for own in (topo, variant):
+            assert own.routes.topology is own
+            for dst in dsts:
+                assert np.array_equal(own.routes.distances_to(dst),
+                                      fresh.routes.distances_to(dst))
+                for node in range(node_count):
+                    assert own.routes.next_hops(node, dst) == fresh.routes.next_hops(node, dst)
+    assert plain.routes is plain_routes and plain_routes.topology is plain
+    for dst, dist in zip(dsts, plain_dist):
+        assert np.array_equal(plain.routes.distances_to(dst), dist)
 
 
 @pytest.mark.parametrize("text", ["validate=1\n", "delta=abc\n", "delta=inf\n",
