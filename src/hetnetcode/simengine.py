@@ -224,6 +224,29 @@ def loaded_cellular_rate(link_rate: float, users: int, mode: str, cell_rate: flo
     raise ConfigError(f"unknown loading mode {mode!r}")
 
 
+def _pick(words, k: int) -> int:
+    """int(rng.integers(0, k)) for 1 <= k < 2**32, drawn through words =
+    rng.bit_generator.ctypes: numpy's Lemire rejection on next_uint32 words,
+    and no word at k = 1, so both advance the generator alike."""
+    if k == 1:
+        return 0
+    next_uint32, state = words.next_uint32, words.state
+    m = next_uint32(state) * k
+    if m & 0xFFFFFFFF < k:
+        threshold = (1 << 32) % k  # numpy's (2**32 - k) % k
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32(state) * k
+    return m >> 32
+
+
+def _random_doubles(n: int, rng: np.random.Generator) -> list[float]:
+    """rng.random(n) as a list, one next_double through the bit generator's
+    C interface per value, as numpy draws it."""
+    c = rng.bit_generator.ctypes
+    next_double, state = c.next_double, c.state
+    return [next_double(state) for _ in range(n)]
+
+
 def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generator,
                        priorities=None):
     """Greedy maximal feasible subset of the pending (tx, rx) transmissions.
@@ -239,14 +262,14 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     n = len(pending_txs)
     if n == 0:
         return []
-    jitter = rng.random(n)
     if priorities is None:
         priorities = (0,) * n
-    order = sorted(range(n), key=lambda i: (priorities[i], jitter[i]))
+    # the index breaks exact ties as a stable sort on (priority, jitter) would
+    order = sorted(zip(priorities, _random_doubles(n, rng), range(n)))
     admitted: list[tuple[int, int]] = []
     admitted_txs: list[int] = []
     busy: set[int] = set()
-    for i in order:
+    for *_, i in order:
         tx, rx = pending_txs[i][0], pending_txs[i][1]
         if tx in busy or rx in busy:
             continue
@@ -331,6 +354,9 @@ class _Session:
 
         (rng_pair, self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
          self.rng_data) = session_rngs(config.seed)
+        # the C interfaces that the source's and the relays' hop picks draw from
+        self._src_words = self.rng_wifi.bit_generator.ctypes
+        self._relay_words = self.rng_relay.bit_generator.ctypes
         if pair is None:
             pair = pick_session_pair(topo, config.min_hops, rng_pair)
         self.src, self.dst = int(pair[0]), int(pair[1])
@@ -353,6 +379,8 @@ class _Session:
         self.wired_active = config.wifi_enabled and (
             len(topo.backbone) > 1 or (topo.wired is not None and bool(topo.wired.edges)))
         self.wifi_usable = config.wifi_enabled and self.dist_to_dst[self.src] < UNREACHABLE
+        # with no WiFi link in the topology no radio transmission is ever pending
+        self.radio_active = config.wifi_enabled and any(topo.neighbors)
         if not self.wifi_usable and pipe <= 0:
             raise NoPathError(
                 f"destination {self.dst} unreachable from {self.src} on every interface")
@@ -381,9 +409,9 @@ class _Session:
             self.bus = _Credit(config.backbone_rate / config.r_wifi)
             self._wired_credits.append(self.bus)
         # session caches, fixed once filled because the routes and the
-        # destination are: each node's wired hops with their credits and
-        # its WiFi next hops, looked up on first use
-        self._wired_hops: dict[int, list] = {}
+        # destination are: each node's out budget and wired hops with their
+        # credits, and its WiFi next hops, looked up on first use
+        self._wired_hops: dict[int, tuple] = {}
         self._wifi_hops: dict[int, list[int]] = {}
 
         # transport state
@@ -434,9 +462,9 @@ class _Session:
         relay = self.relays[node]
         return relay.send_credit >= 1 and bool(relay.buffer.packets)
 
-    def _rng(self, node: int) -> np.random.Generator:
-        """The stream of node's WiFi and wired draws: hop picks and packets."""
-        return self.rng_wifi if node == self.src else self.rng_relay
+    def _words(self, node: int):
+        """The C interface of the stream of node's hop picks (and packets)."""
+        return self._src_words if node == self.src else self._relay_words
 
     def _emit(self, node: int, interface: str) -> CodedPacket:
         """A fresh coded packet that node sends on interface: an encode at the
@@ -524,29 +552,32 @@ class _Session:
     def _wired_pick(self, u: int) -> int | None:
         """A random wired next hop v of u whose send credits all hold a
         packet, with those credits spent; None if no hop can take one now.
-        A u->v send spends its edge (else the bus), u's out budget and v's
-        in budget; the hops and their credits are looked up once per u."""
+        A u->v send spends u's out budget, its edge (else the bus) and v's
+        in budget; u's budget and its hops with their credits are looked up
+        once per u."""
         hops = self._wired_hops.get(u)
         if hops is None:
-            hops = self._wired_hops[u] = [
-                (v, tuple(c for c in (self.edge_cap.get((u, v), self.bus),
-                                      self.node_out.get(u), self.node_in.get(v))
-                          if c is not None))
-                for v in self.routes.next_hops(u, self.dst, "wired")]
-        # all() over a list: for a few credits it beats a generator
-        targets = [(v, cost) for v, cost in hops if all([c.value >= 1.0 for c in cost])]
+            hops = self._wired_hops[u] = (self.node_out.get(u), [
+                (v, self.edge_cap.get((u, v), self.bus), self.node_in.get(v))
+                for v in self.routes.next_hops(u, self.dst, "wired")])
+        out, links = hops
+        if out is not None and out.value < 1.0:
+            return None
+        targets = [hop for hop in links
+                   if hop[1].value >= 1.0 and (hop[2] is None or hop[2].value >= 1.0)]
         if not targets:
             return None
-        v, cost = targets[int(self._rng(u).integers(0, len(targets)))]
-        for c in cost:
-            c.value -= 1.0
+        v, link, into = targets[_pick(self._words(u), len(targets))]
+        for credit in (out, link, into):
+            if credit is not None:
+                credit.value -= 1.0
         return v
 
     def _wired_phase(self):
-        if not self.wired_active:
-            return
+        # each tick is _Credit.tick's min(limit, value + rate), written out
         for credit in self._wired_credits:
-            credit.tick()
+            value = credit.value + credit.rate
+            credit.value = value if value < credit.limit else credit.limit
         # the source floods up to one block's worth per slot; relays are
         # bounded by their processing rate and their send credit
         for _ in range(self.cfg.block_size):
@@ -556,17 +587,17 @@ class _Session:
             self._land(v, self._emit(self.src, "wired"), "wired")
         for node in self.relay_order:
             relay = self.relays[node]
-            relay.proc.tick()
-            while self._can_send(node) and relay.proc.value >= 1.0:
+            proc = relay.proc
+            value = proc.value + proc.rate
+            proc.value = value if value < proc.limit else proc.limit
+            while relay.send_credit >= 1 and relay.buffer.packets and proc.value >= 1.0:
                 v = self._wired_pick(node)
                 if v is None:
                     break
-                relay.proc.value -= 1.0
+                proc.value -= 1.0
                 self._land(v, self._emit(node, "wired"), "wired")
 
     def _radio_phase(self, radio: dict):
-        if not self.cfg.wifi_enabled:
-            return
         if self.wifi_usable:
             radio[self.src] = None  # the source picks its hop after the relays
         pending = []  # (tx, rx), each tx mapped in radio to its duplicate or None
@@ -577,7 +608,7 @@ class _Session:
             if cand is None:
                 cand = self._wifi_hops[node] = self.routes.next_hops(node, self.dst, "wifi")
             if cand:
-                pending.append((node, cand[int(self._rng(node).integers(0, len(cand)))]))
+                pending.append((node, cand[_pick(self._words(node), len(cand))]))
         if not pending:
             return
         admitted = schedule_wifi_slot(pending, self.topo, self.rng_sched,
@@ -626,8 +657,10 @@ class _Session:
             self._maybe_advance_source()
             self._ingest_relays()
             radio = self._cellular_phase()
-            self._wired_phase()
-            self._radio_phase(radio)
+            if self.wired_active:
+                self._wired_phase()
+            if self.radio_active:
+                self._radio_phase(radio)
         elapsed = self.decode_slots[-1] if self.decode_slots else budget
         stats = SessionStats(
             source=self.src,

@@ -64,8 +64,10 @@ def declared_types(cls) -> dict:
 
 def check_types(config):
     """ConfigError unless every field of config holds a value of its declared
-    type, a bool being no number, and every float, or int in a float field,
-    has a finite float value."""
+    type, a bool being no number, every float, or int in a float field, has a
+    finite float value, and every int in an int field other than a seed fits
+    in an int64: those are counts, sizes and delays that numpy may take as an
+    index, while a seed goes to numpy's SeedSequence, which takes any int."""
     for name, (kinds, accepted, expected) in declared_types(type(config)).items():
         value = getattr(config, name)
         if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):
@@ -73,6 +75,9 @@ def check_types(config):
         number = isinstance(value, float) or float in kinds and type(value) is int
         if number and not finite_number(value):
             raise ConfigError(f"{name} must be a finite number")
+        if (int in kinds and type(value) is int and name != "seed"
+                and not -2**63 <= value < 2**63):
+            raise ConfigError(f"{name} must be a 64-bit integer")
 
 
 @dataclass

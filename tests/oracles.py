@@ -1,6 +1,7 @@
 """Reference implementations that the tests compare the program with: the
-coefficient draw through numpy's uint8 integers, GF(2^8) linear algebra on
-uint8 matrices, and per-node topology and routing scans."""
+coefficient draw through numpy's uint8 integers, the protocol-model guard
+over every pair of transmissions, GF(2^8) linear algebra on uint8 matrices,
+and per-node topology and routing scans."""
 
 from __future__ import annotations
 
@@ -19,6 +20,20 @@ def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
         v = rng.integers(0, 256, size=n, dtype=np.uint8)
         if np.count_nonzero(v):
             return v
+
+
+def brute_force_guard_ok(topo, admitted):
+    """Independent protocol-model check over an admitted transmission set:
+    every ordered pair of transmissions, half-duplex and guard alike."""
+    for i, (tx, rx) in enumerate(admitted):
+        for j, (otx, orx) in enumerate(admitted):
+            if i == j:
+                continue
+            if otx in (tx, rx):
+                return False  # half-duplex violation doubles as guard failure
+            if topo.distance(rx, otx) < (1 + topo.params.delta) * topo.distance(tx, rx):
+                return False
+    return True
 
 
 def add(a, b):

@@ -297,6 +297,9 @@ ONE_POINT = {"values": [0.5], "trials": 1}
     # a 401-digit integer has no finite float value
     {"sweep": {"values": [10**400], "trials": 1}},
     {"scenario": {"r_cell": 10**400}, "sweep": ONE_POINT},
+    # an int field takes an int64 only
+    {"scenario": {"block_size": 10**400}, "sweep": ONE_POINT},
+    {"scenario": {"buffer_capacity": 2**63}, "sweep": ONE_POINT},
 ])
 def test_cli_rejects_bad_config_sections(tmp_path, section):
     cfg = tmp_path / "cfg.json"
@@ -307,6 +310,8 @@ def test_cli_rejects_bad_config_sections(tmp_path, section):
 @pytest.mark.parametrize("raw", [
     b'{"sweep": {trials: 1}}',  # not JSON
     b'{"scenario": {"loading_mode": "\xe9qual-rate"}}',  # not UTF-8
+    pytest.param(b'{"scenario": {"r_cell": 1' + b'0' * 5000 + b'}}',
+                 id="an int longer than Python reads"),
 ])
 def test_cli_rejects_a_malformed_config_file(tmp_path, capsys, raw):
     cfg = tmp_path / "cfg.json"

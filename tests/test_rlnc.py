@@ -3,10 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from hetnetcode import gf256, rlnc
+from hetnetcode import gf256, rlnc, simengine
 
 
 def make_block(rng, block_id=0, m=20, k=64):
@@ -92,6 +92,61 @@ def test_coefficient_draw_rejects_a_zero_byte(bit_generator, seed):
     got = rlnc._random_nonzero_bytes(1, ours)
     assert got != b"\0" and got == oracles.random_nonzero_vector(1, theirs).tobytes()
     np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+# hop counts k: any in [1, 2**32 - 1], or an odd number times 2**j, whose
+# products with a word are multiples of 2**j mod 2**32, as numpy's rejection
+# threshold (2**32 - k) % k is, so they meet it once in 2**(32 - j) words
+_HOP_COUNTS = st.one_of(
+    st.integers(1, 2**32 - 1),
+    st.tuples(st.integers(0, 31), st.integers(26, 30)).map(lambda t: (2 * t[0] + 1) << t[1])
+    .filter(lambda k: k < 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
+       seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.one_of(st.tuples(st.just("pick"), _HOP_COUNTS),
+                                st.tuples(st.just("jitter"), st.integers(0, 6)),
+                                st.tuples(st.just("coefficients"), st.integers(1, 64))),
+                      min_size=1, max_size=20))
+@example(bit_generator=np.random.PCG64, seed=0,
+         steps=[("pick", 1), ("pick", 2**32 - 1), ("jitter", 1), ("pick", 1)])
+def test_hop_pick_and_jitter_are_numpys_draws(bit_generator, seed, steps):
+    """The session's hop pick returns int(integers(0, k)), drawing no word at
+    k = 1, and its scheduler jitter returns random(n); among coefficient
+    draws, each leaves the generator where numpy's leaves it."""
+    ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for kind, n in steps:
+        if kind == "pick":
+            assert simengine._pick(ours.bit_generator.ctypes, n) == int(theirs.integers(0, n))
+        elif kind == "jitter":
+            assert simengine._random_doubles(n, ours) == theirs.random(n).tolist()
+        else:
+            want = oracles.random_nonzero_vector(n, theirs).tobytes()
+            assert rlnc._random_nonzero_bytes(n, ours) == want
+        np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+def test_hop_pick_of_one_hop_draws_no_word():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert simengine._pick(rng.bit_generator.ctypes, 1) == 0
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("k", [7, 2**31 + 1, 2**32 - 1])
+def test_hop_pick_redraws_below_numpys_threshold_only(k):
+    """A word whose product with k has low half (2**32 - k) % k is kept, and
+    one just below it is redrawn, as in numpy's bounded Lemire draw."""
+    threshold = (2**32 - k) % k
+    inverse = pow(k, -1, 2**32)  # odd k: the word whose product has low half t
+    kept, redrawn = (t * inverse % 2**32 for t in (threshold, threshold - 1))
+    for queued, want_left in (([kept, 0], [0]), ([redrawn, kept, 0], [0])):
+        words = list(queued)
+        c = SimpleNamespace(state=None, next_uint32=lambda state: words.pop(0))
+        assert simengine._pick(c, k) == kept * k >> 32
+        assert words == want_left
 
 
 def test_encode_distinct_coefficient_vectors():

@@ -20,6 +20,7 @@ from hetnetcode.simengine import (
     run_session,
     schedule_wifi_slot,
 )
+from oracles import brute_force_guard_ok
 
 
 def chain_session(hops, seed=0, **overrides):
@@ -27,19 +28,6 @@ def chain_session(hops, seed=0, **overrides):
     overrides.setdefault("min_hops", hops)
     cfg = ScenarioConfig(node_count=hops + 1, seed=seed, **overrides)
     return cfg, topo
-
-
-def brute_force_guard_ok(topo, admitted):
-    """Independent protocol-model check over an admitted transmission set."""
-    for i, (tx, rx) in enumerate(admitted):
-        for j, (otx, orx) in enumerate(admitted):
-            if i == j:
-                continue
-            if otx in (tx, rx):
-                return False  # half-duplex violation doubles as guard failure
-            if topo.distance(rx, otx) < (1 + topo.params.delta) * topo.distance(tx, rx):
-                return False
-    return True
 
 
 # --- config and loading -----------------------------------------------------
@@ -95,11 +83,24 @@ def test_config_reader_knows_every_declared_type(cls):
     lambda: ScenarioConfig(r_cell=10**400),  # an int with no finite float value
     lambda: presets.SweepSpec(values=(0.5, 10**400)),
     lambda: presets.SweepSpec(param_min=0.1, param_max=10**400, param_step=0.1),
+    lambda: ScenarioConfig(block_size=10**400),  # an int with no int64 value
+    lambda: presets.SweepSpec(trials=2**63),
 ])
 def test_mistyped_config_built_in_python_is_a_config_error(make):
     # validate() checks each field's declared type, as the JSON reader does
     with pytest.raises(ConfigError):
         make().validate()
+
+
+def test_int_field_takes_the_int64_range():
+    ScenarioConfig(slot_budget=2**63 - 1).validate()
+    presets.SweepSpec(trials=2**63 - 1).validate()
+    with pytest.raises(ConfigError, match="64-bit"):
+        ScenarioConfig(slot_budget=2**63).validate()
+    # a seed of any size seeds a SeedSequence, and a sweep's trial seeds
+    # (seed * 1_000_003 + trial) outgrow an int64 from seed 2**63 // 1_000_003
+    ScenarioConfig(seed=10**30).validate()
+    presets.trial_config(ScenarioConfig(), 10**13, 1).validate()
 
 
 def test_loaded_cellular_rate_examples():
