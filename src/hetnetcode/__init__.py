@@ -3,9 +3,9 @@
 from . import gf256, rlnc, routing, simengine, topology
 from .errors import ConfigError, NoPathError
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
-from .routing import ForwardPolicy
 from .simengine import (
     EventTrace,
+    ForwardPolicy,
     ScenarioConfig,
     SessionStats,
     compare_modes,

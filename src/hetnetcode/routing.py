@@ -1,4 +1,4 @@
-"""Hop-count routing over the WiFi graph and interface forwarding policies.
+"""Hop-count routing over the WiFi graph, wired links and the backbone bus.
 
 A converged routing protocol is assumed: every node knows its hop distance
 to every other node.  A wired access link is one hop; the backbone is one
@@ -9,62 +9,12 @@ list rather than as a clique.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .topology import HetNetTopology, check_types
+from .topology import HetNetTopology
 
 UNREACHABLE = float("inf")
-
-POLICY_MODES = ("cellular-only", "wifi-only", "both")
-BOTH_MODES = ("round-robin", "duplicate", "probabilistic")
-
-
-@dataclass(frozen=True)
-class ForwardPolicy:
-    mode: str = "wifi-only"
-    both_mode: str = "round-robin"
-    p: float = 0.5  # probability of picking cellular in probabilistic mode
-
-    def validate(self):
-        check_types(self)
-        if self.mode not in POLICY_MODES:
-            raise ConfigError(f"unknown policy mode {self.mode!r}")
-        if self.both_mode not in BOTH_MODES:
-            raise ConfigError(f"unknown both-mode schedule {self.both_mode!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("probabilistic p must lie in [0, 1]")
-
-
-class InterfaceSelector:
-    """Single-owner per-node state for repeated interface choices."""
-
-    def __init__(self, policy: ForwardPolicy, rng: np.random.Generator | None = None):
-        policy.validate()
-        self.policy = policy
-        self.rng = rng
-        self._count = 0
-
-
-def select_interfaces(selector: InterfaceSelector):
-    """Interfaces the next packet goes out on, per the node's policy."""
-    policy = selector.policy
-    if policy.mode == "cellular-only":
-        wanted = {"cellular"}
-    elif policy.mode == "wifi-only":
-        wanted = {"wifi"}
-    elif policy.both_mode == "duplicate":
-        wanted = {"wifi", "cellular"}
-    elif policy.both_mode == "round-robin":
-        wanted = {"wifi"} if selector._count % 2 == 0 else {"cellular"}
-        selector._count += 1
-    else:  # probabilistic
-        if selector.rng is None:
-            raise ConfigError("probabilistic policy needs an rng")
-        wanted = {"cellular"} if selector.rng.random() < policy.p else {"wifi"}
-    return frozenset(wanted)
 
 
 class RouteTable:

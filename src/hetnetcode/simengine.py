@@ -33,15 +33,13 @@ import numpy as np
 from . import rlnc
 from .errors import ConfigError, NoPathError
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
-from .routing import (
-    ForwardPolicy,
-    InterfaceSelector,
-    UNREACHABLE,
-    select_interfaces,
-)
-from .topology import HetNetTopology, TopologyParams, cellular_link_rate, declared_types
+from .routing import UNREACHABLE
+from .topology import (HetNetTopology, TopologyParams, cellular_link_rate, check_types,
+                       declared_types)
 
 LOADING_MODES = ("equal-rate", "equal-time")
+POLICY_MODES = ("cellular-only", "wifi-only", "both")
+BOTH_MODES = ("round-robin", "duplicate", "probabilistic")
 
 # Payload bytes a session carries: coefficients alone decide rank and timing,
 # and 8 columns coded alike still catch a payload that disagrees with its
@@ -76,6 +74,24 @@ def config_from_dict(cls, values):
     config = cls(**kwargs)
     config.validate()
     return config
+
+
+@dataclass(frozen=True)
+class ForwardPolicy:
+    """A relay's interfaces for each packet, applied by _Session._interfaces."""
+
+    mode: str = "wifi-only"
+    both_mode: str = "round-robin"
+    p: float = 0.5  # probability of picking cellular in probabilistic mode
+
+    def validate(self):
+        check_types(self)
+        if self.mode not in POLICY_MODES:
+            raise ConfigError(f"unknown policy mode {self.mode!r}")
+        if self.both_mode not in BOTH_MODES:
+            raise ConfigError(f"unknown both-mode schedule {self.both_mode!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ConfigError("probabilistic p must lie in [0, 1]")
 
 
 @dataclass
@@ -328,15 +344,15 @@ class _Credit:
 
 
 class _Relay:
-    __slots__ = ("buffer", "send_credit", "proc", "inbox", "selector", "cell_up")
+    __slots__ = ("buffer", "send_credit", "proc", "inbox", "round_robin", "cell_up")
 
     def __init__(self, capacity: int, wired_rate: float, phase: float,
-                 selector: InterfaceSelector, cell_up: _Credit | None):
+                 cell_up: _Credit | None):
         self.buffer = RecodeBuffer(capacity)
         self.send_credit = 0  # one send permitted per received packet
         self.proc = _Credit(wired_rate, phase=phase)
         self.inbox: deque = deque()
-        self.selector = selector
+        self.round_robin = 0  # round-robin picks so far; odd ones go on cellular
         self.cell_up = cell_up
 
 
@@ -444,16 +460,31 @@ class _Session:
         if r is None:
             cfg = self.cfg
             phase = (node * cfg.wired_relay_rate) % 1.0
-            selector = InterfaceSelector(cfg.relay_policy, rng=self.rng_relay)
             cell_up = None
             if self.relay_cellular:
                 up = loaded_cellular_rate(float(self.topo.cellular_rates[node]) * self.rate_scale,
                                           cfg.users_per_cell, cfg.loading_mode, cfg.r_cell)
                 cell_up = _Credit(up / cfg.r_wifi)
-            r = _Relay(cfg.buffer_capacity, cfg.wired_relay_rate, phase, selector, cell_up)
+            r = _Relay(cfg.buffer_capacity, cfg.wired_relay_rate, phase, cell_up)
             self.relays[node] = r
             self.relay_order = tuple(sorted(self.relays))
         return r
+
+    def _interfaces(self, relay: _Relay) -> tuple[bool, bool]:
+        """(cellular, wifi): whether relay's next packet goes out on each
+        interface under the relay policy.  Round-robin starts on WiFi and
+        alternates per relay; probabilistic draws one double from rng_relay."""
+        policy = self.cfg.relay_policy
+        if policy.mode != "both":
+            cellular = policy.mode == "cellular-only"
+        elif policy.both_mode == "duplicate":
+            return True, True
+        elif policy.both_mode == "round-robin":
+            cellular = relay.round_robin % 2 == 1
+            relay.round_robin += 1
+        else:  # probabilistic
+            cellular = self.rng_relay.random() < policy.p
+        return cellular, not cellular
 
     def _can_send(self, node: int) -> bool:
         """The source always can; a relay needs a send credit and a packet."""
@@ -532,18 +563,18 @@ class _Session:
             radio = dict.fromkeys(self.relay_order)
         else:
             # every relay picks its interfaces before any relay recodes
-            plans = [(node, select_interfaces(self.relays[node].selector))
+            plans = [(node, self._interfaces(self.relays[node]))
                      for node in self.relay_order if self._can_send(node)]
             radio = {}
-            for node, ifaces in plans:
+            for node, (cellular, wifi) in plans:
                 pkt = None
-                if "cellular" in ifaces:
+                if cellular:
                     cell_up = self.relays[node].cell_up
                     cell_up.tick()
                     if cell_up.take():
                         pkt = self._emit(node, "cellular")
                         self.cell_queue.append(pkt)
-                if "wifi" in ifaces:
+                if wifi:
                     radio[node] = pkt
         while self.cell_queue and self.cell_down.take():
             self._land(self.dst, self.cell_queue.popleft(), "cellular")

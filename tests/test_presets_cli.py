@@ -6,8 +6,7 @@ import pytest
 
 from hetnetcode import cli, presets
 from hetnetcode.errors import ConfigError
-from hetnetcode.routing import ForwardPolicy
-from hetnetcode.simengine import ScenarioConfig
+from hetnetcode.simengine import ForwardPolicy, ScenarioConfig
 from hetnetcode.presets import (
     SweepSpec,
     format_rows,

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import presets, topology
 from hetnetcode.errors import NoPathError
-from hetnetcode.routing import BOTH_MODES, POLICY_MODES, ForwardPolicy
+from hetnetcode.simengine import BOTH_MODES, POLICY_MODES, ForwardPolicy
 from hetnetcode.simengine import LOADING_MODES, ScenarioConfig, run_session
 from reference_engine import ReferenceSession
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from hetnetcode import routing, topology
-from hetnetcode.errors import ConfigError
-from hetnetcode.routing import ForwardPolicy, InterfaceSelector, select_interfaces
 from oracles import hop_distance, on_route
 
 
@@ -170,44 +168,3 @@ def test_bus_routes_match_explicit_clique(fraction):
     assert sum(map(len, topo.links)) <= wifi_degrees + 2 * len(edges)
     assert topo.routes._bus.tolist() == sorted(topo.backbone)
 
-
-def test_policy_validation():
-    with pytest.raises(ConfigError):
-        ForwardPolicy(mode="carrier-pigeon").validate()
-    with pytest.raises(ConfigError):
-        ForwardPolicy(mode="both", both_mode="sometimes").validate()
-    with pytest.raises(ConfigError):
-        ForwardPolicy(mode="both", both_mode="probabilistic", p=1.5).validate()
-
-
-def test_select_interfaces_fixed_modes():
-    wifi_only = InterfaceSelector(ForwardPolicy(mode="wifi-only"))
-    for _ in range(5):
-        assert select_interfaces(wifi_only) == {"wifi"}
-    dup = InterfaceSelector(ForwardPolicy(mode="both", both_mode="duplicate"))
-    assert select_interfaces(dup) == {"wifi", "cellular"}
-    cell = InterfaceSelector(ForwardPolicy(mode="cellular-only"))
-    assert select_interfaces(cell) == {"cellular"}
-
-
-def test_select_interfaces_round_robin_even_split():
-    sel = InterfaceSelector(ForwardPolicy(mode="both", both_mode="round-robin"))
-    picks = [select_interfaces(sel) for _ in range(100)]
-    assert sum(p == {"wifi"} for p in picks) == 50
-    assert sum(p == {"cellular"} for p in picks) == 50
-    assert picks[0] != picks[1]
-
-
-def test_select_interfaces_probabilistic():
-    sel = InterfaceSelector(
-        ForwardPolicy(mode="both", both_mode="probabilistic", p=1.0),
-        rng=np.random.default_rng(0),
-    )
-    assert select_interfaces(sel) == {"cellular"}
-    sel = InterfaceSelector(
-        ForwardPolicy(mode="both", both_mode="probabilistic", p=0.25),
-        rng=np.random.default_rng(1),
-    )
-    picks = [select_interfaces(sel) for _ in range(2000)]
-    frac = sum(p == {"cellular"} for p in picks) / 2000
-    assert 0.2 < frac < 0.3

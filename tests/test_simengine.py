@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import gf256, presets, rlnc, routing, simengine, topology
 from hetnetcode.errors import ConfigError, NoPathError
-from hetnetcode.routing import ForwardPolicy
 from hetnetcode.simengine import (
     EventTrace,
+    ForwardPolicy,
     ScenarioConfig,
     TraceEvent,
     compare_modes,
@@ -244,6 +244,25 @@ def test_fast_path_matches_slot_by_slot(link_rate):
         [(e.slot, e.block_id, e.innovative) for e in strace]
 
 
+@settings(max_examples=300, deadline=None)
+@given(link=st.integers(1, 128), cell=st.integers(1, 128), users=st.sampled_from([1, 2, 4, 8]),
+       loading=st.sampled_from(simengine.LOADING_MODES), ack_delay=st.integers(0, 4),
+       block_size=st.integers(1, 8))
+def test_fast_path_matches_slot_by_slot_on_dyadic_rates(link, cell, users, loading,
+                                                        ack_delay, block_size):
+    """Every cellular-only CSV value comes from _skip_ahead.  Rates of k/64,
+    loaded by a power-of-two user count, are dyadic, so each credit sum is
+    exact and skipping must agree with the slot loop to the slot."""
+    cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=link / 64,
+                              r_cell=cell / 64, users_per_cell=users, loading_mode=loading,
+                              ack_delay=ack_delay, block_size=block_size, block_target=3,
+                              slot_budget=1500, min_hops=1)
+    fast, ftrace = run_session(cfg, topo, pair=(0, 1))
+    slow, strace = run_session(cfg, topo, pair=(0, 1), no_skip=True)
+    assert fast == slow
+    assert ftrace.events == strace.events
+
+
 def two_hop_decode_oracle(block_size, blocks):
     """Hand-rolled 2-hop schedule: the relay alternates receive/transmit,
     so the destination banks one packet every 2 slots and each block
@@ -436,6 +455,66 @@ def test_relay_cellular_policies_run():
         assert stats.wifi_sent == sum(len(admitted) for _, admitted in log)
         again, _ = run_session(cfg, topo, pair=(0, 2))
         assert again == stats
+
+
+def test_policy_validation():
+    with pytest.raises(ConfigError):
+        ForwardPolicy(mode="carrier-pigeon").validate()
+    with pytest.raises(ConfigError):
+        ForwardPolicy(mode="both", both_mode="sometimes").validate()
+    with pytest.raises(ConfigError):
+        ForwardPolicy(mode="both", both_mode="probabilistic", p=1.5).validate()
+
+
+def policy_session(seed=0, **policy):
+    """A fresh session on a 2-hop chain under ForwardPolicy(**policy), and
+    its relay."""
+    cfg, topo, pair = presets.chain_scenario(
+        ScenarioConfig(seed=seed, relay_policy=ForwardPolicy(**policy)), 2)
+    session = simengine._Session(cfg, topo, pair, None, False)
+    return session, session._relay(1)
+
+
+def test_interfaces_fixed_modes():
+    session, relay = policy_session(mode="wifi-only")
+    for _ in range(5):
+        assert session._interfaces(relay) == (False, True)
+    session, relay = policy_session(mode="both", both_mode="duplicate")
+    assert session._interfaces(relay) == (True, True)
+    session, relay = policy_session(mode="cellular-only")
+    assert session._interfaces(relay) == (True, False)
+
+
+def test_interfaces_round_robin_even_split():
+    session, relay = policy_session(mode="both", both_mode="round-robin")
+    picks = [session._interfaces(relay) for _ in range(100)]
+    assert picks[0] == (False, True)  # WiFi first
+    assert picks.count((False, True)) == 50
+    assert picks.count((True, False)) == 50
+    assert picks[0] != picks[1]
+
+
+def test_interfaces_probabilistic():
+    session, relay = policy_session(mode="both", both_mode="probabilistic", p=1.0)
+    assert session._interfaces(relay) == (True, False)
+    session, relay = policy_session(seed=1, mode="both", both_mode="probabilistic", p=0.25)
+    picks = [session._interfaces(relay) for _ in range(2000)]
+    assert 0.2 < picks.count((True, False)) / 2000 < 0.3
+
+
+@pytest.mark.parametrize("policy", [
+    {"mode": "wifi-only"}, {"mode": "cellular-only"},
+    {"mode": "both", "both_mode": "round-robin"}, {"mode": "both", "both_mode": "duplicate"},
+    {"mode": "both", "both_mode": "probabilistic", "p": 0.5},
+])
+def test_only_the_probabilistic_schedule_draws_from_the_relay_stream(policy):
+    """One double per choice, so each later recode draws where it did."""
+    session, relay = policy_session(seed=7, **policy)
+    for _ in range(25):
+        session._interfaces(relay)
+    want = simengine.session_rngs(7)[3]
+    want.random(25 if policy.get("both_mode") == "probabilistic" else 0)
+    assert session.rng_relay.bit_generator.state == want.bit_generator.state
 
 
 def test_relay_star_wired_flow():
