@@ -137,6 +137,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     for preset in ("rate-sweep", "load-sweep", "infra-sweep", "topo1", "topo2"):
         p = sub.add_parser(preset, help=f"run the {preset} preset")
+        p.set_defaults(run=cmd_sweep)
         _add_sweep_flags(p)
         if preset == "topo1":
             p.add_argument("--proc-delay", type=int, dest="processing_delay",
@@ -146,10 +147,12 @@ def make_parser() -> argparse.ArgumentParser:
                            help="cellular/WiFi link rate ratio for the session")
 
     p = sub.add_parser("gen-topology", help="generate and dump a topology")
+    p.set_defaults(run=cmd_gen_topology)
     _add_common(p)
     p.add_argument("--nodes", type=int, dest="node_count", help="node count")
 
     p = sub.add_parser("replay-trace", help="run one session and dump its event trace")
+    p.set_defaults(run=cmd_replay_trace)
     _add_common(p)
     p.add_argument("--chain-hops", type=int, help="use a WiFi chain of this many hops")
     p.add_argument("--relays", type=int, help="use the dual-interface relay topology")
@@ -163,13 +166,7 @@ def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command in PRESETS:
-            return cmd_sweep(args)
-        if args.command == "gen-topology":
-            return cmd_gen_topology(args)
-        if args.command == "replay-trace":
-            return cmd_replay_trace(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

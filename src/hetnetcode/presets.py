@@ -24,6 +24,9 @@ TOPO2_RATES = (12, 18, 24, 36, 48, 54)
 TOPO2_REFERENCE_RATE = 54.0  # access link rate that maps to 1 packet/slot
 TOPO2_RELAY_RATE = 0.125  # processing-limited relay forwards per slot
 TOPO2_INTERFACES = 2
+# trial t of a sweep with seed s runs at seed s * TRIAL_SEED_STRIDE + t, so
+# sweeps of consecutive seeds share no trial seed while trials <= the stride
+TRIAL_SEED_STRIDE = 1_000_003
 
 
 @dataclass
@@ -44,8 +47,8 @@ class SweepSpec:
 
     def validate(self):
         topo_mod.check_types(self)
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= TRIAL_SEED_STRIDE:
+            raise ConfigError(f"trials must lie in [1, {TRIAL_SEED_STRIDE}]")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.seed < 0:
@@ -77,7 +80,7 @@ class SweepSpec:
 
 def trial_config(base: ScenarioConfig, spec_seed: int, trial: int, **overrides) -> ScenarioConfig:
     """Per-trial engine config; the seed mix keeps trials independent."""
-    return replace(base, seed=spec_seed * 1_000_003 + trial, **overrides)
+    return replace(base, seed=spec_seed * TRIAL_SEED_STRIDE + trial, **overrides)
 
 
 def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0, fractions=None):
@@ -228,14 +231,14 @@ def preset_load_sweep(spec: SweepSpec):
 
 
 def _infra_trial(args):
+    """One trial's relative throughput at each k/n, on its base topology's pair."""
     spec_seed, trial, fracs, base = args
-    probe_cfg = trial_config(base, spec_seed, trial)
-    base_topo, *topos = cell_topology(probe_cfg, spec_seed, trial,
-                                      [probe_cfg.backbone_fraction, *map(float, fracs)])
-    pair = pick_session_pair(base_topo, probe_cfg.min_hops, simengine.pair_rng(probe_cfg.seed))
+    cfg = trial_config(base, spec_seed, trial)
+    base_topo, *topos = cell_topology(cfg, spec_seed, trial,
+                                      [cfg.backbone_fraction, *map(float, fracs)])
+    pair = pick_session_pair(base_topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])
     out = []
-    for frac, topo in zip(fracs, topos):
-        cfg = trial_config(base, spec_seed, trial, backbone_fraction=float(frac))
+    for topo in topos:
         stats, _ = run_session(cfg, topo, pair=pair)
         out.append(stats.relative_throughput)
     return out

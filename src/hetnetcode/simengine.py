@@ -317,12 +317,6 @@ def session_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
 
 
-def pair_rng(seed: int) -> np.random.Generator:
-    """The stream from which a session with this seed picks its S-D pair:
-    session_rngs(seed)[0], without building the other five."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-
-
 class _Credit:
     """Fractional per-slot budget released as whole packets."""
 
@@ -430,13 +424,10 @@ class _Session:
         self._wired_hops: dict[int, tuple] = {}
         self._wifi_hops: dict[int, list[int]] = {}
 
-        # transport state
-        self.block_id = 0
+        # transport state: one decode slot per delivered block
         self.block = self._make_block(0)
-        self.expected_block = 0
         self.decoder = DecoderState(0, config.block_size)
         self.ack_slot: int | None = None  # slot from which the source may advance
-        self.blocks_delivered = 0
         self.decode_slots: list[int] = []
 
         self.relays: dict[int, _Relay] = {}
@@ -517,26 +508,24 @@ class _Session:
             return
         # under stop-and-wait no packet is newer than the decoder's block,
         # and older (stale) ones are discarded
-        innovative = packet.block_id == self.expected_block and self.decoder.receive(packet)
+        innovative = packet.block_id == self.decoder.block_id and self.decoder.receive(packet)
         self.trace.append(TraceEvent(self.slot, self.dst, interface,
                                      packet.block_id, innovative))
         if self.decoder.rank == self.cfg.block_size:
             decoded = self.decoder.decode()
             if not np.array_equal(decoded.packets, self.block.packets):
                 raise AssertionError("decoded block does not match the source block")
-            self.blocks_delivered += 1
             self.decode_slots.append(self.slot)
             self.ack_slot = self.slot + 1 + self.cfg.ack_delay
-            self.expected_block = (self.expected_block + 1) % rlnc.BLOCK_ID_MODULUS
-            self.decoder = DecoderState(self.expected_block, self.cfg.block_size)
+            self.decoder = DecoderState((self.decoder.block_id + 1) % rlnc.BLOCK_ID_MODULUS,
+                                        self.cfg.block_size)
 
     # -- per-slot phases ----------------------------------------------------
 
     def _maybe_advance_source(self):
         if self.ack_slot is not None and self.slot >= self.ack_slot:
             self.ack_slot = None
-            self.block_id = (self.block_id + 1) % rlnc.BLOCK_ID_MODULUS
-            self.block = self._make_block(self.block_id)
+            self.block = self._make_block((self.block.block_id + 1) % rlnc.BLOCK_ID_MODULUS)
 
     def _ingest_relays(self):
         for node in self.relay_order:
@@ -656,9 +645,6 @@ class _Session:
 
     # -- fast path for cellular-only runs ------------------------------------
 
-    def _fast_forwardable(self) -> bool:
-        return not self.wifi_usable and not self.wired_active
-
     def _skip_ahead(self, budget: int):
         """Jump over slots in which nothing can happen (pure cellular pipe)."""
         steps = []
@@ -680,8 +666,8 @@ class _Session:
 
     def run(self) -> tuple[SessionStats, EventTrace]:
         budget = self.cfg.slot_budget
-        fast = (not self.no_skip) and self._fast_forwardable()
-        while self.slot < budget and self.blocks_delivered < self.cfg.block_target:
+        fast = not (self.no_skip or self.wifi_usable or self.wired_active)
+        while self.slot < budget and len(self.decode_slots) < self.cfg.block_target:
             if fast:
                 self._skip_ahead(budget)
             self.slot += 1
@@ -696,7 +682,7 @@ class _Session:
         stats = SessionStats(
             source=self.src,
             destination=self.dst,
-            blocks_delivered=self.blocks_delivered,
+            blocks_delivered=len(self.decode_slots),
             slots_elapsed=elapsed,
             wifi_sent=self.sent["wifi"],
             cellular_sent=self.sent["cellular"],

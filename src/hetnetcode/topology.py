@@ -385,8 +385,10 @@ def relay_star_topology(n_relays: int, link_capacity: float,
     """Access-point preset: source and destination each reach every relay
     over wired access links; no radio geometry.
 
-    Node 0 is the source, node n_relays+1 the destination.  Per-node wired
-    budgets model the fixed number of physical interfaces.
+    Node 0 is the source, node n_relays+1 the destination.  The source's
+    out and the destination's in budgets model their fixed number of
+    physical interfaces; a relay has one access link on each side, whose
+    edge capacity is its only budget there.
     """
     if n_relays < 1:
         raise ConfigError("need at least one relay")
@@ -400,8 +402,6 @@ def relay_star_topology(n_relays: int, link_capacity: float,
     edges = [(src, i) for i in range(1, n_relays + 1)]
     edges += [(i, dst) for i in range(1, n_relays + 1)]
     cap = interfaces_per_node * link_capacity
-    node_out = {src: cap, **{i: link_capacity for i in range(1, n_relays + 1)}}
-    node_in = {dst: cap, **{i: link_capacity for i in range(1, n_relays + 1)}}
     wired = WiredSpec(edges=edges, edge_capacity=link_capacity,
-                      node_out=node_out, node_in=node_in)
+                      node_out={src: cap}, node_in={dst: cap})
     return HetNetTopology(params, positions, wired=wired)

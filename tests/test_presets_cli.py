@@ -475,3 +475,26 @@ def test_cli_seed_flag_beats_the_file_on_replay_trace(tmp_path):
     flags = _cli_output(tmp_path, ["replay-trace", "--seed", "5"], SMALL)
     assert _cli_output(tmp_path, ["replay-trace", "--seed", "5"], dict(SMALL, seed=9)) == flags
     assert _cli_output(tmp_path, ["replay-trace"], dict(SMALL, seed=9)) != flags
+
+
+def test_trials_are_bounded_by_the_trial_seed_stride():
+    # past the stride, sweep seed s would run the trial seeds of s + 1
+    SweepSpec(trials=presets.TRIAL_SEED_STRIDE).validate()
+    with pytest.raises(ConfigError, match=str(presets.TRIAL_SEED_STRIDE)):
+        SweepSpec(trials=presets.TRIAL_SEED_STRIDE + 1).validate()
+
+
+@pytest.mark.parametrize("argv, section", [
+    (["rate-sweep", "--trials", "1000004"], None),
+    # an int64 that would build 2**62 trial tasks before the first session
+    (["rate-sweep"], {"sweep": {"trials": 2**62}}),
+])
+def test_cli_rejects_more_trials_than_the_stride(tmp_path, capsys, argv, section):
+    if section is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        argv = [*argv, "--config", str(cfg)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "trials" in captured.err
+    assert captured.out == ""

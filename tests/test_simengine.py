@@ -94,11 +94,12 @@ def test_mistyped_config_built_in_python_is_a_config_error(make):
 
 def test_int_field_takes_the_int64_range():
     ScenarioConfig(slot_budget=2**63 - 1).validate()
-    presets.SweepSpec(trials=2**63 - 1).validate()
+    presets.SweepSpec(workers=2**63 - 1).validate()
     with pytest.raises(ConfigError, match="64-bit"):
         ScenarioConfig(slot_budget=2**63).validate()
     # a seed of any size seeds a SeedSequence, and a sweep's trial seeds
-    # (seed * 1_000_003 + trial) outgrow an int64 from seed 2**63 // 1_000_003
+    # (seed * TRIAL_SEED_STRIDE + trial) outgrow an int64 from seed
+    # 2**63 // TRIAL_SEED_STRIDE
     ScenarioConfig(seed=10**30).validate()
     presets.trial_config(ScenarioConfig(), 10**13, 1).validate()
 
@@ -517,6 +518,33 @@ def test_only_the_probabilistic_schedule_draws_from_the_relay_stream(policy):
     assert session.rng_relay.bit_generator.state == want.bit_generator.state
 
 
+def _with_relay_budgets(topo, n_relays, link_capacity):
+    """topo with each relay's out and in budget put back at its access
+    links' capacity, as relay_star_topology once stated them."""
+    relays = dict.fromkeys(range(1, n_relays + 1), link_capacity)
+    wired = topology.WiredSpec(edges=topo.wired.edges, edge_capacity=topo.wired.edge_capacity,
+                               node_out={**topo.wired.node_out, **relays},
+                               node_in={**topo.wired.node_in, **relays})
+    return topology.HetNetTopology(topo.params, topo.positions, wired=wired)
+
+
+@pytest.mark.parametrize("interfaces", [1, 2, 3])
+def test_relay_budgets_never_bind_before_their_links(interfaces):
+    """A relay's node budget would be a second credit at its one link's
+    rate, spent in the same sends, so dropping it moves nothing."""
+    base = ScenarioConfig(block_target=2)
+    for n in range(1, 7):
+        for rate in presets.TOPO2_RATES:
+            cfg, _, pair = presets.relay_star_scenario(base, n, rate)
+            link = rate / presets.TOPO2_REFERENCE_RATE
+            topo = topology.relay_star_topology(n, link, interfaces_per_node=interfaces)
+            stats, trace = run_session(cfg, topo, pair=pair)
+            want_stats, want_trace = run_session(cfg, _with_relay_budgets(topo, n, link),
+                                                 pair=pair)
+            assert stats == want_stats and stats.blocks_delivered == 2, (n, rate)
+            assert trace.events == want_trace.events, (n, rate)
+
+
 def test_relay_star_wired_flow():
     topo = topology.relay_star_topology(3, link_capacity=1.0)
     cfg = ScenarioConfig(node_count=5, cellular_enabled=False, min_hops=2,
@@ -611,9 +639,3 @@ def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
     assert stats.blocks_delivered == 3
     assert calls["recode"] > 0 and calls["encode"] > 0
     assert calls["weighted_row_sum"] == calls["encode"]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 5, 123456])
-def test_pair_rng_is_the_first_session_stream(seed):
-    want = simengine.session_rngs(seed)[0].integers(0, 2**32, size=10)
-    assert simengine.pair_rng(seed).integers(0, 2**32, size=10).tolist() == want.tolist()

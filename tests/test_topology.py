@@ -323,5 +323,6 @@ def test_relay_star_topology():
     assert topo.wired_peers(2) == [src, dst]
     # access-point preset has no radio links at all
     assert topo.neighbors == [[]] * len(topo)
-    assert topo.wired.node_out[src] == 4.0
-    assert topo.wired.node_in[dst] == 4.0
+    # a relay's only budget on each side is its one access link's capacity
+    assert topo.wired.node_out == {src: 4.0}
+    assert topo.wired.node_in == {dst: 4.0}
