@@ -102,10 +102,8 @@ class ScenarioConfig(TopologyParams):
     node_count: int = 750
     # coding
     block_size: int = 20  # M packets per block
-    payload_bytes: int = 1400  # byte accounting only; sessions carry CHECK_PAYLOAD_BYTES
     buffer_capacity: int = 8  # N_buf at relays
-    # rates, all in the same units as r_wifi
-    r_wifi: float = 1.0
+    # rates in packets per slot (one WiFi link moves one per slot)
     link_rate_override: float | None = None  # pin the S-D cellular link rate
     users_per_cell: int = 1
     loading_mode: str = "equal-rate"
@@ -132,12 +130,8 @@ class ScenarioConfig(TopologyParams):
             raise ConfigError("need at least a source and a destination")
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
-        if self.payload_bytes < 1:
-            raise ConfigError("payload_bytes must be >= 1")
         if self.buffer_capacity < 1:
             raise ConfigError("buffer_capacity must be >= 1")
-        if self.r_wifi <= 0:
-            raise ConfigError("rates must be positive")
         if self.link_rate_override is not None and self.link_rate_override < 0:
             raise ConfigError("link_rate_override must be >= 0")
         if self.users_per_cell < 1:
@@ -206,22 +200,12 @@ class SessionStats:
     wired_sent: int
     decode_slots: list[int]
     block_size: int
-    payload_bytes: int
-    r_wifi: float
 
     @property
     def relative_throughput(self) -> float:
         if self.slots_elapsed == 0:
             return 0.0
         return self.blocks_delivered * self.block_size / self.slots_elapsed
-
-    @property
-    def throughput(self) -> float:
-        return self.relative_throughput * self.r_wifi
-
-    @property
-    def payload_bytes_delivered(self) -> int:
-        return self.blocks_delivered * self.block_size * self.payload_bytes
 
 
 def loaded_cellular_rate(link_rate: float, users: int, mode: str, cell_rate: float) -> float:
@@ -276,8 +260,6 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     within WiFi range (LinkRangeError otherwise).
     """
     n = len(pending_txs)
-    if n == 0:
-        return []
     if priorities is None:
         priorities = (0,) * n
     # the index breaks exact ties as a stable sort on (priority, jitter) would
@@ -338,14 +320,13 @@ class _Credit:
 
 
 class _Relay:
-    __slots__ = ("buffer", "send_credit", "proc", "inbox", "round_robin", "cell_up")
+    __slots__ = ("buffer", "send_credit", "proc", "round_robin", "cell_up")
 
     def __init__(self, capacity: int, wired_rate: float, phase: float,
                  cell_up: _Credit | None):
         self.buffer = RecodeBuffer(capacity)
         self.send_credit = 0  # one send permitted per received packet
         self.proc = _Credit(wired_rate, phase=phase)
-        self.inbox: deque = deque()
         self.round_robin = 0  # round-robin picks so far; odd ones go on cellular
         self.cell_up = cell_up
 
@@ -381,7 +362,7 @@ class _Session:
             link = cellular_link_rate(topo, self.src, self.dst) * self.rate_scale
         loaded = loaded_cellular_rate(link, config.users_per_cell,
                                       config.loading_mode, config.r_cell)
-        pipe = loaded / config.r_wifi if config.cellular_enabled else 0.0
+        pipe = loaded if config.cellular_enabled else 0.0
         self.cell_up = _Credit(pipe)
         self.cell_down = _Credit(pipe)
         self.cell_queue: deque = deque()
@@ -416,7 +397,7 @@ class _Session:
                 self._wired_credits.append(self.node_in[nid])
         self.bus: _Credit | None = None
         if topo.backbone:
-            self.bus = _Credit(config.backbone_rate / config.r_wifi)
+            self.bus = _Credit(config.backbone_rate)
             self._wired_credits.append(self.bus)
         # session caches, fixed once filled because the routes and the
         # destination are: each node's out budget and wired hops with their
@@ -431,6 +412,9 @@ class _Session:
         self.decode_slots: list[int] = []
 
         self.relays: dict[int, _Relay] = {}
+        # (due slot, relay, packet); every arrival waits processing_delay, so
+        # landing order is due order
+        self.arrivals: deque = deque()
         # relay ids ascending, rebuilt when a relay is created; a loop keeps
         # the tuple it started with, so a relay made during it waits a slot
         self.relay_order: tuple[int, ...] = ()
@@ -455,7 +439,7 @@ class _Session:
             if self.relay_cellular:
                 up = loaded_cellular_rate(float(self.topo.cellular_rates[node]) * self.rate_scale,
                                           cfg.users_per_cell, cfg.loading_mode, cfg.r_cell)
-                cell_up = _Credit(up / cfg.r_wifi)
+                cell_up = _Credit(up)
             r = _Relay(cfg.buffer_capacity, cfg.wired_relay_rate, phase, cell_up)
             self.relays[node] = r
             self.relay_order = tuple(sorted(self.relays))
@@ -478,11 +462,9 @@ class _Session:
         return cellular, not cellular
 
     def _can_send(self, node: int) -> bool:
-        """The source always can; a relay needs a send credit and a packet."""
-        if node == self.src:
-            return True
-        relay = self.relays[node]
-        return relay.send_credit >= 1 and bool(relay.buffer.packets)
+        """The source always can; a relay needs a send credit, which only a
+        stored packet grants, and a buffer that stored one is never empty."""
+        return node == self.src or self.relays[node].send_credit >= 1
 
     def _words(self, node: int):
         """The C interface of the stream of node's hop picks (and packets)."""
@@ -501,10 +483,12 @@ class _Session:
         return rlnc.recode(relay.buffer, self.rng_relay)
 
     def _land(self, rx: int, packet: CodedPacket, interface: str):
-        """packet arrives at rx over interface: a relay ingests it after the
-        processing delay, the destination's decoder consumes it now."""
+        """packet arrives at rx over interface: a relay, made now so that every
+        later relay loop ticks its credits, ingests it after the processing
+        delay; the destination's decoder consumes it now."""
         if rx != self.dst:
-            self._relay(rx).inbox.append((self.slot + 1 + self.cfg.processing_delay, packet))
+            due = self.slot + 1 + self.cfg.processing_delay
+            self.arrivals.append((due, self._relay(rx), packet))
             return
         # under stop-and-wait no packet is newer than the decoder's block,
         # and older (stale) ones are discarded
@@ -528,13 +512,13 @@ class _Session:
             self.block = self._make_block((self.block.block_id + 1) % rlnc.BLOCK_ID_MODULUS)
 
     def _ingest_relays(self):
-        for node in self.relay_order:
-            relay = self.relays[node]
-            while relay.inbox and relay.inbox[0][0] <= self.slot:
-                _, packet = relay.inbox.popleft()
-                if relay.buffer.offer(packet):
-                    relay.send_credit = min(self.cfg.buffer_capacity,
-                                            relay.send_credit + 1)
+        # in landing order, not relay by relay: an ingest draws nothing and
+        # touches only its own relay
+        arrivals = self.arrivals
+        while arrivals and arrivals[0][0] <= self.slot:
+            _, relay, packet = arrivals.popleft()
+            if relay.buffer.offer(packet):
+                relay.send_credit = min(self.cfg.buffer_capacity, relay.send_credit + 1)
 
     def _cellular_phase(self) -> dict:
         """Cellular sends and arrivals.  Returns the relays planned onto the
@@ -610,7 +594,7 @@ class _Session:
             proc = relay.proc
             value = proc.value + proc.rate
             proc.value = value if value < proc.limit else proc.limit
-            while relay.send_credit >= 1 and relay.buffer.packets and proc.value >= 1.0:
+            while relay.send_credit >= 1 and proc.value >= 1.0:
                 v = self._wired_pick(node)
                 if v is None:
                     break
@@ -689,8 +673,6 @@ class _Session:
             wired_sent=self.sent["wired"],
             decode_slots=self.decode_slots,
             block_size=self.cfg.block_size,
-            payload_bytes=self.cfg.payload_bytes,
-            r_wifi=self.cfg.r_wifi,
         )
         return stats, self.trace
 

@@ -85,10 +85,10 @@ class TopologyParams:
     cell_radius: float = 1000.0
     wifi_range: float = 100.0
     delta: float = 0.2
-    r_cell: float = 1.0  # max cellular rate R_cell, in units of R_WiFi
+    r_cell: float = 1.0  # cell maximum, packets per slot (one WiFi link moves one per slot)
     rate_tiers: tuple = DEFAULT_RATE_TIERS
     backbone_fraction: float = 0.0  # k/n, applied per cell
-    backbone_rate: float = 100.0  # wired bus capacity, in units of R_WiFi
+    backbone_rate: float = 100.0  # wired bus capacity, packets per slot
 
     def validate(self):
         """Every field's type (a subclass's too), then the topology's own

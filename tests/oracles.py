@@ -1,7 +1,7 @@
 """Reference implementations that the tests compare the program with: the
 coefficient draw through numpy's uint8 integers, the protocol-model guard
 over every pair of transmissions, GF(2^8) linear algebra on uint8 matrices,
-and per-node topology and routing scans."""
+per-node topology and routing scans, and a session's cut bound."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
+from hetnetcode.topology import WiredSpec
 
 
 def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,3 +145,40 @@ def backbone_draw(cell_ids, fraction: float, rng: np.random.Generator) -> frozen
                 chosen.update(int(i) for i in rng.choice(np.array(members), size=k,
                                                          replace=False))
     return frozenset(chosen)
+
+
+def cut_bound(cfg, topo, src: int, dst: int) -> float:
+    """Packets per slot that can leave src or reach dst, whichever is less,
+    from config fields and topology arrays alone: no code delivers more than
+    a cut carries (Ahlswede, Cai, Li & Yeung, Network Information Flow, IEEE
+    Trans. IT 2000).  Each side adds its S-D cellular pipe, one packet if it
+    has a WiFi neighbour, and its wired budget: its node budget, else its
+    edges plus the bus if it is on it.  The source sends at most block_size
+    packets per slot on each of its cellular and wired interfaces, and a
+    session with WiFi off is cellular-only: it moves no wired packet either."""
+    link = cfg.link_rate_override
+    if link is None:
+        scale = cfg.r_cell / topo.params.r_cell
+        link = float(min(topo.cellular_rates[src], topo.cellular_rates[dst])) * scale
+    users = cfg.users_per_cell
+    loaded = min(link, cfg.r_cell / users) if cfg.loading_mode == "equal-rate" else link / users
+    cellular = loaded if cfg.cellular_enabled else 0.0
+    spec = topo.wired or WiredSpec([], 0.0, {}, {})
+
+    def side(node: int, budgets: dict, cap: float) -> float:
+        if not cfg.wifi_enabled:
+            return min(cellular, cap)
+        wired = budgets.get(node)
+        if wired is None:
+            wired = (spec.edge_capacity * sum(node in edge for edge in spec.edges)
+                     + cfg.backbone_rate * (node in topo.backbone))
+        return min(cellular, cap) + (1.0 if topo.neighbors[node] else 0.0) + min(wired, cap)
+
+    return min(side(src, spec.node_out, cfg.block_size), side(dst, spec.node_in, math.inf))
+
+
+def within_cut(cfg, topo, stats) -> bool:
+    """The session's delivered packets fit through its cut bound over its
+    elapsed slots, up to float rounding in the engine's credits."""
+    allowed = cut_bound(cfg, topo, stats.source, stats.destination) * stats.slots_elapsed
+    return stats.blocks_delivered * stats.block_size <= allowed * (1 + 1e-9) + 1e-9

@@ -43,7 +43,7 @@ class Relay:
         self.buffer, self.send_credit, self.inbox, self.round_robin = (
             rlnc.RecodeBuffer(cfg.buffer_capacity), 0, [], 0)  # inbox: (slot due, packet)
         self.proc = Credit(cfg.wired_relay_rate, (node * cfg.wired_relay_rate) % 1.0)
-        self.cell_up = Credit(loaded_rate(cfg, cell_rate) / cfg.r_wifi)
+        self.cell_up = Credit(loaded_rate(cfg, cell_rate))
 
 
 def loaded_rate(cfg, link):
@@ -67,7 +67,7 @@ class ReferenceSession:
         link = cfg.link_rate_override
         if link is None:
             link = min(topo.cellular_rates[[self.src, self.dst]]) * self.rate_scale
-        pipe = loaded_rate(cfg, float(link)) / cfg.r_wifi if cfg.cellular_enabled else 0.0
+        pipe = loaded_rate(cfg, float(link)) if cfg.cellular_enabled else 0.0
         self.cell_up, self.cell_down, self.cell_queue = Credit(pipe), Credit(pipe), []
         spec = topo.wired or WiredSpec([], 0.0, {}, {})
         self.wired_active = cfg.wifi_enabled and (len(topo.backbone) > 1 or bool(spec.edges))
@@ -76,7 +76,7 @@ class ReferenceSession:
             self.edge[u, v] = self.edge[v, u] = Credit(spec.edge_capacity)
         self.out = {u: Credit(cap) for u, cap in spec.node_out.items()}
         self.into = {v: Credit(cap) for v, cap in spec.node_in.items()}
-        self.bus = Credit(cfg.backbone_rate / cfg.r_wifi) if topo.backbone else None
+        self.bus = Credit(cfg.backbone_rate) if topo.backbone else None
         self.wired_credits = [*{id(c): c for c in self.edge.values()}.values(),
                               *self.out.values(), *self.into.values(), self.bus]
         self.block_id, self.expected, self.ack_slot = 0, 0, None
@@ -263,6 +263,5 @@ class ReferenceSession:
         stats = SessionStats(
             self.src, self.dst, len(self.decode_slots),
             self.decode_slots[-1] if self.decode_slots else cfg.slot_budget, self.sent["wifi"],
-            self.sent["cellular"], self.sent["wired"], self.decode_slots, cfg.block_size,
-            cfg.payload_bytes, cfg.r_wifi)
+            self.sent["cellular"], self.sent["wired"], self.decode_slots, cfg.block_size)
         return stats, self.trace, self.schedule_log

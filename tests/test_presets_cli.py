@@ -498,3 +498,15 @@ def test_cli_rejects_more_trials_than_the_stride(tmp_path, capsys, argv, section
     captured = capsys.readouterr()
     assert "trials" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, value", [("r_wifi", 2.0), ("payload_bytes", 1400)])
+def test_cli_rejects_the_dropped_rate_and_byte_fields(tmp_path, capsys, field, value):
+    # every rate is in packets per slot and a session carries no byte count,
+    # so these keys name no config field
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {field: value}}))
+    assert run_cli(["rate-sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""

@@ -10,6 +10,7 @@ from hetnetcode import presets, topology
 from hetnetcode.errors import NoPathError
 from hetnetcode.simengine import BOTH_MODES, POLICY_MODES, ForwardPolicy
 from hetnetcode.simengine import LOADING_MODES, ScenarioConfig, run_session
+from oracles import within_cut
 from reference_engine import ReferenceSession
 
 POLICIES = st.builds(ForwardPolicy, mode=st.sampled_from(POLICY_MODES),
@@ -63,7 +64,8 @@ def scenarios(draw, kind: str):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_engine_matches_the_reference_engine(kind, data):
-    """Equal stats, destination traces and radio schedules, slot by slot."""
+    """Equal stats, destination traces and radio schedules, slot by slot, and
+    no more packets delivered than the session's cut carries."""
     cfg, topo, pair = data.draw(scenarios(kind))
     schedule_log = []
     try:
@@ -74,3 +76,4 @@ def test_engine_matches_the_reference_engine(kind, data):
     assert stats == want_stats
     assert trace.events == want_trace.events
     assert schedule_log == want_log
+    assert within_cut(cfg, topo, stats)

@@ -210,6 +210,25 @@ def test_buffer_capacity_and_block_transitions():
     assert len(buf) == 1
 
 
+# block ids within a few of the 2^16 wrap, and half the id space away from it
+_WRAP_IDS = st.integers(-6, 6) | st.sampled_from([2**15 - 1, 2**15, 2**15 + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 8),
+       ids=st.lists(_WRAP_IDS.map(lambda i: i % rlnc.BLOCK_ID_MODULUS), min_size=1, max_size=40))
+def test_buffer_that_stored_a_packet_is_never_empty(capacity, ids):
+    """The engine sends from a relay on send credit alone, which only a
+    stored packet grants: once an offer has returned True, the buffer holds
+    at least one packet and at most capacity, whatever ids follow."""
+    buf = rlnc.RecodeBuffer(capacity)
+    stored = False
+    for block_id in ids:
+        stored |= buf.offer(rlnc.CodedPacket(block_id, [1], []))
+        assert len(buf) <= capacity
+        assert len(buf) >= 1 or not stored
+
+
 def test_block_id_wraparound():
     assert rlnc.block_id_newer(1, 0)
     assert not rlnc.block_id_newer(0, 1)
