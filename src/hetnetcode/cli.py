@@ -22,9 +22,10 @@ import json
 import sys
 
 from . import presets
+from .config import ScenarioConfig, SweepSpec
 from .errors import ConfigError, NoPathError
-from .presets import PRESETS, SweepSpec, format_rows
-from .simengine import ScenarioConfig, run_session
+from .presets import PRESETS, format_rows
+from .simengine import run_session
 
 _SWEEP_FIELDS = {f.name for f in dataclasses.fields(SweepSpec)} - {"scenario"}
 _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}

@@ -1,0 +1,271 @@
+"""Every config class, the one JSON reader of them and the declared-type check.
+
+A field's declared type says what JSON value it accepts: config_from_dict
+reads a section by it, and each class's validate() checks the value against
+it (check_types) before the value itself.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import numbers
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+
+from .errors import ConfigError
+
+
+def finite_number(x) -> bool:
+    """x is a real number other than a bool with a finite float value."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# the values a declared field type accepts, and their name in errors; a JSON
+# list is read as a tuple, a JSON object for a dataclass field as that class
+_ACCEPTS = {bool: (bool, "true or false"), int: (int, "an integer"),
+            float: ((int, float), "a number"), str: (str, "a string"),
+            type(None): (type(None), "null"), tuple: ((list, tuple), "a list"),
+            dict: (dict, "an object")}
+
+
+@functools.cache
+def declared_types(cls) -> dict:
+    """Per field of the config dataclass cls: the members of its declared
+    type, the types a value other than a bool may have, and the declared
+    type's name in errors, read once per class."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        accepts = [(kind, f"a {kind.__name__} (an object)") if is_dataclass(kind)
+                   else _ACCEPTS[kind] for kind in kinds]
+        table[f.name] = (kinds, tuple(t for t, _ in accepts if t is not bool),
+                         " or ".join(label for _, label in accepts))
+    return table
+
+
+def check_types(config):
+    """ConfigError unless every field of config holds a value of its declared
+    type, a bool being no number, every float, or int in a float field, has a
+    finite float value, and every int in an int field other than a seed fits
+    in an int64: those are counts, sizes and delays that numpy may take as an
+    index, while a seed goes to numpy's SeedSequence, which takes any int
+    >= 0."""
+    for name, (kinds, accepted, expected) in declared_types(type(config)).items():
+        value = getattr(config, name)
+        if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):
+            raise ConfigError(f"{name} must be {expected}, not {value!r}")
+        number = isinstance(value, float) or float in kinds and type(value) is int
+        if number and not finite_number(value):
+            raise ConfigError(f"{name} must be a finite number")
+        if int in kinds and type(value) is int:
+            if name == "seed" and value < 0:
+                raise ConfigError("seed must be >= 0")
+            if name != "seed" and not -2**63 <= value < 2**63:
+                raise ConfigError(f"{name} must be a 64-bit integer")
+
+
+# cellular rate tiers: (upper bound on d/R, fraction of the cell max rate);
+# the last tier catches everything up to the cell edge
+DEFAULT_RATE_TIERS = ((0.25, 1.0), (0.5, 0.5), (0.75, 0.25), (1.0, 0.125))
+
+
+@dataclass
+class TopologyParams:
+    cell_radius: float = 1000.0
+    wifi_range: float = 100.0
+    delta: float = 0.2
+    r_cell: float = 1.0  # cell maximum, packets per slot (one WiFi link moves one per slot)
+    rate_tiers: tuple = DEFAULT_RATE_TIERS
+    backbone_fraction: float = 0.0  # k/n, applied per cell
+    backbone_rate: float = 100.0  # wired bus capacity, packets per slot
+
+    def validate(self):
+        """Every field's type (a subclass's too), then the topology's own
+        ranges."""
+        check_types(self)
+        if self.cell_radius <= 0 or self.wifi_range <= 0:
+            raise ConfigError("cell_radius and wifi_range must be positive")
+        if self.delta < 0:
+            raise ConfigError("delta must be non-negative")
+        if self.r_cell <= 0 or self.backbone_rate <= 0:
+            raise ConfigError("rates must be positive")
+        if not 0.0 <= self.backbone_fraction <= 1.0:
+            raise ConfigError("backbone_fraction must be in [0, 1]")
+        tiers = self.rate_tiers
+        if not (tiers and all(
+                isinstance(t, (list, tuple)) and len(t) == 2 and all(map(finite_number, t))
+                and t[1] > 0 for t in tiers)):
+            raise ConfigError("rate_tiers must be a non-empty list of [bound, fraction] "
+                              "pairs of finite numbers, with positive fractions")
+
+
+LOADING_MODES = ("equal-rate", "equal-time")
+POLICY_MODES = ("cellular-only", "wifi-only", "both")
+BOTH_MODES = ("round-robin", "duplicate", "probabilistic")
+
+
+def _tupled(value):
+    """value with every list or tuple in it, itself included, a tuple."""
+    return tuple(map(_tupled, value)) if isinstance(value, (list, tuple)) else value
+
+
+def config_from_dict(cls, values):
+    """Validated dataclass cls from JSON-style values, the one reader of
+    every config section: each key must be a field of cls.  A list for a
+    tuple field becomes a tuple and an object for a dataclass field (a
+    ForwardPolicy) becomes one; cls.validate() checks each value against
+    the field's declared type, then the value itself."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{cls.__name__} settings must be an object")
+    declared = declared_types(cls)
+    kwargs = {}
+    for key, value in values.items():
+        if key not in declared:
+            raise ConfigError(f"unknown {cls.__name__} field {key!r}")
+        kinds = declared[key][0]
+        if isinstance(value, dict) and is_dataclass(kinds[0]):
+            value = config_from_dict(kinds[0], value)
+        elif tuple in kinds:
+            value = _tupled(value)
+        kwargs[key] = value
+    config = cls(**kwargs)
+    config.validate()
+    return config
+
+
+@dataclass(frozen=True)
+class ForwardPolicy:
+    """A relay's interfaces for each packet, applied by _Session._interfaces."""
+
+    mode: str = "wifi-only"
+    both_mode: str = "round-robin"
+    p: float = 0.5  # probability of picking cellular in probabilistic mode
+
+    def validate(self):
+        check_types(self)
+        if self.mode not in POLICY_MODES:
+            raise ConfigError(f"unknown policy mode {self.mode!r}")
+        if self.both_mode not in BOTH_MODES:
+            raise ConfigError(f"unknown both-mode schedule {self.both_mode!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ConfigError("probabilistic p must lie in [0, 1]")
+
+
+@dataclass
+class ScenarioConfig(TopologyParams):
+    """A session: the topology fields it inherits, whose r_cell is also the
+    cell maximum of the loading model, and the session's own."""
+
+    node_count: int = 750
+    # coding
+    block_size: int = 20  # M packets per block
+    buffer_capacity: int = 8  # N_buf at relays
+    # rates in packets per slot (one WiFi link moves one per slot)
+    link_rate_override: float | None = None  # pin the S-D cellular link rate
+    users_per_cell: int = 1
+    loading_mode: str = "equal-rate"
+    # transport timing (slots)
+    ack_delay: int = 1
+    processing_delay: int = 0
+    min_hops: int = 2
+    slot_budget: int = 5000
+    block_target: int = 3
+    # forwarding
+    relay_policy: ForwardPolicy = field(default_factory=ForwardPolicy)
+    # False switches off every non-cellular interface: WiFi, the wired access
+    # links and the backbone bus, as compare_modes' cellular-only half needs
+    wifi_enabled: bool = True
+    cellular_enabled: bool = True
+    wired_relay_rate: float = 1.0  # wired forwards per slot a relay can process
+    seed: int = 0
+
+    @classmethod
+    def from_dict(cls, values: dict) -> ScenarioConfig:
+        return config_from_dict(cls, values)
+
+    def validate(self):
+        super().validate()
+        if self.node_count < 2:
+            raise ConfigError("need at least a source and a destination")
+        if self.block_size < 1:
+            raise ConfigError("block_size must be >= 1")
+        if self.buffer_capacity < 1:
+            raise ConfigError("buffer_capacity must be >= 1")
+        if self.link_rate_override is not None and self.link_rate_override < 0:
+            raise ConfigError("link_rate_override must be >= 0")
+        if self.users_per_cell < 1:
+            raise ConfigError("users_per_cell must be >= 1")
+        if self.loading_mode not in LOADING_MODES:
+            raise ConfigError(f"unknown loading mode {self.loading_mode!r}")
+        if self.ack_delay < 0 or self.processing_delay < 0:
+            raise ConfigError("delays must be >= 0")
+        if self.slot_budget < 1:
+            raise ConfigError("slot_budget must be >= 1")
+        if self.block_target < 1:
+            raise ConfigError("block_target must be >= 1")
+        if self.wired_relay_rate <= 0:
+            raise ConfigError("wired_relay_rate must be positive")
+        self.relay_policy.validate()
+        if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
+            raise ConfigError(f"relay policy {self.relay_policy.mode!r} needs the "
+                              "cellular interface, which is disabled")
+
+    def topology_params(self) -> TopologyParams:
+        return TopologyParams(**{f.name: getattr(self, f.name) for f in fields(TopologyParams)})
+
+
+# trial t of a sweep with seed s runs at seed s * TRIAL_SEED_STRIDE + t, so
+# sweeps of consecutive seeds share no trial seed while trials <= the stride
+TRIAL_SEED_STRIDE = 1_000_003
+
+
+@dataclass
+class SweepSpec:
+    param_min: float | None = None
+    param_max: float | None = None
+    param_step: float | None = None
+    values: tuple | None = None  # explicit sweep points, overrides min/max/step
+    trials: int = 50
+    seed: int = 0
+    out: str | None = None
+    workers: int = 1
+    scenario: dict = field(default_factory=dict)  # ScenarioConfig overrides
+
+    @classmethod
+    def from_dict(cls, values: dict) -> SweepSpec:
+        return config_from_dict(cls, values)
+
+    def validate(self):
+        check_types(self)
+        if not 1 <= self.trials <= TRIAL_SEED_STRIDE:
+            raise ConfigError(f"trials must lie in [1, {TRIAL_SEED_STRIDE}]")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        if not all(map(finite_number, self.values or ())):
+            raise ConfigError("sweep values must be finite numbers")
+        if self.values is not None:
+            if len(self.values) == 0:
+                raise ConfigError("explicit sweep values must be non-empty")
+            return
+        have = [b is not None for b in (self.param_min, self.param_max, self.param_step)]
+        if any(have) and not all(have):
+            raise ConfigError("param_min, param_max, param_step must be given together")
+        if all(have):
+            if self.param_min > self.param_max:
+                raise ConfigError("param_min must be <= param_max")
+            if self.param_step <= 0:
+                raise ConfigError("param_step must be > 0")
+
+    def sweep_values(self, default):
+        self.validate()
+        if self.values is not None:
+            return list(self.values)
+        if self.param_min is None:
+            return list(default)
+        count = int(math.floor((self.param_max - self.param_min) / self.param_step + 1e-9)) + 1
+        return [self.param_min + i * self.param_step for i in range(count)]

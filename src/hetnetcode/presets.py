@@ -12,70 +12,19 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import simengine, topology as topo_mod
+from .config import TRIAL_SEED_STRIDE, ScenarioConfig, SweepSpec
 from .errors import ConfigError
-from .simengine import ScenarioConfig, compare_modes, pick_session_pair, run_session
+from .simengine import compare_modes, pick_session_pair, run_session
 
 TOPO2_RATES = (12, 18, 24, 36, 48, 54)
 TOPO2_REFERENCE_RATE = 54.0  # access link rate that maps to 1 packet/slot
 TOPO2_RELAY_RATE = 0.125  # processing-limited relay forwards per slot
 TOPO2_INTERFACES = 2
-# trial t of a sweep with seed s runs at seed s * TRIAL_SEED_STRIDE + t, so
-# sweeps of consecutive seeds share no trial seed while trials <= the stride
-TRIAL_SEED_STRIDE = 1_000_003
-
-
-@dataclass
-class SweepSpec:
-    param_min: float | None = None
-    param_max: float | None = None
-    param_step: float | None = None
-    values: tuple | None = None  # explicit sweep points, overrides min/max/step
-    trials: int = 50
-    seed: int = 0
-    out: str | None = None
-    workers: int = 1
-    scenario: dict = field(default_factory=dict)  # ScenarioConfig overrides
-
-    @classmethod
-    def from_dict(cls, values: dict) -> SweepSpec:
-        return simengine.config_from_dict(cls, values)
-
-    def validate(self):
-        topo_mod.check_types(self)
-        if not 1 <= self.trials <= TRIAL_SEED_STRIDE:
-            raise ConfigError(f"trials must lie in [1, {TRIAL_SEED_STRIDE}]")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not all(map(topo_mod.finite_number, self.values or ())):
-            raise ConfigError("sweep values must be finite numbers")
-        if self.values is not None:
-            if len(self.values) == 0:
-                raise ConfigError("explicit sweep values must be non-empty")
-            return
-        have = [b is not None for b in (self.param_min, self.param_max, self.param_step)]
-        if any(have) and not all(have):
-            raise ConfigError("param_min, param_max, param_step must be given together")
-        if all(have):
-            if self.param_min > self.param_max:
-                raise ConfigError("param_min must be <= param_max")
-            if self.param_step <= 0:
-                raise ConfigError("param_step must be > 0")
-
-    def sweep_values(self, default):
-        self.validate()
-        if self.values is not None:
-            return list(self.values)
-        if self.param_min is None:
-            return list(default)
-        count = int(math.floor((self.param_max - self.param_min) / self.param_step + 1e-9)) + 1
-        return [self.param_min + i * self.param_step for i in range(count)]
 
 
 def trial_config(base: ScenarioConfig, spec_seed: int, trial: int, **overrides) -> ScenarioConfig:

@@ -26,135 +26,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rlnc
+from .config import ScenarioConfig
 from .errors import ConfigError, NoPathError
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
 from .routing import UNREACHABLE
-from .topology import (HetNetTopology, TopologyParams, cellular_link_rate, check_types,
-                       declared_types)
-
-LOADING_MODES = ("equal-rate", "equal-time")
-POLICY_MODES = ("cellular-only", "wifi-only", "both")
-BOTH_MODES = ("round-robin", "duplicate", "probabilistic")
+from .topology import HetNetTopology, cellular_link_rate
 
 # Payload bytes a session carries: coefficients alone decide rank and timing,
 # and 8 columns coded alike still catch a payload that disagrees with its
 # coefficients in the decoded == source check, missing it w.p. 2^-64 per block.
 CHECK_PAYLOAD_BYTES = 8
-
-
-def _tupled(value):
-    """value with every list or tuple in it, itself included, a tuple."""
-    return tuple(map(_tupled, value)) if isinstance(value, (list, tuple)) else value
-
-
-def config_from_dict(cls, values):
-    """Validated dataclass cls from JSON-style values, the one reader of
-    every config section: each key must be a field of cls.  A list for a
-    tuple field becomes a tuple and an object for a dataclass field (a
-    ForwardPolicy) becomes one; cls.validate() checks each value against
-    the field's declared type, then the value itself."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{cls.__name__} settings must be an object")
-    declared = declared_types(cls)
-    kwargs = {}
-    for key, value in values.items():
-        if key not in declared:
-            raise ConfigError(f"unknown {cls.__name__} field {key!r}")
-        kinds = declared[key][0]
-        if isinstance(value, dict) and is_dataclass(kinds[0]):
-            value = config_from_dict(kinds[0], value)
-        elif tuple in kinds:
-            value = _tupled(value)
-        kwargs[key] = value
-    config = cls(**kwargs)
-    config.validate()
-    return config
-
-
-@dataclass(frozen=True)
-class ForwardPolicy:
-    """A relay's interfaces for each packet, applied by _Session._interfaces."""
-
-    mode: str = "wifi-only"
-    both_mode: str = "round-robin"
-    p: float = 0.5  # probability of picking cellular in probabilistic mode
-
-    def validate(self):
-        check_types(self)
-        if self.mode not in POLICY_MODES:
-            raise ConfigError(f"unknown policy mode {self.mode!r}")
-        if self.both_mode not in BOTH_MODES:
-            raise ConfigError(f"unknown both-mode schedule {self.both_mode!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("probabilistic p must lie in [0, 1]")
-
-
-@dataclass
-class ScenarioConfig(TopologyParams):
-    """A session: the topology fields it inherits, whose r_cell is also the
-    cell maximum of the loading model, and the session's own."""
-
-    node_count: int = 750
-    # coding
-    block_size: int = 20  # M packets per block
-    buffer_capacity: int = 8  # N_buf at relays
-    # rates in packets per slot (one WiFi link moves one per slot)
-    link_rate_override: float | None = None  # pin the S-D cellular link rate
-    users_per_cell: int = 1
-    loading_mode: str = "equal-rate"
-    # transport timing (slots)
-    ack_delay: int = 1
-    processing_delay: int = 0
-    min_hops: int = 2
-    slot_budget: int = 5000
-    block_target: int = 3
-    # forwarding
-    relay_policy: ForwardPolicy = field(default_factory=ForwardPolicy)
-    wifi_enabled: bool = True
-    cellular_enabled: bool = True
-    wired_relay_rate: float = 1.0  # wired forwards per slot a relay can process
-    seed: int = 0
-
-    @classmethod
-    def from_dict(cls, values: dict) -> ScenarioConfig:
-        return config_from_dict(cls, values)
-
-    def validate(self):
-        super().validate()
-        if self.node_count < 2:
-            raise ConfigError("need at least a source and a destination")
-        if self.block_size < 1:
-            raise ConfigError("block_size must be >= 1")
-        if self.buffer_capacity < 1:
-            raise ConfigError("buffer_capacity must be >= 1")
-        if self.link_rate_override is not None and self.link_rate_override < 0:
-            raise ConfigError("link_rate_override must be >= 0")
-        if self.users_per_cell < 1:
-            raise ConfigError("users_per_cell must be >= 1")
-        if self.loading_mode not in LOADING_MODES:
-            raise ConfigError(f"unknown loading mode {self.loading_mode!r}")
-        if self.ack_delay < 0 or self.processing_delay < 0:
-            raise ConfigError("delays must be >= 0")
-        if self.slot_budget < 1:
-            raise ConfigError("slot_budget must be >= 1")
-        if self.block_target < 1:
-            raise ConfigError("block_target must be >= 1")
-        if self.wired_relay_rate <= 0:
-            raise ConfigError("wired_relay_rate must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        self.relay_policy.validate()
-        if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
-            raise ConfigError(f"relay policy {self.relay_policy.mode!r} needs the "
-                              "cellular interface, which is disabled")
-
-    def topology_params(self) -> TopologyParams:
-        return TopologyParams(**{f.name: getattr(self, f.name) for f in fields(TopologyParams)})
 
 
 @dataclass

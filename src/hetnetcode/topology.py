@@ -10,104 +10,19 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import numbers
-import typing
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import TopologyParams
 from .errors import ConfigError
 
 SQRT3 = math.sqrt(3.0)
 CELLS = 7  # a center cell and its six neighbors
 
-# cellular rate tiers: (upper bound on d/R, fraction of the cell max rate);
-# the last tier catches everything up to the cell edge
-DEFAULT_RATE_TIERS = ((0.25, 1.0), (0.5, 0.5), (0.75, 0.25), (1.0, 0.125))
-
 
 class LinkRangeError(ValueError):
     """Receiver is outside the transmitter's WiFi range."""
-
-
-def finite_number(x) -> bool:
-    """x is a real number other than a bool with a finite float value."""
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-# the values a declared field type accepts, and their name in errors; a JSON
-# list is read as a tuple, a JSON object for a dataclass field as that class
-_ACCEPTS = {bool: (bool, "true or false"), int: (int, "an integer"),
-            float: ((int, float), "a number"), str: (str, "a string"),
-            type(None): (type(None), "null"), tuple: ((list, tuple), "a list"),
-            dict: (dict, "an object")}
-
-
-@functools.cache
-def declared_types(cls) -> dict:
-    """Per field of the config dataclass cls: the members of its declared
-    type, the types a value other than a bool may have, and the declared
-    type's name in errors, read once per class."""
-    hints = typing.get_type_hints(cls)
-    table = {}
-    for f in fields(cls):
-        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-        accepts = [(kind, f"a {kind.__name__} (an object)") if is_dataclass(kind)
-                   else _ACCEPTS[kind] for kind in kinds]
-        table[f.name] = (kinds, tuple(t for t, _ in accepts if t is not bool),
-                         " or ".join(label for _, label in accepts))
-    return table
-
-
-def check_types(config):
-    """ConfigError unless every field of config holds a value of its declared
-    type, a bool being no number, every float, or int in a float field, has a
-    finite float value, and every int in an int field other than a seed fits
-    in an int64: those are counts, sizes and delays that numpy may take as an
-    index, while a seed goes to numpy's SeedSequence, which takes any int."""
-    for name, (kinds, accepted, expected) in declared_types(type(config)).items():
-        value = getattr(config, name)
-        if not (bool in kinds if isinstance(value, bool) else isinstance(value, accepted)):
-            raise ConfigError(f"{name} must be {expected}, not {value!r}")
-        number = isinstance(value, float) or float in kinds and type(value) is int
-        if number and not finite_number(value):
-            raise ConfigError(f"{name} must be a finite number")
-        if (int in kinds and type(value) is int and name != "seed"
-                and not -2**63 <= value < 2**63):
-            raise ConfigError(f"{name} must be a 64-bit integer")
-
-
-@dataclass
-class TopologyParams:
-    cell_radius: float = 1000.0
-    wifi_range: float = 100.0
-    delta: float = 0.2
-    r_cell: float = 1.0  # cell maximum, packets per slot (one WiFi link moves one per slot)
-    rate_tiers: tuple = DEFAULT_RATE_TIERS
-    backbone_fraction: float = 0.0  # k/n, applied per cell
-    backbone_rate: float = 100.0  # wired bus capacity, packets per slot
-
-    def validate(self):
-        """Every field's type (a subclass's too), then the topology's own
-        ranges."""
-        check_types(self)
-        if self.cell_radius <= 0 or self.wifi_range <= 0:
-            raise ConfigError("cell_radius and wifi_range must be positive")
-        if self.delta < 0:
-            raise ConfigError("delta must be non-negative")
-        if self.r_cell <= 0 or self.backbone_rate <= 0:
-            raise ConfigError("rates must be positive")
-        if not 0.0 <= self.backbone_fraction <= 1.0:
-            raise ConfigError("backbone_fraction must be in [0, 1]")
-        tiers = self.rate_tiers
-        if not (tiers and all(
-                isinstance(t, (list, tuple)) and len(t) == 2 and all(map(finite_number, t))
-                and t[1] > 0 for t in tiers)):
-            raise ConfigError("rate_tiers must be a non-empty list of [bound, fraction] "
-                              "pairs of finite numbers, with positive fractions")
 
 
 def hex_centers(radius: float) -> np.ndarray:
@@ -251,43 +166,9 @@ class HetNetTopology:
             fh.write(f"{i} {x!r} {y!r} {cell} {rate!r} {int(i in self.backbone)}\n")
 
 
-# the parameters a dump writes and load reads back: file key -> field
+# the parameters a dump writes: file key -> field
 _DUMP_KEYS = {"cell_radius": "cell_radius", "wifi_range": "wifi_range", "delta": "delta",
               "cell_rate": "r_cell", "backbone_rate": "backbone_rate"}
-_NODE_FIELDS = (int, float, float, int, float, int)  # id x y cell rate backbone
-
-
-def _parsed(kinds, texts: list[str], line: str) -> list:
-    """Each text converted by its kind; ConfigError unless all convert."""
-    try:
-        return [kind(text) for kind, text in zip(kinds, texts, strict=True)]
-    except ValueError:
-        raise ConfigError(f"malformed topology line: {line!r}") from None
-
-
-def load(fh) -> HetNetTopology:
-    """The topology dump wrote; malformed input raises ConfigError."""
-    params = TopologyParams()
-    rows = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" in line and " " not in line:
-            key, val = line.split("=", 1)
-            if key not in _DUMP_KEYS:
-                raise ConfigError(f"unknown topology parameter {key!r}")
-            setattr(params, _DUMP_KEYS[key], *_parsed((float,), [val], line))
-            continue
-        nid, x, y, cell, rate, flag = _parsed(_NODE_FIELDS, line.split(), line)
-        if not (0 <= cell < CELLS and rate > 0 and flag in (0, 1)
-                and all(map(math.isfinite, (x, y, rate)))):
-            raise ConfigError(f"node field out of range: {line!r}")
-        rows.append((nid, x, y, cell, rate, flag))
-    if [row[0] for row in rows] != list(range(len(rows))):
-        raise ConfigError("node ids must be 0..n-1 in file order")
-    return HetNetTopology(params, [row[1:3] for row in rows], [row[3] for row in rows],
-                          [row[4] for row in rows], [row[0] for row in rows if row[5]])
 
 
 def cellular_link_rate(topo: HetNetTopology, src: int, dst: int) -> float:

@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the program with: the
 coefficient draw through numpy's uint8 integers, the protocol-model guard
 over every pair of transmissions, GF(2^8) linear algebra on uint8 matrices,
-per-node topology and routing scans, and a session's cut bound."""
+per-node topology and routing scans, and a session's cut bound; and the
+reader of a topology dump, which only the tests read back."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ import math
 
 import numpy as np
 
+from hetnetcode.config import TopologyParams
+from hetnetcode.errors import ConfigError
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
-from hetnetcode.topology import WiredSpec
+from hetnetcode.topology import _DUMP_KEYS, CELLS, HetNetTopology, WiredSpec
 
 
 def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,6 +148,43 @@ def backbone_draw(cell_ids, fraction: float, rng: np.random.Generator) -> frozen
                 chosen.update(int(i) for i in rng.choice(np.array(members), size=k,
                                                          replace=False))
     return frozenset(chosen)
+
+
+_NODE_FIELDS = (int, float, float, int, float, int)  # id x y cell rate backbone
+
+
+def _parsed(kinds, texts: list[str], line: str) -> list:
+    """Each text converted by its kind; ConfigError unless all convert."""
+    try:
+        return [kind(text) for kind, text in zip(kinds, texts, strict=True)]
+    except ValueError:
+        raise ConfigError(f"malformed topology line: {line!r}") from None
+
+
+def load(fh) -> HetNetTopology:
+    """The topology HetNetTopology.dump wrote; malformed input raises
+    ConfigError."""
+    params = TopologyParams()
+    rows = []
+    for line in fh:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" in line and " " not in line:
+            key, val = line.split("=", 1)
+            if key not in _DUMP_KEYS:
+                raise ConfigError(f"unknown topology parameter {key!r}")
+            setattr(params, _DUMP_KEYS[key], *_parsed((float,), [val], line))
+            continue
+        nid, x, y, cell, rate, flag = _parsed(_NODE_FIELDS, line.split(), line)
+        if not (0 <= cell < CELLS and rate > 0 and flag in (0, 1)
+                and all(map(math.isfinite, (x, y, rate)))):
+            raise ConfigError(f"node field out of range: {line!r}")
+        rows.append((nid, x, y, cell, rate, flag))
+    if [row[0] for row in rows] != list(range(len(rows))):
+        raise ConfigError("node ids must be 0..n-1 in file order")
+    return HetNetTopology(params, [row[1:3] for row in rows], [row[3] for row in rows],
+                          [row[4] for row in rows], [row[0] for row in rows if row[5]])
 
 
 def cut_bound(cfg, topo, src: int, dst: int) -> float:

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from hetnetcode import gf256, rlnc, topology
+from hetnetcode.config import ScenarioConfig, SweepSpec, TopologyParams
 from hetnetcode.errors import NoPathError
 from hetnetcode.presets import (
-    SweepSpec,
     TOPO2_RELAY_RATE,
     format_rows,
     preset_infra_sweep,
@@ -22,7 +22,7 @@ from hetnetcode.presets import (
     preset_rate_sweep,
     preset_topo2,
 )
-from hetnetcode.simengine import ScenarioConfig, run_session
+from hetnetcode.simengine import run_session
 
 RATE_RATIOS = (0.1, 0.5, 1.0, 2.0)
 TRIALS = 50
@@ -114,7 +114,7 @@ def test_criterion_04_header_overhead():
 
 def test_criterion_05_protocol_model_soundness():
     rng = np.random.default_rng(5)
-    params = topology.TopologyParams(cell_radius=150.0)
+    params = TopologyParams(cell_radius=150.0)
     checked = 0
     violations = 0
     sessions = 0

@@ -18,13 +18,14 @@ from dataclasses import replace
 import pytest
 
 from hetnetcode import cli, presets
+from hetnetcode.config import ScenarioConfig
 from hetnetcode.presets import (
     TOPO2_INTERFACES,
     TOPO2_RATES,
     TOPO2_REFERENCE_RATE,
     TOPO2_RELAY_RATE,
 )
-from hetnetcode.simengine import ScenarioConfig, run_session
+from hetnetcode.simengine import run_session
 from oracles import cut_bound, within_cut
 from test_golden import CASES
 

@@ -1,0 +1,58 @@
+"""The package's layering: config.py is the one home of every config class,
+the JSON reader and the declared-type check, and imports nothing from the
+package but errors, so every other module can import it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hetnetcode"
+CONFIG_NAMES = ("check_types", "declared_types", "finite_number", "config_from_dict",
+                "TopologyParams", "ForwardPolicy", "ScenarioConfig", "SweepSpec")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The hetnetcode modules tree imports, by name within the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "hetnetcode":
+                    continue
+                module = module.removeprefix("hetnetcode").lstrip(".")
+            if module:
+                found.add(module)
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("hetnetcode.") for alias in node.names
+                         if alias.name.startswith("hetnetcode."))
+    return found
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Every function and class name tree defines, at any depth, and every
+    name its module level assigns."""
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_config_imports_only_errors_from_the_package():
+    assert _package_imports(_tree(SRC / "config.py")) == {"errors"}
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_config_names_are_defined_in_config_only(name):
+    homes = [path.name for path in sorted(SRC.glob("*.py")) if name in _defined(_tree(path))]
+    assert homes == ["config.py"]

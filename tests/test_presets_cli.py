@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from hetnetcode import cli, presets
+from hetnetcode.config import TRIAL_SEED_STRIDE, ForwardPolicy, ScenarioConfig, SweepSpec
 from hetnetcode.errors import ConfigError
-from hetnetcode.simengine import ForwardPolicy, ScenarioConfig
 from hetnetcode.presets import (
-    SweepSpec,
     format_rows,
     preset_infra_sweep,
     preset_load_sweep,
@@ -16,6 +15,7 @@ from hetnetcode.presets import (
     preset_topo1,
     preset_topo2,
 )
+from oracles import load
 
 SMALL = {"node_count": 250, "cell_radius": 400.0}
 
@@ -202,10 +202,8 @@ def test_cli_gen_topology_round_trip(tmp_path):
     out = tmp_path / "topo.txt"
     assert run_cli(["gen-topology", "--nodes", "40", "--seed", "5",
                     "--out", str(out)]) == 0
-    from hetnetcode import topology
-
     with open(out) as fh:
-        topo = topology.load(fh)
+        topo = load(fh)
     assert len(topo) == 40
     again = tmp_path / "topo2.txt"
     assert run_cli(["gen-topology", "--nodes", "40", "--seed", "5",
@@ -479,9 +477,9 @@ def test_cli_seed_flag_beats_the_file_on_replay_trace(tmp_path):
 
 def test_trials_are_bounded_by_the_trial_seed_stride():
     # past the stride, sweep seed s would run the trial seeds of s + 1
-    SweepSpec(trials=presets.TRIAL_SEED_STRIDE).validate()
-    with pytest.raises(ConfigError, match=str(presets.TRIAL_SEED_STRIDE)):
-        SweepSpec(trials=presets.TRIAL_SEED_STRIDE + 1).validate()
+    SweepSpec(trials=TRIAL_SEED_STRIDE).validate()
+    with pytest.raises(ConfigError, match=str(TRIAL_SEED_STRIDE)):
+        SweepSpec(trials=TRIAL_SEED_STRIDE + 1).validate()
 
 
 @pytest.mark.parametrize("argv, section", [

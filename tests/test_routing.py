@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hetnetcode import routing, topology
+from hetnetcode.config import TopologyParams
 from oracles import hop_distance, on_route
 
 
@@ -12,7 +13,7 @@ def graph_topology(n, edges, wifi_range=100.0):
     # trick: park nodes far apart, then shorten listed pairs via explicit positions
     # simpler: build positions on a line only for chain-like cases; general case
     # uses the wired edge list, which routing treats identically.
-    params = topology.TopologyParams(wifi_range=wifi_range)
+    params = TopologyParams(wifi_range=wifi_range)
     gap = 50 * wifi_range
     positions = [(i * gap, 0.0) for i in range(n)]
     wired = topology.WiredSpec(edges=list(edges), edge_capacity=1.0, node_out={}, node_in={})
@@ -40,7 +41,7 @@ def oracle_distance(n, edges, src, dst):
 
 
 def test_line_graph_distances():
-    params = topology.TopologyParams()
+    params = TopologyParams()
     topo = topology.HetNetTopology(params, [(100.0 * i, 0.0) for i in range(3)])
     assert hop_distance(topo, 0, 2) == 2
     assert topo.routes.next_hops(0, 2) == [1]
@@ -101,7 +102,7 @@ def test_on_route_matches_enumeration():
 
 def test_next_hops_strictly_closer():
     rng = np.random.default_rng(31)
-    topo = topology.generate(120, rng, topology.TopologyParams(cell_radius=300.0))
+    topo = topology.generate(120, rng, TopologyParams(cell_radius=300.0))
     for node in range(1, 120):
         d = hop_distance(topo, node, 0)
         if d == routing.UNREACHABLE:
@@ -111,7 +112,7 @@ def test_next_hops_strictly_closer():
 
 
 def test_backbone_counts_as_one_virtual_hop():
-    params = topology.TopologyParams()
+    params = TopologyParams()
     topo = topology.HetNetTopology(params, [(0.0, 0.0), (5000.0, 0.0), (5100.0, 0.0)],
                                    cell_ids=[0, 1, 1], backbone={0, 1})
     assert hop_distance(topo, 0, 1) == 1
@@ -144,7 +145,7 @@ def oracle_bfs(adj, dst):
 
 @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
 def test_bus_routes_match_explicit_clique(fraction):
-    params = topology.TopologyParams(cell_radius=300.0, backbone_fraction=fraction)
+    params = TopologyParams(cell_radius=300.0, backbone_fraction=fraction)
     base = topology.generate(120, np.random.default_rng(41), params)
     edges = [(0, 7), (7, 19), (3, 90), (90, 3)]
     wired = topology.WiredSpec(edges=edges, edge_capacity=1.0, node_out={}, node_in={})

@@ -1,18 +1,25 @@
 import io
 import json
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import gf256, presets, rlnc, routing, simengine, topology
+from hetnetcode.config import (
+    LOADING_MODES,
+    ForwardPolicy,
+    ScenarioConfig,
+    SweepSpec,
+    TopologyParams,
+    config_from_dict,
+    declared_types,
+)
 from hetnetcode.errors import ConfigError, NoPathError
 from hetnetcode.simengine import (
     EventTrace,
-    ForwardPolicy,
-    ScenarioConfig,
     TraceEvent,
     compare_modes,
     loaded_cellular_rate,
@@ -53,23 +60,23 @@ def test_config_keys_are_pinned():
         "wifi_enabled", "cellular_enabled", "wired_relay_rate", "seed"}
     assert ScenarioConfig.from_dict(asdict(ScenarioConfig())) == ScenarioConfig()
     # the topology fields are inherited, never declared again
-    inherited = {f.name for f in fields(topology.TopologyParams)}
+    inherited = {f.name for f in fields(TopologyParams)}
     assert not set(ScenarioConfig.__annotations__) & inherited
 
 
-@pytest.mark.parametrize("cls", [ScenarioConfig, ForwardPolicy, presets.SweepSpec])
+@pytest.mark.parametrize("cls", [ScenarioConfig, ForwardPolicy, SweepSpec])
 def test_config_reader_knows_every_declared_type(cls):
     # a field whose annotation the reader cannot map to JSON types would
     # fail only when a config file names it; the table raises KeyError on one
-    declared = topology.declared_types(cls)
+    declared = declared_types(cls)
     assert list(declared) == [f.name for f in fields(cls)]
     # and every default survives a JSON round trip through the reader
-    assert simengine.config_from_dict(cls, json.loads(json.dumps(asdict(cls())))) == cls()
+    assert config_from_dict(cls, json.loads(json.dumps(asdict(cls())))) == cls()
 
 
 @pytest.mark.parametrize("make", [
-    lambda: presets.SweepSpec(trials="x"),
-    lambda: presets.SweepSpec(values="ab"),
+    lambda: SweepSpec(trials="x"),
+    lambda: SweepSpec(values="ab"),
     lambda: ScenarioConfig(block_size="x"),
     lambda: ScenarioConfig(seed=True),
     lambda: ScenarioConfig(relay_policy={"mode": "both"}),
@@ -77,12 +84,12 @@ def test_config_reader_knows_every_declared_type(cls):
     lambda: ScenarioConfig(link_rate_override="x"),
     lambda: ScenarioConfig(delta=float("nan")),
     lambda: ForwardPolicy(p="x"),
-    lambda: topology.TopologyParams(rate_tiers="x"),
+    lambda: TopologyParams(rate_tiers="x"),
     lambda: ScenarioConfig(r_cell=10**400),  # an int with no finite float value
-    lambda: presets.SweepSpec(values=(0.5, 10**400)),
-    lambda: presets.SweepSpec(param_min=0.1, param_max=10**400, param_step=0.1),
+    lambda: SweepSpec(values=(0.5, 10**400)),
+    lambda: SweepSpec(param_min=0.1, param_max=10**400, param_step=0.1),
     lambda: ScenarioConfig(block_size=10**400),  # an int with no int64 value
-    lambda: presets.SweepSpec(trials=2**63),
+    lambda: SweepSpec(trials=2**63),
 ])
 def test_mistyped_config_built_in_python_is_a_config_error(make):
     # validate() checks each field's declared type, as the JSON reader does
@@ -92,7 +99,7 @@ def test_mistyped_config_built_in_python_is_a_config_error(make):
 
 def test_int_field_takes_the_int64_range():
     ScenarioConfig(slot_budget=2**63 - 1).validate()
-    presets.SweepSpec(workers=2**63 - 1).validate()
+    SweepSpec(workers=2**63 - 1).validate()
     with pytest.raises(ConfigError, match="64-bit"):
         ScenarioConfig(slot_budget=2**63).validate()
     # a seed of any size seeds a SeedSequence, and a sweep's trial seeds
@@ -132,7 +139,7 @@ def test_loaded_cellular_rate_conservation_and_monotone():
 def test_schedule_far_apart_both_admitted():
     topo = topology.chain_topology(1)
     # two parallel links 10 km apart never interfere
-    params = topology.TopologyParams()
+    params = TopologyParams()
     topo = topology.HetNetTopology(params, [(0, 0), (100, 0), (10000, 0), (10100, 0)])
     rng = np.random.default_rng(0)
     admitted = schedule_wifi_slot([(0, 1), (2, 3)], topo, rng)
@@ -161,7 +168,7 @@ def test_schedule_admitted_sets_pass_bruteforce():
     rng = np.random.default_rng(3)
     for _ in range(60):
         pts = rng.uniform(0, 500, size=(10, 2))
-        params = topology.TopologyParams()
+        params = TopologyParams()
         topo = topology.HetNetTopology(params, pts)
         pending = [(i, j) for i in range(10) for j in topo.neighbors[i]]
         if not pending:
@@ -176,7 +183,7 @@ def test_schedule_admitted_sets_pass_bruteforce():
                        max_size=12),
        delta=st.floats(0, 1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_schedule_is_feasible_and_maximal(points, delta, seed, data):
-    params = topology.TopologyParams(delta=delta)
+    params = TopologyParams(delta=delta)
     topo = topology.HetNetTopology(params, points)
     links = [(i, j) for i in range(len(topo)) for j in topo.neighbors[i]]
     assume(links)
@@ -248,7 +255,7 @@ def test_fast_path_matches_slot_by_slot(link_rate):
 
 @settings(max_examples=300, deadline=None)
 @given(link=st.integers(1, 128), cell=st.integers(1, 128), users=st.sampled_from([1, 2, 4, 8]),
-       loading=st.sampled_from(simengine.LOADING_MODES), ack_delay=st.integers(0, 4),
+       loading=st.sampled_from(LOADING_MODES), ack_delay=st.integers(0, 4),
        block_size=st.integers(1, 8))
 def test_fast_path_matches_slot_by_slot_on_dyadic_rates(link, cell, users, loading,
                                                         ack_delay, block_size):
@@ -351,7 +358,7 @@ def test_run_session_deterministic():
 
 
 def test_no_path_error():
-    params = topology.TopologyParams()
+    params = TopologyParams()
     topo = topology.HetNetTopology(params, [(0, 0), (5000, 0)])
     cfg = ScenarioConfig(node_count=2, cellular_enabled=False, min_hops=1)
     with pytest.raises(NoPathError):
@@ -360,7 +367,7 @@ def test_no_path_error():
 
 def test_pick_session_pair_min_hops_and_determinism():
     rng = np.random.default_rng(11)
-    topo = topology.generate(300, rng, topology.TopologyParams(cell_radius=400.0))
+    topo = topology.generate(300, rng, TopologyParams(cell_radius=400.0))
     for seed in range(5):
         a = pick_session_pair(topo, 2, np.random.default_rng(seed))
         b = pick_session_pair(topo, 2, np.random.default_rng(seed))
@@ -555,6 +562,24 @@ def test_relay_star_wired_flow():
     assert stats.wifi_sent == 0 and stats.cellular_sent == 0
     assert stats.wired_sent > 0
     assert all(ev.interface == "wired" for ev in trace)
+
+
+def test_wifi_disabled_turns_off_every_non_cellular_interface():
+    # wifi_enabled=False leaves the cellular pipe alone: no WiFi, wired access
+    # link or backbone bus sends, as compare_modes' cellular-only half needs
+    cfg, topo, pair = presets.relay_star_scenario(ScenarioConfig(seed=3), 4, 54.0)
+    stats, _ = run_session(replace(cfg, wifi_enabled=False, cellular_enabled=True), topo,
+                           pair=pair)
+    assert stats.wired_sent == stats.wifi_sent == 0
+    assert stats.cellular_sent > 0 and stats.blocks_delivered == cfg.block_target
+    cfg = ScenarioConfig(node_count=250, cell_radius=400.0, backbone_fraction=0.2, seed=3,
+                         link_rate_override=0.2, r_cell=0.2, block_target=2, slot_budget=2500)
+    topo = presets.cell_topology(cfg, cfg.seed)
+    assert len(topo.backbone) > 1
+    cellular_only, combined = compare_modes(cfg, topo)
+    assert cellular_only.wired_sent == cellular_only.wifi_sent == 0
+    assert cellular_only.cellular_sent > 0
+    assert combined.wired_sent > 0 and combined.wifi_sent > 0
 
 
 def _route_test_session(name):

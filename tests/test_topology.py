@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hetnetcode import presets, topology
+from hetnetcode.config import DEFAULT_RATE_TIERS, ScenarioConfig, TopologyParams, finite_number
 from hetnetcode.errors import ConfigError
-from hetnetcode.simengine import ScenarioConfig
-from oracles import backbone_draw, node_rates, rate_for_distance
+from oracles import backbone_draw, load, node_rates, rate_for_distance
 
 
 def small_topology(positions, wifi_range=100.0, delta=0.2):
-    params = topology.TopologyParams(wifi_range=wifi_range, delta=delta)
+    params = TopologyParams(wifi_range=wifi_range, delta=delta)
     return topology.HetNetTopology(params, positions)
 
 
@@ -24,7 +24,7 @@ def same_nodes(a, b) -> bool:
 
 
 def test_generate_deterministic():
-    params = topology.TopologyParams()
+    params = TopologyParams()
     a = topology.generate(50, np.random.default_rng(123), params)
     b = topology.generate(50, np.random.default_rng(123), params)
     assert same_nodes(a, b)
@@ -37,24 +37,24 @@ def test_generate_rejects_bad_params():
     with pytest.raises(ConfigError):
         topology.generate(0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        topology.generate(5, np.random.default_rng(0), topology.TopologyParams(cell_radius=-1))
+        topology.generate(5, np.random.default_rng(0), TopologyParams(cell_radius=-1))
     with pytest.raises(ConfigError):
-        topology.generate(5, np.random.default_rng(0), topology.TopologyParams(delta=-0.5))
+        topology.generate(5, np.random.default_rng(0), TopologyParams(delta=-0.5))
     # non-finite numbers: NaN would pass every range check and inf overflow numpy
     for bad in ({"delta": math.nan}, {"wifi_range": math.inf}, {"cell_radius": math.inf}):
         with pytest.raises(ConfigError):
-            topology.generate(5, np.random.default_rng(0), topology.TopologyParams(**bad))
+            topology.generate(5, np.random.default_rng(0), TopologyParams(**bad))
     # rate tiers built in Python get the checks a config file's do
     for tiers in (((0.25, math.nan), (1.0, math.nan)), ((0.5, 1.0), (1.0, math.inf)),
                   ((0.5,),), ((0.5, True),), ((0.5, 1.0), (math.inf, 0.5)), ()):
         with pytest.raises(ConfigError):
-            topology.TopologyParams(rate_tiers=tiers).validate()
+            TopologyParams(rate_tiers=tiers).validate()
 
 
 def test_finite_number_needs_a_finite_float_value():
-    assert topology.finite_number(10**300) and topology.finite_number(2.5)
+    assert finite_number(10**300) and finite_number(2.5)
     for x in (10**400, -10**400, math.inf, math.nan, True, "1", None):
-        assert topology.finite_number(x) is False
+        assert finite_number(x) is False
     # a float field still takes an int with a finite float value
     ScenarioConfig(r_cell=2, wifi_range=10**300).validate()
 
@@ -85,7 +85,7 @@ def test_nodes_inside_region_and_assigned_nearest():
 
 
 def test_rate_tiers():
-    tiers = topology.DEFAULT_RATE_TIERS
+    tiers = DEFAULT_RATE_TIERS
     dist = np.array([0.0, 249.9, 250.0, 700.0, 1000.0])
     assert topology.tier_rates(dist, 1000, tiers, 4.0).tolist() == [4.0, 4.0, 2.0, 1.0, 0.5]
     # non-increasing in distance, and equal to the per-distance tier loop
@@ -100,7 +100,7 @@ def test_rate_tiers():
 
 
 def test_cellular_link_rate():
-    two = topology.HetNetTopology(topology.TopologyParams(), [(0, 0), (0, 0)],
+    two = topology.HetNetTopology(TopologyParams(), [(0, 0), (0, 0)],
                                   cellular_rates=[2.0, 5.0])
     assert topology.cellular_link_rate(two, 0, 1) == 2.0
     assert topology.cellular_link_rate(two, 1, 1) == 5.0
@@ -120,7 +120,7 @@ def test_wifi_neighbors_boundary_and_symmetry():
     assert topo.neighbors[1] == [0]
     assert topo.neighbors[2] == []
     rnd = topology.generate(300, np.random.default_rng(8),
-                            topology.TopologyParams(cell_radius=400.0))
+                            TopologyParams(cell_radius=400.0))
     for i in range(len(rnd)):
         for j in rnd.neighbors[i]:
             assert i in rnd.neighbors[j]
@@ -160,7 +160,7 @@ def test_bucket_neighbors_match_brute_force(points, copies, r):
         assert row == want
 
 
-rate_tiers = st.just(topology.DEFAULT_RATE_TIERS) | st.lists(
+rate_tiers = st.just(DEFAULT_RATE_TIERS) | st.lists(
     st.tuples(st.floats(0.05, 1.2), st.floats(0.01, 4.0)), min_size=1, max_size=4).map(tuple)
 
 
@@ -170,9 +170,9 @@ rate_tiers = st.just(topology.DEFAULT_RATE_TIERS) | st.lists(
        cell_radius=st.sampled_from([150.0, 400.0, 1000.0]), tiers=rate_tiers,
        cell_rate=st.floats(0.1, 8.0), seed=st.integers(0, 2**16), trial=st.integers(0, 3))
 @example(node_count=750, fractions=[0.0, 0.01, 0.4, 1.0], cell_radius=1000.0,
-         tiers=topology.DEFAULT_RATE_TIERS, cell_rate=1.0, seed=4, trial=2)
+         tiers=DEFAULT_RATE_TIERS, cell_rate=1.0, seed=4, trial=2)
 @example(node_count=1, fractions=[1.0, 0.0], cell_radius=150.0,
-         tiers=topology.DEFAULT_RATE_TIERS, cell_rate=1.0, seed=0, trial=0)
+         tiers=DEFAULT_RATE_TIERS, cell_rate=1.0, seed=0, trial=0)
 @example(node_count=2, fractions=[0.5], cell_radius=150.0,
          tiers=((0.5, 3), (0.25, 2.0), (1.0, 0.5)), cell_rate=2.5, seed=1, trial=0)
 @example(node_count=3, fractions=[0.0, 1.0], cell_radius=150.0,
@@ -230,7 +230,7 @@ def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_rad
                               "cell-out-of-range"])
 def test_load_rejects_malformed_input(text):
     with pytest.raises(ConfigError):
-        topology.load(io.StringIO(text))
+        load(io.StringIO(text))
 
 
 def test_protocol_model_examples():
@@ -274,7 +274,7 @@ def test_protocol_model_matches_bruteforce():
 
 
 def test_backbone_selection_counts():
-    params = topology.TopologyParams(backbone_fraction=0.5)
+    params = TopologyParams(backbone_fraction=0.5)
     topo = topology.generate(350, np.random.default_rng(55), params)
     by_cell: dict[int, list] = {}
     for nid, cell in enumerate(topo.cell_ids.tolist()):
@@ -285,12 +285,12 @@ def test_backbone_selection_counts():
 
 
 def test_dump_load_round_trip():
-    params = topology.TopologyParams(backbone_fraction=0.3)
+    params = TopologyParams(backbone_fraction=0.3)
     topo = topology.generate(60, np.random.default_rng(2), params)
     buf = io.StringIO()
     topo.dump(buf)
     buf.seek(0)
-    back = topology.load(buf)
+    back = load(buf)
     assert len(back) == len(topo)
     assert same_nodes(back, topo)
     assert back.neighbors == topo.neighbors
@@ -303,7 +303,7 @@ def test_dump_load_round_trip():
 def test_load_rejects_ids_out_of_order(ids):
     lines = "".join(f"{nid} {50.0 * k} 0.0 0 1.0 0\n" for k, nid in enumerate(ids))
     with pytest.raises(ConfigError):
-        topology.load(io.StringIO(lines))
+        load(io.StringIO(lines))
 
 
 def test_chain_topology():
