@@ -9,7 +9,6 @@ block.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +98,14 @@ def _packet(block_id: int, m: int, row: bytes) -> CodedPacket:
 
 
 def _random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
-    """n uniform bytes, redrawn while all zero: the bytes of
-    rng.integers(0, 256, size=n, dtype=np.uint8), drawn through the bit
-    generator's C interface.  numpy fills that uint8 draw from ceil(n / 4)
-    next_uint32 words, low byte first, and drops a last word's spare bytes,
-    so both advance the generator alike.  No lock is taken: the generator
-    must not be shared across threads."""
-    c = rng.bit_generator.ctypes
-    next_uint32, state = c.next_uint32, c.state
-    words = (n + 3) >> 2
-    while True:
-        v = struct.pack(f"<{words}I", *[next_uint32(state) for _ in range(words)])[:n]
-        if any(v):
-            return v
+    """n uniform bytes, redrawn while all zero: rng.bytes(n), which a numpy
+    Generator and a simengine.Draws both answer.  numpy fills it, as it fills
+    rng.integers(0, 256, size=n, dtype=np.uint8), from ceil(n / 4) 32-bit
+    words, low byte first, dropping a last word's spare bytes."""
+    v = rng.bytes(n)
+    while not any(v):
+        v = rng.bytes(n)
+    return v
 
 
 def _combined(block: SourceBlock, coefficients: bytes) -> CodedPacket:

@@ -110,27 +110,105 @@ def loaded_cellular_rate(link_rate: float, users: int, mode: str, cell_rate: flo
     raise ConfigError(f"unknown loading mode {mode!r}")
 
 
-def _pick(words, k: int) -> int:
-    """int(rng.integers(0, k)) for 1 <= k < 2**32, drawn through words =
-    rng.bit_generator.ctypes: numpy's Lemire rejection on next_uint32 words,
-    and no word at k = 1, so both advance the generator alike."""
-    if k == 1:
-        return 0
-    next_uint32, state = words.next_uint32, words.state
-    m = next_uint32(state) * k
-    if m & 0xFFFFFFFF < k:
-        threshold = (1 << 32) % k  # numpy's (2**32 - k) % k
-        while m & 0xFFFFFFFF < threshold:
-            m = next_uint32(state) * k
-    return m >> 32
+# raw outputs a Draws reads ahead per refill: 4 KB a stream
+_BLOCK_OUTPUTS = 512
+_DOUBLE_UNIT = 1.0 / (1 << 53)
 
 
-def _random_doubles(n: int, rng: np.random.Generator) -> list[float]:
-    """rng.random(n) as a list, one next_double through the bit generator's
-    C interface per value, as numpy draws it."""
-    c = rng.bit_generator.ctypes
-    next_double, state = c.next_double, c.state
-    return [next_double(state) for _ in range(n)]
+class Draws:
+    """numpy's own draws from a PCG64 generator, served from blocks of its raw
+    64-bit outputs read ahead with `bit_generator.random_raw`.
+
+    PCG64's next_uint32 returns an output's low word and keeps its high word
+    for the next call; next_double takes the top 53 bits of the next whole
+    output and leaves a kept word kept.  A block is held as its outputs'
+    little-endian bytes (the host must be little-endian), so the word stream
+    is the block's 4-byte chunks in order and a word is kept exactly when the
+    read position sits halfway into an output.  `bytes(n)`, `below(k)` and
+    `random(n)` return Generator.bytes(n), int(Generator.integers(0, k)) and
+    Generator.random(n) of the wrapped generator.  That generator runs ahead
+    of them, so nothing else may draw from it; no lock is taken."""
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"Draws needs a PCG64 generator, not {type(bitgen).__name__}")
+        if bitgen.state["has_uint32"]:
+            raise ValueError("the generator holds half of a 64-bit output; Draws cannot serve it")
+        self._bitgen = bitgen
+        self._load(b"", 0)
+
+    def _load(self, buf: bytes, pos: int):
+        self._buf, self._pos, self._size = buf, pos, len(buf)
+        view = memoryview(buf)
+        self._words, self._raw = view.cast("I"), view.cast("Q")
+
+    def _fill(self, need: int):
+        """Make need bytes readable from the read position, keeping the
+        buffer from the start of the output that holds it."""
+        pos = self._pos
+        if pos + need <= self._size:
+            return
+        buf = self._buf[pos & ~7:]
+        pos &= 7
+        while len(buf) - pos < need:
+            buf += self._bitgen.random_raw(_BLOCK_OUTPUTS).tobytes()
+        self._load(buf, pos)
+
+    def bytes(self, n: int) -> bytes:
+        """ceil(n / 4) words, low byte first, cut to n bytes."""
+        size = (n + 3) & ~3
+        if self._pos + size > self._size:
+            self._fill(size)
+        pos = self._pos
+        self._pos = pos + size
+        return self._buf[pos:pos + n]
+
+    def below(self, k: int) -> int:
+        """A uniform int in [0, k) for 1 <= k < 2**32: numpy's Lemire
+        rejection on words, drawing no word at k = 1."""
+        if k == 1:
+            return 0
+        if self._pos + 4 > self._size:
+            self._fill(4)
+        pos = self._pos
+        self._pos = pos + 4
+        m = self._words[pos >> 2] * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (1 << 32) % k  # numpy's (2**32 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = int.from_bytes(self.bytes(4), "little") * k
+        return m >> 32
+
+    def random(self, n: int | None = None):
+        """One double, or a list of n, each from the top 53 bits of an output."""
+        pos = self._pos
+        if n is None:
+            if pos & 4 or pos + 8 > self._size:
+                return self._doubles(1)[0]
+            self._pos = pos + 8
+            return (self._raw[pos >> 3] >> 11) * _DOUBLE_UNIT
+        end = pos + 8 * n
+        if pos & 4 or end > self._size:
+            return self._doubles(n)
+        self._pos = end
+        return [(x >> 11) * _DOUBLE_UNIT for x in self._raw[pos >> 3:end >> 3]]
+
+    def _doubles(self, n: int) -> list[float]:
+        """random(n) from any read position: with a word kept, the doubles
+        take the n outputs after it, which are cut from the buffer so that
+        the kept word is read next."""
+        kept = self._pos & 4
+        self._fill(kept + 8 * n)
+        buf, pos = self._buf, self._pos
+        start = pos + kept
+        end = start + 8 * n
+        values = [(x >> 11) * _DOUBLE_UNIT for x in self._raw[start >> 3:end >> 3]]
+        if kept:
+            self._load(buf[:start] + buf[end:], pos)
+        else:
+            self._pos = end
+        return values
 
 
 def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generator,
@@ -138,7 +216,9 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     """Greedy maximal feasible subset of the pending (tx, rx) transmissions.
 
     Candidates are visited in order of the caller's priority keys (all equal
-    if None), in random order within ties, and admitted iff the
+    if None), in random order within ties: one rng.random(n) jitter value per
+    candidate, from a numpy Generator or a session's Draws, which draw the
+    same values from the same PCG64 stream.  A candidate is admitted iff the
     guard inequality holds in both directions against everything already
     admitted and neither endpoint is already busy (half-duplex radios).
     Every admitted pair therefore satisfies d(rx, k) >= (1+delta)*d(tx, rx)
@@ -149,7 +229,7 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     if priorities is None:
         priorities = (0,) * n
     # the index breaks exact ties as a stable sort on (priority, jitter) would
-    order = sorted(zip(priorities, _random_doubles(n, rng), range(n)))
+    order = sorted(zip(priorities, rng.random(n), range(n)))
     admitted: list[tuple[int, int]] = []
     admitted_txs: list[int] = []
     busy: set[int] = set()
@@ -179,9 +259,11 @@ def pick_session_pair(topo: HetNetTopology, min_hops: int,
 
 
 def session_rngs(seed: int) -> list[np.random.Generator]:
-    """A session's independent streams, in order: S-D pair pick, cellular
-    coefficients, source WiFi/wired draws, relay recodes and hop picks, radio
-    scheduler, block payloads."""
+    """A session's independent PCG64 Generators, in order: S-D pair pick,
+    cellular coefficients, source WiFi/wired draws, relay recodes and hop
+    picks, radio scheduler, block payloads.  A session draws the pair and the
+    payloads from the Generators themselves and serves the four streams
+    between them through a Draws each."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
 
 
@@ -229,11 +311,8 @@ class _Session:
         self.schedule_log = schedule_log
         self.no_skip = no_skip
 
-        (rng_pair, self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
-         self.rng_data) = session_rngs(config.seed)
-        # the C interfaces that the source's and the relays' hop picks draw from
-        self._src_words = self.rng_wifi.bit_generator.ctypes
-        self._relay_words = self.rng_relay.bit_generator.ctypes
+        rng_pair, *streams, self.rng_data = session_rngs(config.seed)
+        self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched = map(Draws, streams)
         if pair is None:
             pair = pick_session_pair(topo, config.min_hops, rng_pair)
         self.src, self.dst = int(pair[0]), int(pair[1])
@@ -352,9 +431,9 @@ class _Session:
         stored packet grants, and a buffer that stored one is never empty."""
         return node == self.src or self.relays[node].send_credit >= 1
 
-    def _words(self, node: int):
-        """The C interface of the stream of node's hop picks (and packets)."""
-        return self._src_words if node == self.src else self._relay_words
+    def _draws(self, node: int) -> Draws:
+        """The stream of node's hop picks (and packets)."""
+        return self.rng_wifi if node == self.src else self.rng_relay
 
     def _emit(self, node: int, interface: str) -> CodedPacket:
         """A fresh coded packet that node sends on interface: an encode at the
@@ -457,7 +536,7 @@ class _Session:
                    if hop[1].value >= 1.0 and (hop[2] is None or hop[2].value >= 1.0)]
         if not targets:
             return None
-        v, link, into = targets[_pick(self._words(u), len(targets))]
+        v, link, into = targets[self._draws(u).below(len(targets))]
         for credit in (out, link, into):
             if credit is not None:
                 credit.value -= 1.0
@@ -498,7 +577,7 @@ class _Session:
             if cand is None:
                 cand = self._wifi_hops[node] = self.routes.next_hops(node, self.dst, "wifi")
             if cand:
-                pending.append((node, cand[_pick(self._words(node), len(cand))]))
+                pending.append((node, cand[self._draws(node).below(len(cand))]))
         if not pending:
             return
         admitted = schedule_wifi_slot(pending, self.topo, self.rng_sched,

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the program with: the
-coefficient draw through numpy's uint8 integers, the protocol-model guard
-over every pair of transmissions, GF(2^8) linear algebra on uint8 matrices,
-per-node topology and routing scans, and a session's cut bound; and the
-reader of a topology dump, which only the tests read back."""
+coefficient draw through numpy's uint8 integers, numpy's own draws beside a
+session stream's, the protocol-model guard over every pair of
+transmissions, GF(2^8) linear algebra on uint8 matrices, per-node topology
+and routing scans, and a session's cut bound; and the reader of a topology
+dump, which only the tests read back."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ import math
 
 import numpy as np
 
+from hetnetcode import rlnc
 from hetnetcode.config import TopologyParams
 from hetnetcode.errors import ConfigError
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
+from hetnetcode.simengine import Draws
 from hetnetcode.topology import _DUMP_KEYS, CELLS, HetNetTopology, WiredSpec
 
 
@@ -24,6 +27,29 @@ def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
         v = rng.integers(0, 256, size=n, dtype=np.uint8)
         if np.count_nonzero(v):
             return v
+
+
+def draw(rng, kind: str, n):
+    """One draw of kind ("bytes", "below", "coefficients" or "random") with
+    argument n, through a simengine.Draws or, as numpy makes it, from a
+    Generator."""
+    if kind == "bytes":
+        return rng.bytes(n)
+    if kind == "below":
+        return rng.below(n) if isinstance(rng, Draws) else int(rng.integers(0, n))
+    if kind == "coefficients":
+        if isinstance(rng, Draws):
+            return rlnc._random_nonzero_bytes(n, rng)
+        return random_nonzero_vector(n, rng).tobytes()
+    values = rng.random(n)
+    return values if n is None or isinstance(rng, Draws) else values.tolist()
+
+
+def assert_next_draws_agree(ours, theirs):
+    """ours and theirs stand where the next bytes, below and random draws
+    agree, of one value and of several."""
+    for kind, n in (("bytes", 5), ("below", 7), ("random", None), ("random", 3), ("bytes", 2)):
+        assert draw(ours, kind, n) == draw(theirs, kind, n)
 
 
 def brute_force_guard_ok(topo, admitted):

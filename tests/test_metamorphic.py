@@ -1,0 +1,102 @@
+"""Metamorphic relations over the session engine: pairs of runs whose
+outputs must relate in a known way, with no oracle for either run (Chen,
+Cheung & Yiu, HKUST-CS98-01, 1998), on the reference-engine scenarios."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from hetnetcode import simengine
+from hetnetcode.config import ForwardPolicy
+from hetnetcode.errors import NoPathError
+from hetnetcode.simengine import pick_session_pair, run_session
+from hetnetcode.topology import HetNetTopology
+from test_reference_engine import scenarios
+
+KINDS = ["chain", "relay-star", "cell"]
+
+
+def _run(cfg, topo, pair):
+    """(stats, trace events) of one session."""
+    try:
+        stats, trace = run_session(cfg, topo, pair)
+    except NoPathError:
+        assume(False)
+    return stats, trace.events
+
+
+def _with_pair(cfg, topo, pair):
+    """pair, or the one the session would pick when it is None."""
+    if pair is None:
+        try:
+            pair = pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])
+        except NoPathError:
+            assume(False)
+    return pair
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_lower_block_target_gives_a_prefix(kind, data):
+    """block_target t gives the first t decode slots of a run at a larger
+    target, and its trace up to the t-th decode."""
+    cfg, topo, pair = data.draw(scenarios(kind))
+    t = cfg.block_target
+    stats, trace = _run(cfg, topo, pair)
+    more, more_trace = _run(replace(cfg, block_target=t + data.draw(st.integers(1, 3))), topo,
+                            pair)
+    assert stats.decode_slots == more.decode_slots[:t]
+    assert stats.blocks_delivered == min(t, more.blocks_delivered)
+    # a run short of its target ran its whole budget
+    last = stats.decode_slots[-1] if stats.blocks_delivered == t else cfg.slot_budget
+    assert trace == [ev for ev in more_trace if ev.slot <= last]
+
+
+def _with_isolated_node(topo: HetNetTopology) -> HetNetTopology:
+    """topo and one more node, out of every node's WiFi range and with no
+    wired edge."""
+    far = np.abs(topo.positions).max() + 2 * topo.params.wifi_range
+    return HetNetTopology(topo.params, np.vstack([topo.positions, [far, far]]),
+                          np.append(topo.cell_ids, topo.cell_ids[0]),
+                          np.append(topo.cellular_rates, topo.params.r_cell),
+                          topo.backbone, topo.wired)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_an_isolated_node_changes_nothing(kind, data):
+    """A node that no link reaches changes no stat and no trace event of a
+    session between the same pair."""
+    cfg, topo, pair = data.draw(scenarios(kind))
+    pair = _with_pair(cfg, topo, pair)
+    bigger = _with_isolated_node(topo)
+    assert not bigger.links[-1] and not any(len(topo) in links for links in bigger.links)
+    assert _run(replace(cfg, node_count=len(bigger)), bigger, pair) == _run(cfg, topo, pair)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_payload_stream_changes_nothing(kind, data):
+    """A session whose block payloads come from another generator has the
+    same stats and trace: no decision depends on a payload byte."""
+    cfg, topo, pair = data.draw(scenarios(kind))
+    if cfg.cellular_enabled and data.draw(st.booleans()):
+        cfg = replace(cfg, relay_policy=ForwardPolicy(mode="both", both_mode="probabilistic",
+                                                      p=data.draw(st.floats(0.05, 0.95))))
+    other = data.draw(st.integers(0, 2**32 - 1))
+    session_rngs = simengine.session_rngs
+
+    def other_payloads(seed):
+        rngs = session_rngs(seed)
+        rngs[5] = np.random.default_rng(other)
+        return rngs
+
+    want = _run(cfg, topo, pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "session_rngs", other_payloads)
+        assert _run(cfg, topo, pair) == want

@@ -1,12 +1,11 @@
-import struct
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from oracles import assert_next_draws_agree, draw
 from hetnetcode import gf256, rlnc, simengine
+from hetnetcode.simengine import Draws
 
 
 def make_block(rng, block_id=0, m=20, k=64):
@@ -14,19 +13,16 @@ def make_block(rng, block_id=0, m=20, k=64):
 
 
 class ForcedRng:
-    """Stands in for numpy Generator; its bit generator's C interface serves
-    the queued coefficient vectors as little-endian 32-bit words, each vector
-    padded with zero bytes to whole words, as numpy frames a uint8 draw."""
+    """Stands in for a numpy Generator: bytes(n) serves the queued
+    coefficient vectors in turn, each of n bytes."""
 
     def __init__(self, *vectors):
-        words = []
-        for v in vectors:
-            raw = np.asarray(v, dtype=np.uint8).tobytes()
-            raw += bytes(-len(raw) % 4)
-            words += struct.unpack(f"<{len(raw) // 4}I", raw)
-        self.words = words
-        self.bit_generator = SimpleNamespace(
-            ctypes=SimpleNamespace(state=None, next_uint32=lambda state: self.words.pop(0)))
+        self.vectors = [np.asarray(v, dtype=np.uint8).tobytes() for v in vectors]
+
+    def bytes(self, n):
+        v = self.vectors.pop(0)
+        assert len(v) == n
+        return v
 
 
 def test_encode_identity_rows():
@@ -53,7 +49,7 @@ def test_encode_rejects_all_zero_draw():
     rng = ForcedRng([0, 0, 0], [0, 5, 0])
     p = rlnc.encode(block, rng)
     assert p.coefficients.tolist() == [0, 5, 0]
-    assert rng.words == []
+    assert rng.vectors == []
 
 
 # steps on one generator: a coefficient draw of n bytes, a hop pick
@@ -68,7 +64,7 @@ _DRAWS = st.lists(st.one_of(st.tuples(st.just("coefficients"), st.integers(1, 64
 @given(bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
        seed=st.integers(0, 2**32 - 1), steps=_DRAWS)
 def test_coefficient_draw_is_numpys_uint8_draw(bit_generator, seed, steps):
-    """The C-interface draw returns the bytes of numpy's uint8 draw and
+    """The coefficient draw returns the bytes of numpy's uint8 draw and
     leaves the generator where numpy's leaves it, among other draws."""
     ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     for kind, n in steps:
@@ -104,35 +100,41 @@ _HOP_COUNTS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
-       seed=st.integers(0, 2**32 - 1),
-       steps=st.lists(st.one_of(st.tuples(st.just("pick"), _HOP_COUNTS),
-                                st.tuples(st.just("jitter"), st.integers(0, 6)),
+@given(seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.one_of(st.tuples(st.just("below"), _HOP_COUNTS),
+                                st.tuples(st.just("random"), st.integers(0, 6)),
                                 st.tuples(st.just("coefficients"), st.integers(1, 64))),
                       min_size=1, max_size=20))
-@example(bit_generator=np.random.PCG64, seed=0,
-         steps=[("pick", 1), ("pick", 2**32 - 1), ("jitter", 1), ("pick", 1)])
-def test_hop_pick_and_jitter_are_numpys_draws(bit_generator, seed, steps):
-    """The session's hop pick returns int(integers(0, k)), drawing no word at
-    k = 1, and its scheduler jitter returns random(n); among coefficient
-    draws, each leaves the generator where numpy's leaves it."""
-    ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+@example(seed=0, steps=[("below", 1), ("below", 2**32 - 1), ("random", 1), ("below", 1)])
+def test_hop_pick_and_jitter_are_numpys_draws(seed, steps):
+    """A Draws' hop pick returns int(integers(0, k)), drawing no word at
+    k = 1, and its jitter returns random(n); among coefficient draws, each
+    leaves the stream where numpy's leaves its PCG64 generator."""
+    ours, theirs = Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
     for kind, n in steps:
-        if kind == "pick":
-            assert simengine._pick(ours.bit_generator.ctypes, n) == int(theirs.integers(0, n))
-        elif kind == "jitter":
-            assert simengine._random_doubles(n, ours) == theirs.random(n).tolist()
-        else:
-            want = oracles.random_nonzero_vector(n, theirs).tobytes()
-            assert rlnc._random_nonzero_bytes(n, ours) == want
-        np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+        assert draw(ours, kind, n) == draw(theirs, kind, n)
+        assert_next_draws_agree(ours, theirs)
 
 
 def test_hop_pick_of_one_hop_draws_no_word():
-    rng = np.random.default_rng(5)
-    before = rng.bit_generator.state
-    assert simengine._pick(rng.bit_generator.ctypes, 1) == 0
-    assert rng.bit_generator.state == before
+    ours, theirs = Draws(np.random.default_rng(5)), np.random.default_rng(5)
+    assert ours.below(1) == 0
+    assert_next_draws_agree(ours, theirs)
+
+
+class ForcedWords(np.random.PCG64):
+    """A PCG64 bit generator whose random_raw serves the queued 32-bit words,
+    two to an output, low word first, and zero words after them."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def random_raw(self, size=None, output=True):
+        words = self.words[:2 * size] + [0] * max(0, 2 * size - len(self.words))
+        del self.words[:2 * size]
+        return np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
+                        dtype=np.uint64)
 
 
 @pytest.mark.parametrize("k", [7, 2**31 + 1, 2**32 - 1])
@@ -142,11 +144,62 @@ def test_hop_pick_redraws_below_numpys_threshold_only(k):
     threshold = (2**32 - k) % k
     inverse = pow(k, -1, 2**32)  # odd k: the word whose product has low half t
     kept, redrawn = (t * inverse % 2**32 for t in (threshold, threshold - 1))
-    for queued, want_left in (([kept, 0], [0]), ([redrawn, kept, 0], [0])):
-        words = list(queued)
-        c = SimpleNamespace(state=None, next_uint32=lambda state: words.pop(0))
-        assert simengine._pick(c, k) == kept * k >> 32
-        assert words == want_left
+    after = 0x89ABCDEF
+    for queued in ([kept, after], [redrawn, kept, after]):
+        draws = Draws(np.random.Generator(ForcedWords(queued)))
+        assert draws.below(k) == kept * k >> 32
+        assert draws.bytes(4) == after.to_bytes(4, "little")
+
+
+class CountingPCG64(np.random.PCG64):
+    """A PCG64 bit generator that counts its random_raw calls."""
+
+    calls = 0
+
+    def random_raw(self, size=None, output=True):
+        self.calls += 1
+        return super().random_raw(size, output)
+
+
+_BLOCK_BYTES = 8 * simengine._BLOCK_OUTPUTS
+# short draws, then a skip to d bytes before the end of the block after the
+# read position's, so that the draws after it straddle a refill
+_SHORT_DRAWS = st.lists(st.one_of(st.tuples(st.just("bytes"), st.integers(1, 64)),
+                                  st.tuples(st.just("below"), _HOP_COUNTS),
+                                  st.tuples(st.just("random"), st.none() | st.integers(0, 6))),
+                        max_size=8)
+_TO_EDGE = st.tuples(st.just("edge"), st.sampled_from(range(0, 28, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       steps=st.tuples(_TO_EDGE, _SHORT_DRAWS, _TO_EDGE, _SHORT_DRAWS, _TO_EDGE, _SHORT_DRAWS)
+       .map(lambda parts: [parts[0], *parts[1], parts[2], *parts[3], parts[4], *parts[5]]))
+# a double with the block's last word kept, and one that takes the block's
+# last output while a word is kept, each read after the kept word
+@example(seed=1, steps=[("edge", 4), ("random", None), ("bytes", 8), ("edge", 12),
+                        ("random", None), ("bytes", 8), ("edge", 12), ("random", 3)])
+def test_draws_match_numpy_across_refills(seed, steps):
+    """Every value of bytes, below and random, one double or several, equals
+    numpy's draw from the same PCG64 stream, across at least two refills."""
+    bitgen = CountingPCG64(seed)
+    ours, theirs = Draws(np.random.Generator(bitgen)), np.random.default_rng(seed)
+    for kind, n in steps:
+        if kind == "edge":
+            kind, n = "bytes", ours._size - ours._pos - n + _BLOCK_BYTES
+        assert draw(ours, kind, n) == draw(theirs, kind, n)
+    assert bitgen.calls >= 3
+    assert_next_draws_agree(ours, theirs)
+
+
+def test_draws_refuses_other_generators_and_a_kept_word():
+    with pytest.raises(TypeError):
+        Draws(np.random.Generator(np.random.MT19937(0)))
+    rng = np.random.default_rng(0)
+    rng.integers(0, 5)  # one word of an output; PCG64 keeps the other
+    assert rng.bit_generator.state["has_uint32"]
+    with pytest.raises(ValueError):
+        Draws(rng)
 
 
 def test_encode_distinct_coefficient_vectors():
