@@ -204,6 +204,8 @@ class ScenarioConfig(TopologyParams):
             raise ConfigError(f"unknown loading mode {self.loading_mode!r}")
         if self.ack_delay < 0 or self.processing_delay < 0:
             raise ConfigError("delays must be >= 0")
+        if self.min_hops < 1:
+            raise ConfigError("min_hops must be >= 1")
         if self.slot_budget < 1:
             raise ConfigError("slot_budget must be >= 1")
         if self.block_target < 1:
@@ -222,6 +224,8 @@ class ScenarioConfig(TopologyParams):
 # trial t of a sweep with seed s runs at seed s * TRIAL_SEED_STRIDE + t, so
 # sweeps of consecutive seeds share no trial seed while trials <= the stride
 TRIAL_SEED_STRIDE = 1_000_003
+# (param_max - param_min) / param_step of a min/max/step sweep stays below this
+MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass
@@ -260,6 +264,10 @@ class SweepSpec:
                 raise ConfigError("param_min must be <= param_max")
             if self.param_step <= 0:
                 raise ConfigError("param_step must be > 0")
+            # in floats: a span too wide for one is inf, not an OverflowError
+            if not (float(self.param_max) - self.param_min) / self.param_step < MAX_SWEEP_POINTS:
+                raise ConfigError("(param_max - param_min) / param_step must be below "
+                                  f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
 
     def sweep_values(self, default):
         self.validate()

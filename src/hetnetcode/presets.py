@@ -243,11 +243,12 @@ def _topo2_trial(args):
 DEFAULT_TOPO2_RELAYS = (1, 2, 3, 4, 5, 6)
 
 
-def preset_topo2(spec: SweepSpec, rates=TOPO2_RATES):
-    """Dual-interface access-point topology: throughput vs relay count N."""
+def preset_topo2(spec: SweepSpec):
+    """Dual-interface access-point topology: throughput vs relay count N at
+    each of TOPO2_RATES."""
     relay_counts = _counts(spec.sweep_values(DEFAULT_TOPO2_RELAYS), "relay counts")
     base = _base_config(spec, block_target=4, slot_budget=60000)
-    points = [(rate, n) for rate in rates for n in relay_counts]
+    points = [(rate, n) for rate in TOPO2_RATES for n in relay_counts]
     tasks = [(spec.seed, t, points, base) for t in range(spec.trials)]
     rows = [(float(rate), n, _mean(vals))
             for (rate, n), vals in zip(points, _per_point(_topo2_trial, tasks, spec.workers))]
@@ -261,15 +262,7 @@ def format_rows(header, rows) -> str:
     """Stable CSV text: 6-decimal floats, plain ints, newline-terminated."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append(str(int(v)))
-            elif isinstance(v, int):
-                cells.append(str(v))
-            else:
-                cells.append(f"{v:.6f}")
-        lines.append(",".join(cells))
+        lines.append(",".join(str(v) if isinstance(v, int) else f"{v:.6f}" for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -56,21 +56,20 @@ class RouteTable:
             self._dist[dst] = self._bfs(dst)
         return self._dist[dst]
 
-    def next_hops(self, node: int, dst: int, interface: str | None = None) -> list[int]:
+    def next_hops(self, node: int, dst: int, interface: str) -> list[int]:
         """Ascending neighbors exactly one hop closer to dst (may be empty) over
-        one interface, "wifi" or "wired" (which includes the bus), or both."""
+        one interface, "wifi" or "wired" (which includes the bus)."""
         dist = self.distances_to(dst)
         if dist[node] == UNREACHABLE:
             return []
         want = dist[node] - 1
         topo = self.topology
-        hops = []
-        if interface != "wired":
-            hops += [v for v in topo.neighbors[node] if dist[v] == want]
-        if interface != "wifi":
-            hops += [v for v in topo.wired_peers(node) if dist[v] == want]
-            if node in topo.backbone:
-                hops += self._bus[dist[self._bus] == want].tolist()
+        if interface == "wifi":
+            # neighbor lists are ascending and unique
+            return [v for v in topo.neighbors[node] if dist[v] == want]
+        hops = [v for v in topo.wired_peers(node) if dist[v] == want]
+        if node in topo.backbone:
+            hops += self._bus[dist[self._bus] == want].tolist()
         return sorted(set(hops))
 
 

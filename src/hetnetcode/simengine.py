@@ -212,11 +212,11 @@ class Draws:
 
 
 def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generator,
-                       priorities=None):
+                       priorities):
     """Greedy maximal feasible subset of the pending (tx, rx) transmissions.
 
-    Candidates are visited in order of the caller's priority keys (all equal
-    if None), in random order within ties: one rng.random(n) jitter value per
+    Candidates are visited in order of the caller's priority keys, one per
+    candidate, in random order within ties: one rng.random(n) jitter value per
     candidate, from a numpy Generator or a session's Draws, which draw the
     same values from the same PCG64 stream.  A candidate is admitted iff the
     guard inequality holds in both directions against everything already
@@ -226,8 +226,6 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     within WiFi range (LinkRangeError otherwise).
     """
     n = len(pending_txs)
-    if priorities is None:
-        priorities = (0,) * n
     # the index breaks exact ties as a stable sort on (priority, jitter) would
     order = sorted(zip(priorities, rng.random(n), range(n)))
     admitted: list[tuple[int, int]] = []
@@ -567,8 +565,9 @@ class _Session:
                 self._land(v, self._emit(node, "wired"), "wired")
 
     def _radio_phase(self, radio: dict):
-        if self.wifi_usable:
-            radio[self.src] = None  # the source picks its hop after the relays
+        # the source picks its hop after the relays; with no WiFi route its
+        # next hops are [] and it draws nothing
+        radio[self.src] = None
         pending = []  # (tx, rx), each tx mapped in radio to its duplicate or None
         for node, dup_pkt in radio.items():
             if dup_pkt is None and not self._can_send(node):
@@ -583,7 +582,7 @@ class _Session:
         admitted = schedule_wifi_slot(pending, self.topo, self.rng_sched,
                                       [self.dist_to_dst[tx] for tx, _ in pending])
         if self.schedule_log is not None and admitted:
-            self.schedule_log.append((self.slot, list(admitted)))
+            self.schedule_log.append((self.slot, admitted))
         for tx, rx in admitted:
             pkt = radio[tx]
             if pkt is None:
@@ -596,15 +595,12 @@ class _Session:
 
     def _skip_ahead(self, budget: int):
         """Jump over slots in which nothing can happen (pure cellular pipe)."""
-        steps = []
-        if self.cell_up.rate > 0:
-            lacking = max(0.0, 1.0 - self.cell_up.value)
-            steps.append(math.ceil(lacking / self.cell_up.rate))
+        # the pipe rate is > 0, or __init__ raised NoPathError; the wait is cut
+        # to the budget before its ceiling, as lacking / rate is inf at 1e-320
+        lacking = max(0.0, 1.0 - self.cell_up.value)
+        steps = [math.ceil(min(lacking / self.cell_up.rate, budget))]
         if self.ack_slot is not None:
             steps.append(self.ack_slot - self.slot)
-        if not steps:
-            self.slot = budget
-            return
         skipped = min(max(1, min(steps)) - 1, budget - self.slot - 1)
         if skipped > 0:
             self.cell_up.tick(skipped)

@@ -261,8 +261,7 @@ def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTop
 
 
 def relay_star_topology(n_relays: int, link_capacity: float,
-                        interfaces_per_node: int = 2,
-                        params: TopologyParams | None = None) -> HetNetTopology:
+                        interfaces_per_node: int = 2) -> HetNetTopology:
     """Access-point preset: source and destination each reach every relay
     over wired access links; no radio geometry.
 
@@ -275,7 +274,7 @@ def relay_star_topology(n_relays: int, link_capacity: float,
         raise ConfigError("need at least one relay")
     if not 0 < link_capacity < math.inf:
         raise ConfigError("link capacity must be positive and finite")
-    params = params or TopologyParams()
+    params = TopologyParams()
     src, dst = 0, n_relays + 1
     # positions are only cosmetic here; keep nodes far apart so no WiFi links form
     gap = 10 * params.wifi_range

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hetnetcode import gf256, rlnc, topology
+from hetnetcode import gf256, presets, rlnc, topology
 from hetnetcode.config import ScenarioConfig, SweepSpec, TopologyParams
 from hetnetcode.errors import NoPathError
 from hetnetcode.presets import (
@@ -193,9 +193,10 @@ def test_criterion_08_infrastructure_trend(rate_sweep_rows):
            f"vs ad-hoc={adhoc:.3f} ({plateau_err:.1%})")
 
 
-def test_criterion_09_relay_scaling_trend():
+def test_criterion_09_relay_scaling_trend(monkeypatch):
+    monkeypatch.setattr(presets, "TOPO2_RATES", (54,))
     spec = SweepSpec(values=(1, 2, 3, 4, 5, 6), trials=5, seed=0)
-    _, rows = preset_topo2(spec, rates=(54,))
+    _, rows = preset_topo2(spec)
     n = np.array([r[1] for r in rows], dtype=float)
     tput = np.array([r[2] for r in rows])
     slope, intercept = np.polyfit(n, tput, 1)
@@ -231,14 +232,15 @@ def test_criterion_10_stale_block_transitions():
            f"20 innovative per block={innovative_ok}")
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(monkeypatch):
     small = {"node_count": 250, "cell_radius": 400.0}
     rate_spec = SweepSpec(values=(0.5,), trials=3, seed=42, scenario=small)
     a = format_rows(*preset_rate_sweep(rate_spec))
     b = format_rows(*preset_rate_sweep(rate_spec))
+    monkeypatch.setattr(presets, "TOPO2_RATES", (54,))
     topo_spec = SweepSpec(values=(2,), trials=2, seed=42)
-    c = format_rows(*preset_topo2(topo_spec, rates=(54,)))
-    d = format_rows(*preset_topo2(topo_spec, rates=(54,)))
+    c = format_rows(*preset_topo2(topo_spec))
+    d = format_rows(*preset_topo2(topo_spec))
     # and a full CLI round trip through the trace writer
     topo = topology.chain_topology(3)
     cfg = ScenarioConfig(node_count=4, min_hops=3, link_rate_override=0.4, seed=7,

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from hetnetcode import cli, presets
-from hetnetcode.config import TRIAL_SEED_STRIDE, ForwardPolicy, ScenarioConfig, SweepSpec
+from hetnetcode.config import (
+    MAX_SWEEP_POINTS,
+    TRIAL_SEED_STRIDE,
+    ForwardPolicy,
+    ScenarioConfig,
+    SweepSpec,
+)
 from hetnetcode.errors import ConfigError
 from hetnetcode.presets import (
     format_rows,
@@ -35,6 +41,13 @@ def test_sweep_spec_validation():
         SweepSpec(values=(0.5, float("nan"))).validate()
     with pytest.raises(ConfigError):
         SweepSpec(param_min=0.1, param_max=float("inf"), param_step=0.1).validate()
+    # (max - min) / step must stay below MAX_SWEEP_POINTS, even where the span
+    # overflows a float
+    for lo, hi, step in ((0, 1, 1e-12), (0, 1e308, 1e-10), (-10**308, 10**308, 1.0),
+                         (0, MAX_SWEEP_POINTS, 1)):
+        with pytest.raises(ConfigError, match="MAX_SWEEP_POINTS = 1000000"):
+            SweepSpec(param_min=lo, param_max=hi, param_step=step).validate()
+    SweepSpec(param_min=0, param_max=MAX_SWEEP_POINTS - 1, param_step=1).validate()
     # sweep values built in Python get the checks a config file's do
     for values in (("a",), (True,), (0.5, float("inf")), "ab"):
         with pytest.raises(ConfigError):
@@ -164,9 +177,10 @@ def test_topo1_rows_match_direct_engine_run():
     assert rows[0][2] == pytest.approx(sum(comb_vals) / 2, abs=1e-12)
 
 
-def test_topo2_linear_scaling_quick():
+def test_topo2_linear_scaling_quick(monkeypatch):
+    monkeypatch.setattr(presets, "TOPO2_RATES", (54,))
     spec = SweepSpec(values=(2, 4), trials=2, seed=9)
-    header, rows = preset_topo2(spec, rates=(54,))
+    header, rows = preset_topo2(spec)
     assert header == ["link_rate", "n_relays", "throughput"]
     n2 = next(r[2] for r in rows if r[1] == 2)
     n4 = next(r[2] for r in rows if r[1] == 4)
@@ -270,6 +284,9 @@ def test_cli_error_exits(tmp_path):
     ["replay-trace", "--relays", "2", "--link-rate", "inf"],
     # a flag is checked like the config field it sets
     ["gen-topology", "--nodes", "1"],
+    # too many sweep points, and a span that overflows a float
+    ["rate-sweep", "--min", "0", "--max", "1", "--step", "1e-12"],
+    ["rate-sweep", "--min", "0", "--max", "1e308", "--step", "1e-10"],
 ])
 def test_cli_rejects_bad_flag_values(argv):
     assert run_cli(argv) == 2
@@ -340,6 +357,8 @@ def test_cli_rejects_bad_topology_fields_on_relay_star(tmp_path, scenario):
     {"delta": float("inf")},
     {"rate_tiers": [[0.5, float("nan")], [1.0, 0.5]]},
     {"link_rate_override": "x"},
+    # a session could pick its source as its destination
+    {"min_hops": 0},
 ])
 def test_cli_rejects_bad_scenario_values(tmp_path, capsys, scenario):
     cfg = tmp_path / "cfg.json"

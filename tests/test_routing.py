@@ -44,14 +44,15 @@ def test_line_graph_distances():
     params = TopologyParams()
     topo = topology.HetNetTopology(params, [(100.0 * i, 0.0) for i in range(3)])
     assert hop_distance(topo, 0, 2) == 2
-    assert topo.routes.next_hops(0, 2) == [1]
-    assert topo.routes.next_hops(1, 2) == [2]
+    assert topo.routes.next_hops(0, 2, "wifi") == [1]
+    assert topo.routes.next_hops(1, 2, "wifi") == [2]
 
 
 def test_isolated_destination_unreachable():
     topo = graph_topology(4, [(0, 1), (1, 2)])
     assert hop_distance(topo, 0, 3) == routing.UNREACHABLE
-    assert topo.routes.next_hops(0, 3) == []
+    # graph_topology's edges are wired
+    assert topo.routes.next_hops(0, 3, "wired") == []
 
 
 def test_distances_match_enumeration_oracle():
@@ -107,7 +108,7 @@ def test_next_hops_strictly_closer():
         d = hop_distance(topo, node, 0)
         if d == routing.UNREACHABLE:
             continue
-        for nh in topo.routes.next_hops(node, 0):
+        for nh in topo.routes.next_hops(node, 0, "wifi"):
             assert hop_distance(topo, nh, 0) == d - 1
 
 
@@ -159,7 +160,7 @@ def test_bus_routes_match_explicit_clique(fraction):
         assert topo.routes.distances_to(dst).tolist() == dist
         for node in range(len(topo)):
             want = dist[node] - 1
-            for links, interface in ((adj, None), (wifi, "wifi"), (wired_adj, "wired")):
+            for links, interface in ((wifi, "wifi"), (wired_adj, "wired")):
                 expect = sorted(v for v in links[node] if dist[v] == want)
                 if dist[node] == routing.UNREACHABLE:
                     expect = []

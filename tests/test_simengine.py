@@ -47,6 +47,8 @@ def test_config_validation():
         ScenarioConfig(slot_budget=0).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(loading_mode="fair-ish").validate()
+    with pytest.raises(ConfigError, match="min_hops"):
+        ScenarioConfig(min_hops=0).validate()
     ScenarioConfig().validate()
 
 
@@ -142,7 +144,7 @@ def test_schedule_far_apart_both_admitted():
     params = TopologyParams()
     topo = topology.HetNetTopology(params, [(0, 0), (100, 0), (10000, 0), (10100, 0)])
     rng = np.random.default_rng(0)
-    admitted = schedule_wifi_slot([(0, 1), (2, 3)], topo, rng)
+    admitted = schedule_wifi_slot([(0, 1), (2, 3)], topo, rng, [0, 0])
     assert sorted(admitted) == [(0, 1), (2, 3)]
 
 
@@ -150,9 +152,9 @@ def test_schedule_adjacent_chain_exactly_one():
     topo = topology.chain_topology(3)
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        admitted = schedule_wifi_slot([(0, 1), (1, 2)], topo, rng)
+        admitted = schedule_wifi_slot([(0, 1), (1, 2)], topo, rng, [0, 0])
         assert len(admitted) == 1
-        admitted = schedule_wifi_slot([(0, 1), (2, 3)], topo, rng)
+        admitted = schedule_wifi_slot([(0, 1), (2, 3)], topo, rng, [0, 0])
         assert len(admitted) == 1  # 100 m guard: d(1,2)=100 < 120
 
 
@@ -160,7 +162,7 @@ def test_schedule_empty():
     topo = topology.chain_topology(1)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert schedule_wifi_slot([], topo, rng) == []
+    assert schedule_wifi_slot([], topo, rng, []) == []
     assert rng.bit_generator.state == state  # no jitter drawn
 
 
@@ -173,7 +175,7 @@ def test_schedule_admitted_sets_pass_bruteforce():
         pending = [(i, j) for i in range(10) for j in topo.neighbors[i]]
         if not pending:
             continue
-        admitted = schedule_wifi_slot(pending, topo, rng)
+        admitted = schedule_wifi_slot(pending, topo, rng, [0] * len(pending))
         assert brute_force_guard_ok(topo, admitted)
         assert len(admitted) >= 1
 
@@ -188,13 +190,9 @@ def test_schedule_is_feasible_and_maximal(points, delta, seed, data):
     links = [(i, j) for i in range(len(topo)) for j in topo.neighbors[i]]
     assume(links)
     pending = data.draw(st.lists(st.sampled_from(links), min_size=1, unique=True))
-    priorities = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=len(pending),
-                                                max_size=len(pending)))
+    priorities = data.draw(st.lists(st.integers(0, 3), min_size=len(pending),
+                                    max_size=len(pending)))
     admitted = schedule_wifi_slot(pending, topo, np.random.default_rng(seed), priorities)
-    if priorities is None:
-        # no priorities are all-equal priorities, from the same jitter draw
-        assert admitted == schedule_wifi_slot(pending, topo, np.random.default_rng(seed),
-                                              [0] * len(pending))
     assert set(admitted) <= set(pending)
     assert brute_force_guard_ok(topo, admitted)
     # maximal: every pair left out shares a radio with the admitted set or
@@ -224,6 +222,19 @@ def test_cellular_pipe_half_rate():
     assert stats.relative_throughput == 0.5
     assert stats.wifi_sent == 0
     assert all(ev.interface == "cellular" for ev in trace)
+
+
+def test_subnormal_cellular_rate_runs_out_the_budget():
+    # 1 / 1e-320 overflows to inf: the wait to the first packet is cut to
+    # the slot budget before its ceiling is taken
+    cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=1e-320,
+                              slot_budget=500, min_hops=1)
+    session = simengine._Session(cfg, topo, (0, 1), None, False)
+    stats, trace = session.run()
+    assert session.slot == cfg.slot_budget
+    assert stats.blocks_delivered == 0 and stats.cellular_sent == 0
+    assert stats.slots_elapsed == cfg.slot_budget
+    assert len(trace) == 0
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -600,7 +611,7 @@ def test_session_looks_up_each_route_once(monkeypatch, name):
     calls = Counter()
     real_next_hops = routing.RouteTable.next_hops
 
-    def counted(self, node, dst, interface=None):
+    def counted(self, node, dst, interface):
         calls[node, interface] += 1
         return real_next_hops(self, node, dst, interface)
 

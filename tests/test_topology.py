@@ -216,7 +216,9 @@ def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_rad
                 assert np.array_equal(own.routes.distances_to(dst),
                                       fresh.routes.distances_to(dst))
                 for node in range(node_count):
-                    assert own.routes.next_hops(node, dst) == fresh.routes.next_hops(node, dst)
+                    for interface in ("wifi", "wired"):
+                        assert (own.routes.next_hops(node, dst, interface)
+                                == fresh.routes.next_hops(node, dst, interface))
     assert plain.routes is plain_routes and plain_routes.topology is plain
     for dst, dist in zip(dsts, plain_dist):
         assert np.array_equal(plain.routes.distances_to(dst), dist)
