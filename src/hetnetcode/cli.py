@@ -136,7 +136,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for preset in ("rate-sweep", "load-sweep", "infra-sweep", "topo1", "topo2"):
+    for preset in PRESETS:
         p = sub.add_parser(preset, help=f"run the {preset} preset")
         p.set_defaults(run=cmd_sweep)
         _add_sweep_flags(p)

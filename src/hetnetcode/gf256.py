@@ -62,10 +62,11 @@ def inverse(a: int) -> int:
 def weighted_row_sum(weights, rows_index: np.ndarray) -> np.ndarray:
     """sum_t weights[t] * rows[t] where rows were pre-cast via as_row_index.
 
-    Hot path for encoding/recoding: every product is gathered at once from
-    the flat table (row t offset by 256 * weights[t]) and XOR-reduced down
-    the rows.  Callers cache the intp index, and each weight's row offset
-    comes from a table, so a call neither casts nor shifts the weights.
+    The encode kernel (recodes and receives work on `bytes` rows): every
+    product is gathered at once from the flat table (row t offset by 256 *
+    weights[t]) and XOR-reduced down the rows.  Callers cache the intp index
+    and each weight's row offset comes from a table, so a call neither casts
+    nor shifts the weights.
     """
     w = np.asarray(weights, dtype=np.uint8)
     return np.bitwise_xor.reduce(_MUL_FLAT[_ROW_OFFSET[w][:, None] + rows_index], axis=0)

@@ -73,7 +73,9 @@ def relay_star_scenario(config: ScenarioConfig, n_relays: int, link_rate: float)
 
 def rate_fields(ratio: float) -> dict:
     """Scenario fields that pin the S-D cellular link and the cell maximum at
-    this cellular/WiFi link-rate ratio."""
+    this cellular/WiFi link-rate ratio, which must be positive."""
+    if not ratio > 0:
+        raise ConfigError("rate ratios must be positive")
     return {"link_rate_override": float(ratio), "r_cell": float(ratio)}
 
 
@@ -153,10 +155,8 @@ DEFAULT_RATE_RATIOS = tuple(round(0.1 * i, 2) for i in range(1, 21))
 def preset_rate_sweep(spec: SweepSpec):
     """Relative throughput vs cellular/WiFi link-rate ratio (single session)."""
     ratios = spec.sweep_values(DEFAULT_RATE_RATIOS)
-    if any(r <= 0 for r in ratios):
-        raise ConfigError("rate ratios must be positive")
-    base = _base_config(spec, block_target=3, slot_budget=4000)
     points = [rate_fields(r) for r in ratios]
+    base = _base_config(spec, block_target=3, slot_budget=4000)
     rows = [(float(r), *means) for r, means in zip(ratios, _compare_sweep(spec, base, points))]
     return ["rate_ratio", "rel_tput_cellular", "rel_tput_combined", "stderr"], rows
 
@@ -220,10 +220,8 @@ TOPO1_HOPS = 7
 def preset_topo1(spec: SweepSpec):
     """Seven-hop chain in parallel with a constant-rate WiMAX-style pipe."""
     ratios = spec.sweep_values(DEFAULT_TOPO1_RATIOS)
-    if any(r <= 0 for r in ratios):
-        raise ConfigError("rate ratios must be positive")
-    base = _base_config(spec, block_target=3, slot_budget=6000)
     points = [rate_fields(r) for r in ratios]
+    base = _base_config(spec, block_target=3, slot_budget=6000)
     rows = [(float(r), wimax, comb) for r, (wimax, comb, _)
             in zip(ratios, _compare_sweep(spec, base, points, chain_hops=TOPO1_HOPS))]
     return ["rate_ratio", "rel_tput_wimax", "rel_tput_combined"], rows

@@ -9,6 +9,7 @@ block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +46,11 @@ class SourceBlock:
     def size(self) -> int:
         return self.packets.shape[0]
 
+    @functools.cached_property
     def row_index(self) -> np.ndarray:
-        """Cached gather index of the payload matrix (used by every encode).
-
-        packets are treated as immutable once the block exists.
-        """
-        cached = getattr(self, "_row_index", None)
-        if cached is None:
-            cached = gf256.as_row_index(self.packets)
-            self._row_index = cached
-        return cached
+        """Gather index of the payload matrix (used by every encode), built on
+        first use; packets are treated as immutable once the block exists."""
+        return gf256.as_row_index(self.packets)
 
 
 class CodedPacket:
@@ -111,7 +107,7 @@ def _random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
 def _combined(block: SourceBlock, coefficients: bytes) -> CodedPacket:
     """The packet with these coefficient bytes, one per block packet."""
     payload = gf256.weighted_row_sum(np.frombuffer(coefficients, dtype=np.uint8),
-                                     block.row_index())
+                                     block.row_index)
     return _packet(block.block_id, block.size, coefficients + payload.tobytes())
 
 

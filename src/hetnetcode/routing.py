@@ -12,19 +12,18 @@ from collections import deque
 
 import numpy as np
 
-from .topology import HetNetTopology
-
 UNREACHABLE = float("inf")
 
 
 class RouteTable:
-    """Hop distances and next-hop candidates toward each destination.
+    """Hop distances and next-hop candidates toward each destination of a
+    topology.HetNetTopology, which builds its own table (its `routes`).
 
     Distances to a destination are computed on its first use (single-threaded
     access only).
     """
 
-    def __init__(self, topo: HetNetTopology):
+    def __init__(self, topo):
         self.topology = topo
         self._bus = np.array(sorted(topo.backbone), dtype=np.int64)
         self._dist: dict[int, np.ndarray] = {}
@@ -73,6 +72,6 @@ class RouteTable:
         return sorted(set(hops))
 
 
-def build_routes(topo: HetNetTopology) -> RouteTable:
+def build_routes(topo) -> RouteTable:
     return RouteTable(topo)
 

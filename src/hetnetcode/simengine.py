@@ -181,34 +181,20 @@ class Draws:
         return m >> 32
 
     def random(self, n: int | None = None):
-        """One double, or a list of n, each from the top 53 bits of an output."""
-        pos = self._pos
-        if n is None:
-            if pos & 4 or pos + 8 > self._size:
-                return self._doubles(1)[0]
-            self._pos = pos + 8
-            return (self._raw[pos >> 3] >> 11) * _DOUBLE_UNIT
-        end = pos + 8 * n
-        if pos & 4 or end > self._size:
-            return self._doubles(n)
-        self._pos = end
-        return [(x >> 11) * _DOUBLE_UNIT for x in self._raw[pos >> 3:end >> 3]]
-
-    def _doubles(self, n: int) -> list[float]:
-        """random(n) from any read position: with a word kept, the doubles
-        take the n outputs after it, which are cut from the buffer so that
-        the kept word is read next."""
-        kept = self._pos & 4
-        self._fill(kept + 8 * n)
+        """One double, or a list of n, each from the top 53 bits of an output.
+        With a word kept, the doubles take the outputs after it, which are cut
+        from the buffer so that the kept word is read next."""
+        kept, size = self._pos & 4, 8 * (1 if n is None else n)
+        self._fill(kept + size)
         buf, pos = self._buf, self._pos
         start = pos + kept
-        end = start + 8 * n
+        end = start + size
         values = [(x >> 11) * _DOUBLE_UNIT for x in self._raw[start >> 3:end >> 3]]
         if kept:
             self._load(buf[:start] + buf[end:], pos)
         else:
             self._pos = end
-        return values
+        return values[0] if n is None else values
 
 
 def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generator,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import routing
 from .config import TopologyParams
 from .errors import ConfigError
 
@@ -130,7 +131,6 @@ class HetNetTopology:
     @functools.cached_property
     def routes(self):
         """This topology's hop-count RouteTable, built on first use."""
-        from . import routing  # routing imports this module
         return routing.build_routes(self)
 
     def distance(self, a: int, b: int) -> float:
@@ -255,7 +255,7 @@ def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTop
     if hops < 1:
         raise ConfigError("need at least one hop")
     params = params or TopologyParams()
-    params.validate()
+    params.validate()  # before i * wifi_range, which raises TypeError on a non-number
     spacing = params.wifi_range
     return HetNetTopology(params, [(i * spacing, 0.0) for i in range(hops + 1)])
 

@@ -10,9 +10,12 @@ engine: each bound is computed here from the preset constants alone.
   Information Flow, IEEE Trans. IT 2000).
 - No session beats the cut around its source or its destination
   (oracles.cut_bound, from the same paper).
+- The cellular-only stop-and-wait pipe follows its closed form, given which
+  arrivals the decoder found innovative (cellular_pipe).
 """
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -94,3 +97,52 @@ def test_replay_sessions_stay_within_their_cut(tmp_path, monkeypatch, name):
     assert len(sessions) == len(SEEDS) + 1
     for config, topo, stats in sessions:
         assert stats.blocks_delivered > 0 and within_cut(config, topo, stats), config.seed
+
+
+def cellular_pipe(rate: float, m: int, ack_delay: int, innovative, budget: int, target: int):
+    """(slot, block id, innovative) of every arrival, and the decode slots,
+    of a cellular-only stop-and-wait session over a pipe of `rate` packets
+    per slot.  Arrival n (counting from 1) lands at slot ceil(n / rate); a
+    block decodes at its m-th innovative arrival; the source moves to the
+    next block at decode + 1 + ack_delay, so arrivals before then carry the
+    old block id and are stale.  innovative[n - 1] says whether arrival n,
+    if it carries the decoder's block, is innovative.  The session ends at
+    its target-th decode slot or at the budget."""
+    events, decode_slots = [], []
+    source = decoder = rank = 0
+    advance_at = None
+    for n in range(1, budget * math.ceil(rate) + 1):
+        slot = math.ceil(n / rate)
+        if slot > budget or (len(decode_slots) == target and slot > decode_slots[-1]):
+            break
+        if advance_at is not None and slot >= advance_at:
+            source, advance_at = source + 1, None
+        new = source == decoder and innovative[n - 1]
+        events.append((slot, source, new))
+        rank += new
+        if rank == m:
+            decode_slots.append(slot)
+            decoder, rank, advance_at = decoder + 1, 0, slot + 1 + ack_delay
+    return events, decode_slots
+
+
+# the rates at which every credit sum is exact and no credit is clipped
+# (ROADMAP item 2 names both defects): dyadic rates below 1, and whole rates
+# up to the block size, the most the pipe releases in one slot
+@pytest.mark.parametrize("m, rate", [
+    (m, rate) for m in (1, 2, 4, 20)
+    for rate in (1 / 8, 1 / 4, 1 / 2, 1, 2, 3, 4, 5, 20) if rate <= m])
+def test_cellular_only_pipe_follows_its_closed_form(m, rate):
+    for ack_delay in (0, 1, 3):
+        for seed in range(4):
+            cfg, topo, pair = presets.chain_scenario(ScenarioConfig(
+                wifi_enabled=False, block_size=m, ack_delay=ack_delay, block_target=3,
+                slot_budget=400, seed=seed, **presets.rate_fields(rate)), 1)
+            for no_skip in (False, True):
+                stats, trace = run_session(cfg, topo, pair=pair, no_skip=no_skip)
+                events, decode_slots = cellular_pipe(
+                    rate, m, ack_delay, [ev.innovative for ev in trace], cfg.slot_budget,
+                    cfg.block_target)
+                assert [(ev.slot, ev.block_id, ev.innovative) for ev in trace] == events
+                assert stats.decode_slots == decode_slots
+                assert stats.cellular_sent == len(events)

@@ -1,8 +1,11 @@
 """The package's layering: config.py is the one home of every config class,
 the JSON reader and the declared-type check, and imports nothing from the
-package but errors, so every other module can import it."""
+package but errors, so every other module can import it; routing.py imports
+nothing from the package, so topology.py imports it, and no module imports
+another that imports it back."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,13 @@ def test_config_imports_only_errors_from_the_package():
 def test_config_names_are_defined_in_config_only(name):
     homes = [path.name for path in sorted(SRC.glob("*.py")) if name in _defined(_tree(path))]
     assert homes == ["config.py"]
+
+
+def test_routing_imports_nothing_from_the_package():
+    assert _package_imports(_tree(SRC / "routing.py")) == set()
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = {path.stem: _package_imports(_tree(path)) for path in SRC.glob("*.py")}
+    # raises graphlib.CycleError, naming the cycle, if there is one
+    graphlib.TopologicalSorter(graph).prepare()

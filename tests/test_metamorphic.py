@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hetnetcode import simengine
+from hetnetcode import presets, simengine
 from hetnetcode.config import ForwardPolicy
 from hetnetcode.errors import NoPathError
 from hetnetcode.simengine import pick_session_pair, run_session
@@ -100,3 +100,41 @@ def test_the_payload_stream_changes_nothing(kind, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simengine, "session_rngs", other_payloads)
         assert _run(cfg, topo, pair) == want
+
+
+def _cellular_only(cfg, topo, pair):
+    """compare_modes' cellular-only half: its stats with the pair left out,
+    and its trace as (slot, interface, block id, innovative) rows."""
+    traces = []
+    run_session = simengine.run_session
+
+    def recorded(*args, **kwargs):
+        stats, trace = run_session(*args, **kwargs)
+        traces.append(trace)
+        return stats, trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "run_session", recorded)
+        try:
+            stats, _ = simengine.compare_modes(cfg, topo, pair)
+        except NoPathError:
+            assume(False)
+    rows = [(ev.slot, ev.interface, ev.block_id, ev.innovative) for ev in traces[0]]
+    return replace(stats, source=None, destination=None), rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_cellular_only_baseline_ignores_the_topology(data):
+    """At a pinned S-D link rate, compare_modes' cellular-only half gives
+    the same stats and trace on a generated scenario and on an unrelated
+    random cell with every node on the backbone bus; only the pair may
+    differ.  On that cell a wired interface left on would flood the bus."""
+    cfg, topo, pair = data.draw(scenarios(data.draw(st.sampled_from(KINDS))))
+    cfg = replace(cfg, link_rate_override=data.draw(st.floats(0.1, 1.7)))
+    bus_cfg = replace(cfg, node_count=data.draw(st.integers(8, 40)),
+                      cell_radius=data.draw(st.floats(60.0, 250.0)),
+                      backbone_fraction=1.0, min_hops=1)
+    bus = presets.cell_topology(bus_cfg, data.draw(st.integers(0, 2**32 - 1)))
+    assert len(bus.backbone) == len(bus)
+    assert _cellular_only(bus_cfg, bus, None) == _cellular_only(cfg, topo, pair)

@@ -527,3 +527,18 @@ def test_cli_rejects_the_dropped_rate_and_byte_fields(tmp_path, capsys, field, v
     captured = capsys.readouterr()
     assert field in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["load-sweep", "--ratio", "0"],
+    ["infra-sweep", "--ratio", "-1"],
+    ["rate-sweep", "--values", "0"],
+    ["topo1", "--values", "0"],
+])
+def test_cli_rejects_a_ratio_that_is_not_positive(capsys, argv):
+    # presets.rate_fields is the one ratio check, for --ratio and for every
+    # swept ratio; --trials 1 keeps a run that slips past it short
+    assert run_cli([*argv, "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "rate ratios must be positive" in captured.err
+    assert captured.out == ""

@@ -317,6 +317,14 @@ def test_chain_topology():
     assert topo.neighbors[3] == [2, 4]
 
 
+@pytest.mark.parametrize("wifi_range", [None, {}, "x", -1.0])
+def test_chain_topology_checks_its_params_first(wifi_range):
+    # the chain's spacing is its WiFi range, read before HetNetTopology runs
+    # the same check, so a non-number must fail here with a ConfigError
+    with pytest.raises(ConfigError, match="wifi_range"):
+        topology.chain_topology(2, TopologyParams(wifi_range=wifi_range))
+
+
 def test_relay_star_topology():
     topo = topology.relay_star_topology(3, link_capacity=2.0)
     src, dst = 0, 4
