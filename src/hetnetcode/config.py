@@ -90,6 +90,17 @@ class TopologyParams:
         check_types(self)
         if self.cell_radius <= 0 or self.wifi_range <= 0:
             raise ConfigError("cell_radius and wifi_range must be positive")
+        # topology.place draws from the cells' bounding box, 5 r by span =
+        # 2 (1 + sqrt 3) r, and squares distances in it, so span^2 must be
+        # finite.  _bucket_neighbors cuts it into buckets wider than
+        # wifi_range w: its offsets kx and ky - 1 lie in [0, b], b = span / w
+        # + 1, height <= b + 3, and the largest code it searches, kx * height
+        # + ky + height + 1 <= b^2 + 5 b + 5, is below (b + 3)^2.  That fits
+        # an int64 when b + 3 < 2^31.5, which span / w < 2^31 ensures.
+        span = 2 * (1 + math.sqrt(3)) * self.cell_radius
+        if not (math.isfinite(span * span) and span / self.wifi_range < 2**31):
+            raise ConfigError("cell_radius / wifi_range is too large: the cells must span "
+                              "fewer than 2**31 WiFi ranges, and their squared span be finite")
         if self.delta < 0:
             raise ConfigError("delta must be non-negative")
         if self.r_cell <= 0 or self.backbone_rate <= 0:

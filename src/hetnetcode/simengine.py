@@ -261,14 +261,22 @@ class _Credit:
         self.limit = max(1.0, rate)
         self.value = phase
 
-    def tick(self, slots: int = 1):
-        self.value = min(self.limit, self.value + self.rate * slots)
-
     def take(self) -> bool:
         if self.value >= 1.0:
             self.value -= 1.0
             return True
         return False
+
+
+# a budget the topology leaves unset: never ticked, and inf - 1 stays inf
+_UNLIMITED = _Credit(math.inf, phase=math.inf)
+
+
+def _tick(credits):
+    """The one per-slot credit rule: accrue the rate, clipped at the limit."""
+    for c in credits:
+        value = c.value + c.rate
+        c.value = value if value < c.limit else c.limit
 
 
 class _Relay:
@@ -312,8 +320,7 @@ class _Session:
         loaded = loaded_cellular_rate(link, config.users_per_cell,
                                       config.loading_mode, config.r_cell)
         pipe = loaded if config.cellular_enabled else 0.0
-        self.cell_up = _Credit(pipe)
-        self.cell_down = _Credit(pipe)
+        self._cell_pipe = self.cell_up, self.cell_down = _Credit(pipe), _Credit(pipe)
         self.cell_queue: deque = deque()
 
         self.wired_active = config.wifi_enabled and (
@@ -326,28 +333,21 @@ class _Session:
                 f"destination {self.dst} unreachable from {self.src} on every interface")
 
         # wired budgets: one credit per undirected edge, per-node in/out caps,
-        # and a shared bus budget for backbone hops
+        # and a shared bus budget for backbone hops; an unset one is _UNLIMITED
         spec = topo.wired
         self.edge_cap: dict[tuple[int, int], _Credit] = {}
-        self._wired_credits: list[_Credit] = []
         self.node_out: dict[int, _Credit] = {}
         self.node_in: dict[int, _Credit] = {}
         if spec is not None:
             for u, v in spec.edges:
-                credit = _Credit(spec.edge_capacity)
-                self.edge_cap[(u, v)] = credit
-                self.edge_cap[(v, u)] = credit
-                self._wired_credits.append(credit)
-            for nid, cap in spec.node_out.items():
-                self.node_out[nid] = _Credit(cap)
-                self._wired_credits.append(self.node_out[nid])
-            for nid, cap in spec.node_in.items():
-                self.node_in[nid] = _Credit(cap)
-                self._wired_credits.append(self.node_in[nid])
-        self.bus: _Credit | None = None
-        if topo.backbone:
-            self.bus = _Credit(config.backbone_rate)
-            self._wired_credits.append(self.bus)
+                self.edge_cap[(u, v)] = self.edge_cap[(v, u)] = _Credit(spec.edge_capacity)
+            self.node_out = {nid: _Credit(cap) for nid, cap in spec.node_out.items()}
+            self.node_in = {nid: _Credit(cap) for nid, cap in spec.node_in.items()}
+        self.bus = _Credit(config.backbone_rate) if topo.backbone else _UNLIMITED
+        credits = [*self.edge_cap.values(), *self.node_out.values(), *self.node_in.values(),
+                   self.bus]
+        # each credit once, though an edge's is stored under both directions
+        self._wired_credits = [c for c in dict.fromkeys(credits) if c is not _UNLIMITED]
         # session caches, fixed once filled because the routes and the
         # destination are: each node's out budget and wired hops with their
         # credits, and its WiFi next hops, looked up on first use
@@ -361,6 +361,7 @@ class _Session:
         self.decode_slots: list[int] = []
 
         self.relays: dict[int, _Relay] = {}
+        self._procs: list[_Credit] = []  # each relay's proc credit, ticked as one
         # (due slot, relay, packet); every arrival waits processing_delay, so
         # landing order is due order
         self.arrivals: deque = deque()
@@ -391,6 +392,7 @@ class _Session:
                 cell_up = _Credit(up)
             r = _Relay(cfg.buffer_capacity, cfg.wired_relay_rate, phase, cell_up)
             self.relays[node] = r
+            self._procs.append(r.proc)
             self.relay_order = tuple(sorted(self.relays))
         return r
 
@@ -474,8 +476,7 @@ class _Session:
         radio, in id order, each mapped to the packet it already sent on
         cellular under the duplicate schedule, else to None."""
         if self.cell_up.rate > 0:
-            self.cell_up.tick()
-            self.cell_down.tick()
+            _tick(self._cell_pipe)
             # like the wired flood, at most one block's worth per slot
             for _ in range(self.cfg.block_size):
                 if not self.cell_up.take():
@@ -492,7 +493,7 @@ class _Session:
                 pkt = None
                 if cellular:
                     cell_up = self.relays[node].cell_up
-                    cell_up.tick()
+                    _tick((cell_up,))
                     if cell_up.take():
                         pkt = self._emit(node, "cellular")
                         self.cell_queue.append(pkt)
@@ -510,27 +511,23 @@ class _Session:
         once per u."""
         hops = self._wired_hops.get(u)
         if hops is None:
-            hops = self._wired_hops[u] = (self.node_out.get(u), [
-                (v, self.edge_cap.get((u, v), self.bus), self.node_in.get(v))
+            hops = self._wired_hops[u] = (self.node_out.get(u, _UNLIMITED), [
+                (v, self.edge_cap.get((u, v), self.bus), self.node_in.get(v, _UNLIMITED))
                 for v in self.routes.next_hops(u, self.dst, "wired")])
         out, links = hops
-        if out is not None and out.value < 1.0:
+        if out.value < 1.0:
             return None
-        targets = [hop for hop in links
-                   if hop[1].value >= 1.0 and (hop[2] is None or hop[2].value >= 1.0)]
+        targets = [hop for hop in links if hop[1].value >= 1.0 and hop[2].value >= 1.0]
         if not targets:
             return None
         v, link, into = targets[self._draws(u).below(len(targets))]
-        for credit in (out, link, into):
-            if credit is not None:
-                credit.value -= 1.0
+        out.value -= 1.0
+        link.value -= 1.0
+        into.value -= 1.0
         return v
 
     def _wired_phase(self):
-        # each tick is _Credit.tick's min(limit, value + rate), written out
-        for credit in self._wired_credits:
-            value = credit.value + credit.rate
-            credit.value = value if value < credit.limit else credit.limit
+        _tick(self._wired_credits)
         # the source floods up to one block's worth per slot; relays are
         # bounded by their processing rate and their send credit
         for _ in range(self.cfg.block_size):
@@ -538,11 +535,11 @@ class _Session:
             if v is None:
                 break
             self._land(v, self._emit(self.src, "wired"), "wired")
+        # each relay made so far, the flood's too; one made below waits a slot
+        _tick(self._procs)
         for node in self.relay_order:
             relay = self.relays[node]
             proc = relay.proc
-            value = proc.value + proc.rate
-            proc.value = value if value < proc.limit else proc.limit
             while relay.send_credit >= 1 and proc.value >= 1.0:
                 v = self._wired_pick(node)
                 if v is None:
@@ -589,8 +586,9 @@ class _Session:
             steps.append(self.ack_slot - self.slot)
         skipped = min(max(1, min(steps)) - 1, budget - self.slot - 1)
         if skipped > 0:
-            self.cell_up.tick(skipped)
-            self.cell_down.tick(skipped)
+            # every skipped slot in one step, since no take falls between them
+            for c in self._cell_pipe:
+                c.value = min(c.limit, c.value + c.rate * skipped)
             self.slot += skipped
 
     # -- main loop -----------------------------------------------------------

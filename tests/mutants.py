@@ -1,0 +1,146 @@
+"""Mutation harness: each mutant plants one named fault in a copy of src/,
+and its oracle tests must fail against that copy.
+
+    python tests/mutants.py            # the control run, then every mutant
+    python tests/mutants.py early-ack  # the control run, then the named ones
+
+pytest does not collect this file.  For each mutant the harness copies src/
+to a temporary directory, checks that the mutant's old text occurs exactly
+once in its file there (so a refactor that moves the code fails the harness
+instead of letting the mutant pass unplanted), applies the mutant and runs
+its oracle tests with -x and PYTHONPATH at the copy.  A mutant is killed
+when those tests fail.  One control run of every oracle test on an
+unmutated copy must pass.  Exit status 0 when the control passes and every
+mutant is killed, 1 otherwise.
+
+No oracle may be tests/test_golden.py: a digest catches any fault that moves
+a byte, and the point is that an independent check catches this one.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ENGINE = "hetnetcode/simengine.py"
+REFERENCE = "tests/test_reference_engine.py"
+
+# (name, file under src/, exact old text, new text, oracle tests)
+MUTANTS = [
+    ("tick-without-clip", ENGINE,
+     "c.value = value if value < c.limit else c.limit",
+     "c.value = value",
+     [REFERENCE]),
+    ("proc-ticked-before-flood", ENGINE,
+     "        _tick(self._wired_credits)\n"
+     "        # the source floods up to one block's worth per slot; relays are\n"
+     "        # bounded by their processing rate and their send credit\n"
+     "        for _ in range(self.cfg.block_size):\n"
+     "            v = self._wired_pick(self.src)\n"
+     "            if v is None:\n"
+     "                break\n"
+     "            self._land(v, self._emit(self.src, \"wired\"), \"wired\")\n"
+     "        # each relay made so far, the flood's too; one made below waits a slot\n"
+     "        _tick(self._procs)\n",
+     "        _tick(self._wired_credits)\n"
+     "        _tick(self._procs)\n"
+     "        for _ in range(self.cfg.block_size):\n"
+     "            v = self._wired_pick(self.src)\n"
+     "            if v is None:\n"
+     "                break\n"
+     "            self._land(v, self._emit(self.src, \"wired\"), \"wired\")\n",
+     [REFERENCE]),
+    ("early-ack", ENGINE,
+     "self.ack_slot = self.slot + 1 + self.cfg.ack_delay",
+     "self.ack_slot = self.slot + self.cfg.ack_delay",
+     ["tests/test_bounds.py"]),
+    ("cellular-pipe-capped-below-a-block", ENGINE,
+     "# like the wired flood, at most one block's worth per slot\n"
+     "            for _ in range(self.cfg.block_size):",
+     "# like the wired flood, at most one block's worth per slot\n"
+     "            for _ in range(self.cfg.block_size - 1):",
+     ["tests/test_bounds.py"]),
+    ("wired-on-in-cellular-only", ENGINE,
+     "self.wired_active = config.wifi_enabled and (",
+     "self.wired_active = (",
+     ["tests/test_metamorphic.py"]),
+    ("chain-params-unchecked", "hetnetcode/topology.py",
+     "    params.validate()  # before i * wifi_range, which raises TypeError on a non-number\n",
+     "",
+     ["tests/test_topology.py"]),
+]
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _plant(src: Path, path: str, old: str, new: str):
+    target = src / path
+    text = target.read_text(encoding="utf-8")
+    count = text.count(old)
+    if count != 1:
+        raise SystemExit(f"{path}: the mutant's old text occurs {count} times, not once")
+    target.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def _run_oracles(src: Path, oracles: list[str]) -> int:
+    """pytest's exit status on oracles against the package in src."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    where = subprocess.run([sys.executable, "-c", "import hetnetcode; print(hetnetcode.__file__)"],
+                           env=env, capture_output=True, text=True, check=True).stdout
+    if not Path(where.strip()).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"hetnetcode imports from {where.strip()}, not from the copy {src}")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *oracles]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _timed_run(mutant) -> tuple[int, float]:
+    """(pytest exit status, seconds) of the oracles on a copy of src/ with
+    mutant planted, or on an unmutated copy when mutant is None."""
+    with tempfile.TemporaryDirectory(prefix="hetnetcode-mutant-") as tmp:
+        src = _copy_src(Path(tmp))
+        if mutant is None:
+            oracles = sorted({test for *_, tests in MUTANTS for test in tests})
+        else:
+            _, path, old, new, oracles = mutant
+            _plant(src, path, old, new)
+        start = time.perf_counter()
+        status = _run_oracles(src, oracles)
+        return status, time.perf_counter() - start
+
+
+def main(names: list[str]) -> int:
+    for name, *_, oracles in MUTANTS:
+        if "tests/test_golden.py" in oracles:
+            raise SystemExit(f"{name}: tests/test_golden.py may not be an oracle")
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    status, seconds = _timed_run(None)
+    print(f"control: {'passed' if status == 0 else f'FAILED (pytest exit {status})'} "
+          f"in {seconds:.1f} s", flush=True)
+    ok = status == 0
+    for mutant in MUTANTS:
+        if names and mutant[0] not in names:
+            continue
+        status, seconds = _timed_run(mutant)
+        # 1 is pytest's "tests failed"; a collection or usage error is no kill
+        killed = status == 1
+        ok &= killed
+        verdict = "killed" if killed else f"SURVIVED (pytest exit {status})"
+        print(f"{mutant[0]}: {verdict} by {' '.join(mutant[4])} in {seconds:.1f} s", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,7 +2,8 @@
 the JSON reader and the declared-type check, and imports nothing from the
 package but errors, so every other module can import it; routing.py imports
 nothing from the package, so topology.py imports it, and no module imports
-another that imports it back."""
+another that imports it back.  In simengine.py the per-slot credit rule is
+written once, in _tick."""
 
 import ast
 import graphlib
@@ -69,3 +70,35 @@ def test_the_package_imports_form_no_cycle():
     graph = {path.stem: _package_imports(_tree(path)) for path in SRC.glob("*.py")}
     # raises graphlib.CycleError, naming the cycle, if there is one
     graphlib.TopologicalSorter(graph).prepare()
+
+
+def _attribute_uses(tree: ast.Module, attr: str) -> list[tuple[str, str]]:
+    """(qualified name of the enclosing function or class, "Load" or
+    "Store") of every .attr in tree; module level is ""."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                uses.append((scope, type(child.ctx).__name__))
+            visit(child, scope)
+
+    visit(tree, "")
+    return uses
+
+
+def test_the_credit_rule_is_written_once():
+    # a credit's limit is read by the per-slot tick and by skip-ahead's
+    # k-slot jump alone (the two places ROADMAP item 2 changes), and set
+    # only when the credit is made
+    tree = _tree(SRC / "simengine.py")
+    uses = _attribute_uses(tree, "limit")
+    reads = {scope for scope, ctx in uses if ctx == "Load"}
+    assert "_tick" in reads and reads <= {"_tick", "_Session._skip_ahead"}
+    assert {scope for scope, ctx in uses if ctx != "Load"} == {"_Credit.__init__"}
+    credit = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Credit")
+    assert "tick" not in {node.name for node in credit.body if isinstance(node, ast.FunctionDef)}

@@ -370,6 +370,31 @@ def test_cli_rejects_bad_scenario_values(tmp_path, capsys, scenario):
     assert "NoneType" not in capsys.readouterr().err
 
 
+# cells whose bounding box overflows numpy's uniform draw, and cells that
+# span too many WiFi ranges for int64 bucket codes
+@pytest.mark.parametrize("scenario", [
+    {"cell_radius": 1e308}, {"cell_radius": 1e200}, {"wifi_range": 1e-300}])
+def test_gen_topology_rejects_geometry_it_cannot_place(tmp_path, capsys, scenario):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario}))
+    assert run_cli(["gen-topology", "--nodes", "50", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cell_radius / wifi_range is too large")
+
+
+def test_out_of_memory_is_a_runtime_error(monkeypatch, capsys):
+    # as numpy raises it for --nodes 10000000000 or a block_size of 1e10
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(presets, "cell_topology", exhausted)
+    assert run_cli(["gen-topology", "--nodes", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 149. GiB for an array\n"
+
+
 @pytest.mark.parametrize("argv, section", [
     (["rate-sweep", "--values", "0.5", "--trials", "1", "--seed", "-1"], None),
     (["topo2", "--values", "1", "--trials", "1", "--seed", "-2"], None),

@@ -238,8 +238,9 @@ def test_subnormal_cellular_rate_runs_out_the_budget():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "FOUND in CHANGES.md: _Credit.tick clips value + rate at max(1, rate) before the slot's "
-    "take, so a busy pipe below rate 1 releases one packet per ceil(1/rate) slots"))
+    "FOUND in CHANGES.md: simengine._tick clips value + rate at _Credit.limit = max(1, rate) "
+    "before the slot's take, so a busy pipe below rate 1 releases one packet per "
+    "ceil(1/rate) slots"))
 @pytest.mark.parametrize("link_rate", [0.6, 0.75, 0.9])
 def test_cellular_pipe_keeps_its_fractional_credit(link_rate):
     cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,

@@ -33,6 +33,11 @@ def test_generate_deterministic():
     assert len(one) == 1 and same_nodes(one, two)
 
 
+# the largest cell_radius TopologyParams accepts at the default WiFi range:
+# the cells' bounding box spans just under 2**31 WiFi ranges
+LARGEST_RADIUS = 0.999999 * 2**31 * 100.0 / (2 * (1 + math.sqrt(3)))
+
+
 def test_generate_rejects_bad_params():
     with pytest.raises(ConfigError):
         topology.generate(0, np.random.default_rng(0))
@@ -43,6 +48,13 @@ def test_generate_rejects_bad_params():
     # non-finite numbers: NaN would pass every range check and inf overflow numpy
     for bad in ({"delta": math.nan}, {"wifi_range": math.inf}, {"cell_radius": math.inf}):
         with pytest.raises(ConfigError):
+            topology.generate(5, np.random.default_rng(0), TopologyParams(**bad))
+    # cells whose bounding box overflows numpy's uniform draw or its squared
+    # distances, or that span too many WiFi ranges for int64 bucket codes
+    for bad in ({"cell_radius": 1e308}, {"cell_radius": 1e200}, {"wifi_range": 1e-300},
+                {"cell_radius": 1e200, "wifi_range": 1e195},
+                {"cell_radius": 1.00001 * LARGEST_RADIUS}):
+        with pytest.raises(ConfigError, match="too large"):
             topology.generate(5, np.random.default_rng(0), TopologyParams(**bad))
     # rate tiers built in Python get the checks a config file's do
     for tiers in (((0.25, math.nan), (1.0, math.nan)), ((0.5, 1.0), (1.0, math.inf)),
@@ -158,6 +170,18 @@ def test_bucket_neighbors_match_brute_force(points, copies, r):
     for row, want in zip(got, brute_force_neighbors(positions, r)):
         assert all(type(v) is int for v in row)
         assert row == want
+
+
+def test_the_largest_accepted_geometry_places_and_buckets_cleanly():
+    # numpy's overflow and cast warnings are errors under this suite's filters
+    params = TopologyParams(cell_radius=LARGEST_RADIUS)
+    topo = topology.place(50, np.random.default_rng(1), params)
+    assert topo.neighbors == brute_force_neighbors(topo.positions, 100.0)
+    # neighbor pairs at the four corners of the bounding box
+    x, y = 2.5 * LARGEST_RADIUS, (1 + math.sqrt(3)) * LARGEST_RADIUS
+    corners = [(sx * x, sy * y) for sx in (-1, 1) for sy in (-1, 1)]
+    positions = np.array([*corners, *((cx - math.copysign(50.0, cx), cy) for cx, cy in corners)])
+    assert topology._bucket_neighbors(positions, 100.0) == [[4], [5], [6], [7], [0], [1], [2], [3]]
 
 
 rate_tiers = st.just(DEFAULT_RATE_TIERS) | st.lists(
