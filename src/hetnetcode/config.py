@@ -101,6 +101,14 @@ class TopologyParams:
         if not (math.isfinite(span * span) and span / self.wifi_range < 2**31):
             raise ConfigError("cell_radius / wifi_range is too large: the cells must span "
                               "fewer than 2**31 WiFi ranges, and their squared span be finite")
+        # place assigns a node to its nearest base station by squared
+        # distance.  A node on the border of two cells lies sqrt(3) r / 2 >
+        # r / 2 from both stations, so the squares it compares stay normal
+        # floats (>= 2**-1022), held at full precision, when r >= 2**-510.
+        # Far below that they underflow to 0 and every node lands in cell 0.
+        if self.cell_radius < 2.0**-510:
+            raise ConfigError("cell_radius is too small: it must be at least 2**-510, "
+                              "so that squared distances in the cells are normal floats")
         if self.delta < 0:
             raise ConfigError("delta must be non-negative")
         if self.r_cell <= 0 or self.backbone_rate <= 0:

@@ -59,22 +59,17 @@ def inverse(a: int) -> int:
     return int(INV_TABLE[a])
 
 
-def weighted_row_sum(weights, rows_index: np.ndarray) -> np.ndarray:
-    """sum_t weights[t] * rows[t] where rows were pre-cast via as_row_index.
+def weighted_row_sum(weights, rows: np.ndarray) -> np.ndarray:
+    """sum_t weights[t] * rows[t] over the rows of a uint8 matrix.
 
     The encode kernel (recodes and receives work on `bytes` rows): every
     product is gathered at once from the flat table (row t offset by 256 *
-    weights[t]) and XOR-reduced down the rows.  Callers cache the intp index
-    and each weight's row offset comes from a table, so a call neither casts
-    nor shifts the weights.
+    weights[t]) and XOR-reduced down the rows.  Each weight's row offset
+    comes from an intp table, so adding the uint8 rows to it makes the
+    gather index with no separate cast.
     """
     w = np.asarray(weights, dtype=np.uint8)
-    return np.bitwise_xor.reduce(_MUL_FLAT[_ROW_OFFSET[w][:, None] + rows_index], axis=0)
-
-
-def as_row_index(rows) -> np.ndarray:
-    """Pre-cast a uint8 matrix for repeated weighted_row_sum calls."""
-    return np.asarray(rows, dtype=np.uint8).astype(np.intp)
+    return np.bitwise_xor.reduce(_MUL_FLAT[_ROW_OFFSET[w][:, None] + rows], axis=0)
 
 
 def solve(m, rhs) -> np.ndarray:

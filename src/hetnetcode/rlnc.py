@@ -9,7 +9,6 @@ block.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +44,6 @@ class SourceBlock:
     @property
     def size(self) -> int:
         return self.packets.shape[0]
-
-    @functools.cached_property
-    def row_index(self) -> np.ndarray:
-        """Gather index of the payload matrix (used by every encode), built on
-        first use; packets are treated as immutable once the block exists."""
-        return gf256.as_row_index(self.packets)
 
 
 class CodedPacket:
@@ -107,7 +100,7 @@ def _random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
 def _combined(block: SourceBlock, coefficients: bytes) -> CodedPacket:
     """The packet with these coefficient bytes, one per block packet."""
     payload = gf256.weighted_row_sum(np.frombuffer(coefficients, dtype=np.uint8),
-                                     block.row_index)
+                                     block.packets)
     return _packet(block.block_id, block.size, coefficients + payload.tobytes())
 
 

@@ -70,6 +70,36 @@ MUTANTS = [
      "self.wired_active = config.wifi_enabled and (",
      "self.wired_active = (",
      ["tests/test_metamorphic.py"]),
+    ("draws-fill-keeps-from-the-read-position", ENGINE,
+     "buf = self._buf[pos & ~7:]\n        pos &= 7\n",
+     "buf = self._buf[pos:]\n        pos = 0\n",
+     ["tests/test_rlnc.py"]),
+    ("draws-random-drops-the-kept-word", ENGINE,
+     "        if kept:\n"
+     "            self._load(buf[:start] + buf[end:], pos)\n"
+     "        else:\n"
+     "            self._pos = end\n",
+     "        self._pos = end\n",
+     ["tests/test_rlnc.py"]),
+    ("wired-flood-bounded-by-block-target", ENGINE,
+     "        # bounded by their processing rate and their send credit\n"
+     "        for _ in range(self.cfg.block_size):\n",
+     "        # bounded by their processing rate and their send credit\n"
+     "        for _ in range(self.cfg.block_target):\n",
+     ["tests/test_metamorphic.py"]),
+    ("probabilistic-choice-draws-from-the-data-stream", ENGINE,
+     "cellular = self.rng_relay.random() < policy.p",
+     "cellular = self.rng_data.random() < policy.p",
+     ["tests/test_metamorphic.py"]),
+    # tests/test_metamorphic.py passes this one
+    ("relay-phases-spread-by-topology-size", ENGINE,
+     "phase = (node * cfg.wired_relay_rate) % 1.0",
+     "phase = (node * cfg.wired_relay_rate / len(self.topo)) % 1.0",
+     [REFERENCE]),
+    ("skip-ahead-ignores-the-budget", ENGINE,
+     "skipped = min(max(1, min(steps)) - 1, budget - self.slot - 1)",
+     "skipped = max(1, min(steps)) - 1",
+     ["tests/test_bounds.py"]),
     ("chain-params-unchecked", "hetnetcode/topology.py",
      "    params.validate()  # before i * wifi_range, which raises TypeError on a non-number\n",
      "",

@@ -133,11 +133,13 @@ def cellular_pipe(rate: float, m: int, ack_delay: int, innovative, budget: int, 
     (m, rate) for m in (1, 2, 4, 20)
     for rate in (1 / 8, 1 / 4, 1 / 2, 1, 2, 3, 4, 5, 20) if rate <= m])
 def test_cellular_only_pipe_follows_its_closed_form(m, rate):
-    for ack_delay in (0, 1, 3):
+    # budgets off a multiple of 1 / rate, so that a skip-ahead past the budget
+    # would show
+    for ack_delay, budget in ((0, 400), (1, 403), (3, 397)):
         for seed in range(4):
             cfg, topo, pair = presets.chain_scenario(ScenarioConfig(
                 wifi_enabled=False, block_size=m, ack_delay=ack_delay, block_target=3,
-                slot_budget=400, seed=seed, **presets.rate_fields(rate)), 1)
+                slot_budget=budget, seed=seed, **presets.rate_fields(rate)), 1)
             for no_skip in (False, True):
                 stats, trace = run_session(cfg, topo, pair=pair, no_skip=no_skip)
                 events, decode_slots = cellular_pipe(

@@ -189,6 +189,13 @@ def test_solve_singular_raises():
         gf256.solve(m, np.zeros((3, 2), dtype=np.uint8))
 
 
+def test_solve_rejects_a_non_square_matrix_and_a_mismatched_rhs():
+    with pytest.raises(ValueError, match="square"):
+        gf256.solve(np.ones((2, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="rhs row count"):
+        gf256.solve(np.eye(3, dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8))
+
+
 def test_matmul_shapes_and_errors():
     a = np.ones((3, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
@@ -243,13 +250,12 @@ def oracle_solve(m, rhs):
 def test_weighted_row_sum_matches_oracle(weights, width, seed):
     rows = np.random.default_rng(seed).integers(0, 256, size=(len(weights), width),
                                                 dtype=np.uint8)
-    index = gf256.as_row_index(rows)
     w = np.array(weights, dtype=np.uint8)
-    kept_w, kept_index = w.copy(), index.copy()
-    got = gf256.weighted_row_sum(w, index)
+    kept_w, kept_rows = w.copy(), rows.copy()
+    got = gf256.weighted_row_sum(w, rows)
     assert got.dtype == np.uint8 and got.shape == (width,)
     assert got.tolist() == oracle_weighted_row_sum(weights, rows.tolist(), width)
-    assert np.array_equal(w, kept_w) and np.array_equal(index, kept_index)
+    assert np.array_equal(w, kept_w) and np.array_equal(rows, kept_rows)
 
 
 @settings(max_examples=100, deadline=None)

@@ -308,6 +308,25 @@ def test_receive_block_mismatch():
         dec.receive(p)
 
 
+def test_receive_rejects_a_packet_of_another_block_size():
+    dec = rlnc.DecoderState(3, 4)
+    p = rlnc.CodedPacket(3, np.ones(5, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+    with pytest.raises(ValueError, match="block size"):
+        dec.receive(p)
+
+
+def test_codec_rejects_malformed_blocks_vectors_and_buffers():
+    with pytest.raises(ValueError, match=r"\(M, k\) array"):
+        rlnc.SourceBlock(0, np.zeros(4, dtype=np.uint8))
+    with pytest.raises(ValueError, match="block_id out of range"):
+        rlnc.SourceBlock(rlnc.BLOCK_ID_MODULUS, np.zeros((2, 3), dtype=np.uint8))
+    block = rlnc.SourceBlock(0, np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="block size"):
+        rlnc.coded_packet(block, [1, 2, 3])
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        rlnc.RecodeBuffer(0)
+
+
 def test_receive_rank_monotone_and_flag_matches_delta():
     rng = np.random.default_rng(9)
     block = make_block(rng, m=10, k=4)
@@ -586,7 +605,7 @@ def test_recode_matches_weighted_row_sum(ring, block_id):
         assert buf.offer(rlnc.CodedPacket(block_id, list(row[:m]), list(row[m:])))
     w = np.frombuffer(weights, dtype=np.uint8)
     stacked = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
-    want = gf256.weighted_row_sum(w, gf256.as_row_index(stacked))
+    want = gf256.weighted_row_sum(w, stacked)
     out = rlnc.recode(buf, ForcedRng(w))
     assert out.block_id == block_id and out.m == m
     assert out.row == want.tobytes()

@@ -76,6 +76,18 @@ def test_config_reader_knows_every_declared_type(cls):
     assert config_from_dict(cls, json.loads(json.dumps(asdict(cls())))) == cls()
 
 
+def test_config_from_dict_needs_an_object():
+    # a config file's sections are checked to be objects before this reader
+    with pytest.raises(ConfigError, match="ScenarioConfig settings must be an object"):
+        config_from_dict(ScenarioConfig, [])
+
+
+def test_session_rejects_its_source_as_destination():
+    cfg, topo = chain_session(2)
+    with pytest.raises(ConfigError, match="source and destination must differ"):
+        run_session(cfg, topo, pair=(0, 0))
+
+
 @pytest.mark.parametrize("make", [
     lambda: SweepSpec(trials="x"),
     lambda: SweepSpec(values="ab"),
@@ -118,8 +130,10 @@ def test_loaded_cellular_rate_examples():
     # equal-rate is capped by the node's own supported rate
     assert loaded_cellular_rate(1.0, 2, "equal-rate", cell_rate=4.0) == 1.0
     assert loaded_cellular_rate(4.0, 8, "equal-rate", cell_rate=4.0) == 0.5
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="users must be >= 1"):
         loaded_cellular_rate(4.0, 0, "equal-rate", cell_rate=4.0)
+    with pytest.raises(ConfigError, match="unknown loading mode 'bogus'"):
+        loaded_cellular_rate(1.0, 1, "bogus", 1.0)
 
 
 def test_loaded_cellular_rate_conservation_and_monotone():
@@ -637,7 +651,7 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
     def mismatched_recode(buffer, rng):
         pkt = real_recode(buffer, rng)
         weights = other.integers(1, 256, size=len(buffer), dtype=np.uint8)
-        payloads = gf256.as_row_index(np.stack([p.payload for p in buffer.packets]))
+        payloads = np.stack([p.payload for p in buffer.packets])
         return rlnc.CodedPacket(pkt.block_id, pkt.coefficients,
                                 gf256.weighted_row_sum(weights, payloads))
 

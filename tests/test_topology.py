@@ -39,7 +39,7 @@ LARGEST_RADIUS = 0.999999 * 2**31 * 100.0 / (2 * (1 + math.sqrt(3)))
 
 
 def test_generate_rejects_bad_params():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="node_count must be positive"):
         topology.generate(0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         topology.generate(5, np.random.default_rng(0), TopologyParams(cell_radius=-1))
@@ -61,6 +61,17 @@ def test_generate_rejects_bad_params():
                   ((0.5,),), ((0.5, True),), ((0.5, 1.0), (math.inf, 0.5)), ()):
         with pytest.raises(ConfigError):
             TopologyParams(rate_tiers=tiers).validate()
+
+
+def test_smallest_cells_still_tell_their_nodes_apart():
+    # at 1e-200 the squared distances to the base stations underflow to 0 and
+    # every node lands in cell 0; at the bound they are normal floats
+    params = TopologyParams(cell_radius=2.0**-510, wifi_range=2.0**-513)
+    topo = topology.generate(200, np.random.default_rng(0), params)
+    assert set(topo.cell_ids.tolist()) == set(range(topology.CELLS))
+    for radius in (2.0**-510 * (1 - 2**-52), 1e-200):
+        with pytest.raises(ConfigError, match="cell_radius is too small"):
+            TopologyParams(cell_radius=radius, wifi_range=radius / 10).validate()
 
 
 def test_finite_number_needs_a_finite_float_value():
