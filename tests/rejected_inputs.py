@@ -5,8 +5,9 @@ prints each row that breaks the contract and exits 1 if any does.
 A row is (id, argv, config, fragment); config is None, a JSON value for the
 --config file, or the file's bytes.  Every row must exit 2 with nothing on
 stdout and stderr that starts with "config error: ", contains the fragment
-and names no Python type.  pytest does not collect this file;
-tests/test_rejected_inputs.py runs every row through cli.main.
+and names no Python type.  pytest does not collect this file; tier-1 runs
+every row through cli.main, in tests/test_rejected_inputs.py or as a case
+of a rejection test in tests/test_presets_cli.py.
 """
 
 from __future__ import annotations
@@ -166,6 +167,25 @@ ROWS = [
           ("min_hops-0", {"min_hops": 0}, "min_hops must be >= 1"))),
 ]
 
+BY_ID = {row[0]: row for row in ROWS}
+# tests/test_presets_cli.py runs these rows as the cases of three of its
+# rejection tests, one tuple of row ids per case, so that those cases keep
+# their names; a scenario case runs through a chain replay and a one-point
+# rate sweep.  tests/test_rejected_inputs.py runs every other row.
+FLAG_CASES = [(row_id,) for row_id in (
+    "users-1.5", "relays-2.5", "value-nan", "max-inf", "ratio-nan", "ratio-inf", "link-rate-inf",
+    "nodes-1", "step-1e-12", "max-1e308")]
+SECTION_CASES = [(row_id,) for row_id in (
+    "trials-x", "values-ab", "values-true", "workers-1.5", "step-a-string", "out-3",
+    "sweep-a-list", "scenario-5", "values-nan", "values-nested", "scenario-in-sweep", "sweep-bogus",
+    "values-10**400", "r_cell-10**400", "block_size-10**400", "buffer_capacity-2**63")]
+SCENARIO_CASES = [(f"chain-{name}", f"sweep-{name}") for name in (
+    "duplicate-without-cellular", "node_count-x", "block_size-2.5", "cellular_enabled-1", "p-half",
+    "relay_policy-null", "tier-of-one", "link_rate_override-nan", "delta-inf", "tier-nan",
+    "link_rate_override-x", "min_hops-0")]
+IN_CASES = {row_id for cases in (FLAG_CASES, SECTION_CASES, SCENARIO_CASES)
+            for case in cases for row_id in case}
+
 
 def argv_with_config(row, directory: Path) -> list[str]:
     """row's argv, with --config naming its config written to directory."""
@@ -185,6 +205,19 @@ def mismatches(row, status: int, out: str, err: str) -> list[str]:
         ("stderr starting 'config error: '", err.startswith("config error: ")),
         (f"stderr containing {row[3]!r}", row[3] in err),
         ("no Python type in stderr", "NoneType" not in err and "<class" not in err)) if not kept]
+
+
+def broken_through_main(main, row_ids, directory: Path, capsys) -> dict:
+    """{row id: the clauses it breaks} for each of row_ids that breaks the
+    contract when run through main (cli.main), read with pytest's capsys."""
+    broken = {}
+    for row_id in row_ids:
+        status = main(argv_with_config(BY_ID[row_id], directory))
+        captured = capsys.readouterr()
+        clauses = mismatches(BY_ID[row_id], status, captured.out, captured.err)
+        if clauses:
+            broken[row_id] = clauses
+    return broken
 
 
 def main() -> int:

@@ -22,6 +22,7 @@ from hetnetcode.presets import (
     preset_topo2,
 )
 from oracles import load
+from rejected_inputs import FLAG_CASES, SCENARIO_CASES, SECTION_CASES, broken_through_main
 
 SMALL = {"node_count": 250, "cell_radius": 400.0}
 
@@ -271,6 +272,23 @@ def test_cli_replay_trace_caps_a_fast_cellular_pipe(tmp_path):
     assert max(per_slot.values()) == m
     innovative = Counter(int(block) for _, _, _, block, new in rows if new == "1")
     assert innovative == {b: m for b in range(target)}
+
+
+# each case is a tuple of row ids of tests/rejected_inputs.py, and pytest
+# names it by the argument and its index
+@pytest.mark.parametrize("argv", FLAG_CASES)
+def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv):
+    assert broken_through_main(cli.main, argv, tmp_path, capsys) == {}
+
+
+@pytest.mark.parametrize("section", SECTION_CASES)
+def test_cli_rejects_bad_config_sections(tmp_path, capsys, section):
+    assert broken_through_main(cli.main, section, tmp_path, capsys) == {}
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_CASES)
+def test_cli_rejects_bad_scenario_values(tmp_path, capsys, scenario):
+    assert broken_through_main(cli.main, scenario, tmp_path, capsys) == {}
 
 
 def test_out_of_memory_is_a_runtime_error(monkeypatch, capsys):

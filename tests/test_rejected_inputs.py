@@ -1,4 +1,5 @@
-"""Every row of tests/rejected_inputs.py through cli.main, and every
+"""Every row of tests/rejected_inputs.py that no test in
+tests/test_presets_cli.py runs, through cli.main, and every
 `raise ConfigError(...)` in src/ matched by a row or named as one that no
 CLI input reaches."""
 
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hetnetcode import cli
-from rejected_inputs import ROWS, argv_with_config, mismatches
+from rejected_inputs import IN_CASES, ROWS, broken_through_main
 
 TESTS = Path(__file__).resolve().parent
 # (module, enclosing function, longest literal part of the message) of each
@@ -28,11 +29,9 @@ LIBRARY_ONLY = {
 }
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
-def test_rejected_input_exits_2_as_a_config_error(tmp_path, capsys, row):
-    status = cli.main(argv_with_config(row, tmp_path))
-    captured = capsys.readouterr()
-    assert mismatches(row, status, captured.out, captured.err) == []
+@pytest.mark.parametrize("row_id", [row[0] for row in ROWS if row[0] not in IN_CASES])
+def test_rejected_input_exits_2_as_a_config_error(tmp_path, capsys, row_id):
+    assert broken_through_main(cli.main, [row_id], tmp_path, capsys) == {}
 
 
 def config_error_sites() -> dict:
@@ -56,6 +55,7 @@ def config_error_sites() -> dict:
 
 def test_every_config_error_is_a_row_or_library_only():
     assert len({row[0] for row in ROWS}) == len(ROWS)  # unique ids
+    assert IN_CASES <= {row[0] for row in ROWS}
     sites = config_error_sites()
     assert set(LIBRARY_ONLY) <= set(sites)
     assert [key for key, pattern in sites.items() if key not in LIBRARY_ONLY
