@@ -1,11 +1,11 @@
 """Random linear network coding over parallel cellular and WiFi paths."""
 
 from . import config, gf256, rlnc, routing, simengine, topology
-from .config import ForwardPolicy, ScenarioConfig, TopologyParams
-from .errors import ConfigError, NoPathError
+from .config import ConfigError, ForwardPolicy, ScenarioConfig, TopologyParams
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
 from .simengine import (
     EventTrace,
+    NoPathError,
     SessionStats,
     compare_modes,
     loaded_cellular_rate,

@@ -22,10 +22,9 @@ import json
 import sys
 
 from . import presets
-from .config import ScenarioConfig, SweepSpec
-from .errors import ConfigError, NoPathError
+from .config import ConfigError, ScenarioConfig, SweepSpec
 from .presets import PRESETS, format_rows
-from .simengine import run_session
+from .simengine import NoPathError, run_session
 
 _SWEEP_FIELDS = {f.name for f in dataclasses.fields(SweepSpec)} - {"scenario"}
 _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}

@@ -13,7 +13,9 @@ import numbers
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
-from .errors import ConfigError
+
+class ConfigError(ValueError):
+    """Invalid scenario, sweep, or topology parameters."""
 
 
 def finite_number(x) -> bool:

@@ -17,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import simengine, topology as topo_mod
-from .config import TRIAL_SEED_STRIDE, ScenarioConfig, SweepSpec
-from .errors import ConfigError
+from .config import TRIAL_SEED_STRIDE, ConfigError, ScenarioConfig, SweepSpec
 from .simengine import compare_modes, pick_session_pair, run_session
 
 TOPO2_RATES = (12, 18, 24, 36, 48, 54)

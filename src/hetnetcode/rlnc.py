@@ -46,18 +46,15 @@ class SourceBlock:
         return self.packets.shape[0]
 
 
+@dataclass(slots=True)
 class CodedPacket:
     """One coded packet: its block id, the block size m, and one immutable
     `bytes` row [coefficients (m bytes) | payload].  `coefficients` and
     `payload` are read-only uint8 views of the row."""
 
-    __slots__ = ("block_id", "m", "row")
-
-    def __init__(self, block_id: int, coefficients, payload):
-        coefficients = np.asarray(coefficients, dtype=np.uint8)
-        self.block_id = block_id
-        self.m = coefficients.size
-        self.row = coefficients.tobytes() + np.asarray(payload, dtype=np.uint8).tobytes()
+    block_id: int
+    m: int
+    row: bytes
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -66,24 +63,6 @@ class CodedPacket:
     @property
     def payload(self) -> np.ndarray:
         return np.frombuffer(self.row, dtype=np.uint8, offset=self.m)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CodedPacket)
-            and self.block_id == other.block_id
-            and self.m == other.m
-            and self.row == other.row
-        )
-
-    def __repr__(self):
-        return f"CodedPacket({self.block_id}, m={self.m}, row={self.row.hex()})"
-
-
-def _packet(block_id: int, m: int, row: bytes) -> CodedPacket:
-    """A CodedPacket around a row that is already [coefficients | payload]."""
-    p = object.__new__(CodedPacket)
-    p.block_id, p.m, p.row = block_id, m, row
-    return p
 
 
 def _random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
@@ -101,7 +80,7 @@ def _combined(block: SourceBlock, coefficients: bytes) -> CodedPacket:
     """The packet with these coefficient bytes, one per block packet."""
     payload = gf256.weighted_row_sum(np.frombuffer(coefficients, dtype=np.uint8),
                                      block.packets)
-    return _packet(block.block_id, block.size, coefficients + payload.tobytes())
+    return CodedPacket(block.block_id, block.size, coefficients + payload.tobytes())
 
 
 def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
@@ -167,7 +146,7 @@ def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
     for w, p in zip(weights, packets):
         acc ^= int.from_bytes(p.row.translate(mul[w]), "little")
     first = packets[0]
-    return _packet(buffer.block_id, first.m, acc.to_bytes(len(first.row), "little"))
+    return CodedPacket(buffer.block_id, first.m, acc.to_bytes(len(first.row), "little"))
 
 
 class DecoderState:
@@ -238,7 +217,7 @@ def parse_header(buf: bytes, block_size: int) -> CodedPacket:
         raise ValueError(
             f"buffer of {len(buf)} bytes too short for a {2 + block_size}-byte header"
         )
-    return _packet(int.from_bytes(buf[:2], "big"), block_size, bytes(buf[2:]))
+    return CodedPacket(int.from_bytes(buf[:2], "big"), block_size, bytes(buf[2:]))
 
 
 def header_overhead(block_size: int, packet_size: int) -> float:

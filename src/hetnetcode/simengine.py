@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rlnc
-from .config import ScenarioConfig
-from .errors import ConfigError, NoPathError
+from .config import ConfigError, ScenarioConfig
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
 from .routing import UNREACHABLE
 from .topology import HetNetTopology, cellular_link_rate
@@ -41,6 +40,10 @@ from .topology import HetNetTopology, cellular_link_rate
 # and 8 columns coded alike still catch a payload that disagrees with its
 # coefficients in the decoded == source check, missing it w.p. 2^-64 per block.
 CHECK_PAYLOAD_BYTES = 8
+
+
+class NoPathError(RuntimeError):
+    """Destination unreachable on every enabled interface."""
 
 
 @dataclass
@@ -79,8 +82,7 @@ class EventTrace:
 class SessionStats:
     source: int
     destination: int
-    blocks_delivered: int
-    slots_elapsed: int
+    slots_elapsed: int  # >= 1: the last decode slot (slots start at 1) or the budget
     wifi_sent: int
     cellular_sent: int
     wired_sent: int
@@ -88,9 +90,11 @@ class SessionStats:
     block_size: int
 
     @property
+    def blocks_delivered(self) -> int:
+        return len(self.decode_slots)
+
+    @property
     def relative_throughput(self) -> float:
-        if self.slots_elapsed == 0:
-            return 0.0
         return self.blocks_delivered * self.block_size / self.slots_elapsed
 
 
@@ -611,7 +615,6 @@ class _Session:
         stats = SessionStats(
             source=self.src,
             destination=self.dst,
-            blocks_delivered=len(self.decode_slots),
             slots_elapsed=elapsed,
             wifi_sent=self.sent["wifi"],
             cellular_sent=self.sent["cellular"],

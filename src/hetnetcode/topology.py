@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import routing
-from .config import TopologyParams
-from .errors import ConfigError
+from .config import ConfigError, TopologyParams
 
 SQRT3 = math.sqrt(3.0)
 CELLS = 7  # a center cell and its six neighbors
@@ -36,9 +35,12 @@ def hex_centers(radius: float) -> np.ndarray:
 
 
 def _inside_hex(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    # edge slack scales with the radius (1e-9 at the default 1000), so a tiny
+    # cell still rejects the rest of its bounding box
+    tol = 1e-12 * radius
     dx = np.abs(points[:, 0] - center[0])
     dy = np.abs(points[:, 1] - center[1])
-    return (dy <= SQRT3 / 2 * radius + 1e-9) & (SQRT3 * dx + dy <= SQRT3 * radius + 1e-9)
+    return (dy <= SQRT3 / 2 * radius + tol) & (SQRT3 * dx + dy <= SQRT3 * radius + tol)
 
 
 def tier_rates(dist: np.ndarray, radius: float, tiers, cell_rate: float) -> np.ndarray:

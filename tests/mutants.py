@@ -104,6 +104,10 @@ MUTANTS = [
      "    params.validate()  # before i * wifi_range, which raises TypeError on a non-number\n",
      "",
      ["tests/test_topology.py"]),
+    ("hex-absolute-tolerance", "hetnetcode/topology.py",
+     "tol = 1e-12 * radius",
+     "tol = 1e-9",
+     ["tests/test_topology.py"]),
 ]
 
 

@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from hetnetcode import rlnc
-from hetnetcode.config import TopologyParams
-from hetnetcode.errors import ConfigError
+from hetnetcode.config import ConfigError, TopologyParams
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
 from hetnetcode.simengine import Draws

@@ -261,7 +261,7 @@ class ReferenceSession:
             if cfg.wifi_enabled:
                 self.radio_step(radio)
         stats = SessionStats(
-            self.src, self.dst, len(self.decode_slots),
+            self.src, self.dst,
             self.decode_slots[-1] if self.decode_slots else cfg.slot_budget, self.sent["wifi"],
             self.sent["cellular"], self.sent["wired"], self.decode_slots, cfg.block_size)
         return stats, self.trace, self.schedule_log

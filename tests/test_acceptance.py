@@ -13,7 +13,6 @@ import pytest
 
 from hetnetcode import gf256, presets, rlnc, topology
 from hetnetcode.config import ScenarioConfig, SweepSpec, TopologyParams
-from hetnetcode.errors import NoPathError
 from hetnetcode.presets import (
     TOPO2_RELAY_RATE,
     format_rows,
@@ -22,7 +21,7 @@ from hetnetcode.presets import (
     preset_rate_sweep,
     preset_topo2,
 )
-from hetnetcode.simengine import run_session
+from hetnetcode.simengine import NoPathError, run_session
 
 RATE_RATIOS = (0.1, 0.5, 1.0, 2.0)
 TRIALS = 50

@@ -1,9 +1,10 @@
 """The package's layering: config.py is the one home of every config class,
-the JSON reader and the declared-type check, and imports nothing from the
-package but errors, so every other module can import it; routing.py imports
-nothing from the package, so topology.py imports it, and no module imports
-another that imports it back.  In simengine.py the per-slot credit rule is
-written once, in _tick."""
+the JSON reader, the declared-type check and ConfigError, and imports
+nothing from the package, so every other module can import it; NoPathError
+lives beside its one raiser in simengine.py; routing.py imports nothing from
+the package, so topology.py imports it, and no module imports another that
+imports it back.  In simengine.py the per-slot credit rule is written once,
+in _tick."""
 
 import ast
 import graphlib
@@ -13,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hetnetcode"
 CONFIG_NAMES = ("check_types", "declared_types", "finite_number", "config_from_dict",
-                "TopologyParams", "ForwardPolicy", "ScenarioConfig", "SweepSpec")
+                "TopologyParams", "ForwardPolicy", "ScenarioConfig", "SweepSpec", "ConfigError")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -52,14 +53,21 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_config_imports_only_errors_from_the_package():
-    assert _package_imports(_tree(SRC / "config.py")) == {"errors"}
+def test_config_imports_nothing_from_the_package():
+    assert _package_imports(_tree(SRC / "config.py")) == set()
+
+
+def _homes(name: str) -> list[str]:
+    return [path.name for path in sorted(SRC.glob("*.py")) if name in _defined(_tree(path))]
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_config_names_are_defined_in_config_only(name):
-    homes = [path.name for path in sorted(SRC.glob("*.py")) if name in _defined(_tree(path))]
-    assert homes == ["config.py"]
+    assert _homes(name) == ["config.py"]
+
+
+def test_no_path_error_is_defined_beside_its_raiser_only():
+    assert _homes("NoPathError") == ["simengine.py"]
 
 
 def test_routing_imports_nothing_from_the_package():

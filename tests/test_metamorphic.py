@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import presets, simengine
 from hetnetcode.config import ForwardPolicy
-from hetnetcode.errors import NoPathError
-from hetnetcode.simengine import pick_session_pair, run_session
+from hetnetcode.simengine import NoPathError, pick_session_pair, run_session
 from hetnetcode.topology import HetNetTopology
 from test_reference_engine import scenarios
 

@@ -8,11 +8,11 @@ from hetnetcode import cli, presets
 from hetnetcode.config import (
     MAX_SWEEP_POINTS,
     TRIAL_SEED_STRIDE,
+    ConfigError,
     ForwardPolicy,
     ScenarioConfig,
     SweepSpec,
 )
-from hetnetcode.errors import ConfigError
 from hetnetcode.presets import (
     format_rows,
     preset_infra_sweep,

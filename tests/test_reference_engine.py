@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import presets, topology
 from hetnetcode.config import BOTH_MODES, LOADING_MODES, POLICY_MODES, ForwardPolicy, ScenarioConfig
-from hetnetcode.errors import NoPathError
-from hetnetcode.simengine import run_session
+from hetnetcode.simengine import NoPathError, run_session
 from oracles import within_cut
 from reference_engine import ReferenceSession
 

@@ -277,7 +277,7 @@ def test_buffer_that_stored_a_packet_is_never_empty(capacity, ids):
     buf = rlnc.RecodeBuffer(capacity)
     stored = False
     for block_id in ids:
-        stored |= buf.offer(rlnc.CodedPacket(block_id, [1], []))
+        stored |= buf.offer(rlnc.CodedPacket(block_id, 1, b"\x01"))
         assert len(buf) <= capacity
         assert len(buf) >= 1 or not stored
 
@@ -303,14 +303,14 @@ def test_receive_first_and_duplicate():
 
 def test_receive_block_mismatch():
     dec = rlnc.DecoderState(3, 4)
-    p = rlnc.CodedPacket(2, np.ones(4, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+    p = rlnc.CodedPacket(2, 4, bytes([1, 1, 1, 1, 0]))
     with pytest.raises(ValueError):
         dec.receive(p)
 
 
 def test_receive_rejects_a_packet_of_another_block_size():
     dec = rlnc.DecoderState(3, 4)
-    p = rlnc.CodedPacket(3, np.ones(5, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+    p = rlnc.CodedPacket(3, 5, bytes([1, 1, 1, 1, 1, 0]))
     with pytest.raises(ValueError, match="block size"):
         dec.receive(p)
 
@@ -503,8 +503,8 @@ def test_stacked_ring_matches_packets_and_recode_oracle(capacity, m, width, firs
     block_id = first_id
     for i, step in enumerate(steps):
         pid = (block_id + (step if i else 0)) % rlnc.BLOCK_ID_MODULUS
-        p = rlnc.CodedPacket(pid, rng.integers(0, 256, size=m, dtype=np.uint8),
-                             rng.integers(0, 256, size=width, dtype=np.uint8))
+        p = rlnc.CodedPacket(pid, m, rng.integers(0, 256, size=m, dtype=np.uint8).tobytes()
+                             + rng.integers(0, 256, size=width, dtype=np.uint8).tobytes())
         accepted = not expected or pid == block_id or rlnc.block_id_newer(pid, block_id)
         assert buf.offer(p) == accepted
         if accepted:
@@ -521,7 +521,7 @@ def test_stacked_ring_matches_packets_and_recode_oracle(capacity, m, width, firs
         want = np.zeros(m + width, dtype=np.uint8)
         for w, q in zip(weights, expected):
             want ^= _mul_oracle(w, np.concatenate((q.coefficients, q.payload)))
-        assert out == rlnc.CodedPacket(block_id, want[:m], want[m:])
+        assert out == rlnc.CodedPacket(block_id, m, want.tobytes())
 
 
 def _scaled(s, coefficients):
@@ -602,14 +602,14 @@ def test_recode_matches_weighted_row_sum(ring, block_id):
     m, rows, weights = ring
     buf = rlnc.RecodeBuffer(8)
     for row in rows:
-        assert buf.offer(rlnc.CodedPacket(block_id, list(row[:m]), list(row[m:])))
+        assert buf.offer(rlnc.CodedPacket(block_id, m, row))
     w = np.frombuffer(weights, dtype=np.uint8)
     stacked = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
     want = gf256.weighted_row_sum(w, stacked)
     out = rlnc.recode(buf, ForcedRng(w))
     assert out.block_id == block_id and out.m == m
     assert out.row == want.tobytes()
-    assert out == rlnc.CodedPacket(block_id, want[:m], want[m:])
+    assert out == rlnc.CodedPacket(block_id, m, want.tobytes())
 
 
 @settings(max_examples=100, deadline=None)
@@ -619,11 +619,13 @@ def test_coded_packet_round_trips_byte_for_byte(block_id, coefficients, payload)
     """A packet is one [coefficients | payload] bytes row with read-only views,
     and the header functions carry it through unchanged."""
     m = len(coefficients)
-    p = rlnc.CodedPacket(block_id, np.frombuffer(coefficients, dtype=np.uint8), list(payload))
+    p = rlnc.CodedPacket(block_id, m, coefficients + payload)
     assert p.m == m and p.row == coefficients + payload
     assert p.coefficients.tobytes() == coefficients and p.payload.tobytes() == payload
     assert not p.coefficients.flags.writeable and not p.payload.flags.writeable
-    assert rlnc.CodedPacket(block_id, p.coefficients, p.payload) == p
+    assert rlnc.CodedPacket(block_id, m, p.coefficients.tobytes() + p.payload.tobytes()) == p
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
     raw = rlnc.serialize_header(p)
     assert raw == block_id.to_bytes(2, "big") + coefficients + payload
     back = rlnc.parse_header(raw, m)
@@ -634,7 +636,7 @@ def test_header_layout_oracle():
     coeffs = np.zeros(20, dtype=np.uint8)
     coeffs[0] = 0x01
     payload = np.arange(5, dtype=np.uint8)
-    p = rlnc.CodedPacket(1, coeffs, payload)
+    p = rlnc.CodedPacket(1, 20, coeffs.tobytes() + payload.tobytes())
     raw = rlnc.serialize_header(p)
     assert raw[:22] == bytes([0x00, 0x01, 0x01] + [0x00] * 19)
     assert raw[22:] == bytes(range(5))
@@ -646,8 +648,9 @@ def test_header_round_trip_random():
     for _ in range(200):
         p = rlnc.CodedPacket(
             int(rng.integers(0, 65536)),
-            rng.integers(0, 256, size=20, dtype=np.uint8),
-            rng.integers(0, 256, size=int(rng.integers(1, 200)), dtype=np.uint8),
+            20,
+            rng.integers(0, 256, size=20, dtype=np.uint8).tobytes()
+            + rng.integers(0, 256, size=int(rng.integers(1, 200)), dtype=np.uint8).tobytes(),
         )
         assert rlnc.parse_header(rlnc.serialize_header(p), 20) == p
 

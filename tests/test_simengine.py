@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hetnetcode import gf256, presets, rlnc, routing, simengine, topology
 from hetnetcode.config import (
     LOADING_MODES,
+    ConfigError,
     ForwardPolicy,
     ScenarioConfig,
     SweepSpec,
@@ -17,9 +18,9 @@ from hetnetcode.config import (
     config_from_dict,
     declared_types,
 )
-from hetnetcode.errors import ConfigError, NoPathError
 from hetnetcode.simengine import (
     EventTrace,
+    NoPathError,
     TraceEvent,
     compare_modes,
     loaded_cellular_rate,
@@ -652,8 +653,8 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
         pkt = real_recode(buffer, rng)
         weights = other.integers(1, 256, size=len(buffer), dtype=np.uint8)
         payloads = np.stack([p.payload for p in buffer.packets])
-        return rlnc.CodedPacket(pkt.block_id, pkt.coefficients,
-                                gf256.weighted_row_sum(weights, payloads))
+        return rlnc.CodedPacket(pkt.block_id, pkt.m, pkt.coefficients.tobytes()
+                                + gf256.weighted_row_sum(weights, payloads).tobytes())
 
     monkeypatch.setattr(rlnc, "recode", mismatched_recode)
     with pytest.raises(AssertionError, match="does not match the source block"):

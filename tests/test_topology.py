@@ -7,8 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hetnetcode import presets, topology
-from hetnetcode.config import DEFAULT_RATE_TIERS, ScenarioConfig, TopologyParams, finite_number
-from hetnetcode.errors import ConfigError
+from hetnetcode.config import (
+    DEFAULT_RATE_TIERS,
+    ConfigError,
+    ScenarioConfig,
+    TopologyParams,
+    finite_number,
+)
 from oracles import backbone_draw, load, node_rates, rate_for_distance
 
 
@@ -105,6 +110,17 @@ def test_nodes_inside_region_and_assigned_nearest():
         assert cell == int(np.argmin(d))
         # inside its own hexagon means within circumradius of its center
         assert d[cell] <= topo.params.cell_radius + 1e-6
+
+
+@pytest.mark.parametrize("radius", [1000.0, 400.0, 1e-3, 1e-9, 1e-12, 2.0**-510])
+def test_placed_nodes_lie_in_their_own_cell_at_every_radius(radius):
+    # the hexagon test's edge slack scales with the radius: an absolute 1e-9
+    # put nodes outside every cell once the radius came near 1e-9 or below
+    params = TopologyParams(cell_radius=radius, wifi_range=radius / 10)
+    topo = topology.place(2000, np.random.default_rng(0), params)
+    own = topo.cells[topo.cell_ids]
+    d = np.hypot(topo.positions[:, 0] - own[:, 0], topo.positions[:, 1] - own[:, 1])
+    assert d.max() <= radius * (1 + 1e-9)
 
 
 def test_rate_tiers():
