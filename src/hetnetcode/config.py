@@ -1,8 +1,9 @@
 """Every config class, the one JSON reader of them and the declared-type check.
 
-A field's declared type says what JSON value it accepts: config_from_dict
-reads a section by it, and each class's validate() checks the value against
-it (check_types) before the value itself.
+Each config class is frozen and checked when made, by __init__, replace or
+config_from_dict, which reads a JSON section by the fields' declared types:
+__post_init__ checks each value against its type (check_types), then the
+value itself.  So a config that exists is valid, and nothing checks it again.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def check_types(config):
 DEFAULT_RATE_TIERS = ((0.25, 1.0), (0.5, 0.5), (0.75, 0.25), (1.0, 0.125))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TopologyParams:
     cell_radius: float = 1000.0
     wifi_range: float = 100.0
@@ -86,7 +87,7 @@ class TopologyParams:
     backbone_fraction: float = 0.0  # k/n, applied per cell
     backbone_rate: float = 100.0  # wired bus capacity, packets per slot
 
-    def validate(self):
+    def __post_init__(self):
         """Every field's type (a subclass's too), then the topology's own
         ranges."""
         check_types(self)
@@ -136,11 +137,11 @@ def _tupled(value):
 
 
 def config_from_dict(cls, values):
-    """Validated dataclass cls from JSON-style values, the one reader of
-    every config section: each key must be a field of cls.  A list for a
-    tuple field becomes a tuple and an object for a dataclass field (a
-    ForwardPolicy) becomes one; cls.validate() checks each value against
-    the field's declared type, then the value itself."""
+    """Dataclass cls from JSON-style values, the one reader of every config
+    section: each key must be a field of cls.  A list for a tuple field
+    becomes a tuple and an object for a dataclass field (a ForwardPolicy)
+    becomes one; cls's __post_init__ checks each value against the field's
+    declared type, then the value itself."""
     if not isinstance(values, dict):
         raise ConfigError(f"{cls.__name__} settings must be an object")
     declared = declared_types(cls)
@@ -154,9 +155,7 @@ def config_from_dict(cls, values):
         elif tuple in kinds:
             value = _tupled(value)
         kwargs[key] = value
-    config = cls(**kwargs)
-    config.validate()
-    return config
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ class ForwardPolicy:
     both_mode: str = "round-robin"
     p: float = 0.5  # probability of picking cellular in probabilistic mode
 
-    def validate(self):
+    def __post_init__(self):
         check_types(self)
         if self.mode not in POLICY_MODES:
             raise ConfigError(f"unknown policy mode {self.mode!r}")
@@ -177,7 +176,7 @@ class ForwardPolicy:
             raise ConfigError("probabilistic p must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig(TopologyParams):
     """A session: the topology fields it inherits, whose r_cell is also the
     cell maximum of the loading model, and the session's own."""
@@ -209,8 +208,8 @@ class ScenarioConfig(TopologyParams):
     def from_dict(cls, values: dict) -> ScenarioConfig:
         return config_from_dict(cls, values)
 
-    def validate(self):
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         if self.node_count < 2:
             raise ConfigError("need at least a source and a destination")
         if self.block_size < 1:
@@ -233,7 +232,6 @@ class ScenarioConfig(TopologyParams):
             raise ConfigError("block_target must be >= 1")
         if self.wired_relay_rate <= 0:
             raise ConfigError("wired_relay_rate must be positive")
-        self.relay_policy.validate()
         if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
             raise ConfigError(f"relay policy {self.relay_policy.mode!r} needs the "
                               "cellular interface, which is disabled")
@@ -249,7 +247,7 @@ TRIAL_SEED_STRIDE = 1_000_003
 MAX_SWEEP_POINTS = 1_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     param_min: float | None = None
     param_max: float | None = None
@@ -265,7 +263,7 @@ class SweepSpec:
     def from_dict(cls, values: dict) -> SweepSpec:
         return config_from_dict(cls, values)
 
-    def validate(self):
+    def __post_init__(self):
         check_types(self)
         if not 1 <= self.trials <= TRIAL_SEED_STRIDE:
             raise ConfigError(f"trials must lie in [1, {TRIAL_SEED_STRIDE}]")
@@ -291,7 +289,6 @@ class SweepSpec:
                                   f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
 
     def sweep_values(self, default):
-        self.validate()
         if self.values is not None:
             return list(self.values)
         if self.param_min is None:

@@ -55,8 +55,9 @@ def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0, fractions=N
 
 def chain_scenario(config: ScenarioConfig, hops: int):
     """(config, topology, pair) of a WiFi chain of `hops` hops, end to end."""
-    config = replace(config, node_count=hops + 1, min_hops=hops)
-    return config, topo_mod.chain_topology(hops, config.topology_params()), (0, hops)
+    # the chain first, so that hops < 1 reads "need at least one hop"
+    topo = topo_mod.chain_topology(hops, config.topology_params())
+    return replace(config, node_count=hops + 1, min_hops=hops), topo, (0, hops)
 
 
 def relay_star_scenario(config: ScenarioConfig, n_relays: int, link_rate: float):

@@ -249,9 +249,9 @@ def pick_session_pair(topo: HetNetTopology, min_hops: int,
 def session_rngs(seed: int) -> list[np.random.Generator]:
     """A session's independent PCG64 Generators, in order: S-D pair pick,
     cellular coefficients, source WiFi/wired draws, relay recodes and hop
-    picks, radio scheduler, block payloads.  A session draws the pair and the
-    payloads from the Generators themselves and serves the four streams
-    between them through a Draws each."""
+    picks, radio scheduler, block payloads.  A session draws the pair from
+    its Generator itself and serves the five streams after it through a
+    Draws each."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
 
 
@@ -300,15 +300,15 @@ class _Session:
 
     def __init__(self, config: ScenarioConfig, topo: HetNetTopology, pair: tuple[int, int] | None,
                  schedule_log, no_skip: bool):
-        config.validate()
         self.cfg = config
         self.topo = topo
         self.routes = topo.routes
         self.schedule_log = schedule_log
         self.no_skip = no_skip
 
-        rng_pair, *streams, self.rng_data = session_rngs(config.seed)
-        self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched = map(Draws, streams)
+        rng_pair, *streams = session_rngs(config.seed)
+        (self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
+         self.rng_data) = map(Draws, streams)
         if pair is None:
             pair = pick_session_pair(topo, config.min_hops, rng_pair)
         self.src, self.dst = int(pair[0]), int(pair[1])
@@ -380,9 +380,8 @@ class _Session:
     # -- small helpers -----------------------------------------------------
 
     def _make_block(self, block_id: int) -> SourceBlock:
-        data = self.rng_data.integers(0, 256, size=(self.cfg.block_size, CHECK_PAYLOAD_BYTES),
-                                      dtype=np.uint8)
-        return SourceBlock(block_id, data)
+        v = self.rng_data.bytes(self.cfg.block_size * CHECK_PAYLOAD_BYTES)
+        return SourceBlock(block_id, np.frombuffer(v, np.uint8).reshape(-1, CHECK_PAYLOAD_BYTES))
 
     def _relay(self, node: int) -> _Relay:
         r = self.relays.get(node)

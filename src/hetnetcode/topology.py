@@ -108,7 +108,6 @@ class HetNetTopology:
 
     def __init__(self, params: TopologyParams, positions, cell_ids=None,
                  cellular_rates=None, backbone=(), wired: WiredSpec | None = None):
-        params.validate()
         self.params = params
         self.cells = hex_centers(params.cell_radius)
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 2)
@@ -187,7 +186,6 @@ def place(node_count: int, rng: np.random.Generator,
     rng state after placing is where each with_backbone draw starts.
     """
     params = replace(params or TopologyParams(), backbone_fraction=0.0)
-    params.validate()
     if node_count <= 0:
         raise ConfigError("node_count must be positive")
 
@@ -226,7 +224,6 @@ def with_backbone(plain: HetNetTopology, fraction: float,
     topo = copy.copy(plain)
     topo.__dict__.pop("routes", None)  # plain's table, if built, has plain's bus
     topo.params = replace(plain.params, backbone_fraction=fraction)
-    topo.params.validate()
     chosen = []
     if fraction > 0:
         for cell in range(len(plain.cells)):
@@ -257,7 +254,6 @@ def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTop
     if hops < 1:
         raise ConfigError("need at least one hop")
     params = params or TopologyParams()
-    params.validate()  # before i * wifi_range, which raises TypeError on a non-number
     spacing = params.wifi_range
     return HetNetTopology(params, [(i * spacing, 0.0) for i in range(hops + 1)])
 

@@ -100,10 +100,14 @@ MUTANTS = [
      "skipped = min(max(1, min(steps)) - 1, budget - self.slot - 1)",
      "skipped = max(1, min(steps)) - 1",
      ["tests/test_bounds.py"]),
-    ("chain-params-unchecked", "hetnetcode/topology.py",
-     "    params.validate()  # before i * wifi_range, which raises TypeError on a non-number\n",
-     "",
+    ("topology-params-untyped", "hetnetcode/config.py",
+     "        ranges.\"\"\"\n        check_types(self)\n",
+     "        ranges.\"\"\"\n",
      ["tests/test_topology.py"]),
+    ("sweep-spec-mutable", "hetnetcode/config.py",
+     "@dataclass(frozen=True)\nclass SweepSpec:",
+     "@dataclass\nclass SweepSpec:",
+     ["tests/test_layering.py"]),
     ("hex-absolute-tolerance", "hetnetcode/topology.py",
      "tol = 1e-12 * radius",
      "tol = 1e-9",

@@ -15,7 +15,7 @@ from hetnetcode import rlnc
 from hetnetcode.config import ConfigError, TopologyParams
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
-from hetnetcode.simengine import Draws
+from hetnetcode.simengine import CHECK_PAYLOAD_BYTES, Draws
 from hetnetcode.topology import _DUMP_KEYS, CELLS, HetNetTopology, WiredSpec
 
 
@@ -29,11 +29,17 @@ def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def draw(rng, kind: str, n):
-    """One draw of kind ("bytes", "below", "coefficients" or "random") with
-    argument n, through a simengine.Draws or, as numpy makes it, from a
-    Generator."""
+    """One draw of kind ("bytes", "below", "coefficients", "payload" or
+    "random") with argument n, through a simengine.Draws or, as numpy makes
+    it, from a Generator; "payload" is a session block's n rows of
+    CHECK_PAYLOAD_BYTES bytes, as nested lists."""
     if kind == "bytes":
         return rng.bytes(n)
+    if kind == "payload":
+        if isinstance(rng, Draws):
+            rows = np.frombuffer(rng.bytes(n * CHECK_PAYLOAD_BYTES), np.uint8)
+            return rows.reshape(n, CHECK_PAYLOAD_BYTES).tolist()
+        return rng.integers(0, 256, size=(n, CHECK_PAYLOAD_BYTES), dtype=np.uint8).tolist()
     if kind == "below":
         return rng.below(n) if isinstance(rng, Draws) else int(rng.integers(0, n))
     if kind == "coefficients":
@@ -189,8 +195,7 @@ def _parsed(kinds, texts: list[str], line: str) -> list:
 def load(fh) -> HetNetTopology:
     """The topology HetNetTopology.dump wrote; malformed input raises
     ConfigError."""
-    params = TopologyParams()
-    rows = []
+    values, rows = {}, []
     for line in fh:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -199,7 +204,7 @@ def load(fh) -> HetNetTopology:
             key, val = line.split("=", 1)
             if key not in _DUMP_KEYS:
                 raise ConfigError(f"unknown topology parameter {key!r}")
-            setattr(params, _DUMP_KEYS[key], *_parsed((float,), [val], line))
+            values[_DUMP_KEYS[key]] = _parsed((float,), [val], line)[0]
             continue
         nid, x, y, cell, rate, flag = _parsed(_NODE_FIELDS, line.split(), line)
         if not (0 <= cell < CELLS and rate > 0 and flag in (0, 1)
@@ -208,8 +213,9 @@ def load(fh) -> HetNetTopology:
         rows.append((nid, x, y, cell, rate, flag))
     if [row[0] for row in rows] != list(range(len(rows))):
         raise ConfigError("node ids must be 0..n-1 in file order")
-    return HetNetTopology(params, [row[1:3] for row in rows], [row[3] for row in rows],
-                          [row[4] for row in rows], [row[0] for row in rows if row[5]])
+    return HetNetTopology(TopologyParams(**values), [row[1:3] for row in rows],
+                          [row[3] for row in rows], [row[4] for row in rows],
+                          [row[0] for row in rows if row[5]])
 
 
 def cut_bound(cfg, topo, src: int, dst: int) -> float:

@@ -3,14 +3,25 @@ the JSON reader, the declared-type check and ConfigError, and imports
 nothing from the package, so every other module can import it; NoPathError
 lives beside its one raiser in simengine.py; routing.py imports nothing from
 the package, so topology.py imports it, and no module imports another that
-imports it back.  In simengine.py the per-slot credit rule is written once,
-in _tick."""
+imports it back.  Every config class is frozen and checked when made, by
+__init__ and by dataclasses.replace alike, so no module checks a config
+again: no validate is defined or called.  In simengine.py the per-slot
+credit rule is written once, in _tick."""
 
 import ast
+import dataclasses
 import graphlib
 from pathlib import Path
 
 import pytest
+
+from hetnetcode.config import (
+    ConfigError,
+    ForwardPolicy,
+    ScenarioConfig,
+    SweepSpec,
+    TopologyParams,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hetnetcode"
 CONFIG_NAMES = ("check_types", "declared_types", "finite_number", "config_from_dict",
@@ -110,3 +121,33 @@ def test_the_credit_rule_is_written_once():
     credit = next(node for node in tree.body
                   if isinstance(node, ast.ClassDef) and node.name == "_Credit")
     assert "tick" not in {node.name for node in credit.body if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("cls", [TopologyParams, ForwardPolicy, ScenarioConfig, SweepSpec])
+def test_config_classes_are_frozen(cls):
+    assert dataclasses.is_dataclass(cls)
+    config = cls()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, dataclasses.fields(cls)[0].name, None)
+
+
+@pytest.mark.parametrize("config, change", [
+    (ScenarioConfig(), {"block_size": 0}),
+    (TopologyParams(), {"backbone_fraction": 2.0}),
+])
+def test_replace_checks_the_new_config(config, change):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(config, **change)
+
+
+def test_no_module_defines_or_calls_validate():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if defines and node.name == "validate":
+                found.append(f"{path.name}:{node.lineno} defines validate")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "validate"):
+                found.append(f"{path.name}:{node.lineno} calls .validate")
+    assert found == []

@@ -29,30 +29,30 @@ SMALL = {"node_count": 250, "cell_radius": 400.0}
 
 def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
-        SweepSpec(trials=0).validate()
+        SweepSpec(trials=0)
     with pytest.raises(ConfigError):
-        SweepSpec(param_min=2.0, param_max=1.0, param_step=0.1).validate()
+        SweepSpec(param_min=2.0, param_max=1.0, param_step=0.1)
     with pytest.raises(ConfigError):
-        SweepSpec(param_min=0.1, param_max=1.0, param_step=0.0).validate()
+        SweepSpec(param_min=0.1, param_max=1.0, param_step=0.0)
     with pytest.raises(ConfigError):
-        SweepSpec(param_min=0.1, param_max=1.0).validate()
+        SweepSpec(param_min=0.1, param_max=1.0)
     with pytest.raises(ConfigError):
-        SweepSpec(values=()).validate()
+        SweepSpec(values=())
     with pytest.raises(ConfigError):
-        SweepSpec(values=(0.5, float("nan"))).validate()
+        SweepSpec(values=(0.5, float("nan")))
     with pytest.raises(ConfigError):
-        SweepSpec(param_min=0.1, param_max=float("inf"), param_step=0.1).validate()
+        SweepSpec(param_min=0.1, param_max=float("inf"), param_step=0.1)
     # (max - min) / step must stay below MAX_SWEEP_POINTS, even where the span
     # overflows a float
     for lo, hi, step in ((0, 1, 1e-12), (0, 1e308, 1e-10), (-10**308, 10**308, 1.0),
                          (0, MAX_SWEEP_POINTS, 1)):
         with pytest.raises(ConfigError, match="MAX_SWEEP_POINTS = 1000000"):
-            SweepSpec(param_min=lo, param_max=hi, param_step=step).validate()
-    SweepSpec(param_min=0, param_max=MAX_SWEEP_POINTS - 1, param_step=1).validate()
+            SweepSpec(param_min=lo, param_max=hi, param_step=step)
+    SweepSpec(param_min=0, param_max=MAX_SWEEP_POINTS - 1, param_step=1)
     # sweep values built in Python get the checks a config file's do
     for values in (("a",), (True,), (0.5, float("inf")), "ab"):
         with pytest.raises(ConfigError):
-            SweepSpec(values=values).validate()
+            SweepSpec(values=values)
     assert SweepSpec(param_min=0.5, param_max=1.0,
                      param_step=0.25).sweep_values(()) == [0.5, 0.75, 1.0]
     assert SweepSpec().sweep_values((1, 2)) == [1, 2]
@@ -410,6 +410,6 @@ def test_cli_seed_flag_beats_the_file_on_replay_trace(tmp_path):
 
 def test_trials_are_bounded_by_the_trial_seed_stride():
     # past the stride, sweep seed s would run the trial seeds of s + 1
-    SweepSpec(trials=TRIAL_SEED_STRIDE).validate()
+    SweepSpec(trials=TRIAL_SEED_STRIDE)
     with pytest.raises(ConfigError, match=str(TRIAL_SEED_STRIDE)):
-        SweepSpec(trials=TRIAL_SEED_STRIDE + 1).validate()
+        SweepSpec(trials=TRIAL_SEED_STRIDE + 1)

@@ -166,6 +166,7 @@ _BLOCK_BYTES = 8 * simengine._BLOCK_OUTPUTS
 # read position's, so that the draws after it straddle a refill
 _SHORT_DRAWS = st.lists(st.one_of(st.tuples(st.just("bytes"), st.integers(1, 64)),
                                   st.tuples(st.just("below"), _HOP_COUNTS),
+                                  st.tuples(st.just("payload"), st.integers(1, 40)),
                                   st.tuples(st.just("random"), st.none() | st.integers(0, 6))),
                         max_size=8)
 _TO_EDGE = st.tuples(st.just("edge"), st.sampled_from(range(0, 28, 4)))
@@ -180,8 +181,9 @@ _TO_EDGE = st.tuples(st.just("edge"), st.sampled_from(range(0, 28, 4)))
 @example(seed=1, steps=[("edge", 4), ("random", None), ("bytes", 8), ("edge", 12),
                         ("random", None), ("bytes", 8), ("edge", 12), ("random", 3)])
 def test_draws_match_numpy_across_refills(seed, steps):
-    """Every value of bytes, below and random, one double or several, equals
-    numpy's draw from the same PCG64 stream, across at least two refills."""
+    """Every value of bytes, below, a session's payload rows and random, one
+    double or several, equals numpy's draw from the same PCG64 stream, across
+    at least two refills."""
     bitgen = CountingPCG64(seed)
     ours, theirs = Draws(np.random.Generator(bitgen)), np.random.default_rng(seed)
     for kind, n in steps:

@@ -43,14 +43,14 @@ def chain_session(hops, seed=0, **overrides):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ScenarioConfig(block_size=0).validate()
+        ScenarioConfig(block_size=0)
     with pytest.raises(ConfigError):
-        ScenarioConfig(slot_budget=0).validate()
+        ScenarioConfig(slot_budget=0)
     with pytest.raises(ConfigError):
-        ScenarioConfig(loading_mode="fair-ish").validate()
+        ScenarioConfig(loading_mode="fair-ish")
     with pytest.raises(ConfigError, match="min_hops"):
-        ScenarioConfig(min_hops=0).validate()
-    ScenarioConfig().validate()
+        ScenarioConfig(min_hops=0)
+    ScenarioConfig()
 
 
 def test_config_keys_are_pinned():
@@ -107,21 +107,21 @@ def test_session_rejects_its_source_as_destination():
     lambda: SweepSpec(trials=2**63),
 ])
 def test_mistyped_config_built_in_python_is_a_config_error(make):
-    # validate() checks each field's declared type, as the JSON reader does
+    # construction checks each field's declared type, as the JSON reader does
     with pytest.raises(ConfigError):
-        make().validate()
+        make()
 
 
 def test_int_field_takes_the_int64_range():
-    ScenarioConfig(slot_budget=2**63 - 1).validate()
-    SweepSpec(workers=2**63 - 1).validate()
+    ScenarioConfig(slot_budget=2**63 - 1)
+    SweepSpec(workers=2**63 - 1)
     with pytest.raises(ConfigError, match="64-bit"):
-        ScenarioConfig(slot_budget=2**63).validate()
+        ScenarioConfig(slot_budget=2**63)
     # a seed of any size seeds a SeedSequence, and a sweep's trial seeds
     # (seed * TRIAL_SEED_STRIDE + trial) outgrow an int64 from seed
     # 2**63 // TRIAL_SEED_STRIDE
-    ScenarioConfig(seed=10**30).validate()
-    presets.trial_config(ScenarioConfig(), 10**13, 1).validate()
+    ScenarioConfig(seed=10**30)
+    presets.trial_config(ScenarioConfig(), 10**13, 1)
 
 
 def test_loaded_cellular_rate_examples():
@@ -495,11 +495,11 @@ def test_relay_cellular_policies_run():
 
 def test_policy_validation():
     with pytest.raises(ConfigError):
-        ForwardPolicy(mode="carrier-pigeon").validate()
+        ForwardPolicy(mode="carrier-pigeon")
     with pytest.raises(ConfigError):
-        ForwardPolicy(mode="both", both_mode="sometimes").validate()
+        ForwardPolicy(mode="both", both_mode="sometimes")
     with pytest.raises(ConfigError):
-        ForwardPolicy(mode="both", both_mode="probabilistic", p=1.5).validate()
+        ForwardPolicy(mode="both", both_mode="probabilistic", p=1.5)
 
 
 def policy_session(seed=0, **policy):

@@ -65,7 +65,7 @@ def test_generate_rejects_bad_params():
     for tiers in (((0.25, math.nan), (1.0, math.nan)), ((0.5, 1.0), (1.0, math.inf)),
                   ((0.5,),), ((0.5, True),), ((0.5, 1.0), (math.inf, 0.5)), ()):
         with pytest.raises(ConfigError):
-            TopologyParams(rate_tiers=tiers).validate()
+            TopologyParams(rate_tiers=tiers)
 
 
 def test_smallest_cells_still_tell_their_nodes_apart():
@@ -76,7 +76,7 @@ def test_smallest_cells_still_tell_their_nodes_apart():
     assert set(topo.cell_ids.tolist()) == set(range(topology.CELLS))
     for radius in (2.0**-510 * (1 - 2**-52), 1e-200):
         with pytest.raises(ConfigError, match="cell_radius is too small"):
-            TopologyParams(cell_radius=radius, wifi_range=radius / 10).validate()
+            TopologyParams(cell_radius=radius, wifi_range=radius / 10)
 
 
 def test_finite_number_needs_a_finite_float_value():
@@ -84,7 +84,7 @@ def test_finite_number_needs_a_finite_float_value():
     for x in (10**400, -10**400, math.inf, math.nan, True, "1", None):
         assert finite_number(x) is False
     # a float field still takes an int with a finite float value
-    ScenarioConfig(r_cell=2, wifi_range=10**300).validate()
+    ScenarioConfig(r_cell=2, wifi_range=10**300)
 
 
 def test_generate_uniform_over_hexagons():
@@ -216,13 +216,13 @@ rate_tiers = st.just(DEFAULT_RATE_TIERS) | st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(node_count=st.integers(1, 60),
+@given(node_count=st.integers(2, 60),
        fractions=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), min_size=1, max_size=4),
        cell_radius=st.sampled_from([150.0, 400.0, 1000.0]), tiers=rate_tiers,
        cell_rate=st.floats(0.1, 8.0), seed=st.integers(0, 2**16), trial=st.integers(0, 3))
 @example(node_count=750, fractions=[0.0, 0.01, 0.4, 1.0], cell_radius=1000.0,
          tiers=DEFAULT_RATE_TIERS, cell_rate=1.0, seed=4, trial=2)
-@example(node_count=1, fractions=[1.0, 0.0], cell_radius=150.0,
+@example(node_count=2, fractions=[1.0, 0.0], cell_radius=150.0,
          tiers=DEFAULT_RATE_TIERS, cell_rate=1.0, seed=0, trial=0)
 @example(node_count=2, fractions=[0.5], cell_radius=150.0,
          tiers=((0.5, 3), (0.25, 2.0), (1.0, 0.5)), cell_rate=2.5, seed=1, trial=0)
@@ -370,8 +370,8 @@ def test_chain_topology():
 
 @pytest.mark.parametrize("wifi_range", [None, {}, "x", -1.0])
 def test_chain_topology_checks_its_params_first(wifi_range):
-    # the chain's spacing is its WiFi range, read before HetNetTopology runs
-    # the same check, so a non-number must fail here with a ConfigError
+    # the chain's spacing is its WiFi range; TopologyParams checks it when
+    # made, so a non-number fails with a ConfigError, not a TypeError
     with pytest.raises(ConfigError, match="wifi_range"):
         topology.chain_topology(2, TopologyParams(wifi_range=wifi_range))
 
