@@ -36,7 +36,8 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except ValueError as exc:  # not JSON, not UTF-8, or an int over Python's digit limit
+    # not JSON, not UTF-8, an int over Python's digit limit, or nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path} is not a readable UTF-8 JSON file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must contain a JSON object")

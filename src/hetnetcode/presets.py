@@ -31,26 +31,11 @@ def trial_config(base: ScenarioConfig, spec_seed: int, trial: int, **overrides) 
     return replace(base, seed=spec_seed * TRIAL_SEED_STRIDE + trial, **overrides)
 
 
-def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0, fractions=None):
+def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0):
     """Random 7-cell topology of config's node count and topology fields;
-    trial t of a sweep with this seed sees the same one at every point.
-
-    Given backbone fractions, returns one topology per fraction, all from
-    one placement: each backbone draw starts from the rng state placement
-    left, so each equals the single topology at that fraction.
-    """
+    trial t of a sweep with this seed sees the same one at every point."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
-    params = config.topology_params()
-    if fractions is None:
-        return topo_mod.generate(config.node_count, rng, params)
-    # at fraction 0 generate makes no backbone draw: the rng stays where placement left it
-    plain = topo_mod.generate(config.node_count, rng, replace(params, backbone_fraction=0.0))
-    placed = rng.bit_generator.state
-    topos = []
-    for frac in fractions:
-        rng.bit_generator.state = placed
-        topos.append(topo_mod.with_backbone(plain, frac, rng))
-    return topos
+    return topo_mod.generate(config.node_count, rng, config.topology_params())
 
 
 def chain_scenario(config: ScenarioConfig, hops: int):
@@ -180,15 +165,15 @@ def preset_load_sweep(spec: SweepSpec):
 
 
 def _infra_trial(args):
-    """One trial's relative throughput at each k/n, on its base topology's pair."""
+    """One trial's relative throughput at each k/n, on its base topology's
+    pair; each k/n point is a backbone variant of that one placement."""
     spec_seed, trial, fracs, base = args
     cfg = trial_config(base, spec_seed, trial)
-    base_topo, *topos = cell_topology(cfg, spec_seed, trial,
-                                      [cfg.backbone_fraction, *map(float, fracs)])
+    base_topo = cell_topology(cfg, spec_seed, trial)
     pair = pick_session_pair(base_topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])
     out = []
-    for topo in topos:
-        stats, _ = run_session(cfg, topo, pair=pair)
+    for frac in fracs:
+        stats, _ = run_session(cfg, topo_mod.with_backbone(base_topo, float(frac)), pair=pair)
         out.append(stats.relative_throughput)
     return out
 

@@ -98,20 +98,16 @@ class SessionStats:
         return self.blocks_delivered * self.block_size / self.slots_elapsed
 
 
-def loaded_cellular_rate(link_rate: float, users: int, mode: str, cell_rate: float) -> float:
-    """Per-user cellular rate once the cell serves `users` users.
+def loaded_cellular_rate(link_rate: float, config: ScenarioConfig) -> float:
+    """Per-user cellular rate once the cell serves config.users_per_cell users.
 
-    equal-rate divides the cell maximum cell_rate evenly, capped by the
+    equal-rate divides the cell maximum config.r_cell evenly, capped by the
     node's own supported rate; equal-time gives each user a 1/users time
     share of its own rate.
     """
-    if users < 1:
-        raise ConfigError("users must be >= 1")
-    if mode == "equal-rate":
-        return min(link_rate, cell_rate / users)
-    if mode == "equal-time":
-        return link_rate / users
-    raise ConfigError(f"unknown loading mode {mode!r}")
+    if config.loading_mode == "equal-rate":
+        return min(link_rate, config.r_cell / config.users_per_cell)
+    return link_rate / config.users_per_cell
 
 
 # raw outputs a Draws reads ahead per refill: 4 KB a stream
@@ -299,12 +295,11 @@ class _Session:
     """Single-run state; drive via run_session()."""
 
     def __init__(self, config: ScenarioConfig, topo: HetNetTopology, pair: tuple[int, int] | None,
-                 schedule_log, no_skip: bool):
+                 schedule_log):
         self.cfg = config
         self.topo = topo
         self.routes = topo.routes
         self.schedule_log = schedule_log
-        self.no_skip = no_skip
 
         rng_pair, *streams = session_rngs(config.seed)
         (self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
@@ -321,14 +316,12 @@ class _Session:
         link = config.link_rate_override
         if link is None:
             link = cellular_link_rate(topo, self.src, self.dst) * self.rate_scale
-        loaded = loaded_cellular_rate(link, config.users_per_cell,
-                                      config.loading_mode, config.r_cell)
-        pipe = loaded if config.cellular_enabled else 0.0
+        pipe = loaded_cellular_rate(link, config) if config.cellular_enabled else 0.0
         self._cell_pipe = self.cell_up, self.cell_down = _Credit(pipe), _Credit(pipe)
         self.cell_queue: deque = deque()
 
         self.wired_active = config.wifi_enabled and (
-            len(topo.backbone) > 1 or (topo.wired is not None and bool(topo.wired.edges)))
+            len(topo.backbone) > 1 or bool(topo.wired.edges))
         self.wifi_usable = config.wifi_enabled and self.dist_to_dst[self.src] < UNREACHABLE
         # with no WiFi link in the topology no radio transmission is ever pending
         self.radio_active = config.wifi_enabled and any(topo.neighbors)
@@ -340,13 +333,10 @@ class _Session:
         # and a shared bus budget for backbone hops; an unset one is _UNLIMITED
         spec = topo.wired
         self.edge_cap: dict[tuple[int, int], _Credit] = {}
-        self.node_out: dict[int, _Credit] = {}
-        self.node_in: dict[int, _Credit] = {}
-        if spec is not None:
-            for u, v in spec.edges:
-                self.edge_cap[(u, v)] = self.edge_cap[(v, u)] = _Credit(spec.edge_capacity)
-            self.node_out = {nid: _Credit(cap) for nid, cap in spec.node_out.items()}
-            self.node_in = {nid: _Credit(cap) for nid, cap in spec.node_in.items()}
+        for u, v in spec.edges:
+            self.edge_cap[(u, v)] = self.edge_cap[(v, u)] = _Credit(spec.edge_capacity)
+        self.node_out = {nid: _Credit(cap) for nid, cap in spec.node_out.items()}
+        self.node_in = {nid: _Credit(cap) for nid, cap in spec.node_in.items()}
         self.bus = _Credit(config.backbone_rate) if topo.backbone else _UNLIMITED
         credits = [*self.edge_cap.values(), *self.node_out.values(), *self.node_in.values(),
                    self.bus]
@@ -390,9 +380,8 @@ class _Session:
             phase = (node * cfg.wired_relay_rate) % 1.0
             cell_up = None
             if self.relay_cellular:
-                up = loaded_cellular_rate(float(self.topo.cellular_rates[node]) * self.rate_scale,
-                                          cfg.users_per_cell, cfg.loading_mode, cfg.r_cell)
-                cell_up = _Credit(up)
+                link = float(self.topo.cellular_rates[node]) * self.rate_scale
+                cell_up = _Credit(loaded_cellular_rate(link, cfg))
             r = _Relay(cfg.buffer_capacity, cfg.wired_relay_rate, phase, cell_up)
             self.relays[node] = r
             self._procs.append(r.proc)
@@ -598,7 +587,7 @@ class _Session:
 
     def run(self) -> tuple[SessionStats, EventTrace]:
         budget = self.cfg.slot_budget
-        fast = not (self.no_skip or self.wifi_usable or self.wired_active)
+        fast = not (self.wifi_usable or self.wired_active)
         while self.slot < budget and len(self.decode_slots) < self.cfg.block_target:
             if fast:
                 self._skip_ahead(budget)
@@ -625,9 +614,9 @@ class _Session:
 
 
 def run_session(config: ScenarioConfig, topo: HetNetTopology, pair: tuple[int, int] | None = None,
-                schedule_log=None, no_skip: bool = False) -> tuple[SessionStats, EventTrace]:
+                schedule_log=None) -> tuple[SessionStats, EventTrace]:
     """Simulate one S-D session; deterministic in (config, topology)."""
-    return _Session(config, topo, pair, schedule_log, no_skip).run()
+    return _Session(config, topo, pair, schedule_log).run()
 
 
 def compare_modes(config: ScenarioConfig, topo: HetNetTopology,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,19 +92,23 @@ def _bucket_neighbors(positions: np.ndarray, r: float) -> list[list[int]]:
 
 @dataclass
 class WiredSpec:
-    """Explicit wired links for access-point style presets (no interference)."""
+    """Explicit wired links for access-point style presets (no interference);
+    the default has none."""
 
-    edges: list  # list of (u, v) node-id pairs
-    edge_capacity: float  # packets per slot per edge
-    node_out: dict  # per-node wired send budget, packets per slot
-    node_in: dict  # per-node wired receive budget
+    edges: list = field(default_factory=list)  # list of (u, v) node-id pairs
+    edge_capacity: float = 0.0  # packets per slot per edge
+    node_out: dict = field(default_factory=dict)  # per-node wired send budget, packets per slot
+    node_in: dict = field(default_factory=dict)  # per-node wired receive budget
 
 
 class HetNetTopology:
     """Per-node fields as arrays by node id (cell ids default to 0, rates to
     params.r_cell) and the backbone as a set.  neighbors (WiFi) and links
     (WiFi and wired, the bus aside) list each node's adjacent ids; backbone
-    variants of one placement share them all."""
+    variants of one placement share them all.  placed_state is the PCG64
+    state place's draws end at, None unless place made the topology."""
+
+    placed_state: dict | None = None
 
     def __init__(self, params: TopologyParams, positions, cell_ids=None,
                  cellular_rates=None, backbone=(), wired: WiredSpec | None = None):
@@ -116,15 +120,15 @@ class HetNetTopology:
         self.cellular_rates = (np.full(n, params.r_cell, dtype=float) if cellular_rates is None
                                else np.asarray(cellular_rates, dtype=float))
         self.backbone = frozenset(int(b) for b in backbone)
-        self.wired = wired
+        self.wired = wired or WiredSpec()
         self.neighbors = _bucket_neighbors(self.positions, params.wifi_range)
         peers = [set() for _ in range(n)]
-        for u, v in wired.edges if wired is not None else ():
+        for u, v in self.wired.edges:
             peers[u].add(v)
             peers[v].add(u)
         self._wired_peers = [sorted(p) for p in peers]
-        self.links = self.neighbors if wired is None else [
-            w + p for w, p in zip(self.neighbors, self._wired_peers)]
+        self.links = ([w + p for w, p in zip(self.neighbors, self._wired_peers)]
+                      if self.wired.edges else self.neighbors)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -180,11 +184,9 @@ def cellular_link_rate(topo: HetNetTopology, src: int, dst: int) -> float:
 def place(node_count: int, rng: np.random.Generator,
           params: TopologyParams | None = None) -> HetNetTopology:
     """Uniform placement over the 7-hexagon region by rejection sampling,
-    with cells, cellular rates and WiFi neighbors but no backbone.
-
-    Every draw of a placement is made here, before any backbone draw, so the
-    rng state after placing is where each with_backbone draw starts.
-    """
+    with cells, cellular rates and WiFi neighbors but no backbone.  The
+    result records in placed_state the rng state its draws end at, where
+    each with_backbone draw starts."""
     params = replace(params or TopologyParams(), backbone_fraction=0.0)
     if node_count <= 0:
         raise ConfigError("node_count must be positive")
@@ -213,19 +215,25 @@ def place(node_count: int, rng: np.random.Generator,
     cell_ids = np.argmin(d2, axis=1)
     dist = np.sqrt(d2[np.arange(node_count), cell_ids])
     rates = tier_rates(dist, r, params.rate_tiers, params.r_cell)
-    return HetNetTopology(params, positions, cell_ids, rates)
+    topo = HetNetTopology(params, positions, cell_ids, rates)
+    topo.placed_state = rng.bit_generator.state
+    return topo
 
 
-def with_backbone(plain: HetNetTopology, fraction: float,
-                  rng: np.random.Generator) -> HetNetTopology:
-    """plain with round(fraction * members) backbone nodes drawn per cell;
-    the result shares plain's arrays and adjacency lists but builds its own
-    routes, and plain is left unchanged."""
+def with_backbone(plain: HetNetTopology, fraction: float) -> HetNetTopology:
+    """plain with round(fraction * members) backbone nodes drawn per cell
+    from plain.placed_state, so every variant of a placement at one fraction,
+    a variant's too, has one backbone; it shares plain's arrays and adjacency
+    lists but builds its own routes, and plain is left unchanged.  Only place
+    makes placement draws: chains, relay stars and hand-built topologies
+    have none to draw a backbone from."""
     topo = copy.copy(plain)
     topo.__dict__.pop("routes", None)  # plain's table, if built, has plain's bus
     topo.params = replace(plain.params, backbone_fraction=fraction)
     chosen = []
     if fraction > 0:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = plain.placed_state
         for cell in range(len(plain.cells)):
             members = np.flatnonzero(plain.cell_ids == cell)
             k = round(fraction * len(members))
@@ -239,14 +247,12 @@ def generate(node_count: int, rng: np.random.Generator,
              params: TopologyParams | None = None) -> HetNetTopology:
     """place, then with_backbone at params.backbone_fraction.
 
-    Pure function of (rng state, params): same seed, same topology.  Every
-    placement draw comes before any backbone draw, so topologies that differ
-    only in backbone_fraction can share one placement (see
-    presets.cell_topology) by restarting each backbone draw from the rng
-    state that place left.
+    Pure function of (rng state, params): same seed, same topology.  The
+    backbone draws start from the placement's own end state, so
+    with_backbone(generate(...), f) equals generate at backbone_fraction f.
     """
     params = params or TopologyParams()
-    return with_backbone(place(node_count, rng, params), params.backbone_fraction, rng)
+    return with_backbone(place(node_count, rng, params), params.backbone_fraction)
 
 
 def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTopology:

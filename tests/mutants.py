@@ -112,6 +112,15 @@ MUTANTS = [
      "tol = 1e-12 * radius",
      "tol = 1e-9",
      ["tests/test_topology.py"]),
+    # the reference engine steps every slot, so a jump that credits one slot bites
+    ("skip-ahead-ticks-one-slot-per-jump", ENGINE,
+     "c.value = min(c.limit, c.value + c.rate * skipped)",
+     "c.value = min(c.limit, c.value + c.rate)",
+     ["tests/test_simengine.py"]),
+    ("backbone-drawn-from-fresh-entropy", "hetnetcode/topology.py",
+     "        rng.bit_generator.state = plain.placed_state\n",
+     "",
+     ["tests/test_topology.py"]),
 ]
 
 

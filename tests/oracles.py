@@ -16,7 +16,7 @@ from hetnetcode.config import ConfigError, TopologyParams
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
 from hetnetcode.simengine import CHECK_PAYLOAD_BYTES, Draws
-from hetnetcode.topology import _DUMP_KEYS, CELLS, HetNetTopology, WiredSpec
+from hetnetcode.topology import _DUMP_KEYS, CELLS, HetNetTopology
 
 
 def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -234,7 +234,7 @@ def cut_bound(cfg, topo, src: int, dst: int) -> float:
     users = cfg.users_per_cell
     loaded = min(link, cfg.r_cell / users) if cfg.loading_mode == "equal-rate" else link / users
     cellular = loaded if cfg.cellular_enabled else 0.0
-    spec = topo.wired or WiredSpec([], 0.0, {}, {})
+    spec = topo.wired
 
     def side(node: int, budgets: dict, cap: float) -> float:
         if not cfg.wifi_enabled:

@@ -7,7 +7,7 @@ node's neighbours for its next hops in every slot, admits radio
 transmissions under oracles.brute_force_guard_ok, and makes every hop pick,
 interface choice and scheduler draw with numpy's own Generator methods, on
 the six session streams in the engine's order.  run() returns what
-simengine.run_session(..., no_skip=True) returns, and the schedule log.
+simengine.run_session returns, and the schedule log.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from hetnetcode import rlnc
 from hetnetcode.simengine import CHECK_PAYLOAD_BYTES, EventTrace, SessionStats, TraceEvent
-from hetnetcode.topology import WiredSpec
 from oracles import brute_force_guard_ok
 
 INF = float("inf")
@@ -69,7 +68,7 @@ class ReferenceSession:
             link = min(topo.cellular_rates[[self.src, self.dst]]) * self.rate_scale
         pipe = loaded_rate(cfg, float(link)) if cfg.cellular_enabled else 0.0
         self.cell_up, self.cell_down, self.cell_queue = Credit(pipe), Credit(pipe), []
-        spec = topo.wired or WiredSpec([], 0.0, {}, {})
+        spec = topo.wired
         self.wired_active = cfg.wifi_enabled and (len(topo.backbone) > 1 or bool(spec.edges))
         self.edge = {}
         for u, v in spec.edges:

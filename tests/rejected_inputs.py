@@ -70,12 +70,15 @@ ROWS = [
         ("topo2-seed--2", "topo2 --values 1 --trials 1 --seed -2", SEED),
         ("replay-trace-seed--3", "replay-trace --seed -3 --chain-hops 2", SEED),
         ("gen-topology-seed--1", "gen-topology --seed -1 --nodes 5", SEED))),
-    # files that hold no config; the last has an int longer than Python reads
+    # files that hold no config; the last two have an int longer than Python
+    # reads and lists nested deeper than its recursion limit
     ("not-json", SWEEP, b'{"sweep": {trials: 1}}', NOT_JSON + "Expecting property name"),
     ("not-utf-8", SWEEP, b'{"scenario": {"loading_mode": "\xe9qual-rate"}}',
      NOT_JSON + "'utf-8' codec can't decode"),
     ("r_cell-10**5000", SWEEP, b'{"scenario": {"r_cell": 1' + b"0" * 5000 + b"}}",
      NOT_JSON + "Exceeds the limit"),
+    ("nested-too-deep", SWEEP, b'{"sweep": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+     NOT_JSON + "maximum recursion depth exceeded"),
     ("file-a-list", SWEEP, [1], "config file must contain a JSON object"),
     ("section-bogus", SWEEP, {"bogus": {}}, "unknown config sections: ['bogus']"),
     ("sweep-a-list", SWEEP, {"sweep": [1]}, "the sweep section must be an object"),

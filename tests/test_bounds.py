@@ -11,7 +11,8 @@ engine: each bound is computed here from the preset constants alone.
 - No session beats the cut around its source or its destination
   (oracles.cut_bound, from the same paper).
 - The cellular-only stop-and-wait pipe follows its closed form, given which
-  arrivals the decoder found innovative (cellular_pipe).
+  arrivals the decoder found innovative (cellular_pipe), on the engine's
+  skip-ahead path and on the reference engine's slot loop.
 """
 
 import json
@@ -30,6 +31,7 @@ from hetnetcode.presets import (
 )
 from hetnetcode.simengine import run_session
 from oracles import cut_bound, within_cut
+from reference_engine import ReferenceSession
 from test_golden import CASES
 
 SEEDS = (0, 1, 2)
@@ -140,8 +142,9 @@ def test_cellular_only_pipe_follows_its_closed_form(m, rate):
             cfg, topo, pair = presets.chain_scenario(ScenarioConfig(
                 wifi_enabled=False, block_size=m, ack_delay=ack_delay, block_target=3,
                 slot_budget=budget, seed=seed, **presets.rate_fields(rate)), 1)
-            for no_skip in (False, True):
-                stats, trace = run_session(cfg, topo, pair=pair, no_skip=no_skip)
+            # the engine skips ahead; the reference engine steps every slot
+            for stats, trace, *_ in (run_session(cfg, topo, pair=pair),
+                                     ReferenceSession(cfg, topo, pair).run()):
                 events, decode_slots = cellular_pipe(
                     rate, m, ack_delay, [ev.innovative for ev in trace], cfg.slot_budget,
                     cfg.block_target)

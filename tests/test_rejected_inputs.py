@@ -18,10 +18,6 @@ TESTS = Path(__file__).resolve().parent
 LIBRARY_ONLY = {
     ("config", "config_from_dict", " settings must be an object"):
         "test_simengine.py::test_config_from_dict_needs_an_object",
-    ("simengine", "loaded_cellular_rate", "users must be >= 1"):
-        "test_simengine.py::test_loaded_cellular_rate_examples",
-    ("simengine", "loaded_cellular_rate", "unknown loading mode "):
-        "test_simengine.py::test_loaded_cellular_rate_examples",
     ("simengine", "__init__", "source and destination must differ"):
         "test_simengine.py::test_session_rejects_its_source_as_destination",
     ("topology", "place", "node_count must be positive"):

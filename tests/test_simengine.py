@@ -29,6 +29,7 @@ from hetnetcode.simengine import (
     schedule_wifi_slot,
 )
 from oracles import assert_next_draws_agree, brute_force_guard_ok
+from reference_engine import ReferenceSession
 
 
 def chain_session(hops, seed=0, **overrides):
@@ -124,17 +125,18 @@ def test_int_field_takes_the_int64_range():
     presets.trial_config(ScenarioConfig(), 10**13, 1)
 
 
+def cell_load(users: int, mode: str, cell_rate: float) -> ScenarioConfig:
+    """A config whose cell of maximum rate cell_rate serves users users."""
+    return ScenarioConfig(users_per_cell=users, loading_mode=mode, r_cell=cell_rate)
+
+
 def test_loaded_cellular_rate_examples():
     for mode in ("equal-rate", "equal-time"):
-        assert loaded_cellular_rate(4.0, 1, mode, cell_rate=4.0) == 4.0
-    assert loaded_cellular_rate(4.0, 4, "equal-time", cell_rate=4.0) == 1.0
+        assert loaded_cellular_rate(4.0, cell_load(1, mode, 4.0)) == 4.0
+    assert loaded_cellular_rate(4.0, cell_load(4, "equal-time", 4.0)) == 1.0
     # equal-rate is capped by the node's own supported rate
-    assert loaded_cellular_rate(1.0, 2, "equal-rate", cell_rate=4.0) == 1.0
-    assert loaded_cellular_rate(4.0, 8, "equal-rate", cell_rate=4.0) == 0.5
-    with pytest.raises(ConfigError, match="users must be >= 1"):
-        loaded_cellular_rate(4.0, 0, "equal-rate", cell_rate=4.0)
-    with pytest.raises(ConfigError, match="unknown loading mode 'bogus'"):
-        loaded_cellular_rate(1.0, 1, "bogus", 1.0)
+    assert loaded_cellular_rate(1.0, cell_load(2, "equal-rate", 4.0)) == 1.0
+    assert loaded_cellular_rate(4.0, cell_load(8, "equal-rate", 4.0)) == 0.5
 
 
 def test_loaded_cellular_rate_conservation_and_monotone():
@@ -143,10 +145,11 @@ def test_loaded_cellular_rate_conservation_and_monotone():
         cell_rate = float(rng.uniform(1, 8))
         users = int(rng.integers(1, 30))
         rates = rng.uniform(0.1, cell_rate, size=users)
-        total = sum(loaded_cellular_rate(r, users, "equal-rate", cell_rate) for r in rates)
+        config = cell_load(users, "equal-rate", cell_rate)
+        total = sum(loaded_cellular_rate(r, config) for r in rates)
         assert total <= cell_rate + 1e-9
     for mode in ("equal-rate", "equal-time"):
-        vals = [loaded_cellular_rate(2.0, u, mode, cell_rate=4.0) for u in range(1, 20)]
+        vals = [loaded_cellular_rate(2.0, cell_load(u, mode, 4.0)) for u in range(1, 20)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -244,7 +247,7 @@ def test_subnormal_cellular_rate_runs_out_the_budget():
     # the slot budget before its ceiling is taken
     cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=1e-320,
                               slot_budget=500, min_hops=1)
-    session = simengine._Session(cfg, topo, (0, 1), None, False)
+    session = simengine._Session(cfg, topo, (0, 1), None)
     stats, trace = session.run()
     assert session.slot == cfg.slot_budget
     assert stats.blocks_delivered == 0 and stats.cellular_sent == 0
@@ -274,7 +277,7 @@ def test_fast_path_matches_slot_by_slot(link_rate):
     cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=link_rate,
                               block_target=2, slot_budget=800, min_hops=1)
     fast, ftrace = run_session(cfg, topo, pair=(0, 1))
-    slow, strace = run_session(cfg, topo, pair=(0, 1), no_skip=True)
+    slow, strace, _ = ReferenceSession(cfg, topo, (0, 1)).run()
     assert fast == slow
     assert [(e.slot, e.block_id, e.innovative) for e in ftrace] == \
         [(e.slot, e.block_id, e.innovative) for e in strace]
@@ -288,13 +291,14 @@ def test_fast_path_matches_slot_by_slot_on_dyadic_rates(link, cell, users, loadi
                                                         ack_delay, block_size):
     """Every cellular-only CSV value comes from _skip_ahead.  Rates of k/64,
     loaded by a power-of-two user count, are dyadic, so each credit sum is
-    exact and skipping must agree with the slot loop to the slot."""
+    exact and skipping must agree with the reference engine's slot loop to
+    the slot."""
     cfg, topo = chain_session(1, wifi_enabled=False, link_rate_override=link / 64,
                               r_cell=cell / 64, users_per_cell=users, loading_mode=loading,
                               ack_delay=ack_delay, block_size=block_size, block_target=3,
                               slot_budget=1500, min_hops=1)
     fast, ftrace = run_session(cfg, topo, pair=(0, 1))
-    slow, strace = run_session(cfg, topo, pair=(0, 1), no_skip=True)
+    slow, strace, _ = ReferenceSession(cfg, topo, (0, 1)).run()
     assert fast == slow
     assert ftrace.events == strace.events
 
@@ -507,7 +511,7 @@ def policy_session(seed=0, **policy):
     its relay."""
     cfg, topo, pair = presets.chain_scenario(
         ScenarioConfig(seed=seed, relay_policy=ForwardPolicy(**policy)), 2)
-    session = simengine._Session(cfg, topo, pair, None, False)
+    session = simengine._Session(cfg, topo, pair, None)
     return session, session._relay(1)
 
 
@@ -632,7 +636,7 @@ def test_session_looks_up_each_route_once(monkeypatch, name):
         return real_next_hops(self, node, dst, interface)
 
     monkeypatch.setattr(routing.RouteTable, "next_hops", counted)
-    session = simengine._Session(cfg, topo, pair, None, False)
+    session = simengine._Session(cfg, topo, pair, None)
     stats, _ = session.run()
     assert stats.blocks_delivered == cfg.block_target
     assert calls and max(calls.values()) == 1

@@ -215,38 +215,43 @@ rate_tiers = st.just(DEFAULT_RATE_TIERS) | st.lists(
     st.tuples(st.floats(0.05, 1.2), st.floats(0.01, 4.0)), min_size=1, max_size=4).map(tuple)
 
 
+backbone_fractions = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+
+
 @settings(max_examples=60, deadline=None)
-@given(node_count=st.integers(2, 60),
-       fractions=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0, 1), min_size=1, max_size=4),
+@given(node_count=st.integers(2, 60), base_fraction=backbone_fractions,
+       fractions=st.lists(backbone_fractions, min_size=1, max_size=4),
        cell_radius=st.sampled_from([150.0, 400.0, 1000.0]), tiers=rate_tiers,
        cell_rate=st.floats(0.1, 8.0), seed=st.integers(0, 2**16), trial=st.integers(0, 3))
-@example(node_count=750, fractions=[0.0, 0.01, 0.4, 1.0], cell_radius=1000.0,
+@example(node_count=750, base_fraction=0.1, fractions=[0.0, 0.01, 0.4, 1.0], cell_radius=1000.0,
          tiers=DEFAULT_RATE_TIERS, cell_rate=1.0, seed=4, trial=2)
-@example(node_count=2, fractions=[1.0, 0.0], cell_radius=150.0,
+@example(node_count=2, base_fraction=0.0, fractions=[1.0, 0.0], cell_radius=150.0,
          tiers=DEFAULT_RATE_TIERS, cell_rate=1.0, seed=0, trial=0)
-@example(node_count=2, fractions=[0.5], cell_radius=150.0,
+@example(node_count=2, base_fraction=1.0, fractions=[0.5], cell_radius=150.0,
          tiers=((0.5, 3), (0.25, 2.0), (1.0, 0.5)), cell_rate=2.5, seed=1, trial=0)
-@example(node_count=3, fractions=[0.0, 1.0], cell_radius=150.0,
+@example(node_count=3, base_fraction=0.5, fractions=[0.0, 1.0], cell_radius=150.0,
          tiers=((1.0, 0.5),), cell_rate=4.0, seed=2, trial=1)
-def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_radius, tiers,
-                                                 cell_rate, seed, trial):
+def test_shared_placement_matches_fresh_generate(node_count, base_fraction, fractions,
+                                                 cell_radius, tiers, cell_rate, seed, trial):
+    """Backbone variants of a trial's topology at its own backbone_fraction,
+    as the k/n sweep makes them, and of its bare placement, each equal to a
+    fresh generate at the variant's fraction."""
     config = replace(ScenarioConfig(), node_count=node_count, cell_radius=cell_radius,
-                     rate_tiers=tiers, r_cell=cell_rate)
-    shared = presets.cell_topology(config, seed, trial, fractions)
-    assert len(shared) == len(fractions)
-    first = shared[0]
-    assert first.cellular_rates.tolist() == node_rates(first)
+                     rate_tiers=tiers, r_cell=cell_rate, backbone_fraction=base_fraction)
+    base = presets.cell_topology(config, seed, trial)
+    assert base.cellular_rates.tolist() == node_rates(base)
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 1)))
     plain = topology.place(node_count, rng, config.topology_params())
     placed = rng.bit_generator.state
-    # plain's routes are built before its variants, which must not inherit them
+    assert plain.placed_state == placed
+    assert base.backbone == backbone_draw(base.cell_ids.tolist(), base_fraction, rng)
+    # base's and plain's routes are built before their variants, which must
+    # not inherit them
     dsts = range(0, node_count, max(1, node_count // 8))
-    plain_routes = plain.routes
+    base_routes, plain_routes = base.routes, plain.routes
     plain_dist = [plain_routes.distances_to(dst).copy() for dst in dsts]
-    variants = []
-    for frac in fractions:
-        rng.bit_generator.state = placed
-        variants.append(topology.with_backbone(plain, frac, rng))
+    shared = [topology.with_backbone(base, frac) for frac in fractions]
+    variants = [topology.with_backbone(plain, frac) for frac in fractions]
     # every variant is built before any is checked: a later draw must not
     # touch an earlier variant
     for frac, topo, variant in zip(fractions, shared, variants):
@@ -260,7 +265,7 @@ def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_rad
         assert same_nodes(topo, fresh)
         assert topo.neighbors == fresh.neighbors
         for name in ("positions", "cell_ids", "cellular_rates", "neighbors", "links"):
-            assert getattr(topo, name) is getattr(first, name)
+            assert getattr(topo, name) is getattr(base, name)
         for own in (topo, variant):
             assert own.routes.topology is own
             for dst in dsts:
@@ -270,6 +275,7 @@ def test_shared_placement_matches_fresh_generate(node_count, fractions, cell_rad
                     for interface in ("wifi", "wired"):
                         assert (own.routes.next_hops(node, dst, interface)
                                 == fresh.routes.next_hops(node, dst, interface))
+    assert base.routes is base_routes and base_routes.topology is base
     assert plain.routes is plain_routes and plain_routes.topology is plain
     for dst, dist in zip(dsts, plain_dist):
         assert np.array_equal(plain.routes.distances_to(dst), dist)
