@@ -6,7 +6,6 @@ field-for-field:
     {
       "scenario": { ... ScenarioConfig fields ... },
       "sweep":    { "trials": 50, "seed": 0, "values": [...],
-                    "param_min": ..., "param_max": ..., "param_step": ...,
                     "workers": 1, "out": "rows.csv" }
     }
 
@@ -123,10 +122,7 @@ def _add_sweep_flags(p):
     _add_common(p)
     p.add_argument("--trials", type=int, help="trials per sweep point")
     p.add_argument("--workers", type=int, help="process pool size")
-    p.add_argument("--min", type=float, dest="param_min", help="sweep minimum")
-    p.add_argument("--max", type=float, dest="param_max", help="sweep maximum")
-    p.add_argument("--step", type=float, dest="param_step", help="sweep step")
-    p.add_argument("--values", type=float, nargs="+", help="explicit sweep points")
+    p.add_argument("--values", type=float, nargs="+", help="sweep points (default: the preset's)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -243,16 +243,11 @@ class ScenarioConfig(TopologyParams):
 # trial t of a sweep with seed s runs at seed s * TRIAL_SEED_STRIDE + t, so
 # sweeps of consecutive seeds share no trial seed while trials <= the stride
 TRIAL_SEED_STRIDE = 1_000_003
-# (param_max - param_min) / param_step of a min/max/step sweep stays below this
-MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    param_min: float | None = None
-    param_max: float | None = None
-    param_step: float | None = None
-    values: tuple | None = None  # explicit sweep points, overrides min/max/step
+    values: tuple | None = None  # explicit sweep points, else the preset's defaults
     trials: int = 50
     seed: int = 0
     out: str | None = None
@@ -271,27 +266,8 @@ class SweepSpec:
             raise ConfigError("workers must be >= 1")
         if not all(map(finite_number, self.values or ())):
             raise ConfigError("sweep values must be finite numbers")
-        if self.values is not None:
-            if len(self.values) == 0:
-                raise ConfigError("explicit sweep values must be non-empty")
-            return
-        have = [b is not None for b in (self.param_min, self.param_max, self.param_step)]
-        if any(have) and not all(have):
-            raise ConfigError("param_min, param_max, param_step must be given together")
-        if all(have):
-            if self.param_min > self.param_max:
-                raise ConfigError("param_min must be <= param_max")
-            if self.param_step <= 0:
-                raise ConfigError("param_step must be > 0")
-            # in floats: a span too wide for one is inf, not an OverflowError
-            if not (float(self.param_max) - self.param_min) / self.param_step < MAX_SWEEP_POINTS:
-                raise ConfigError("(param_max - param_min) / param_step must be below "
-                                  f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
+        if self.values is not None and len(self.values) == 0:
+            raise ConfigError("explicit sweep values must be non-empty")
 
     def sweep_values(self, default):
-        if self.values is not None:
-            return list(self.values)
-        if self.param_min is None:
-            return list(default)
-        count = int(math.floor((self.param_max - self.param_min) / self.param_step + 1e-9)) + 1
-        return [self.param_min + i * self.param_step for i in range(count)]
+        return list(default if self.values is None else self.values)

@@ -121,6 +121,47 @@ MUTANTS = [
      "        rng.bit_generator.state = plain.placed_state\n",
      "",
      ["tests/test_topology.py"]),
+    ("trials-share-topology", "hetnetcode/presets.py",
+     "np.random.SeedSequence((seed, trial, 1))",
+     "np.random.SeedSequence((seed, 0, 1))",
+     ["tests/test_acceptance.py::test_criterion_08_infrastructure_trend"]),
+    ("equal-rate-max", ENGINE,
+     "return min(link_rate, config.r_cell / config.users_per_cell)",
+     "return max(link_rate, config.r_cell / config.users_per_cell)",
+     ["tests/test_acceptance.py::test_criterion_07_loading_trend"]),
+    ("schedule-one-direction", ENGINE,
+     "        if topo.protocol_model_ok(tx, rx, admitted_txs) and all(\n"
+     "                topo.protocol_model_ok(atx, arx, (tx,)) for atx, arx in admitted):\n",
+     "        if topo.protocol_model_ok(tx, rx, admitted_txs):\n",
+     ["tests/test_simengine.py::test_schedule_is_feasible_and_maximal"]),
+    ("priority-ignored", ENGINE,
+     "order = sorted(zip(priorities, rng.random(n), range(n)))",
+     "order = sorted(zip([0] * n, rng.random(n), range(n)))",
+     ["tests/test_bounds.py::test_wifi_chain_stays_under_one_in_three_reuse"]),
+    ("stale-counted-innovative", ENGINE,
+     "self.decoder.block_id and self.decoder.receive(packet)",
+     "self.decoder.block_id and (self.decoder.receive(packet) or True)",
+     ["tests/test_bounds.py::test_cellular_only_pipe_follows_its_closed_form"]),
+    ("ring-drops-newest", "hetnetcode/rlnc.py",
+     "self.packets.pop(0)",
+     "self.packets.pop()",
+     ["tests/test_rlnc.py::test_stacked_ring_matches_packets_and_recode_oracle"]),
+    ("stderr-population", "hetnetcode/presets.py",
+     "var = sum((x - m) ** 2 for x in xs) / (len(xs) - 1)",
+     "var = sum((x - m) ** 2 for x in xs) / len(xs)",
+     ["tests/test_presets_cli.py::test_rate_sweep_stderr_is_the_combined_trials_standard_error"]),
+    ("stderr-of-cellular", "hetnetcode/presets.py",
+     "yield _mean(cell), _mean(comb), _stderr(comb)",
+     "yield _mean(cell), _mean(comb), _stderr(cell)",
+     ["tests/test_presets_cli.py::test_rate_sweep_stderr_is_the_combined_trials_standard_error"]),
+    ("block-id-window-inclusive", "hetnetcode/rlnc.py",
+     "< _HALF_WINDOW",
+     "<= _HALF_WINDOW",
+     ["tests/test_rlnc.py::test_block_id_wraparound"]),
+    ("wired-hops-unsorted", "hetnetcode/routing.py",
+     "return sorted(set(hops))",
+     "return list(dict.fromkeys(hops))",
+     ["tests/test_routing.py::test_wired_next_hops_are_ascending_and_unique"]),
 ]
 
 

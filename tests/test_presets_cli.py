@@ -1,4 +1,6 @@
 import json
+import math
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 
 from hetnetcode import cli, presets
 from hetnetcode.config import (
-    MAX_SWEEP_POINTS,
     TRIAL_SEED_STRIDE,
     ConfigError,
     ForwardPolicy,
@@ -21,6 +22,7 @@ from hetnetcode.presets import (
     preset_topo1,
     preset_topo2,
 )
+from hetnetcode.simengine import compare_modes
 from oracles import load
 from rejected_inputs import FLAG_CASES, SCENARIO_CASES, SECTION_CASES, broken_through_main
 
@@ -31,31 +33,24 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(trials=0)
     with pytest.raises(ConfigError):
-        SweepSpec(param_min=2.0, param_max=1.0, param_step=0.1)
-    with pytest.raises(ConfigError):
-        SweepSpec(param_min=0.1, param_max=1.0, param_step=0.0)
-    with pytest.raises(ConfigError):
-        SweepSpec(param_min=0.1, param_max=1.0)
-    with pytest.raises(ConfigError):
         SweepSpec(values=())
     with pytest.raises(ConfigError):
         SweepSpec(values=(0.5, float("nan")))
-    with pytest.raises(ConfigError):
-        SweepSpec(param_min=0.1, param_max=float("inf"), param_step=0.1)
-    # (max - min) / step must stay below MAX_SWEEP_POINTS, even where the span
-    # overflows a float
-    for lo, hi, step in ((0, 1, 1e-12), (0, 1e308, 1e-10), (-10**308, 10**308, 1.0),
-                         (0, MAX_SWEEP_POINTS, 1)):
-        with pytest.raises(ConfigError, match="MAX_SWEEP_POINTS = 1000000"):
-            SweepSpec(param_min=lo, param_max=hi, param_step=step)
-    SweepSpec(param_min=0, param_max=MAX_SWEEP_POINTS - 1, param_step=1)
     # sweep values built in Python get the checks a config file's do
     for values in (("a",), (True,), (0.5, float("inf")), "ab"):
         with pytest.raises(ConfigError):
             SweepSpec(values=values)
-    assert SweepSpec(param_min=0.5, param_max=1.0,
-                     param_step=0.25).sweep_values(()) == [0.5, 0.75, 1.0]
+    # explicit values, else the preset's defaults
+    assert SweepSpec(values=(0.5, 0.75, 1.0)).sweep_values((1, 2)) == [0.5, 0.75, 1.0]
     assert SweepSpec().sweep_values((1, 2)) == [1, 2]
+
+
+def test_cli_has_no_sweep_range_flags(capsys):
+    # argparse rejects a flag it does not know, so --min is never silently ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate-sweep", "--min", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --min 0.1" in capsys.readouterr().err
 
 
 def test_rate_sweep_gain_trend_and_dominance():
@@ -74,6 +69,29 @@ def test_rate_sweep_gain_trend_and_dominance():
 def test_rate_sweep_deterministic():
     spec = SweepSpec(values=(0.5,), trials=3, seed=7, scenario=SMALL)
     assert preset_rate_sweep(spec) == preset_rate_sweep(spec)
+
+
+def test_rate_sweep_stderr_is_the_combined_trials_standard_error():
+    # each row rebuilt from its trials through public calls: the trial means
+    # and the sample standard error of the combined values, which differ
+    # between trials here while the pinned cellular-only values do not
+    trials, seed, ratios = 4, 0, (0.1, 0.5)
+    scenario = dict(SMALL, block_target=3, slot_budget=4000)
+    _, rows = preset_rate_sweep(SweepSpec(values=ratios, trials=trials, seed=seed,
+                                          scenario=scenario))
+    base = ScenarioConfig(**scenario)
+    topos = [presets.cell_topology(base, seed, t) for t in range(trials)]
+    for ratio, row in zip(ratios, rows, strict=True):
+        cell, comb = [], []
+        for t in range(trials):
+            cfg = presets.trial_config(base, seed, t, **presets.rate_fields(ratio))
+            cell_stats, comb_stats = compare_modes(cfg, topos[t], None)
+            cell.append(cell_stats.relative_throughput)
+            comb.append(comb_stats.relative_throughput)
+        stderr = statistics.stdev(comb) / math.sqrt(trials)
+        assert row == pytest.approx((ratio, statistics.mean(cell), statistics.mean(comb),
+                                     stderr), rel=1e-12, abs=1e-15)
+    assert all(row[3] > 0.01 for row in rows)
 
 
 def test_rate_sweep_degenerate_wifi_disabled():

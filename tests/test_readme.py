@@ -1,5 +1,7 @@
-"""The README's Python examples and CLI commands run as written."""
+"""The README's Python examples and CLI commands run as written, and its
+flag table lists the parser's flags."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -33,3 +35,31 @@ def test_readme_cli_command_runs(tmp_path, argv):
     # a repeated flag takes its last value: one trial per sweep, output under tmp_path
     quick = ["--trials", "1"] if argv[0] in cli.PRESETS else []
     assert cli.main([*argv, *quick, "--out", str(tmp_path / "out")]) == 0
+
+
+# flags that set no config field, so the flag table leaves them out
+UNTABLED = {"--config", "-h", "--help"}
+UNTABLED_ON = {"gen-topology": {"--out"},
+               "replay-trace": {"--out", "--chain-hops", "--relays", "--link-rate"}}
+
+
+def flag_table() -> set:
+    """(command, flag) of every flag the README's flag table lists, a
+    "sweeps" row standing for each preset."""
+    text = README.read_text()
+    table = text[text.index("| flag "):].split("\n\n", 1)[0].splitlines()[2:]
+    pairs = set()
+    for row in table:
+        flags, _, commands = (cell.strip() for cell in row.strip("|").split("|"))
+        names = cli.PRESETS if commands == "sweeps" else commands.split(", ")
+        pairs |= {(name, flag) for name in names for flag in re.findall(r"--[a-z-]+", flags)}
+    return pairs
+
+
+def test_readme_flag_table_matches_the_parser():
+    (subparsers,) = [a for a in cli.make_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    parsed = {(name, flag) for name, parser in subparsers.choices.items()
+              for action in parser._actions for flag in action.option_strings
+              if flag not in UNTABLED | UNTABLED_ON.get(name, set())}
+    assert flag_table() == parsed

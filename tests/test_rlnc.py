@@ -290,6 +290,9 @@ def test_block_id_wraparound():
     assert rlnc.block_id_newer(0, 65535)  # wrap
     assert not rlnc.block_id_newer(65535, 0)
     assert not rlnc.block_id_newer(5, 5)
+    # at exactly half the window neither id is newer, so the rule stays antisymmetric
+    assert not rlnc.block_id_newer(2**15, 0)
+    assert not rlnc.block_id_newer(0, 2**15)
 
 
 def test_receive_first_and_duplicate():

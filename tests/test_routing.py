@@ -120,6 +120,18 @@ def test_backbone_counts_as_one_virtual_hop():
     assert hop_distance(topo, 0, 2) == 2  # bus hop then WiFi hop
 
 
+def test_wired_next_hops_are_ascending_and_unique():
+    # bus member 0's hops toward 5 are its explicit peers 3 and 4 and the bus
+    # members 2 and 4: peer 3 lies above bus member 2, and 4 is both.  A
+    # session draws below(len(targets)) over these hops, so their order
+    # decides which hop each draw picks
+    wired = topology.WiredSpec(edges=[(0, 3), (0, 4), (3, 5), (2, 5), (4, 5)],
+                               edge_capacity=1.0)
+    topo = topology.HetNetTopology(TopologyParams(), [(5000.0 * i, 0.0) for i in range(6)],
+                                   backbone={0, 2, 4}, wired=wired)
+    assert topo.routes.next_hops(0, 5, "wired") == [2, 3, 4]
+
+
 def clique_oracle(topo):
     """Explicit adjacency with the backbone expanded into its full clique."""
     wifi = [set(row) for row in topo.neighbors]
