@@ -4,6 +4,9 @@ Field elements are plain ints in [0, 255] (or uint8 numpy arrays when
 operating elementwise); matrices are 2-D uint8 arrays.  A row kept as
 `bytes` is scaled by w with row.translate(MUL_BYTES[w]).  Multiplication is
 reduced by the conventional polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
+The matrix kernels multiply by table lookup: weighted_row_sum gathers from
+the flattened MUL_TABLE, and solve takes the rows of MUL_TABLE for its
+multipliers, then the columns for the pivot row's entries.
 """
 
 from __future__ import annotations
@@ -77,10 +80,13 @@ def solve(m, rhs) -> np.ndarray:
 
     m must be square and full rank; rhs is (n, k) or (n,).  Raises
     SingularMatrixError when no pivot can be found for some column.  Each
-    column updates the whole uint8 augmented [m | rhs] with one gather: row
-    i is XORed with f[i] times the pivot row p, where f[i] = m[i] / p[col]
+    column updates the whole uint8 augmented [m | rhs] with two table takes:
+    row i is XORed with f[i] times the pivot row p, where f[i] = m[i] / p[col]
     clears column col, and the pivot row's own f = 1 ^ 1/p[col] leaves it
-    normalised (p ^ (1 ^ a) p = a p).
+    normalised (p ^ (1 ^ a) p = a p).  MUL_TABLE.take(f, axis=0) picks the
+    table row of each f[i], and taking the columns p from those rows gives
+    every product f[i] * p at once.  Rows are searched for a pivot only when
+    the diagonal entry is 0.
     """
     m = np.asarray(m, dtype=np.uint8)
     b = np.asarray(rhs, dtype=np.uint8)
@@ -94,14 +100,14 @@ def solve(m, rhs) -> np.ndarray:
     aug = np.hstack([m, b[:, None] if vector_rhs else b])
 
     for col in range(n):
-        nz = aug[col:, col].nonzero()[0]
-        if nz.size == 0:
-            raise SingularMatrixError(f"rank-deficient at column {col}")
-        piv = col + int(nz[0])
-        if piv != col:
+        if not aug.item(col, col):
+            nz = aug[col + 1:, col].nonzero()[0]
+            if nz.size == 0:
+                raise SingularMatrixError(f"rank-deficient at column {col}")
+            piv = col + 1 + int(nz[0])
             aug[[col, piv]] = aug[[piv, col]]
-        inv = int(INV_TABLE[aug[col, col]])
-        f = _ROW_OFFSET[MUL_TABLE[inv][aug[:, col]]]
-        f[col] = (1 ^ inv) << 8
-        aug ^= _MUL_FLAT[f[:, None] + aug[col]]
+        inv = INV_TABLE.item(aug.item(col, col))
+        f = MUL_TABLE[inv].take(aug[:, col])
+        f[col] = 1 ^ inv
+        aug ^= MUL_TABLE.take(f, axis=0).take(aug[col], axis=1)
     return aug[:, n] if vector_rhs else aug[:, n:]

@@ -122,12 +122,14 @@ class HetNetTopology:
         self.backbone = frozenset(int(b) for b in backbone)
         self.wired = wired or WiredSpec()
         self.neighbors = _bucket_neighbors(self.positions, params.wifi_range)
-        peers = [set() for _ in range(n)]
+        # keyed by the nodes on an edge, so a topology without wired edges
+        # builds nothing per node
+        peers = {}
         for u, v in self.wired.edges:
-            peers[u].add(v)
-            peers[v].add(u)
-        self._wired_peers = [sorted(p) for p in peers]
-        self.links = ([w + p for w, p in zip(self.neighbors, self._wired_peers)]
+            peers.setdefault(u, set()).add(v)
+            peers.setdefault(v, set()).add(u)
+        self._wired_peers = {u: sorted(p) for u, p in peers.items()}
+        self.links = ([w + self._wired_peers.get(u, []) for u, w in enumerate(self.neighbors)]
                       if self.wired.edges else self.neighbors)
 
     def __len__(self) -> int:
@@ -145,7 +147,7 @@ class HetNetTopology:
     def wired_peers(self, node: int) -> list[int]:
         """Ascending peers over explicit spec edges; the backbone is one bus,
         one virtual hop between any two members, and is not expanded here."""
-        return self._wired_peers[node]
+        return self._wired_peers.get(node, [])
 
     def protocol_model_ok(self, tx: int, rx: int, concurrent_txs) -> bool:
         """Guard check: every other transmitter k must satisfy

@@ -29,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE = "hetnetcode/simengine.py"
+GF256 = "hetnetcode/gf256.py"
 REFERENCE = "tests/test_reference_engine.py"
 
 # (name, file under src/, exact old text, new text, oracle tests)
@@ -162,6 +163,18 @@ MUTANTS = [
      "return sorted(set(hops))",
      "return list(dict.fromkeys(hops))",
      ["tests/test_routing.py::test_wired_next_hops_are_ascending_and_unique"]),
+    ("solve-without-row-swap", GF256,
+     "            aug[[col, piv]] = aug[[piv, col]]\n",
+     "",
+     ["tests/test_gf256.py::test_solve_swaps_rows_under_an_all_zero_diagonal"]),
+    ("solve-pivot-row-scaled-by-inverse", GF256,
+     "f[col] = 1 ^ inv",
+     "f[col] = inv",
+     ["tests/test_gf256.py::test_solve_round_trip_random"]),
+    ("reducing-poly-0x11d", GF256,
+     "REDUCING_POLY = 0x11B",
+     "REDUCING_POLY = 0x11D",
+     ["tests/test_gf256.py::test_mul_exhaustive_against_oracle"]),
 ]
 
 

@@ -183,6 +183,24 @@ def test_solve_vector_rhs():
     assert np.array_equal(got, x)
 
 
+@pytest.mark.parametrize("width", [1, 8, 1400, None])
+def test_solve_swaps_rows_under_an_all_zero_diagonal(width):
+    """m is a full-rank upper-triangular u with its rows shifted up by one
+    (m[i] = u[i + 1], and the last row is u[0]), so its diagonal is all zero.
+    At each column but the last the only pivot is the last row: n = 20 takes
+    19 row swaps, where test_solve_matches_oracle stops at n = 8.  width None
+    is a vector rhs."""
+    n = 20
+    rng = np.random.default_rng(20)
+    u = np.triu(rng.integers(0, 256, size=(n, n), dtype=np.uint8))
+    u[np.arange(n), np.arange(n)] = rng.integers(1, 256, size=n, dtype=np.uint8)
+    u[0, -1] = 0
+    m = np.roll(u, -1, axis=0)
+    assert not m.diagonal().any()
+    x = rng.integers(0, 256, size=(n,) if width is None else (n, width), dtype=np.uint8)
+    assert np.array_equal(gf256.solve(m, oracles.matmul(m, x)), x)
+
+
 def test_solve_singular_raises():
     m = np.array([[1, 2, 3], [4, 5, 6], [1, 2, 3]], dtype=np.uint8)
     with pytest.raises(gf256.SingularMatrixError):
