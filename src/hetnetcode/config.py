@@ -22,7 +22,9 @@ class ConfigError(ValueError):
 def finite_number(x) -> bool:
     """x is a real number other than a bool with a finite float value."""
     try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+        # float and int first: they answer without numbers.Real's ABC check
+        return (isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
+                and math.isfinite(x))
     except OverflowError:  # an int too large for a float
         return False
 

@@ -107,11 +107,14 @@ def _stderr(xs):
 
 def _compare_trial(args):
     """(cellular-only, combined) relative throughput of one trial at each
-    point's config overrides, on the trial's random topology or, given a hop
-    count, on that chain."""
+    point's config overrides, on the trial's random topology between the
+    pair its sessions would pick, picked once, or, given a hop count, on
+    that chain."""
     spec_seed, trial, points, base, chain_hops = args
     if chain_hops is None:
-        topo, pair = cell_topology(base, spec_seed, trial), None
+        cfg = trial_config(base, spec_seed, trial)
+        topo = cell_topology(base, spec_seed, trial)
+        pair = pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])
     else:
         base, topo, pair = chain_scenario(base, chain_hops)
     out = []

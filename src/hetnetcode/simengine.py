@@ -24,6 +24,7 @@ destination discards those (they still show up in the event trace).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -115,6 +116,12 @@ _BLOCK_OUTPUTS = 512
 _DOUBLE_UNIT = 1.0 / (1 << 53)
 
 
+def _raw_blocks(bitgen: np.random.PCG64):
+    """bitgen's raw outputs, _BLOCK_OUTPUTS at a time, as little-endian bytes."""
+    while True:
+        yield bitgen.random_raw(_BLOCK_OUTPUTS).tobytes()
+
+
 class Draws:
     """numpy's own draws from a PCG64 generator, served from blocks of its raw
     64-bit outputs read ahead with `bit_generator.random_raw`.
@@ -126,8 +133,9 @@ class Draws:
     is the block's 4-byte chunks in order and a word is kept exactly when the
     read position sits halfway into an output.  `bytes(n)`, `below(k)` and
     `random(n)` return Generator.bytes(n), int(Generator.integers(0, k)) and
-    Generator.random(n) of the wrapped generator.  That generator runs ahead
-    of them, so nothing else may draw from it; no lock is taken."""
+    Generator.random(n) of the wrapped generator, or of session_rngs(seed)[i]
+    for Draws.of_stream(seed, i).  A wrapped generator runs ahead of them, so
+    nothing else may draw from it; no lock is taken."""
 
     def __init__(self, rng: np.random.Generator):
         bitgen = rng.bit_generator
@@ -135,7 +143,17 @@ class Draws:
             raise TypeError(f"Draws needs a PCG64 generator, not {type(bitgen).__name__}")
         if bitgen.state["has_uint32"]:
             raise ValueError("the generator holds half of a 64-bit output; Draws cannot serve it")
-        self._bitgen = bitgen
+        self._start(_raw_blocks(bitgen))
+
+    @classmethod
+    def of_stream(cls, seed: int, i: int) -> Draws:
+        """The draws of session_rngs(seed)[i], read from _stream_blocks."""
+        draws = cls.__new__(cls)
+        draws._start(_stream_blocks(seed, i))
+        return draws
+
+    def _start(self, blocks):
+        self._blocks = blocks
         self._load(b"", 0)
 
     def _load(self, buf: bytes, pos: int):
@@ -152,7 +170,7 @@ class Draws:
         buf = self._buf[pos & ~7:]
         pos &= 7
         while len(buf) - pos < need:
-            buf += self._bitgen.random_raw(_BLOCK_OUTPUTS).tobytes()
+            buf += next(self._blocks)
         self._load(buf, pos)
 
     def bytes(self, n: int) -> bytes:
@@ -245,10 +263,41 @@ def pick_session_pair(topo: HetNetTopology, min_hops: int,
 def session_rngs(seed: int) -> list[np.random.Generator]:
     """A session's independent PCG64 Generators, in order: S-D pair pick,
     cellular coefficients, source WiFi/wired draws, relay recodes and hop
-    picks, radio scheduler, block payloads.  A session draws the pair from
-    its Generator itself and serves the five streams after it through a
-    Draws each."""
+    picks, radio scheduler, block payloads.  A session that picks its own
+    pair draws it from the first; session_draws serves the five after it."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
+
+
+def _stream_bitgen(seed: int, i: int) -> np.random.PCG64:
+    """A fresh PCG64 of session_rngs(seed)[i]: spawn(6)[i] is this child,
+    seeded without spawning its five siblings."""
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
+@functools.lru_cache(maxsize=1)
+def _stream_heads(seed: int) -> dict[int, bytes]:
+    """The first raw block of each of seed's session streams read so far, by
+    stream index.  A pure function of the seed, kept for the last seed only:
+    the sessions of one trial share it, and no Draws mutates a block."""
+    return {}
+
+
+def _stream_blocks(seed: int, i: int):
+    """Raw blocks of session_rngs(seed)[i]: the memoised head, then the
+    blocks after it from a PCG64 made only when a draw reads past the head."""
+    heads = _stream_heads(seed)
+    head = heads.get(i)
+    if head is None:
+        head = heads[i] = _stream_bitgen(seed, i).random_raw(_BLOCK_OUTPUTS).tobytes()
+    yield head
+    bitgen = _stream_bitgen(seed, i)
+    bitgen.advance(_BLOCK_OUTPUTS)
+    yield from _raw_blocks(bitgen)
+
+
+def session_draws(seed: int) -> list[Draws]:
+    """The draws of session_rngs(seed)[1:], each stream seeded on first use."""
+    return [Draws.of_stream(seed, i) for i in range(1, 6)]
 
 
 class _Credit:
@@ -301,15 +350,15 @@ class _Session:
         self.routes = topo.routes
         self.schedule_log = schedule_log
 
-        rng_pair, *streams = session_rngs(config.seed)
         (self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
-         self.rng_data) = map(Draws, streams)
+         self.rng_data) = session_draws(config.seed)
         if pair is None:
-            pair = pick_session_pair(topo, config.min_hops, rng_pair)
+            pair = pick_session_pair(topo, config.min_hops, session_rngs(config.seed)[0])
         self.src, self.dst = int(pair[0]), int(pair[1])
         if self.src == self.dst:
             raise ConfigError("source and destination must differ")
-        self.dist_to_dst = self.routes.distances_to(self.dst)
+        # Python floats: the scheduler sorts on them every slot
+        self.dist_to_dst = self.routes.distances_to(self.dst).tolist()
 
         # node rates scale with the session's cell maximum, not the topology's
         self.rate_scale = config.r_cell / topo.params.r_cell

@@ -82,6 +82,23 @@ MUTANTS = [
      "            self._pos = end\n",
      "        self._pos = end\n",
      ["tests/test_rlnc.py"]),
+    ("stream-resumed-one-output-early", ENGINE,
+     "bitgen.advance(_BLOCK_OUTPUTS)",
+     "bitgen.advance(_BLOCK_OUTPUTS - 1)",
+     ["tests/test_rlnc.py::test_session_streams_draw_what_session_rngs_draw"]),
+    ("stream-heads-keyed-by-the-seed-alone", ENGINE,
+     "    head = heads.get(i)\n"
+     "    if head is None:\n"
+     "        head = heads[i] =",
+     "    head = heads.get(0)\n"
+     "    if head is None:\n"
+     "        head = heads[0] =",
+     ["tests/test_rlnc.py::test_session_streams_draw_what_session_rngs_draw"]),
+    ("comparison-pair-from-the-coefficient-stream", "hetnetcode/presets.py",
+     "pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])",
+     "pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[1])",
+     ["tests/test_presets_cli.py::"
+      "test_a_comparison_trial_runs_the_sessions_that_pick_their_own_pair"]),
     ("wired-flood-bounded-by-block-target", ENGINE,
      "        # bounded by their processing rate and their send credit\n"
      "        for _ in range(self.cfg.block_size):\n",

@@ -88,17 +88,22 @@ def test_the_payload_stream_changes_nothing(kind, data):
         cfg = replace(cfg, relay_policy=ForwardPolicy(mode="both", both_mode="probabilistic",
                                                       p=data.draw(st.floats(0.05, 0.95))))
     other = data.draw(st.integers(0, 2**32 - 1))
-    session_rngs = simengine.session_rngs
+    session_draws = simengine.session_draws
 
     def other_payloads(seed):
-        rngs = session_rngs(seed)
-        rngs[5] = np.random.default_rng(other)
-        return rngs
+        draws = session_draws(seed)
+        draws[4] = simengine.Draws(np.random.default_rng(other))
+        return draws
+
+    def first_block():
+        return simengine._Session(cfg, topo, pair, None).block.packets
 
     want = _run(cfg, topo, pair)
+    block = first_block()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simengine, "session_rngs", other_payloads)
+        mp.setattr(simengine, "session_draws", other_payloads)
         assert _run(cfg, topo, pair) == want
+        assert not np.array_equal(first_block(), block)
 
 
 def _cellular_only(cfg, topo, pair):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hetnetcode import cli, presets
+from hetnetcode import cli, presets, simengine
 from hetnetcode.config import (
     TRIAL_SEED_STRIDE,
     ConfigError,
@@ -106,6 +106,40 @@ def test_rate_sweep_worker_pool_matches_serial():
     serial = SweepSpec(values=(0.5,), trials=2, seed=3, scenario=SMALL)
     pooled = SweepSpec(values=(0.5,), trials=2, seed=3, workers=2, scenario=SMALL)
     assert preset_rate_sweep(serial)[1] == preset_rate_sweep(pooled)[1]
+
+
+@pytest.mark.parametrize("preset", [preset_rate_sweep, preset_load_sweep])
+def test_a_comparison_sweep_picks_one_pair_per_trial(monkeypatch, preset):
+    """Every session of a trial runs between one pair, picked once: not by
+    each of the 2 x points sessions again."""
+    picks = []
+    pick = simengine.pick_session_pair
+
+    def counted(*args):
+        picks.append(args)
+        return pick(*args)
+
+    monkeypatch.setattr(simengine, "pick_session_pair", counted)
+    monkeypatch.setattr(presets, "pick_session_pair", counted)
+    preset(SweepSpec(values=(1, 2, 4), trials=3, seed=6, scenario=SMALL))
+    assert len(picks) == 3
+
+
+def test_a_comparison_trial_runs_the_sessions_that_pick_their_own_pair(monkeypatch):
+    """Each compare_modes call of a rate sweep gives the stats, source and
+    destination included, of the same call with no pair given, whose
+    sessions pick the pair from their own first stream."""
+    calls = []
+
+    def recorded(cfg, topo, pair):
+        calls.append((cfg, topo, compare_modes(cfg, topo, pair)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(presets, "compare_modes", recorded)
+    preset_rate_sweep(SweepSpec(values=(0.5, 2.0), trials=3, seed=2, scenario=SMALL))
+    assert len(calls) == 6
+    for cfg, topo, stats in calls:
+        assert stats == compare_modes(cfg, topo, None)
 
 
 @pytest.mark.parametrize("policy", [{"mode": "wifi-only"},

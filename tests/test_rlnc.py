@@ -194,6 +194,53 @@ def test_draws_match_numpy_across_refills(seed, steps):
     assert_next_draws_agree(ours, theirs)
 
 
+# seeds a trial can have, and ints past 64 and 128 bits, which SeedSequence
+# takes as several words
+_SESSION_SEEDS = st.integers(0, 2**32 - 1) | st.sampled_from([2**63 - 1, 2**70, 2**128 + 5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SESSION_SEEDS,
+       steps=st.tuples(_TO_EDGE, _SHORT_DRAWS, _TO_EDGE, _SHORT_DRAWS)
+       .map(lambda parts: [parts[0], *parts[1], parts[2], *parts[3]]))
+# a double with the first block's last word kept, and a hop pick that keeps
+# it before a double, each read after the kept word
+@example(seed=2**70, steps=[("edge", 4), ("random", None), ("bytes", 8), ("edge", 8),
+                            ("below", 7), ("random", 2), ("bytes", 4)])
+def test_session_streams_draw_what_session_rngs_draw(seed, steps):
+    """Each of the five streams session_draws serves draws what numpy draws
+    from the same Generator of session_rngs(seed), across the end of the
+    stream's first block, which the first session of a seed reads fresh and
+    the next one from the memo."""
+    simengine._stream_heads.cache_clear()
+    for _ in ("first session", "memoised heads"):
+        for ours, theirs in zip(simengine.session_draws(seed), simengine.session_rngs(seed)[1:],
+                                strict=True):
+            for kind, n in steps:
+                if kind == "edge":
+                    kind, n = "bytes", ours._size - ours._pos - n + _BLOCK_BYTES
+                assert draw(ours, kind, n) == draw(theirs, kind, n)
+            assert_next_draws_agree(ours, theirs)
+
+
+def test_a_session_stream_seeds_its_generator_only_past_its_first_block(monkeypatch):
+    """A stream read within its first block builds no PCG64 once the memo
+    holds that block, and the memo holds one seed's blocks."""
+    simengine._stream_heads.cache_clear()
+    made = []
+    bitgen = simengine._stream_bitgen
+    monkeypatch.setattr(simengine, "_stream_bitgen", lambda *a: made.append(a) or bitgen(*a))
+    for _ in range(2):
+        for draws in simengine.session_draws(11):
+            draws.bytes(_BLOCK_BYTES - 8)
+    assert sorted(made) == [(11, i) for i in range(1, 6)]
+    simengine.session_draws(11)[0].bytes(_BLOCK_BYTES + 4)
+    assert made[5:] == [(11, 1)]
+    simengine.session_draws(12)[1].bytes(4)
+    assert list(simengine._stream_heads(12)) == [2]
+    assert simengine._stream_heads.cache_info().currsize == 1
+
+
 def test_draws_refuses_other_generators_and_a_kept_word():
     with pytest.raises(TypeError):
         Draws(np.random.Generator(np.random.MT19937(0)))
@@ -497,6 +544,8 @@ _ID_STEPS = st.lists(st.sampled_from([0, 1, 2**15 - 1, -1, 2**15]), min_size=1, 
 @given(capacity=st.integers(1, 8), m=st.integers(1, 20), width=st.sampled_from([0, 1, 8, 1400]),
        first_id=st.sampled_from([0, 1, 2**16 - 2, 2**16 - 1]), steps=_ID_STEPS,
        seed=st.integers(0, 2**32 - 1))
+# a full ring takes a third packet of its block, and its oldest packet leaves
+@example(capacity=2, m=1, width=0, first_id=0, steps=[0, 0, 0], seed=0)
 def test_stacked_ring_matches_packets_and_recode_oracle(capacity, m, width, first_id, steps,
                                                         seed):
     """After every offer the ring holds the accepted packets of the newest

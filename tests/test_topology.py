@@ -1,6 +1,8 @@
 import io
 import math
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,7 +83,11 @@ def test_smallest_cells_still_tell_their_nodes_apart():
 
 def test_finite_number_needs_a_finite_float_value():
     assert finite_number(10**300) and finite_number(2.5)
-    for x in (10**400, -10**400, math.inf, math.nan, True, "1", None):
+    # any numbers.Real: numpy's scalars, whose bool is not one, and Fraction
+    for x in (np.float32(1.5), np.int64(3), Fraction(1, 3)):
+        assert finite_number(x) is True
+    for x in (10**400, -10**400, math.inf, math.nan, True, "1", None, np.float64("nan"),
+              np.True_, Decimal(1), 1j):
         assert finite_number(x) is False
     # a float field still takes an int with a finite float value
     ScenarioConfig(r_cell=2, wifi_range=10**300)
@@ -197,6 +203,15 @@ def test_bucket_neighbors_match_brute_force(points, copies, r):
     for row, want in zip(got, brute_force_neighbors(positions, r)):
         assert all(type(v) is int for v in row)
         assert row == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cell_radius", [1000.0, 250.0])
+def test_bucket_neighbors_match_brute_force_on_placed_cells(seed, cell_radius):
+    """The preset scale: 750 placed nodes, at the default cell size and at
+    one where most buckets hold several nodes."""
+    topo = topology.place(750, np.random.default_rng(seed), TopologyParams(cell_radius=cell_radius))
+    assert topo.neighbors == brute_force_neighbors(topo.positions, topo.params.wifi_range)
 
 
 def test_the_largest_accepted_geometry_places_and_buckets_cleanly():
