@@ -63,15 +63,22 @@ def inverse(a: int) -> int:
 
 
 def weighted_row_sum(weights, rows: np.ndarray) -> np.ndarray:
-    """sum_t weights[t] * rows[t] over the rows of a uint8 matrix.
+    """sum_t weights[t] * rows[t] over the rows of a uint8 (M, k) matrix: a
+    (k,) row for M weights, or an (n, k) matrix for an (n, M) weight matrix,
+    whose row i is the sum for weights[i].
 
     The encode kernel (recodes and receives work on `bytes` rows): every
     product is gathered at once from the flat table (row t offset by 256 *
     weights[t]) and XOR-reduced down the rows.  Each weight's row offset
     comes from an intp table, so adding the uint8 rows to it makes the
-    gather index with no separate cast.
+    gather index with no separate cast.  A weight matrix is gathered as
+    (M, n, k) products, transposed so that the reduce runs over the
+    contiguous first axis.
     """
     w = np.asarray(weights, dtype=np.uint8)
+    if w.ndim == 2:
+        index = _ROW_OFFSET.take(w.T)[:, :, None] + rows[:, None, :]
+        return np.bitwise_xor.reduce(_MUL_FLAT.take(index), axis=0)
     return np.bitwise_xor.reduce(_MUL_FLAT[_ROW_OFFSET[w][:, None] + rows], axis=0)
 
 

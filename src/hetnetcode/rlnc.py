@@ -65,7 +65,7 @@ class CodedPacket:
         return np.frombuffer(self.row, dtype=np.uint8, offset=self.m)
 
 
-def _random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
+def random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
     """n uniform bytes, redrawn while all zero: rng.bytes(n), which a numpy
     Generator and a simengine.Draws both answer.  numpy fills it, as it fills
     rng.integers(0, 256, size=n, dtype=np.uint8), from ceil(n / 4) 32-bit
@@ -91,9 +91,22 @@ def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
     return _combined(block, coefficients.tobytes())
 
 
+def coded_packets(block: SourceBlock, coefficients: bytes) -> list[CodedPacket]:
+    """The packets whose coefficient vectors are the successive block.size
+    bytes of coefficients, in order, combined in one weighted_row_sum call:
+    packet i equals coded_packet(block, coefficients[i * M:(i + 1) * M])."""
+    m = block.size
+    if not m or len(coefficients) % m:
+        raise ValueError("coefficient bytes must be a whole number of block-size vectors")
+    weights = np.frombuffer(coefficients, dtype=np.uint8).reshape(-1, m)
+    rows = np.hstack([weights, gf256.weighted_row_sum(weights, block.packets)]).tobytes()
+    width = m + block.packets.shape[1]
+    return [CodedPacket(block.block_id, m, rows[i:i + width]) for i in range(0, len(rows), width)]
+
+
 def encode(block: SourceBlock, rng: np.random.Generator) -> CodedPacket:
     """Fresh coded packet with coefficients drawn uniformly (all-zero rejected)."""
-    return _combined(block, _random_nonzero_bytes(block.size, rng))
+    return _combined(block, random_nonzero_bytes(block.size, rng))
 
 
 class RecodeBuffer:
@@ -140,7 +153,7 @@ def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
     packets = buffer.packets
     if not packets:
         raise ValueError("cannot recode from an empty buffer")
-    weights = _random_nonzero_bytes(len(packets), rng)
+    weights = random_nonzero_bytes(len(packets), rng)
     mul = gf256.MUL_BYTES
     acc = 0
     for w, p in zip(weights, packets):

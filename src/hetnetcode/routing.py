@@ -8,6 +8,7 @@ list rather than as a clique.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 import numpy as np
@@ -20,16 +21,24 @@ class RouteTable:
     topology.HetNetTopology, which builds its own table (its `routes`).
 
     Distances to a destination are computed on its first use (single-threaded
-    access only).
+    access only).  The table refers to its topology weakly: the topology
+    caches the table, and a strong reference back would make the pair a
+    cycle that only the cyclic garbage collector frees.
     """
 
     def __init__(self, topo):
-        self.topology = topo
+        self._topology = weakref.ref(topo)
         self._bus = np.array(sorted(topo.backbone), dtype=np.int64)
         self._dist: dict[int, np.ndarray] = {}
 
+    @property
+    def topology(self):
+        """The topology this table routes over, or None once it is freed."""
+        return self._topology()
+
     def _bfs(self, src: int) -> np.ndarray:
-        links = self.topology.links
+        topo = self.topology
+        links = topo.links
         dist = np.full(len(links), UNREACHABLE)
         dist[src] = 0.0
         q = deque([src])
@@ -41,7 +50,7 @@ class RouteTable:
                 if dist[v] == UNREACHABLE:
                     dist[v] = nxt
                     q.append(v)
-            if bus_pending and u in self.topology.backbone:
+            if bus_pending and u in topo.backbone:
                 # BFS reaches the bus first at its nearest member, so every
                 # member not yet reached is exactly one hop further
                 bus_pending = False

@@ -368,6 +368,8 @@ class _Session:
         pipe = loaded_cellular_rate(link, config) if config.cellular_enabled else 0.0
         self._cell_pipe = self.cell_up, self.cell_down = _Credit(pipe), _Credit(pipe)
         self.cell_queue: deque = deque()
+        # the source's cellular packets combined ahead of their sends, oldest first
+        self._cell_ready: deque = deque()
 
         self.wired_active = config.wifi_enabled and (
             len(topo.backbone) > 1 or bool(topo.wired.edges))
@@ -468,11 +470,24 @@ class _Session:
         a relay, which spends one send credit."""
         self.sent[interface] += 1
         if node == self.src:
-            rng = self.rng_cell if interface == "cellular" else self.rng_wifi
-            return rlnc.encode(self.block, rng)
+            if interface == "cellular":
+                return self._cellular_encode()
+            return rlnc.encode(self.block, self.rng_wifi)
         relay = self.relays[node]
         relay.send_credit -= 1
         return rlnc.recode(relay.buffer, self.rng_relay)
+
+    def _cellular_encode(self) -> CodedPacket:
+        """The source's next cellular packet.  Nothing but these encodes reads
+        rng_cell, so its coefficient vectors are drawn a block's worth at a
+        time, as that many encodes draw them, and combined with the block in
+        one call; each send takes the oldest."""
+        ready = self._cell_ready
+        if not ready:
+            m, rng = self.cfg.block_size, self.rng_cell
+            coefficients = b"".join([rlnc.random_nonzero_bytes(m, rng) for _ in range(m)])
+            ready.extend(rlnc.coded_packets(self.block, coefficients))
+        return ready.popleft()
 
     def _land(self, rx: int, packet: CodedPacket, interface: str):
         """packet arrives at rx over interface: a relay, made now so that every
@@ -502,6 +517,10 @@ class _Session:
         if self.ack_slot is not None and self.slot >= self.ack_slot:
             self.ack_slot = None
             self.block = self._make_block((self.block.block_id + 1) % rlnc.BLOCK_ID_MODULUS)
+            ready = self._cell_ready
+            if ready:  # unsent cellular packets keep their coefficients
+                coefficients = b"".join([p.row[:p.m] for p in ready])
+                self._cell_ready = deque(rlnc.coded_packets(self.block, coefficients))
 
     def _ingest_relays(self):
         # in landing order, not relay by relay: an ingest draws nothing and

@@ -31,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ENGINE = "hetnetcode/simengine.py"
 GF256 = "hetnetcode/gf256.py"
 REFERENCE = "tests/test_reference_engine.py"
+CELLULAR_ENCODES = ("tests/test_simengine.py::"
+                    "test_cellular_packets_are_the_encodes_of_the_cellular_stream")
 
 # (name, file under src/, exact old text, new text, oracle tests)
 MUTANTS = [
@@ -164,6 +166,24 @@ MUTANTS = [
      "self.packets.pop(0)",
      "self.packets.pop()",
      ["tests/test_rlnc.py::test_stacked_ring_matches_packets_and_recode_oracle"]),
+    ("unsent-cellular-packets-keep-the-old-block", ENGINE,
+     "            ready = self._cell_ready\n"
+     "            if ready:  # unsent cellular packets keep their coefficients\n"
+     "                coefficients = b\"\".join([p.row[:p.m] for p in ready])\n"
+     "                self._cell_ready = deque(rlnc.coded_packets(self.block, coefficients))\n",
+     "",
+     [CELLULAR_ENCODES]),
+    ("unsent-cellular-packets-redrawn", ENGINE,
+     "            ready = self._cell_ready\n"
+     "            if ready:  # unsent cellular packets keep their coefficients\n"
+     "                coefficients = b\"\".join([p.row[:p.m] for p in ready])\n"
+     "                self._cell_ready = deque(rlnc.coded_packets(self.block, coefficients))\n",
+     "            self._cell_ready.clear()\n",
+     [CELLULAR_ENCODES]),
+    ("receive-lead-one-byte-high", "hetnetcode/rlnc.py",
+     "shift = ((res & -res).bit_length() - 1) & ~7",
+     "shift = (((res & -res).bit_length() - 1) & ~7) + 8",
+     ["tests/test_rlnc.py::test_receive_rank_monotone_and_flag_matches_delta"]),
     ("stderr-population", "hetnetcode/presets.py",
      "var = sum((x - m) ** 2 for x in xs) / (len(xs) - 1)",
      "var = sum((x - m) ** 2 for x in xs) / len(xs)",

@@ -44,7 +44,7 @@ def draw(rng, kind: str, n):
         return rng.below(n) if isinstance(rng, Draws) else int(rng.integers(0, n))
     if kind == "coefficients":
         if isinstance(rng, Draws):
-            return rlnc._random_nonzero_bytes(n, rng)
+            return rlnc.random_nonzero_bytes(n, rng)
         return random_nonzero_vector(n, rng).tobytes()
     values = rng.random(n)
     return values if n is None or isinstance(rng, Draws) else values.tolist()

@@ -261,19 +261,30 @@ def oracle_solve(m, rhs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(weights=st.lists(ELEMENTS, max_size=20), width=WIDTHS, seed=st.integers(0, 2**32 - 1))
-@example(weights=[], width=8, seed=0)
-@example(weights=[0, 0, 0], width=1400, seed=1)
-@example(weights=[7, 7, 0, 7], width=1, seed=2)
-def test_weighted_row_sum_matches_oracle(weights, width, seed):
-    rows = np.random.default_rng(seed).integers(0, 256, size=(len(weights), width),
-                                                dtype=np.uint8)
+@given(weights=st.lists(ELEMENTS, max_size=20), width=WIDTHS, batch=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(weights=[], width=8, batch=2, seed=0)
+@example(weights=[0, 0, 0], width=1400, batch=1, seed=1)
+@example(weights=[7, 7, 0, 7], width=1, batch=3, seed=2)
+@example(weights=[5, 9], width=8, batch=0, seed=3)
+def test_weighted_row_sum_matches_oracle(weights, width, batch, seed):
+    """A weight vector gives one row; an (n, M) weight matrix, here weights
+    on top of batch - 1 random rows, gives the n rows of its weight rows."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 256, size=(len(weights), width), dtype=np.uint8)
     w = np.array(weights, dtype=np.uint8)
-    kept_w, kept_rows = w.copy(), rows.copy()
+    matrix = np.vstack([w, rng.integers(0, 256, size=(max(batch - 1, 0), len(weights)),
+                                        dtype=np.uint8)])[:batch]
+    kept_w, kept_matrix, kept_rows = w.copy(), matrix.copy(), rows.copy()
     got = gf256.weighted_row_sum(w, rows)
     assert got.dtype == np.uint8 and got.shape == (width,)
     assert got.tolist() == oracle_weighted_row_sum(weights, rows.tolist(), width)
-    assert np.array_equal(w, kept_w) and np.array_equal(rows, kept_rows)
+    got_rows = gf256.weighted_row_sum(matrix, rows)
+    assert got_rows.dtype == np.uint8 and got_rows.shape == (batch, width)
+    assert got_rows.tolist() == [oracle_weighted_row_sum(row, rows.tolist(), width)
+                                 for row in matrix.tolist()]
+    assert np.array_equal(w, kept_w) and np.array_equal(matrix, kept_matrix)
+    assert np.array_equal(rows, kept_rows)
 
 
 @settings(max_examples=100, deadline=None)

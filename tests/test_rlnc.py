@@ -44,6 +44,19 @@ def test_encode_hand_example():
     assert p.payload.tolist() == [0x01]
 
 
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 8), k=st.integers(0, 16), n=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_coded_packets_are_the_packets_of_their_coefficient_rows(m, k, n, seed):
+    """One batch of n coefficient vectors gives, in order, the packets that
+    coded_packet gives for each vector."""
+    rng = np.random.default_rng(seed)
+    block = make_block(rng, block_id=int(rng.integers(0, rlnc.BLOCK_ID_MODULUS)), m=m, k=k)
+    coefficients = rng.integers(0, 256, size=(n, m), dtype=np.uint8)
+    got = rlnc.coded_packets(block, coefficients.tobytes())
+    assert got == [rlnc.coded_packet(block, row) for row in coefficients]
+
+
 def test_encode_rejects_all_zero_draw():
     block = make_block(np.random.default_rng(1), m=3, k=4)
     rng = ForcedRng([0, 0, 0], [0, 5, 0])
@@ -70,7 +83,7 @@ def test_coefficient_draw_is_numpys_uint8_draw(bit_generator, seed, steps):
     for kind, n in steps:
         if kind == "coefficients":
             want = oracles.random_nonzero_vector(n, theirs).tobytes()
-            assert rlnc._random_nonzero_bytes(n, ours) == want
+            assert rlnc.random_nonzero_bytes(n, ours) == want
         elif kind == "pick":
             assert ours.integers(0, n) == theirs.integers(0, n)
         else:
@@ -85,7 +98,7 @@ def test_coefficient_draw_rejects_a_zero_byte(bit_generator, seed):
     first = np.random.Generator(bit_generator(seed)).integers(0, 256, size=1, dtype=np.uint8)
     assert first[0] == 0
     ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-    got = rlnc._random_nonzero_bytes(1, ours)
+    got = rlnc.random_nonzero_bytes(1, ours)
     assert got != b"\0" and got == oracles.random_nonzero_vector(1, theirs).tobytes()
     np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
 
@@ -375,6 +388,10 @@ def test_codec_rejects_malformed_blocks_vectors_and_buffers():
     block = rlnc.SourceBlock(0, np.zeros((2, 3), dtype=np.uint8))
     with pytest.raises(ValueError, match="block size"):
         rlnc.coded_packet(block, [1, 2, 3])
+    with pytest.raises(ValueError, match="whole number of block-size vectors"):
+        rlnc.coded_packets(block, bytes(3))
+    with pytest.raises(ValueError, match="whole number of block-size vectors"):
+        rlnc.coded_packets(rlnc.SourceBlock(0, np.zeros((0, 3), dtype=np.uint8)), b"")
     with pytest.raises(ValueError, match="capacity must be >= 1"):
         rlnc.RecodeBuffer(0)
 

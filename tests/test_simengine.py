@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hetnetcode import gf256, presets, rlnc, routing, simengine, topology
 from hetnetcode.config import (
@@ -666,8 +666,9 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
 
 def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
     """Over a chain session, relay recodes and destination receives run on
-    bytes rows: gf256.weighted_row_sum is called once per encode and never
-    otherwise."""
+    bytes rows: gf256.weighted_row_sum is called once per WiFi or wired
+    encode, with a weight vector, and once per batch of cellular packets,
+    with a weight matrix, and never otherwise."""
     cfg, topo = chain_session(4, block_target=3, slot_budget=2000)
     calls = Counter()
 
@@ -676,13 +677,52 @@ def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
 
         def counted(*args):
             calls[name] += 1
+            if name == "weighted_row_sum":
+                calls[f"weighted_row_sum {np.ndim(args[0])}-D"] += 1
             return real(*args)
         monkeypatch.setattr(owner, name, counted)
 
     counting(gf256, "weighted_row_sum")
     counting(rlnc, "encode")
+    counting(rlnc, "coded_packets")
     counting(rlnc, "recode")
     stats, _ = run_session(cfg, topo, pair=(0, 4))
     assert stats.blocks_delivered == 3
-    assert calls["recode"] > 0 and calls["encode"] > 0
-    assert calls["weighted_row_sum"] == calls["encode"]
+    assert calls["recode"] > 0 and calls["encode"] > 0 and calls["coded_packets"] > 0
+    assert stats.cellular_sent > calls["coded_packets"]
+    assert calls["weighted_row_sum 1-D"] == calls["encode"]
+    assert calls["weighted_row_sum 2-D"] == calls["coded_packets"]
+    assert calls["weighted_row_sum"] == calls["encode"] + calls["coded_packets"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_size=st.integers(1, 6), ack_delay=st.integers(0, 3),
+       pipe=st.sampled_from([0.05, 0.3, 0.7, 1.0, 1.5, 2.5, 4.0]), hops=st.integers(1, 4),
+       wifi=st.booleans(), block_target=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+@example(block_size=4, ack_delay=0, pipe=0.7, hops=2, wifi=True, block_target=3, seed=1)
+@example(block_size=6, ack_delay=3, pipe=2.5, hops=1, wifi=True, block_target=2, seed=2)
+@example(block_size=3, ack_delay=2, pipe=1.5, hops=3, wifi=False, block_target=4, seed=3)
+def test_cellular_packets_are_the_encodes_of_the_cellular_stream(
+        block_size, ack_delay, pipe, hops, wifi, block_target, seed):
+    """The source's cellular packets, combined a block's worth at a time and
+    recombined when the source advances a block, are byte for byte the
+    packets per-packet encodes of session_rngs(seed)[1] give from the block
+    the source holds at each send."""
+    cfg, topo = chain_session(hops, seed=seed, block_size=block_size, ack_delay=ack_delay,
+                              r_cell=4.0, link_rate_override=pipe, wifi_enabled=wifi,
+                              block_target=block_target, slot_budget=400)
+    sends = []
+    real_emit = simengine._Session._emit
+
+    def recording_emit(session, node, interface):
+        pkt = real_emit(session, node, interface)
+        if interface == "cellular":
+            sends.append((session.block, pkt))
+        return pkt
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine._Session, "_emit", recording_emit)
+        stats, _ = run_session(cfg, topo, pair=(0, hops))
+    assert len(sends) == stats.cellular_sent
+    rng = simengine.session_rngs(seed)[1]
+    for block, pkt in sends:
+        assert pkt == rlnc.encode(block, rng)

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import weakref
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -294,6 +296,28 @@ def test_shared_placement_matches_fresh_generate(node_count, base_fraction, frac
     assert plain.routes is plain_routes and plain_routes.topology is plain
     for dst, dist in zip(dsts, plain_dist):
         assert np.array_equal(plain.routes.distances_to(dst), dist)
+
+
+def test_a_dropped_topology_with_built_routes_is_freed_without_the_cycle_collector():
+    """A topology and its cached RouteTable form no reference cycle, so
+    dropping the topology frees it (and its table) with gc disabled."""
+    config = ScenarioConfig(node_count=60, cell_radius=120.0, backbone_fraction=0.2)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        made = [topology.chain_topology(3), presets.cell_topology(config, 0)]
+        made.append(topology.with_backbone(made[1], 0.5))
+        refs = []
+        for topo in made:
+            routes = topo.routes
+            assert routes.topology is topo
+            routes.next_hops(0, len(topo) - 1, "wired")
+            refs.append((weakref.ref(topo), weakref.ref(routes)))
+        del topo, routes, made
+        assert [(t(), r()) for t, r in refs] == [(None, None)] * 3
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("text", ["validate=1\n", "delta=abc\n", "delta=inf\n",
