@@ -4,9 +4,9 @@ Field elements are plain ints in [0, 255] (or uint8 numpy arrays when
 operating elementwise); matrices are 2-D uint8 arrays.  A row kept as
 `bytes` is scaled by w with row.translate(MUL_BYTES[w]).  Multiplication is
 reduced by the conventional polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
-The matrix kernels multiply by table lookup: weighted_row_sum gathers from
-the flattened MUL_TABLE, and solve takes the rows of MUL_TABLE for its
-multipliers, then the columns for the pivot row's entries.
+The matrix kernels multiply by table lookup: weighted_row_sum (weight
+matrices only) gathers from the flattened MUL_TABLE, and solve takes the
+rows of MUL_TABLE for its multipliers, then the pivot row's columns.
 """
 
 from __future__ import annotations
@@ -62,24 +62,14 @@ def inverse(a: int) -> int:
     return int(INV_TABLE[a])
 
 
-def weighted_row_sum(weights, rows: np.ndarray) -> np.ndarray:
-    """sum_t weights[t] * rows[t] over the rows of a uint8 (M, k) matrix: a
-    (k,) row for M weights, or an (n, k) matrix for an (n, M) weight matrix,
-    whose row i is the sum for weights[i].
-
-    The encode kernel (recodes and receives work on `bytes` rows): every
-    product is gathered at once from the flat table (row t offset by 256 *
-    weights[t]) and XOR-reduced down the rows.  Each weight's row offset
-    comes from an intp table, so adding the uint8 rows to it makes the
-    gather index with no separate cast.  A weight matrix is gathered as
-    (M, n, k) products, transposed so that the reduce runs over the
-    contiguous first axis.
-    """
-    w = np.asarray(weights, dtype=np.uint8)
-    if w.ndim == 2:
-        index = _ROW_OFFSET.take(w.T)[:, :, None] + rows[:, None, :]
-        return np.bitwise_xor.reduce(_MUL_FLAT.take(index), axis=0)
-    return np.bitwise_xor.reduce(_MUL_FLAT[_ROW_OFFSET[w][:, None] + rows], axis=0)
+def weighted_row_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (n, k) matrix whose row i is sum_t weights[i, t] * rows[t], for a
+    uint8 (n, M) weight matrix and a uint8 (M, k) matrix of rows: the batch
+    kernel of the source's cellular packets.  The (M, n, k) products are
+    gathered at once from the flat table (row offsets from an intp table, so
+    no separate cast) and XOR-reduced over the contiguous first axis."""
+    index = _ROW_OFFSET.take(weights.T)[:, :, None] + rows[:, None, :]
+    return np.bitwise_xor.reduce(_MUL_FLAT.take(index), axis=0)
 
 
 def solve(m, rhs) -> np.ndarray:

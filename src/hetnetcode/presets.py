@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import simengine, topology as topo_mod
+from . import topology as topo_mod
 from .config import TRIAL_SEED_STRIDE, ConfigError, ScenarioConfig, SweepSpec
 from .simengine import compare_modes, pick_session_pair, run_session
 
@@ -114,7 +114,7 @@ def _compare_trial(args):
     if chain_hops is None:
         cfg = trial_config(base, spec_seed, trial)
         topo = cell_topology(base, spec_seed, trial)
-        pair = pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])
+        pair = pick_session_pair(topo, cfg)
     else:
         base, topo, pair = chain_scenario(base, chain_hops)
     out = []
@@ -173,7 +173,7 @@ def _infra_trial(args):
     spec_seed, trial, fracs, base = args
     cfg = trial_config(base, spec_seed, trial)
     base_topo = cell_topology(cfg, spec_seed, trial)
-    pair = pick_session_pair(base_topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])
+    pair = pick_session_pair(base_topo, cfg)
     out = []
     for frac in fracs:
         stats, _ = run_session(cfg, topo_mod.with_backbone(base_topo, float(frac)), pair=pair)

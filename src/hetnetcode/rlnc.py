@@ -9,6 +9,7 @@ block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,28 @@ class SourceBlock:
         self.packets = np.asarray(self.packets, dtype=np.uint8)
         if self.packets.ndim != 2:
             raise ValueError("packets must be an (M, k) array")
+        if not self.packets.shape[0]:
+            raise ValueError("a block needs at least one packet")
         if not 0 <= self.block_id < BLOCK_ID_MODULUS:
             raise ValueError("block_id out of range")
 
     @property
     def size(self) -> int:
         return self.packets.shape[0]
+
+    @functools.cached_property
+    def rows(self) -> list[bytes]:
+        """[unit vector t | packet t] as bytes per packet t, built on first
+        use: an encode combines these rows as a recode combines its ring's."""
+        m, k = self.packets.shape
+        flat = self.packets.tobytes()
+        return [u + flat[t * k:(t + 1) * k] for t, u in enumerate(_unit_rows(m))]
+
+
+@functools.cache
+def _unit_rows(m: int) -> tuple[bytes, ...]:
+    """The m unit vectors of length m as bytes, made once per block size."""
+    return tuple(map(bytes, np.eye(m, dtype=np.uint8)))
 
 
 @dataclass(slots=True)
@@ -70,17 +87,24 @@ def random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
     Generator and a simengine.Draws both answer.  numpy fills it, as it fills
     rng.integers(0, 256, size=n, dtype=np.uint8), from ceil(n / 4) 32-bit
     words, low byte first, dropping a last word's spare bytes."""
+    if n < 1:
+        raise ValueError("a nonzero draw needs at least one byte")
     v = rng.bytes(n)
     while not any(v):
         v = rng.bytes(n)
     return v
 
 
-def _combined(block: SourceBlock, coefficients: bytes) -> CodedPacket:
-    """The packet with these coefficient bytes, one per block packet."""
-    payload = gf256.weighted_row_sum(np.frombuffer(coefficients, dtype=np.uint8),
-                                     block.packets)
-    return CodedPacket(block.block_id, block.size, coefficients + payload.tobytes())
+def _combined(block_id: int, m: int, rows: list[bytes], weights: bytes) -> CodedPacket:
+    """The packet sum_t weights[t] * rows[t] of [coefficients (m bytes) |
+    payload] bytes rows, each scaled with one translate and summed as XORed
+    big-endian ints: its coefficients describe its payload in terms of the
+    source block exactly as the rows' do."""
+    mul, from_bytes = gf256.MUL_BYTES, int.from_bytes
+    acc = 0
+    for w, row in zip(weights, rows):
+        acc ^= from_bytes(row.translate(mul[w]))
+    return CodedPacket(block_id, m, acc.to_bytes(len(rows[0])))
 
 
 def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
@@ -88,7 +112,7 @@ def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
     coefficients = np.asarray(coefficients, dtype=np.uint8)
     if coefficients.shape != (block.size,):
         raise ValueError("coefficient vector length must equal the block size")
-    return _combined(block, coefficients.tobytes())
+    return _combined(block.block_id, block.size, block.rows, coefficients.tobytes())
 
 
 def coded_packets(block: SourceBlock, coefficients: bytes) -> list[CodedPacket]:
@@ -96,7 +120,7 @@ def coded_packets(block: SourceBlock, coefficients: bytes) -> list[CodedPacket]:
     bytes of coefficients, in order, combined in one weighted_row_sum call:
     packet i equals coded_packet(block, coefficients[i * M:(i + 1) * M])."""
     m = block.size
-    if not m or len(coefficients) % m:
+    if len(coefficients) % m:
         raise ValueError("coefficient bytes must be a whole number of block-size vectors")
     weights = np.frombuffer(coefficients, dtype=np.uint8).reshape(-1, m)
     rows = np.hstack([weights, gf256.weighted_row_sum(weights, block.packets)]).tobytes()
@@ -105,8 +129,9 @@ def coded_packets(block: SourceBlock, coefficients: bytes) -> list[CodedPacket]:
 
 
 def encode(block: SourceBlock, rng: np.random.Generator) -> CodedPacket:
-    """Fresh coded packet with coefficients drawn uniformly (all-zero rejected)."""
-    return _combined(block, random_nonzero_bytes(block.size, rng))
+    """Fresh coded packet: a recode of the block's unit rows, all-zero weights rejected."""
+    m = block.size
+    return _combined(block.block_id, m, block.rows, random_nonzero_bytes(m, rng))
 
 
 class RecodeBuffer:
@@ -142,24 +167,13 @@ class RecodeBuffer:
 
 
 def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
-    """Random recombination of the buffered packets (all-zero weights rejected).
-
-    Weight t goes to packet t, oldest first.  Each packet's whole
-    [coefficients | payload] row is scaled by its weight with one translate
-    and the rows are summed as XORed ints, so the new packet's coefficients
-    describe its payload in terms of the source block exactly as an
-    encode's do.
-    """
+    """Random recombination of the buffered packets (all-zero weights
+    rejected), weight t to packet t, oldest first."""
     packets = buffer.packets
     if not packets:
         raise ValueError("cannot recode from an empty buffer")
     weights = random_nonzero_bytes(len(packets), rng)
-    mul = gf256.MUL_BYTES
-    acc = 0
-    for w, p in zip(weights, packets):
-        acc ^= int.from_bytes(p.row.translate(mul[w]), "little")
-    first = packets[0]
-    return CodedPacket(buffer.block_id, first.m, acc.to_bytes(len(first.row), "little"))
+    return _combined(buffer.block_id, packets[0].m, [p.row for p in packets], weights)
 
 
 class DecoderState:
@@ -177,6 +191,8 @@ class DecoderState:
     """
 
     def __init__(self, block_id: int, block_size: int):
+        if block_size < 1:
+            raise ValueError("block size must be >= 1")
         self.block_id = block_id
         self.block_size = block_size
         self.rank = 0

@@ -247,24 +247,25 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
     return admitted
 
 
-def pick_session_pair(topo: HetNetTopology, min_hops: int,
-                      rng: np.random.Generator) -> tuple[int, int]:
-    """Random S-D pair with a finite route of at least min_hops hops."""
-    order = rng.permutation(len(topo))
-    for s in order:
+def pick_session_pair(topo: HetNetTopology, config: ScenarioConfig) -> tuple[int, int]:
+    """The random S-D pair, with a finite route of at least config.min_hops
+    hops, of a session that picks its own: drawn from the first of
+    session_rngs(config.seed)."""
+    rng = session_rngs(config.seed)[0]
+    for s in rng.permutation(len(topo)):
         dist = topo.routes.distances_to(int(s))
-        cand = np.nonzero((dist >= min_hops) & (dist < UNREACHABLE))[0]
+        cand = np.nonzero((dist >= config.min_hops) & (dist < UNREACHABLE))[0]
         if cand.size:
             d = int(cand[rng.integers(0, cand.size)])
             return int(s), d
-    raise NoPathError(f"no node pair at >= {min_hops} hops exists in this topology")
+    raise NoPathError(f"no node pair at >= {config.min_hops} hops exists in this topology")
 
 
 def session_rngs(seed: int) -> list[np.random.Generator]:
     """A session's independent PCG64 Generators, in order: S-D pair pick,
     cellular coefficients, source WiFi/wired draws, relay recodes and hop
-    picks, radio scheduler, block payloads.  A session that picks its own
-    pair draws it from the first; session_draws serves the five after it."""
+    picks, radio scheduler, block payloads.  pick_session_pair draws a
+    session's pair from the first; session_draws serves the five after it."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
 
 
@@ -353,7 +354,7 @@ class _Session:
         (self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
          self.rng_data) = session_draws(config.seed)
         if pair is None:
-            pair = pick_session_pair(topo, config.min_hops, session_rngs(config.seed)[0])
+            pair = pick_session_pair(topo, config)
         self.src, self.dst = int(pair[0]), int(pair[1])
         if self.src == self.dst:
             raise ConfigError("source and destination must differ")

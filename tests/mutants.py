@@ -96,11 +96,11 @@ MUTANTS = [
      "    if head is None:\n"
      "        head = heads[0] =",
      ["tests/test_rlnc.py::test_session_streams_draw_what_session_rngs_draw"]),
-    ("comparison-pair-from-the-coefficient-stream", "hetnetcode/presets.py",
-     "pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])",
-     "pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[1])",
-     ["tests/test_presets_cli.py::"
-      "test_a_comparison_trial_runs_the_sessions_that_pick_their_own_pair"]),
+    # the sessions and the presets' trials all pick their pair here
+    ("session-pair-from-the-coefficient-stream", ENGINE,
+     "rng = session_rngs(config.seed)[0]",
+     "rng = session_rngs(config.seed)[1]",
+     ["tests/test_simengine.py::test_the_pair_is_drawn_from_the_first_session_stream"]),
     ("wired-flood-bounded-by-block-target", ENGINE,
      "        # bounded by their processing rate and their send credit\n"
      "        for _ in range(self.cfg.block_size):\n",
@@ -192,6 +192,11 @@ MUTANTS = [
      "yield _mean(cell), _mean(comb), _stderr(comb)",
      "yield _mean(cell), _mean(comb), _stderr(cell)",
      ["tests/test_presets_cli.py::test_rate_sweep_stderr_is_the_combined_trials_standard_error"]),
+    ("combine-drops-the-first-row", "hetnetcode/rlnc.py",
+     "for w, row in zip(weights, rows):",
+     "for w, row in zip(weights[1:], rows[1:]):",
+     ["tests/test_rlnc.py::"
+      "test_encode_is_the_batch_kernels_packet_and_the_oracles_combination"]),
     ("block-id-window-inclusive", "hetnetcode/rlnc.py",
      "< _HALF_WINDOW",
      "<= _HALF_WINDOW",
@@ -200,6 +205,14 @@ MUTANTS = [
      "return sorted(set(hops))",
      "return list(dict.fromkeys(hops))",
      ["tests/test_routing.py::test_wired_next_hops_are_ascending_and_unique"]),
+    ("bus-members-two-hops-out", "hetnetcode/routing.py",
+     "dist[fresh] = nxt",
+     "dist[fresh] = nxt + 1",
+     ["tests/test_routing.py::test_bus_routes_match_explicit_clique"]),
+    ("json-syntax-error-exits-1", "hetnetcode/cli.py",
+     "except (ValueError, RecursionError) as exc:",
+     "except RecursionError as exc:",
+     ["tests/test_rejected_inputs.py::test_rejected_input_exits_2_as_a_config_error[not-json]"]),
     ("solve-without-row-swap", GF256,
      "            aug[[col, piv]] = aug[[piv, col]]\n",
      "",

@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the program with: the
 coefficient draw through numpy's uint8 integers, numpy's own draws beside a
 session stream's, the protocol-model guard over every pair of
-transmissions, GF(2^8) linear algebra on uint8 matrices, per-node topology
-and routing scans, and a session's cut bound; and the reader of a topology
-dump, which only the tests read back."""
+transmissions, GF(2^8) linear algebra on uint8 matrices and on Python ints,
+per-node topology and routing scans, a session's pair pick and cut bound;
+and the reader of a topology dump, which only the tests read back."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from hetnetcode import rlnc
+from hetnetcode import gf256, rlnc
 from hetnetcode.config import ConfigError, TopologyParams
 from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
 from hetnetcode.routing import UNREACHABLE
@@ -93,6 +93,15 @@ def matmul(a, b) -> np.ndarray:
     return out
 
 
+def weighted_row_sum(weights, rows, width: int) -> list[int]:
+    """sum_t weights[t] * rows[t] of width-long rows of ints, one product at a
+    time with gf256.mul: no table gather and no bytes translate."""
+    out = [0] * width
+    for w, row in zip(weights, rows):
+        out = [o ^ gf256.mul(w, x) for o, x in zip(out, row)]
+    return out
+
+
 def rank(m) -> int:
     """Row rank by Gaussian elimination; the pivot is the first nonzero entry
     in the column, lowest row index first."""
@@ -137,6 +146,18 @@ def payload_matrix(dec) -> np.ndarray:
 
 def hop_distance(topo, src: int, dst: int) -> float:
     return float(topo.routes.distances_to(dst)[src])
+
+
+def session_pair(topo, min_hops: int, rng: np.random.Generator) -> tuple[int, int] | None:
+    """The pair pick of a session on rng: the first node of a random order of
+    the nodes that has nodes at >= min_hops finite hops, and a uniform one
+    of those, in ascending order.  None when no node has one."""
+    for s in rng.permutation(len(topo)):
+        far = [d for d in range(len(topo))
+               if min_hops <= hop_distance(topo, int(s), d) < UNREACHABLE]
+        if far:
+            return int(s), far[rng.integers(0, len(far))]
+    return None
 
 
 def on_route(node: int, src: int, dst: int, topo) -> bool:

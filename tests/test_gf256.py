@@ -228,18 +228,12 @@ def test_matmul_shapes_and_errors():
 # --- weighted_row_sum and solve against pure-python oracles on gf256.mul ------
 #
 # The solve tests above take oracles.matmul, a MUL_TABLE lookup, as their
-# reference; these oracles share no code with weighted_row_sum or solve.
+# reference; these oracles (oracles.weighted_row_sum and oracle_solve) share
+# no code with weighted_row_sum or solve.
 
 WIDTHS = st.sampled_from([1, 8, 1400])
 # a small alphabet next to the full field gives zeros and repeats often
 ELEMENTS = st.sampled_from([0, 1, 2, 255]) | st.integers(0, 255)
-
-
-def oracle_weighted_row_sum(weights, rows, width):
-    out = [0] * width
-    for w, row in zip(weights, rows):
-        out = [o ^ gf256.mul(w, x) for o, x in zip(out, row)]
-    return out
 
 
 def oracle_solve(m, rhs):
@@ -268,20 +262,21 @@ def oracle_solve(m, rhs):
 @example(weights=[7, 7, 0, 7], width=1, batch=3, seed=2)
 @example(weights=[5, 9], width=8, batch=0, seed=3)
 def test_weighted_row_sum_matches_oracle(weights, width, batch, seed):
-    """A weight vector gives one row; an (n, M) weight matrix, here weights
-    on top of batch - 1 random rows, gives the n rows of its weight rows."""
+    """The one-row weight matrix [weights] gives one row; an (n, M) weight
+    matrix, here weights on top of batch - 1 random rows, gives the n rows
+    of its weight rows."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 256, size=(len(weights), width), dtype=np.uint8)
-    w = np.array(weights, dtype=np.uint8)
+    w = np.array([weights], dtype=np.uint8).reshape(1, len(weights))
     matrix = np.vstack([w, rng.integers(0, 256, size=(max(batch - 1, 0), len(weights)),
                                         dtype=np.uint8)])[:batch]
     kept_w, kept_matrix, kept_rows = w.copy(), matrix.copy(), rows.copy()
     got = gf256.weighted_row_sum(w, rows)
-    assert got.dtype == np.uint8 and got.shape == (width,)
-    assert got.tolist() == oracle_weighted_row_sum(weights, rows.tolist(), width)
+    assert got.dtype == np.uint8 and got.shape == (1, width)
+    assert got.tolist() == [oracles.weighted_row_sum(weights, rows.tolist(), width)]
     got_rows = gf256.weighted_row_sum(matrix, rows)
     assert got_rows.dtype == np.uint8 and got_rows.shape == (batch, width)
-    assert got_rows.tolist() == [oracle_weighted_row_sum(row, rows.tolist(), width)
+    assert got_rows.tolist() == [oracles.weighted_row_sum(row, rows.tolist(), width)
                                  for row in matrix.tolist()]
     assert np.array_equal(w, kept_w) and np.array_equal(matrix, kept_matrix)
     assert np.array_equal(rows, kept_rows)

@@ -6,7 +6,10 @@ the package, so topology.py imports it, and no module imports another that
 imports it back.  Every config class is frozen and checked when made, by
 __init__ and by dataclasses.replace alike, so no module checks a config
 again: no validate is defined or called.  In simengine.py the per-slot
-credit rule is written once, in _tick."""
+credit rule is written once, in _tick.  Every single coded packet is
+combined in one place, rlnc._combined, and the numpy kernel
+gf256.weighted_row_sum serves the cellular batches (rlnc.coded_packets)
+alone."""
 
 import ast
 import dataclasses
@@ -121,6 +124,17 @@ def test_the_credit_rule_is_written_once():
     credit = next(node for node in tree.body
                   if isinstance(node, ast.ClassDef) and node.name == "_Credit")
     assert "tick" not in {node.name for node in credit.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_combine_per_packet_and_the_numpy_kernel_for_batches_only():
+    kernel_callers = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+                      for scope, _ in _attribute_uses(_tree(path), "weighted_row_sum")}
+    assert kernel_callers == {("rlnc.py", "coded_packets")}
+    combine_callers = {func.name for func in ast.walk(_tree(SRC / "rlnc.py"))
+                       if isinstance(func, ast.FunctionDef)
+                       for node in ast.walk(func)
+                       if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_combined"}
+    assert combine_callers == {"encode", "coded_packet", "recode"}
 
 
 @pytest.mark.parametrize("cls", [TopologyParams, ForwardPolicy, ScenarioConfig, SweepSpec])

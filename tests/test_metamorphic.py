@@ -30,7 +30,7 @@ def _with_pair(cfg, topo, pair):
     """pair, or the one the session would pick when it is None."""
     if pair is None:
         try:
-            pair = pick_session_pair(topo, cfg.min_hops, simengine.session_rngs(cfg.seed)[0])
+            pair = pick_session_pair(topo, cfg)
         except NoPathError:
             assume(False)
     return pair

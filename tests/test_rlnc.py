@@ -65,6 +65,33 @@ def test_encode_rejects_all_zero_draw():
     assert rng.vectors == []
 
 
+# a small alphabet next to the full field gives zero weights often
+_WEIGHTS = st.sampled_from([0, 1, 2, 255]) | st.integers(0, 255)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(_WEIGHTS, min_size=1, max_size=20).filter(any),
+       width=st.sampled_from([1, 8, 1400]), redraw=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(weights=[0] * 19 + [7], width=8, redraw=True, seed=0)
+@example(weights=[255], width=1400, redraw=False, seed=1)
+def test_encode_is_the_batch_kernels_packet_and_the_oracles_combination(
+        weights, width, redraw, seed):
+    """An encode, a bytes-row combine of the block's unit rows, gives the
+    packet that the numpy batch kernel gives for the bytes it drew, and the
+    pure-Python oracle's payload for them; zero weights included, and after
+    an all-zero redraw."""
+    rng = np.random.default_rng(seed)
+    m = len(weights)
+    block = make_block(rng, block_id=int(rng.integers(0, rlnc.BLOCK_ID_MODULUS)), m=m, k=width)
+    draws = ForcedRng(*([[0] * m] if redraw else []), weights)
+    got = rlnc.encode(block, draws)
+    assert draws.vectors == []
+    drawn = bytes(weights)
+    assert got == rlnc.coded_packets(block, drawn)[0]
+    want = oracles.weighted_row_sum(weights, block.packets.tolist(), width)
+    assert got == rlnc.CodedPacket(block.block_id, m, drawn + bytes(want))
+
+
 # steps on one generator: a coefficient draw of n bytes, a hop pick
 # integers(0, k), where k = 1 draws nothing, or a scheduler draw random(k)
 _DRAWS = st.lists(st.one_of(st.tuples(st.just("coefficients"), st.integers(1, 64)),
@@ -390,10 +417,23 @@ def test_codec_rejects_malformed_blocks_vectors_and_buffers():
         rlnc.coded_packet(block, [1, 2, 3])
     with pytest.raises(ValueError, match="whole number of block-size vectors"):
         rlnc.coded_packets(block, bytes(3))
-    with pytest.raises(ValueError, match="whole number of block-size vectors"):
-        rlnc.coded_packets(rlnc.SourceBlock(0, np.zeros((0, 3), dtype=np.uint8)), b"")
+    with pytest.raises(ValueError, match="at least one packet"):
+        rlnc.SourceBlock(0, np.zeros((0, 3), dtype=np.uint8))
     with pytest.raises(ValueError, match="capacity must be >= 1"):
         rlnc.RecodeBuffer(0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rlnc.SourceBlock(0, np.zeros((0, 8), dtype=np.uint8)), "at least one packet"),
+    (lambda: rlnc.DecoderState(0, 0), "block size must be >= 1"),
+    (lambda: rlnc.DecoderState(0, -1), "block size must be >= 1"),
+    (lambda: rlnc.random_nonzero_bytes(0, np.random.default_rng(0)), "at least one byte"),
+], ids=["source-block", "decoder", "decoder-negative", "coefficient-draw"])
+def test_a_block_of_no_packets_is_rejected_not_hung(make, message):
+    """A block of no packets would make encode redraw b"" forever and decode
+    fail in a reshape; each place that takes a block size rejects it."""
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_receive_rank_monotone_and_flag_matches_delta():
@@ -668,19 +708,17 @@ def _rings(draw):
 @settings(max_examples=100, deadline=None)
 @given(ring=_rings(), block_id=st.integers(0, 2**16 - 1))
 def test_recode_matches_weighted_row_sum(ring, block_id):
-    """A recode on bytes rows equals the numpy kernel over the stacked rows of
-    the ring with the same weights."""
+    """A recode on bytes rows equals the pure-Python weighted row sum of the
+    ring's rows with the same weights."""
     m, rows, weights = ring
     buf = rlnc.RecodeBuffer(8)
     for row in rows:
         assert buf.offer(rlnc.CodedPacket(block_id, m, row))
-    w = np.frombuffer(weights, dtype=np.uint8)
-    stacked = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
-    want = gf256.weighted_row_sum(w, stacked)
-    out = rlnc.recode(buf, ForcedRng(w))
+    want = bytes(oracles.weighted_row_sum(weights, rows, len(rows[0])))
+    out = rlnc.recode(buf, ForcedRng(list(weights)))
     assert out.block_id == block_id and out.m == m
-    assert out.row == want.tobytes()
-    assert out == rlnc.CodedPacket(block_id, m, want.tobytes())
+    assert out.row == want
+    assert out == rlnc.CodedPacket(block_id, m, want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -28,7 +28,7 @@ from hetnetcode.simengine import (
     run_session,
     schedule_wifi_slot,
 )
-from oracles import assert_next_draws_agree, brute_force_guard_ok
+from oracles import assert_next_draws_agree, brute_force_guard_ok, session_pair
 from reference_engine import ReferenceSession
 
 
@@ -399,12 +399,32 @@ def test_pick_session_pair_min_hops_and_determinism():
     rng = np.random.default_rng(11)
     topo = topology.generate(300, rng, TopologyParams(cell_radius=400.0))
     for seed in range(5):
-        a = pick_session_pair(topo, 2, np.random.default_rng(seed))
-        b = pick_session_pair(topo, 2, np.random.default_rng(seed))
+        cfg = ScenarioConfig(node_count=300, cell_radius=400.0, seed=seed, min_hops=2)
+        a = pick_session_pair(topo, cfg)
+        b = pick_session_pair(topo, cfg)
         assert a == b
         assert topo.routes.distances_to(a[1])[a[0]] >= 2
     with pytest.raises(NoPathError):
-        pick_session_pair(topo, 10_000, np.random.default_rng(0))
+        pick_session_pair(topo, replace(cfg, min_hops=10_000))
+
+
+# one topology for every example, so that its route table is built once
+_PICK_TOPOLOGY = topology.generate(120, np.random.default_rng(11), TopologyParams(cell_radius=400.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), min_hops=st.integers(1, 4))
+def test_the_pair_is_drawn_from_the_first_session_stream(seed, min_hops):
+    """pick_session_pair, which both the sessions and the presets call, picks
+    what the oracle's pick gives on session_rngs(seed)[0], the pair stream."""
+    topo = _PICK_TOPOLOGY
+    cfg = ScenarioConfig(node_count=len(topo), cell_radius=400.0, seed=seed, min_hops=min_hops)
+    want = session_pair(topo, min_hops, simengine.session_rngs(seed)[0])
+    if want is None:
+        with pytest.raises(NoPathError):
+            pick_session_pair(topo, cfg)
+    else:
+        assert pick_session_pair(topo, cfg) == want
 
 
 # --- mode comparison ----------------------------------------------------------
@@ -466,8 +486,7 @@ def test_backbone_shortcut_speeds_up_session():
                          block_target=2, slot_budget=3000)
     rng = np.random.default_rng(np.random.SeedSequence((21, 3)))
     topo = topology.generate(cfg.node_count, rng, cfg.topology_params())
-    pair = pick_session_pair(topo, 2,
-                             np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(6)[0]))
+    pair = pick_session_pair(topo, cfg)
     adhoc, _ = run_session(cfg, topo, pair=pair)
 
     cfg_bb = ScenarioConfig(node_count=250, cell_radius=400.0, seed=3,
@@ -654,10 +673,10 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
 
     def mismatched_recode(buffer, rng):
         pkt = real_recode(buffer, rng)
-        weights = other.integers(1, 256, size=len(buffer), dtype=np.uint8)
+        weights = other.integers(1, 256, size=(1, len(buffer)), dtype=np.uint8)
         payloads = np.stack([p.payload for p in buffer.packets])
         return rlnc.CodedPacket(pkt.block_id, pkt.m, pkt.coefficients.tobytes()
-                                + gf256.weighted_row_sum(weights, payloads).tobytes())
+                                + gf256.weighted_row_sum(weights, payloads)[0].tobytes())
 
     monkeypatch.setattr(rlnc, "recode", mismatched_recode)
     with pytest.raises(AssertionError, match="does not match the source block"):
@@ -665,12 +684,13 @@ def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypa
 
 
 def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
-    """Over a chain session, relay recodes and destination receives run on
-    bytes rows: gf256.weighted_row_sum is called once per WiFi or wired
-    encode, with a weight vector, and once per batch of cellular packets,
-    with a weight matrix, and never otherwise."""
+    """Over a chain session, WiFi and wired encodes, relay recodes and
+    destination receives run on bytes rows: gf256.weighted_row_sum is called
+    only by rlnc.coded_packets, once per batch of cellular packets, with a
+    weight matrix, and never from encode, recode or receive."""
     cfg, topo = chain_session(4, block_target=3, slot_budget=2000)
     calls = Counter()
+    active = []  # the counted calls under way, outermost first
 
     def counting(owner, name):
         real = getattr(owner, name)
@@ -678,21 +698,25 @@ def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
         def counted(*args):
             calls[name] += 1
             if name == "weighted_row_sum":
-                calls[f"weighted_row_sum {np.ndim(args[0])}-D"] += 1
-            return real(*args)
+                calls["weighted_row_sum", np.ndim(args[0]), tuple(active)] += 1
+            active.append(name)
+            try:
+                return real(*args)
+            finally:
+                active.pop()
         monkeypatch.setattr(owner, name, counted)
 
     counting(gf256, "weighted_row_sum")
     counting(rlnc, "encode")
     counting(rlnc, "coded_packets")
     counting(rlnc, "recode")
+    counting(rlnc.DecoderState, "receive")
     stats, _ = run_session(cfg, topo, pair=(0, 4))
     assert stats.blocks_delivered == 3
-    assert calls["recode"] > 0 and calls["encode"] > 0 and calls["coded_packets"] > 0
+    assert all(calls[name] > 0 for name in ("encode", "coded_packets", "recode", "receive"))
     assert stats.cellular_sent > calls["coded_packets"]
-    assert calls["weighted_row_sum 1-D"] == calls["encode"]
-    assert calls["weighted_row_sum 2-D"] == calls["coded_packets"]
-    assert calls["weighted_row_sum"] == calls["encode"] + calls["coded_packets"]
+    assert calls["weighted_row_sum"] == calls["coded_packets"]
+    assert calls["weighted_row_sum", 2, ("coded_packets",)] == calls["coded_packets"]
 
 
 @settings(max_examples=60, deadline=None)
