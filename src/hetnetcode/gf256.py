@@ -1,9 +1,9 @@
 """Arithmetic and linear algebra over GF(2^8).
 
-Field elements are plain ints in [0, 255] (or uint8 numpy arrays when
-operating elementwise); matrices are 2-D uint8 arrays.  A row kept as
-`bytes` is scaled by w with row.translate(MUL_BYTES[w]).  Multiplication is
-reduced by the conventional polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
+Field elements are uint8 values and matrices 2-D uint8 arrays.
+MUL_TABLE[a, b] is a * b, reduced by the conventional polynomial
+x^8 + x^4 + x^3 + x + 1 (0x11B), and INV_TABLE[a] is the inverse of a != 0.
+A row kept as `bytes` is scaled by w with row.translate(MUL_BYTES[w]).
 The matrix kernels multiply by table lookup: weighted_row_sum (weight
 matrices only) gathers from the flattened MUL_TABLE, and solve takes the
 rows of MUL_TABLE for its multipliers, then the pivot row's columns.
@@ -50,16 +50,6 @@ _MUL_FLAT = MUL_TABLE.ravel()
 _ROW_OFFSET = np.arange(256, dtype=np.intp) << 8
 # entry w is the 256-byte map x -> w*x, a bytes.translate table
 MUL_BYTES = tuple(map(bytes, MUL_TABLE))
-
-
-def mul(a: int, b: int) -> int:
-    return int(MUL_TABLE[a, b])
-
-
-def inverse(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(2^8)")
-    return int(INV_TABLE[a])
 
 
 def weighted_row_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -107,18 +107,10 @@ def _combined(block_id: int, m: int, rows: list[bytes], weights: bytes) -> Coded
     return CodedPacket(block_id, m, acc.to_bytes(len(rows[0])))
 
 
-def coded_packet(block: SourceBlock, coefficients) -> CodedPacket:
-    """Deterministic linear combination of a block's packets."""
-    coefficients = np.asarray(coefficients, dtype=np.uint8)
-    if coefficients.shape != (block.size,):
-        raise ValueError("coefficient vector length must equal the block size")
-    return _combined(block.block_id, block.size, block.rows, coefficients.tobytes())
-
-
 def coded_packets(block: SourceBlock, coefficients: bytes) -> list[CodedPacket]:
     """The packets whose coefficient vectors are the successive block.size
     bytes of coefficients, in order, combined in one weighted_row_sum call:
-    packet i equals coded_packet(block, coefficients[i * M:(i + 1) * M])."""
+    packet i combines the block's packets with coefficients[i * M:(i + 1) * M]."""
     m = block.size
     if len(coefficients) % m:
         raise ValueError("coefficient bytes must be a whole number of block-size vectors")

@@ -133,9 +133,9 @@ class Draws:
     is the block's 4-byte chunks in order and a word is kept exactly when the
     read position sits halfway into an output.  `bytes(n)`, `below(k)` and
     `random(n)` return Generator.bytes(n), int(Generator.integers(0, k)) and
-    Generator.random(n) of the wrapped generator, or of session_rngs(seed)[i]
-    for Draws.of_stream(seed, i).  A wrapped generator runs ahead of them, so
-    nothing else may draw from it; no lock is taken."""
+    Generator.random(n) of the wrapped generator, or of a Generator on
+    _stream_bitgen(seed, i) for Draws.of_stream(seed, i).  A wrapped generator
+    runs ahead of them, so nothing else may draw from it; no lock is taken."""
 
     def __init__(self, rng: np.random.Generator):
         bitgen = rng.bit_generator
@@ -147,7 +147,7 @@ class Draws:
 
     @classmethod
     def of_stream(cls, seed: int, i: int) -> Draws:
-        """The draws of session_rngs(seed)[i], read from _stream_blocks."""
+        """The draws of seed's session stream i, read from _stream_blocks."""
         draws = cls.__new__(cls)
         draws._start(_stream_blocks(seed, i))
         return draws
@@ -249,9 +249,8 @@ def schedule_wifi_slot(pending_txs, topo: HetNetTopology, rng: np.random.Generat
 
 def pick_session_pair(topo: HetNetTopology, config: ScenarioConfig) -> tuple[int, int]:
     """The random S-D pair, with a finite route of at least config.min_hops
-    hops, of a session that picks its own: drawn from the first of
-    session_rngs(config.seed)."""
-    rng = session_rngs(config.seed)[0]
+    hops, of a session that picks its own: drawn from its session stream 0."""
+    rng = np.random.Generator(_stream_bitgen(config.seed, 0))
     for s in rng.permutation(len(topo)):
         dist = topo.routes.distances_to(int(s))
         cand = np.nonzero((dist >= config.min_hops) & (dist < UNREACHABLE))[0]
@@ -261,17 +260,13 @@ def pick_session_pair(topo: HetNetTopology, config: ScenarioConfig) -> tuple[int
     raise NoPathError(f"no node pair at >= {config.min_hops} hops exists in this topology")
 
 
-def session_rngs(seed: int) -> list[np.random.Generator]:
-    """A session's independent PCG64 Generators, in order: S-D pair pick,
-    cellular coefficients, source WiFi/wired draws, relay recodes and hop
-    picks, radio scheduler, block payloads.  pick_session_pair draws a
-    session's pair from the first; session_draws serves the five after it."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
-
-
 def _stream_bitgen(seed: int, i: int) -> np.random.PCG64:
-    """A fresh PCG64 of session_rngs(seed)[i]: spawn(6)[i] is this child,
-    seeded without spawning its five siblings."""
+    """A fresh PCG64 of seed's session stream i, one of six independent
+    streams, in order: S-D pair pick, cellular coefficients, source
+    WiFi/wired draws, relay recodes and hop picks, radio scheduler, block
+    payloads.  Its SeedSequence(seed, spawn_key=(i,)) is the child
+    SeedSequence(seed).spawn(6)[i], seeded without its five siblings;
+    pick_session_pair draws from stream 0, session_draws serves the rest."""
     return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
@@ -284,7 +279,7 @@ def _stream_heads(seed: int) -> dict[int, bytes]:
 
 
 def _stream_blocks(seed: int, i: int):
-    """Raw blocks of session_rngs(seed)[i]: the memoised head, then the
+    """Raw blocks of seed's session stream i: the memoised head, then the
     blocks after it from a PCG64 made only when a draw reads past the head."""
     heads = _stream_heads(seed)
     head = heads.get(i)
@@ -297,7 +292,7 @@ def _stream_blocks(seed: int, i: int):
 
 
 def session_draws(seed: int) -> list[Draws]:
-    """The draws of session_rngs(seed)[1:], each stream seeded on first use."""
+    """The draws of seed's session streams 1-5, each seeded on first use."""
     return [Draws.of_stream(seed, i) for i in range(1, 6)]
 
 

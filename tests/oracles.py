@@ -1,9 +1,15 @@
-"""Reference implementations that the tests compare the program with: the
-coefficient draw through numpy's uint8 integers, numpy's own draws beside a
-session stream's, the protocol-model guard over every pair of
-transmissions, GF(2^8) linear algebra on uint8 matrices and on Python ints,
-per-node topology and routing scans, a session's pair pick and cut bound;
-and the reader of a topology dump, which only the tests read back."""
+"""Reference implementations that the tests compare the program with, one
+copy of each: GF(2^8) arithmetic from shift-and-reduce multiplication, and
+linear algebra over it on uint8 matrices and on Python ints; the coefficient
+draw through numpy's uint8 integers, numpy's own draws beside a session
+stream's, and a session's six streams as numpy Generators; the
+protocol-model guard over every pair of transmissions; hop counts by a BFS
+over an explicit adjacency, and a session's pair pick, loaded cellular rate
+and cut bound; per-node topology scans; and the reader of a topology dump,
+which only the tests read back.  None of them reads hetnetcode.gf256,
+hetnetcode.rlnc, hetnetcode.routing or a topology's route table, so a fault
+there cannot move a reference with the program (tests/test_layering.py
+holds this)."""
 
 from __future__ import annotations
 
@@ -11,12 +17,30 @@ import math
 
 import numpy as np
 
-from hetnetcode import gf256, rlnc
 from hetnetcode.config import ConfigError, TopologyParams
-from hetnetcode.gf256 import INV_TABLE, MUL_TABLE
-from hetnetcode.routing import UNREACHABLE
 from hetnetcode.simengine import CHECK_PAYLOAD_BYTES, Draws
 from hetnetcode.topology import _DUMP_KEYS, CELLS, HetNetTopology
+
+INF = math.inf
+
+
+def gf_mul(a, b):
+    """a * b in GF(2^8): shift-and-reduce long multiplication modulo 0x11B,
+    on ints, or elementwise on broadcastable int arrays."""
+    prod = 0
+    for i in range(8):
+        prod ^= ((b >> i) & 1) * (a << i)
+    for bit in range(15, 7, -1):
+        prod ^= ((prod >> bit) & 1) * (0x11B << (bit - 8))
+    return prod
+
+
+# the field's tables, built from gf_mul alone: ORACLE_MUL[a, b] is a * b, and
+# ORACLE_INV[a] the b with a * b = 1 (0 at a = 0, which has none)
+ORACLE_MUL = gf_mul(np.arange(256)[:, None], np.arange(256)).astype(np.uint8)
+ORACLE_INV = (ORACLE_MUL == 1).argmax(axis=1).astype(np.uint8)
+_MUL_ROWS = ORACLE_MUL.tolist()
+_INV = ORACLE_INV.tolist()
 
 
 def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -29,10 +53,10 @@ def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def draw(rng, kind: str, n):
-    """One draw of kind ("bytes", "below", "coefficients", "payload" or
-    "random") with argument n, through a simengine.Draws or, as numpy makes
-    it, from a Generator; "payload" is a session block's n rows of
-    CHECK_PAYLOAD_BYTES bytes, as nested lists."""
+    """One draw of kind ("bytes", "below", "payload" or "random") with
+    argument n, through a simengine.Draws or, as numpy makes it, from a
+    Generator; "payload" is a session block's n rows of CHECK_PAYLOAD_BYTES
+    bytes, as nested lists."""
     if kind == "bytes":
         return rng.bytes(n)
     if kind == "payload":
@@ -42,12 +66,15 @@ def draw(rng, kind: str, n):
         return rng.integers(0, 256, size=(n, CHECK_PAYLOAD_BYTES), dtype=np.uint8).tolist()
     if kind == "below":
         return rng.below(n) if isinstance(rng, Draws) else int(rng.integers(0, n))
-    if kind == "coefficients":
-        if isinstance(rng, Draws):
-            return rlnc.random_nonzero_bytes(n, rng)
-        return random_nonzero_vector(n, rng).tobytes()
     values = rng.random(n)
     return values if n is None or isinstance(rng, Draws) else values.tolist()
+
+
+def session_rngs(seed: int) -> list[np.random.Generator]:
+    """numpy's own Generators for a session's six streams, in order: S-D pair
+    pick, cellular coefficients, source WiFi/wired draws, relay recodes and
+    hop picks, radio scheduler, block payloads."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
 
 
 def assert_next_draws_agree(ours, theirs):
@@ -77,7 +104,7 @@ def add(a, b):
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product over GF(2^8), every product read from MUL_TABLE.  a is
+    """Matrix product over GF(2^8), every product read from ORACLE_MUL.  a is
     (m, p) or (p,); b is (p, n) or (p,)."""
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -89,16 +116,17 @@ def matmul(a, b) -> np.ndarray:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
     for t in range(a.shape[1]):
-        out ^= MUL_TABLE[a[:, t][:, None], b[t][None, :]]
+        out ^= ORACLE_MUL[a[:, t][:, None], b[t][None, :]]
     return out
 
 
 def weighted_row_sum(weights, rows, width: int) -> list[int]:
     """sum_t weights[t] * rows[t] of width-long rows of ints, one product at a
-    time with gf256.mul: no table gather and no bytes translate."""
+    time from ORACLE_MUL: no table gather and no bytes translate."""
     out = [0] * width
     for w, row in zip(weights, rows):
-        out = [o ^ gf256.mul(w, x) for o, x in zip(out, row)]
+        products = _MUL_ROWS[w]
+        out = [o ^ products[x] for o, x in zip(out, row)]
     return out
 
 
@@ -122,10 +150,30 @@ def rank(m) -> int:
         below = m[r + 1:, col]
         hit = np.nonzero(below)[0]
         if hit.size:
-            factors = MUL_TABLE[below[hit], INV_TABLE[m[r, col]]]
-            m[r + 1 + hit] ^= MUL_TABLE[factors[:, None], m[r][None, :]]
+            factors = ORACLE_MUL[below[hit], ORACLE_INV[m[r, col]]]
+            m[r + 1 + hit] ^= ORACLE_MUL[factors[:, None], m[r][None, :]]
         r += 1
     return r
+
+
+def solve(m, rhs) -> list[list[int]] | None:
+    """The x with m @ x = rhs over GF(2^8), by Gauss-Jordan on [m | rhs] as
+    lists of ints; None when m is singular."""
+    n = len(m)
+    aug = [list(a) + list(b) for a, b in zip(m, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = _MUL_ROWS[_INV[aug[col][col]]]
+        aug[col] = [scale[v] for v in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f:
+                products = _MUL_ROWS[f]
+                aug[i] = [v ^ products[p] for v, p in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def kept_rows(dec) -> np.ndarray:
@@ -144,17 +192,54 @@ def payload_matrix(dec) -> np.ndarray:
     return kept_rows(dec)[:, dec.block_size:]
 
 
+def adjacency(topo) -> tuple[list[set], list[set]]:
+    """(wifi, wired): each node's WiFi neighbours, and its peers over the
+    wired spec's edges and the backbone bus, the bus expanded into its full
+    clique."""
+    wifi = [set(row) for row in topo.neighbors]
+    wired = [set() for _ in range(len(topo))]
+    for u, v in topo.wired.edges:
+        wired[u].add(v)
+        wired[v].add(u)
+    for b in topo.backbone:
+        wired[b] |= topo.backbone - {b}
+    return wifi, wired
+
+
+def links(topo) -> list[set]:
+    """Each node's neighbours over any interface."""
+    return [a | b for a, b in zip(*adjacency(topo))]
+
+
+def bfs(adj, dst: int) -> list[float]:
+    """Each node's hop count to dst over the adjacency sets adj, INF when
+    unreachable, one frontier at a time."""
+    dist = [INF] * len(adj)
+    dist[dst] = 0
+    frontier = [dst]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] == INF:
+                    dist[v] = dist[u] + 1
+                    reached.append(v)
+        frontier = reached
+    return dist
+
+
 def hop_distance(topo, src: int, dst: int) -> float:
-    return float(topo.routes.distances_to(dst)[src])
+    return bfs(links(topo), dst)[src]
 
 
 def session_pair(topo, min_hops: int, rng: np.random.Generator) -> tuple[int, int] | None:
     """The pair pick of a session on rng: the first node of a random order of
     the nodes that has nodes at >= min_hops finite hops, and a uniform one
     of those, in ascending order.  None when no node has one."""
+    adj = links(topo)
     for s in rng.permutation(len(topo)):
-        far = [d for d in range(len(topo))
-               if min_hops <= hop_distance(topo, int(s), d) < UNREACHABLE]
+        dist = bfs(adj, int(s))  # the graph is undirected: d is as far from s
+        far = [d for d, hops in enumerate(dist) if min_hops <= hops < INF]
         if far:
             return int(s), far[rng.integers(0, len(far))]
     return None
@@ -163,7 +248,7 @@ def session_pair(topo, min_hops: int, rng: np.random.Generator) -> tuple[int, in
 def on_route(node: int, src: int, dst: int, topo) -> bool:
     """True iff node lies on some shortest src->dst path of topo."""
     total = hop_distance(topo, src, dst)
-    if total == UNREACHABLE:
+    if total == INF:
         return False
     return hop_distance(topo, src, node) + hop_distance(topo, node, dst) == total
 
@@ -239,6 +324,15 @@ def load(fh) -> HetNetTopology:
                           [row[0] for row in rows if row[5]])
 
 
+def loaded_rate(cfg, link: float) -> float:
+    """A node's cellular rate once its cell serves cfg.users_per_cell users:
+    equal-rate shares the cell's r_cell, capped by the link; equal-time
+    shares the link's time."""
+    if cfg.loading_mode == "equal-rate":
+        return min(link, cfg.r_cell / cfg.users_per_cell)
+    return link / cfg.users_per_cell
+
+
 def cut_bound(cfg, topo, src: int, dst: int) -> float:
     """Packets per slot that can leave src or reach dst, whichever is less,
     from config fields and topology arrays alone: no code delivers more than
@@ -252,9 +346,7 @@ def cut_bound(cfg, topo, src: int, dst: int) -> float:
     if link is None:
         scale = cfg.r_cell / topo.params.r_cell
         link = float(min(topo.cellular_rates[src], topo.cellular_rates[dst])) * scale
-    users = cfg.users_per_cell
-    loaded = min(link, cfg.r_cell / users) if cfg.loading_mode == "equal-rate" else link / users
-    cellular = loaded if cfg.cellular_enabled else 0.0
+    cellular = loaded_rate(cfg, link) if cfg.cellular_enabled else 0.0
     spec = topo.wired
 
     def side(node: int, budgets: dict, cap: float) -> float:

@@ -1,12 +1,26 @@
 """A reference session engine: simengine's slot semantics, steps (a)-(d) of
 its module docstring, as one plain loop over every slot.
 
-It shares rlnc, the topology's arrays and RouteTable.distances_to with the
-engine, and nothing else.  It keeps no caches and skips no slot, scans each
-node's neighbours for its next hops in every slot, admits radio
-transmissions under oracles.brute_force_guard_ok, and makes every hop pick,
-interface choice and scheduler draw with numpy's own Generator methods, on
-the six session streams in the engine's order.  run() returns what
+It shares the topology's arrays and the engine's result types with the
+engine, and nothing else: its codec, relay rings, decoder, routes and draws
+are the references of oracles.py, none of which reads hetnetcode.gf256,
+hetnetcode.rlnc, hetnetcode.routing or a route table.
+- A packet is a (block id, [coefficients | payload] row) pair, the row a
+  list of ints; a source block is its [unit vector | payload] rows.
+- An encode or a recode is oracles.weighted_row_sum of the block's rows, or
+  of a relay's ring oldest first, with weights from
+  oracles.random_nonzero_vector: numpy's uint8 draw, the bytes the engine's
+  Generator.bytes draw gives, so every draw lands where the engine's does.
+- A relay's ring is a list under the block-id rule, written out.
+- The destination keeps the rows of the live block's innovative arrivals:
+  an arrival is innovative iff oracles.rank grows, and at full rank
+  oracles.solve must give back the block's payload.
+- Hop distances are oracles.bfs over oracles.adjacency, the bus as a clique.
+It keeps no caches and skips no slot, scans each node's neighbours for its
+next hops in every slot, admits radio transmissions under
+oracles.brute_force_guard_ok, and makes every hop pick, interface choice
+and scheduler draw with numpy's own Generator methods, on the six streams
+of oracles.session_rngs in the engine's order.  run() returns what
 simengine.run_session returns, and the schedule log.
 """
 
@@ -14,11 +28,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from hetnetcode import rlnc
 from hetnetcode.simengine import CHECK_PAYLOAD_BYTES, EventTrace, SessionStats, TraceEvent
-from oracles import brute_force_guard_ok
+from oracles import (
+    INF,
+    adjacency,
+    bfs,
+    brute_force_guard_ok,
+    links,
+    loaded_rate,
+    random_nonzero_vector,
+    rank,
+    session_pair,
+    session_rngs,
+    solve,
+    weighted_row_sum,
+)
 
-INF = float("inf")
+BLOCK_IDS = 1 << 16
 
 
 class Credit:
@@ -39,29 +65,35 @@ class Credit:
 
 class Relay:
     def __init__(self, cfg, cell_rate, node):
-        self.buffer, self.send_credit, self.inbox, self.round_robin = (
-            rlnc.RecodeBuffer(cfg.buffer_capacity), 0, [], 0)  # inbox: (slot due, packet)
+        self.block_id, self.ring, self.capacity = None, [], cfg.buffer_capacity
+        self.send_credit, self.inbox, self.round_robin = 0, [], 0  # inbox: (slot due, packet)
         self.proc = Credit(cfg.wired_relay_rate, (node * cfg.wired_relay_rate) % 1.0)
         self.cell_up = Credit(loaded_rate(cfg, cell_rate))
 
-
-def loaded_rate(cfg, link):
-    """A node's cellular rate once its cell serves cfg.users_per_cell users."""
-    if cfg.loading_mode == "equal-rate":
-        return min(link, cfg.r_cell / cfg.users_per_cell)
-    return link / cfg.users_per_cell
+    def offer(self, packet):
+        """Keep the packet's row, the oldest dropped past capacity; a newer
+        block empties the ring, and a stale packet is refused (False)."""
+        block_id, row = packet
+        # a newer block id is less than half the id space ahead, mod 2^16
+        if self.block_id is None or 0 < (block_id - self.block_id) % BLOCK_IDS < BLOCK_IDS // 2:
+            self.block_id, self.ring = block_id, []
+        elif block_id != self.block_id:
+            return False
+        self.ring = (self.ring + [row])[-self.capacity:]
+        return True
 
 
 class ReferenceSession:
     def __init__(self, cfg, topo, pair=None):
         self.cfg, self.topo = cfg, topo
         (rng_pair, self.rng_cell, self.rng_wifi, self.rng_relay, self.rng_sched,
-         self.rng_data) = [np.random.default_rng(s)
-                           for s in np.random.SeedSequence(cfg.seed).spawn(6)]
+         self.rng_data) = session_rngs(cfg.seed)
         if pair is None:
-            pair = self.pick_pair(rng_pair)
+            pair = session_pair(topo, cfg.min_hops, rng_pair)
+            assert pair is not None, "no pair: the engine should have raised NoPathError"
         self.src, self.dst = pair
-        self.dist = topo.routes.distances_to(self.dst)
+        self.wifi, self.wired = adjacency(topo)
+        self.dist = bfs(links(topo), self.dst)
         self.rate_scale = cfg.r_cell / topo.params.r_cell
         link = cfg.link_rate_override
         if link is None:
@@ -80,44 +112,39 @@ class ReferenceSession:
                               *self.out.values(), *self.into.values(), self.bus]
         self.block_id, self.expected, self.ack_slot = 0, 0, None
         self.block = self.make_block()
-        self.decoder = rlnc.DecoderState(0, cfg.block_size)
+        self.kept = []  # the rows of the live block's innovative arrivals
         self.relays, self.trace, self.schedule_log, self.decode_slots = {}, EventTrace(), [], []
         self.sent, self.slot = {"wifi": 0, "cellular": 0, "wired": 0}, 0
 
-    def pick_pair(self, rng):
-        for s in rng.permutation(len(self.topo)):
-            dist = self.topo.routes.distances_to(int(s))
-            cand = [d for d in range(len(dist)) if self.cfg.min_hops <= dist[d] < INF]
-            if cand:
-                return int(s), cand[rng.integers(0, len(cand))]
-        raise AssertionError("no pair: the engine should have raised NoPathError")
-
     def make_block(self):
-        data = self.rng_data.integers(0, 256, size=(self.cfg.block_size, CHECK_PAYLOAD_BYTES),
-                                      dtype=np.uint8)
-        return rlnc.SourceBlock(self.block_id, data)
+        """The [unit vector | payload] rows of a fresh block."""
+        m = self.cfg.block_size
+        data = self.rng_data.integers(0, 256, size=(m, CHECK_PAYLOAD_BYTES), dtype=np.uint8)
+        return np.hstack([np.eye(m, dtype=np.uint8), data]).tolist()
 
     def next_hops(self, u, wired):
         """Nodes one hop closer to the destination, ascending: over WiFi, or
         over the wired links and the bus."""
-        if wired:
-            peers = self.topo.wired_peers(u) + (sorted(self.topo.backbone)
-                                                if u in self.topo.backbone else [])
-        else:
-            peers = self.topo.neighbors[u]
-        return sorted({v for v in peers if self.dist[u] < INF and self.dist[v] == self.dist[u] - 1})
+        peers = (self.wired if wired else self.wifi)[u]
+        return sorted(v for v in peers if self.dist[u] < INF and self.dist[v] == self.dist[u] - 1)
 
     def can_send(self, node):
         relay = self.relays.get(node)
-        return node == self.src or (relay.send_credit >= 1 and len(relay.buffer) > 0)
+        return node == self.src or (relay.send_credit >= 1 and len(relay.ring) > 0)
 
     def emit(self, node, interface):
+        """A fresh combination: of the block's rows at the source, else of a
+        relay's ring for one send credit."""
         self.sent[interface] += 1
         if node == self.src:
-            return rlnc.encode(self.block, self.rng_cell if interface == "cellular"
-                               else self.rng_wifi)
-        self.relays[node].send_credit -= 1
-        return rlnc.recode(self.relays[node].buffer, self.rng_relay)
+            block_id, rows = self.block_id, self.block
+            rng = self.rng_cell if interface == "cellular" else self.rng_wifi
+        else:
+            relay = self.relays[node]
+            relay.send_credit -= 1
+            block_id, rows, rng = relay.block_id, relay.ring, self.rng_relay
+        weights = random_nonzero_vector(len(rows), rng).tolist()
+        return block_id, weighted_row_sum(weights, rows, len(rows[0]))
 
     def land(self, rx, packet, interface):
         cfg = self.cfg
@@ -126,14 +153,19 @@ class ReferenceSession:
                 self.relays[rx] = Relay(cfg, self.topo.cellular_rates[rx] * self.rate_scale, rx)
             self.relays[rx].inbox.append((self.slot + 1 + cfg.processing_delay, packet))
             return
-        innovative = packet.block_id == self.expected and self.decoder.receive(packet)
-        self.trace.append(TraceEvent(self.slot, self.dst, interface, packet.block_id, innovative))
-        if self.decoder.rank == cfg.block_size:
-            assert np.array_equal(self.decoder.decode().packets, self.block.packets)
+        (block_id, row), m = packet, cfg.block_size
+        innovative = (block_id == self.expected
+                      and rank([r[:m] for r in self.kept + [row]]) > len(self.kept))
+        if innovative:
+            self.kept.append(row)
+        self.trace.append(TraceEvent(self.slot, self.dst, interface, block_id, innovative))
+        if len(self.kept) == m:
+            decoded = solve([r[:m] for r in self.kept], [r[m:] for r in self.kept])
+            assert decoded == [r[m:] for r in self.block]
             self.decode_slots.append(self.slot)
             self.ack_slot = self.slot + 1 + cfg.ack_delay
-            self.expected = (self.expected + 1) % rlnc.BLOCK_ID_MODULUS
-            self.decoder = rlnc.DecoderState(self.expected, cfg.block_size)
+            self.expected = (self.expected + 1) % BLOCK_IDS
+            self.kept = []
 
     def interfaces(self, relay):
         policy = self.cfg.relay_policy
@@ -247,12 +279,12 @@ class ReferenceSession:
             self.slot += 1
             if self.ack_slot is not None and self.slot >= self.ack_slot:
                 self.ack_slot = None
-                self.block_id = (self.block_id + 1) % rlnc.BLOCK_ID_MODULUS
+                self.block_id = (self.block_id + 1) % BLOCK_IDS
                 self.block = self.make_block()
             for node in sorted(self.relays):  # arrivals due by this slot
                 relay = self.relays[node]
                 while relay.inbox and relay.inbox[0][0] <= self.slot:
-                    if relay.buffer.offer(relay.inbox.pop(0)[1]):
+                    if relay.offer(relay.inbox.pop(0)[1]):
                         relay.send_credit = min(cfg.buffer_capacity, relay.send_credit + 1)
             radio = self.cellular_step()
             if self.wired_active:

@@ -6,29 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from hetnetcode import gf256
+from oracles import ORACLE_INV, ORACLE_MUL
 
-
-def gf_mul_oracle(a: int, b: int) -> int:
-    """Bitwise shift-and-reduce long multiplication modulo 0x11B."""
-    prod = 0
-    for i in range(8):
-        if (b >> i) & 1:
-            prod ^= a << i
-    for bit in range(15, 7, -1):
-        if (prod >> bit) & 1:
-            prod ^= 0x11B << (bit - 8)
-    return prod
-
-
-# Oracle-side tables, built only from gf_mul_oracle (never from gf256).
-ORACLE_MUL = [[gf_mul_oracle(a, b) for b in range(256)] for a in range(256)]
-ORACLE_INV = [0] * 256
-for _a in range(1, 256):
-    ORACLE_INV[_a] = next(x for x in range(1, 256) if ORACLE_MUL[_a][x] == 1)
+MUL_ROWS, INV = ORACLE_MUL.tolist(), ORACLE_INV.tolist()
 
 
 def oracle_rank(rows):
-    """Independent Gauss-Jordan over GF(2^8) on plain python ints."""
+    """Independent Gauss-Jordan over GF(2^8) on plain python ints, checking
+    oracles.rank's numpy elimination."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0
@@ -43,12 +28,12 @@ def oracle_rank(rows):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ORACLE_INV[rows[rank][col]]
-        rows[rank] = [ORACLE_MUL[inv][v] for v in rows[rank]]
+        inv = INV[rows[rank][col]]
+        rows[rank] = [MUL_ROWS[inv][v] for v in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [v ^ ORACLE_MUL[f][w] for v, w in zip(rows[i], rows[rank])]
+                rows[i] = [v ^ MUL_ROWS[f][w] for v, w in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
@@ -61,15 +46,14 @@ def test_add_examples():
 
 
 def test_mul_examples():
-    assert gf256.mul(0x02, 0x03) == 0x06
-    assert gf256.mul(0x80, 0x02) == gf_mul_oracle(0x80, 0x02) == 0x1B
-    for a in range(256):
-        assert gf256.mul(a, 0x01) == a
+    assert gf256.MUL_TABLE[0x02, 0x03] == oracles.gf_mul(0x02, 0x03) == 0x06
+    assert gf256.MUL_TABLE[0x80, 0x02] == oracles.gf_mul(0x80, 0x02) == 0x1B
+    assert gf256.MUL_TABLE[:, 0x01].tolist() == list(range(256))
 
 
 def test_mul_exhaustive_against_oracle():
-    oracle = np.array(ORACLE_MUL, dtype=np.uint8)
-    assert np.array_equal(gf256.MUL_TABLE, oracle)
+    assert np.array_equal(gf256.MUL_TABLE, ORACLE_MUL)
+    assert ORACLE_MUL[0x57, 0x83] == oracles.gf_mul(0x57, 0x83) == 0xC1
 
 
 def test_mul_bytes_rows_are_translate_tables():
@@ -80,16 +64,14 @@ def test_mul_bytes_rows_are_translate_tables():
 
 
 def test_inverse_examples():
-    assert gf256.inverse(0x01) == 0x01
-    assert gf256.inverse(0x02) == ORACLE_INV[0x02] == 0x8D
-    with pytest.raises(ZeroDivisionError):
-        gf256.inverse(0x00)
+    assert gf256.INV_TABLE[0x01] == 0x01
+    assert gf256.INV_TABLE[0x02] == ORACLE_INV[0x02] == 0x8D
 
 
 def test_all_inverses():
     for a in range(1, 256):
-        assert gf256.mul(a, gf256.inverse(a)) == 1
-        assert gf256.inverse(a) == ORACLE_INV[a]
+        assert oracles.gf_mul(a, int(gf256.INV_TABLE[a])) == 1
+    assert np.array_equal(gf256.INV_TABLE[1:], ORACLE_INV[1:])
     # inverses are unique: exactly one b per nonzero a with a*b = 1
     assert np.all((gf256.MUL_TABLE[1:, :] == 1).sum(axis=1) == 1)
 
@@ -225,33 +207,16 @@ def test_matmul_shapes_and_errors():
     assert r.shape == (4,)
 
 
-# --- weighted_row_sum and solve against pure-python oracles on gf256.mul ------
+# --- weighted_row_sum and solve against pure-python oracles ------------------
 #
-# The solve tests above take oracles.matmul, a MUL_TABLE lookup, as their
-# reference; these oracles (oracles.weighted_row_sum and oracle_solve) share
-# no code with weighted_row_sum or solve.
+# The solve tests above take oracles.matmul, a lookup in the oracle's own
+# table, as their reference; these oracles (oracles.weighted_row_sum and
+# oracles.solve) work on python ints, one product at a time, and share no
+# code with weighted_row_sum or solve.
 
 WIDTHS = st.sampled_from([1, 8, 1400])
 # a small alphabet next to the full field gives zeros and repeats often
 ELEMENTS = st.sampled_from([0, 1, 2, 255]) | st.integers(0, 255)
-
-
-def oracle_solve(m, rhs):
-    """Gauss-Jordan on [m | rhs] as python ints; None when m is singular."""
-    n = len(m)
-    aug = [list(a) + list(b) for a, b in zip(m, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = gf256.inverse(aug[col][col])
-        aug[col] = [gf256.mul(inv, v) for v in aug[col]]
-        for i in range(n):
-            f = aug[i][col]
-            if i != col and f:
-                aug[i] = [v ^ gf256.mul(f, p) for v, p in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,7 +261,7 @@ def test_solve_matches_oracle(n, entries, width, repeat_row, seed):
     rng = np.random.default_rng(seed)
     rhs = rng.integers(0, 256, size=(n,) if width is None else (n, width), dtype=np.uint8)
     kept_m, kept_rhs = m.copy(), rhs.copy()
-    want = oracle_solve(m.tolist(), rhs.reshape(n, -1).tolist())
+    want = oracles.solve(m.tolist(), rhs.reshape(n, -1).tolist())
     if want is None:
         with pytest.raises(gf256.SingularMatrixError):
             gf256.solve(m, rhs)

@@ -9,7 +9,8 @@ again: no validate is defined or called.  In simengine.py the per-slot
 credit rule is written once, in _tick.  Every single coded packet is
 combined in one place, rlnc._combined, and the numpy kernel
 gf256.weighted_row_sum serves the cellular batches (rlnc.coded_packets)
-alone."""
+alone.  The reference engine and oracles.py share neither the codec nor the
+routes with the program."""
 
 import ast
 import dataclasses
@@ -27,6 +28,7 @@ from hetnetcode.config import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hetnetcode"
+TESTS = Path(__file__).resolve().parent
 CONFIG_NAMES = ("check_types", "declared_types", "finite_number", "config_from_dict",
                 "TopologyParams", "ForwardPolicy", "ScenarioConfig", "SweepSpec", "ConfigError")
 
@@ -134,7 +136,25 @@ def test_one_combine_per_packet_and_the_numpy_kernel_for_batches_only():
                        if isinstance(func, ast.FunctionDef)
                        for node in ast.walk(func)
                        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_combined"}
-    assert combine_callers == {"encode", "coded_packet", "recode"}
+    assert combine_callers == {"encode", "recode"}
+
+
+# the program's codec and routes, and the tables and route table they keep
+SHARED_MODULES = {"gf256", "rlnc", "routing"}
+SHARED_NAMES = {"routes", "MUL_TABLE", "INV_TABLE"}
+
+
+@pytest.mark.parametrize("name", ["reference_engine.py", "oracles.py"])
+def test_the_references_share_no_codec_and_no_routes(name):
+    """The reference engine, and oracles.py, the one home of the references
+    that it and the oracle tests call, import nothing from the program's
+    codec or routes and read no route table and no field table of the
+    program's, so no fault there moves a reference along with the program."""
+    tree = _tree(TESTS / name)
+    assert _package_imports(tree) & SHARED_MODULES == set()
+    reads = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert reads & (SHARED_MODULES | SHARED_NAMES) == set()
 
 
 @pytest.mark.parametrize("cls", [TopologyParams, ForwardPolicy, ScenarioConfig, SweepSpec])

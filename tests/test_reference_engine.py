@@ -87,3 +87,18 @@ def test_engine_matches_the_reference_engine(kind, data):
     assert trace.events == want_trace.events
     assert schedule_log == want_log
     assert within_cut(cfg, topo, stats)
+
+
+@pytest.mark.parametrize("seed", [3, 0, 1])
+def test_probabilistic_relays_match_the_reference_engine(seed):
+    """A fixed 3-hop chain whose relays choose cellular with p = 0.3, one
+    relay-stream double per choice: equal stats, traces and schedules."""
+    config = ScenarioConfig(link_rate_override=0.5, seed=seed,
+                            relay_policy=ForwardPolicy("both", "probabilistic", 0.3))
+    cfg, topo, pair = presets.chain_scenario(config, 3)
+    schedule_log = []
+    stats, trace = run_session(cfg, topo, pair, schedule_log=schedule_log)
+    want_stats, want_trace, want_log = ReferenceSession(cfg, topo, pair).run()
+    assert stats == want_stats
+    assert trace.events == want_trace.events
+    assert schedule_log == want_log

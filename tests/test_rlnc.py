@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from oracles import assert_next_draws_agree, draw
-from hetnetcode import gf256, rlnc, simengine
+from oracles import ORACLE_MUL, assert_next_draws_agree, draw
+from hetnetcode import rlnc, simengine
 from hetnetcode.simengine import Draws
 
 
@@ -31,15 +31,15 @@ def test_encode_identity_rows():
     for j in range(5):
         e = np.zeros(5, dtype=np.uint8)
         e[j] = 1
-        p = rlnc.coded_packet(block, e)
+        p = rlnc.coded_packets(block, e.tobytes())[0]
         assert np.array_equal(p.payload, block.packets[j])
 
 
 def test_encode_hand_example():
-    # payload = mul(3, a1) + mul(1, a2) evaluated with the scalar field ops
+    # payload = 3 * a1 + 1 * a2 evaluated with the oracle's scalar field ops
     block = rlnc.SourceBlock(0, np.array([[0x01], [0x02]], dtype=np.uint8))
-    p = rlnc.coded_packet(block, [0x03, 0x01])
-    expected = oracles.add(gf256.mul(0x03, 0x01), gf256.mul(0x01, 0x02))
+    p = rlnc.coded_packets(block, bytes([0x03, 0x01]))[0]
+    expected = oracles.add(oracles.gf_mul(0x03, 0x01), oracles.gf_mul(0x01, 0x02))
     assert expected == 0x01
     assert p.payload.tolist() == [0x01]
 
@@ -48,13 +48,16 @@ def test_encode_hand_example():
 @given(m=st.integers(1, 8), k=st.integers(0, 16), n=st.integers(0, 8),
        seed=st.integers(0, 2**32 - 1))
 def test_coded_packets_are_the_packets_of_their_coefficient_rows(m, k, n, seed):
-    """One batch of n coefficient vectors gives, in order, the packets that
-    coded_packet gives for each vector."""
+    """One batch of n coefficient vectors gives, in order, one packet per
+    vector: the vector and the oracle's combination of the block's packets."""
     rng = np.random.default_rng(seed)
     block = make_block(rng, block_id=int(rng.integers(0, rlnc.BLOCK_ID_MODULUS)), m=m, k=k)
     coefficients = rng.integers(0, 256, size=(n, m), dtype=np.uint8)
     got = rlnc.coded_packets(block, coefficients.tobytes())
-    assert got == [rlnc.coded_packet(block, row) for row in coefficients]
+    rows = block.packets.tolist()
+    assert got == [rlnc.CodedPacket(block.block_id, m,
+                                    bytes(c + oracles.weighted_row_sum(c, rows, k)))
+                   for c in coefficients.tolist()]
 
 
 def test_encode_rejects_all_zero_draw():
@@ -152,7 +155,11 @@ def test_hop_pick_and_jitter_are_numpys_draws(seed, steps):
     leaves the stream where numpy's leaves its PCG64 generator."""
     ours, theirs = Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
     for kind, n in steps:
-        assert draw(ours, kind, n) == draw(theirs, kind, n)
+        if kind == "coefficients":
+            want = oracles.random_nonzero_vector(n, theirs).tobytes()
+            assert rlnc.random_nonzero_bytes(n, ours) == want
+        else:
+            assert draw(ours, kind, n) == draw(theirs, kind, n)
         assert_next_draws_agree(ours, theirs)
 
 
@@ -249,12 +256,12 @@ _SESSION_SEEDS = st.integers(0, 2**32 - 1) | st.sampled_from([2**63 - 1, 2**70, 
                             ("below", 7), ("random", 2), ("bytes", 4)])
 def test_session_streams_draw_what_session_rngs_draw(seed, steps):
     """Each of the five streams session_draws serves draws what numpy draws
-    from the same Generator of session_rngs(seed), across the end of the
-    stream's first block, which the first session of a seed reads fresh and
-    the next one from the memo."""
+    from the same Generator of oracles.session_rngs(seed), across the end of
+    the stream's first block, which the first session of a seed reads fresh
+    and the next one from the memo."""
     simengine._stream_heads.cache_clear()
     for _ in ("first session", "memoised heads"):
-        for ours, theirs in zip(simengine.session_draws(seed), simengine.session_rngs(seed)[1:],
+        for ours, theirs in zip(simengine.session_draws(seed), oracles.session_rngs(seed)[1:],
                                 strict=True):
             for kind, n in steps:
                 if kind == "edge":
@@ -313,8 +320,8 @@ def test_recode_sum_example():
     buf = rlnc.RecodeBuffer(capacity=8)
     e1 = np.array([1, 0, 0, 0], dtype=np.uint8)
     e2 = np.array([0, 1, 0, 0], dtype=np.uint8)
-    buf.offer(rlnc.coded_packet(block, e1))
-    buf.offer(rlnc.coded_packet(block, e2))
+    buf.offer(rlnc.coded_packets(block, e1.tobytes())[0])
+    buf.offer(rlnc.coded_packets(block, e2.tobytes())[0])
     out = rlnc.recode(buf, ForcedRng([1, 1]))
     assert out.coefficients.tolist() == [1, 1, 0, 0]
     assert np.array_equal(out.payload, block.packets[0] ^ block.packets[1])
@@ -413,8 +420,6 @@ def test_codec_rejects_malformed_blocks_vectors_and_buffers():
     with pytest.raises(ValueError, match="block_id out of range"):
         rlnc.SourceBlock(rlnc.BLOCK_ID_MODULUS, np.zeros((2, 3), dtype=np.uint8))
     block = rlnc.SourceBlock(0, np.zeros((2, 3), dtype=np.uint8))
-    with pytest.raises(ValueError, match="block size"):
-        rlnc.coded_packet(block, [1, 2, 3])
     with pytest.raises(ValueError, match="whole number of block-size vectors"):
         rlnc.coded_packets(block, bytes(3))
     with pytest.raises(ValueError, match="at least one packet"):
@@ -467,9 +472,8 @@ def test_decode_identity_packets():
     rng = np.random.default_rng(11)
     block = make_block(rng, m=6, k=9)
     dec = rlnc.DecoderState(0, 6)
-    eye = np.eye(6, dtype=np.uint8)
-    for row in eye:
-        dec.receive(rlnc.coded_packet(block, row))
+    for p in rlnc.coded_packets(block, np.eye(6, dtype=np.uint8).tobytes()):
+        dec.receive(p)
     out = dec.decode()
     assert np.array_equal(out.packets, block.packets)
     assert out.block_id == block.block_id
@@ -570,7 +574,7 @@ def test_recode_layers_keep_payloads_and_receive_tracks_rank(m, width, seed, sta
                 p = rlnc.encode(block, rng)
             else:
                 p = rlnc.recode(upstream, rng)
-                assert p == rlnc.coded_packet(block, p.coefficients)
+                assert np.array_equal(p.payload, oracles.matmul(p.coefficients, block.packets))
             for _ in range(1 + dup):
                 assert buf.offer(p)
                 sent.append(p)
@@ -583,12 +587,6 @@ def test_recode_layers_keep_payloads_and_receive_tracks_rank(m, width, seed, sta
         assert dec.receive(p) == (oracles.rank(np.stack(rows)) > before)
     if dec.rank == m:
         assert np.array_equal(dec.decode().packets, block.packets)
-
-
-def _mul_oracle(w, row):
-    """w * row entry by entry through gf256.mul (one 256-entry map per weight)."""
-    table = np.array([gf256.mul(int(w), x) for x in range(256)], dtype=np.uint8)
-    return table[row]
 
 
 # block id steps from the buffer's current block: the same block, newer by 1
@@ -631,12 +629,8 @@ def test_stacked_ring_matches_packets_and_recode_oracle(capacity, m, width, firs
         out = rlnc.recode(buf, ForcedRng(weights))
         want = np.zeros(m + width, dtype=np.uint8)
         for w, q in zip(weights, expected):
-            want ^= _mul_oracle(w, np.concatenate((q.coefficients, q.payload)))
+            want ^= ORACLE_MUL[w][np.concatenate((q.coefficients, q.payload))]
         assert out == rlnc.CodedPacket(block_id, m, want.tobytes())
-
-
-def _scaled(s, coefficients):
-    return np.array([gf256.mul(s, int(c)) for c in coefficients], dtype=np.uint8)
 
 
 # arrival kinds: a fresh random vector, a fresh vector with mostly zero
@@ -660,7 +654,7 @@ def test_echelon_decoder_against_rank_oracle(m, width, seed, arrivals):
     seen, kept = [], []
 
     def arrive(coefficients):
-        p = rlnc.coded_packet(block, coefficients)
+        p = rlnc.coded_packets(block, bytes(coefficients))[0]
         grows = oracles.rank(np.stack(seen + [p.coefficients])) > dec.rank
         assert dec.receive(p) == grows
         seen.append(p.coefficients)
@@ -685,7 +679,7 @@ def test_echelon_decoder_against_rank_oracle(m, width, seed, arrivals):
         elif kind == "dup":
             arrive(seen[pick % len(seen)])
         elif kind == "scaled":
-            arrive(_scaled(s, seen[pick % len(seen)]))
+            arrive(ORACLE_MUL[s][seen[pick % len(seen)]])
         else:
             arrive(seen[pick % len(seen)] ^ seen[(pick // 7) % len(seen)])
     while dec.rank < m:

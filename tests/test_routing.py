@@ -5,7 +5,7 @@ import pytest
 
 from hetnetcode import routing, topology
 from hetnetcode.config import TopologyParams
-from oracles import hop_distance, on_route
+from oracles import adjacency, bfs, hop_distance, links, on_route
 
 
 def graph_topology(n, edges, wifi_range=100.0):
@@ -43,14 +43,14 @@ def oracle_distance(n, edges, src, dst):
 def test_line_graph_distances():
     params = TopologyParams()
     topo = topology.HetNetTopology(params, [(100.0 * i, 0.0) for i in range(3)])
-    assert hop_distance(topo, 0, 2) == 2
+    assert topo.routes.distances_to(2)[0] == hop_distance(topo, 0, 2) == 2
     assert topo.routes.next_hops(0, 2, "wifi") == [1]
     assert topo.routes.next_hops(1, 2, "wifi") == [2]
 
 
 def test_isolated_destination_unreachable():
     topo = graph_topology(4, [(0, 1), (1, 2)])
-    assert hop_distance(topo, 0, 3) == routing.UNREACHABLE
+    assert topo.routes.distances_to(3)[0] == hop_distance(topo, 0, 3) == routing.UNREACHABLE
     # graph_topology's edges are wired
     assert topo.routes.next_hops(0, 3, "wired") == []
 
@@ -68,8 +68,9 @@ def test_distances_match_enumeration_oracle():
         topo = graph_topology(n, edges)
         for src in range(n):
             for dst in range(src, n):
-                assert hop_distance(topo, src, dst) == oracle_distance(n, edges, src, dst)
-                assert hop_distance(topo, src, dst) == hop_distance(topo, dst, src)
+                want = oracle_distance(n, edges, src, dst)
+                assert topo.routes.distances_to(dst)[src] == hop_distance(topo, src, dst) == want
+                assert topo.routes.distances_to(src)[dst] == want
 
 
 def test_on_route_examples():
@@ -99,25 +100,28 @@ def test_on_route_matches_enumeration():
             a = oracle_distance(n, edges, src, node)
             b = oracle_distance(n, edges, node, dst)
             assert on_route(node, src, dst, topo) == (a + b == total)
+            assert topo.routes.distances_to(node)[src] == a
+            assert topo.routes.distances_to(dst)[node] == b
 
 
 def test_next_hops_strictly_closer():
     rng = np.random.default_rng(31)
     topo = topology.generate(120, rng, TopologyParams(cell_radius=300.0))
+    dist = bfs(links(topo), 0)
     for node in range(1, 120):
-        d = hop_distance(topo, node, 0)
-        if d == routing.UNREACHABLE:
+        if dist[node] == routing.UNREACHABLE:
             continue
         for nh in topo.routes.next_hops(node, 0, "wifi"):
-            assert hop_distance(topo, nh, 0) == d - 1
+            assert dist[nh] == dist[node] - 1
 
 
 def test_backbone_counts_as_one_virtual_hop():
     params = TopologyParams()
     topo = topology.HetNetTopology(params, [(0.0, 0.0), (5000.0, 0.0), (5100.0, 0.0)],
                                    cell_ids=[0, 1, 1], backbone={0, 1})
-    assert hop_distance(topo, 0, 1) == 1
-    assert hop_distance(topo, 0, 2) == 2  # bus hop then WiFi hop
+    assert topo.routes.distances_to(1)[0] == hop_distance(topo, 0, 1) == 1
+    # bus hop then WiFi hop
+    assert topo.routes.distances_to(2)[0] == hop_distance(topo, 0, 2) == 2
 
 
 def test_wired_next_hops_are_ascending_and_unique():
@@ -132,30 +136,6 @@ def test_wired_next_hops_are_ascending_and_unique():
     assert topo.routes.next_hops(0, 5, "wired") == [2, 3, 4]
 
 
-def clique_oracle(topo):
-    """Explicit adjacency with the backbone expanded into its full clique."""
-    wifi = [set(row) for row in topo.neighbors]
-    wired = [set(topo.wired_peers(i)) for i in range(len(topo))]
-    for b in topo.backbone:
-        wired[b] |= topo.backbone - {b}
-    return wifi, wired
-
-
-def oracle_bfs(adj, dst):
-    dist = [routing.UNREACHABLE] * len(adj)
-    dist[dst] = 0
-    frontier = [dst]
-    while frontier:
-        reached = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] == routing.UNREACHABLE:
-                    dist[v] = dist[u] + 1
-                    reached.append(v)
-        frontier = reached
-    return dist
-
-
 @pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
 def test_bus_routes_match_explicit_clique(fraction):
     params = TopologyParams(cell_radius=300.0, backbone_fraction=fraction)
@@ -164,16 +144,16 @@ def test_bus_routes_match_explicit_clique(fraction):
     wired = topology.WiredSpec(edges=edges, edge_capacity=1.0, node_out={}, node_in={})
     topo = topology.HetNetTopology(params, base.positions, base.cell_ids, base.cellular_rates,
                                    base.backbone, wired=wired)
-    wifi, wired_adj = clique_oracle(topo)
-    adj = [a | b for a, b in zip(wifi, wired_adj)]
+    wifi, wired_adj = adjacency(topo)
+    adj = links(topo)
     assert 0 < len(topo.backbone) <= len(topo)
     for dst in (0, 19, 55, 90, 119):
-        dist = oracle_bfs(adj, dst)
+        dist = bfs(adj, dst)
         assert topo.routes.distances_to(dst).tolist() == dist
         for node in range(len(topo)):
             want = dist[node] - 1
-            for links, interface in ((wifi, "wifi"), (wired_adj, "wired")):
-                expect = sorted(v for v in links[node] if dist[v] == want)
+            for peers, interface in ((wifi, "wifi"), (wired_adj, "wired")):
+                expect = sorted(v for v in peers[node] if dist[v] == want)
                 if dist[node] == routing.UNREACHABLE:
                     expect = []
                 assert topo.routes.next_hops(node, dst, interface) == expect

@@ -28,7 +28,7 @@ from hetnetcode.simengine import (
     run_session,
     schedule_wifi_slot,
 )
-from oracles import assert_next_draws_agree, brute_force_guard_ok, session_pair
+from oracles import assert_next_draws_agree, brute_force_guard_ok, session_pair, session_rngs
 from reference_engine import ReferenceSession
 
 
@@ -416,10 +416,11 @@ _PICK_TOPOLOGY = topology.generate(120, np.random.default_rng(11), TopologyParam
 @given(seed=st.integers(0, 2**32 - 1), min_hops=st.integers(1, 4))
 def test_the_pair_is_drawn_from_the_first_session_stream(seed, min_hops):
     """pick_session_pair, which both the sessions and the presets call, picks
-    what the oracle's pick gives on session_rngs(seed)[0], the pair stream."""
+    what the oracle's pick gives on oracles.session_rngs(seed)[0], the pair
+    stream."""
     topo = _PICK_TOPOLOGY
     cfg = ScenarioConfig(node_count=len(topo), cell_radius=400.0, seed=seed, min_hops=min_hops)
-    want = session_pair(topo, min_hops, simengine.session_rngs(seed)[0])
+    want = session_pair(topo, min_hops, session_rngs(seed)[0])
     if want is None:
         with pytest.raises(NoPathError):
             pick_session_pair(topo, cfg)
@@ -570,7 +571,7 @@ def test_only_the_probabilistic_schedule_draws_from_the_relay_stream(policy):
     session, relay = policy_session(seed=7, **policy)
     for _ in range(25):
         session._interfaces(relay)
-    want = simengine.session_rngs(7)[3]
+    want = session_rngs(7)[3]
     want.random(25 if policy.get("both_mode") == "probabilistic" else 0)
     assert_next_draws_agree(session.rng_relay, want)
 
@@ -730,8 +731,8 @@ def test_cellular_packets_are_the_encodes_of_the_cellular_stream(
         block_size, ack_delay, pipe, hops, wifi, block_target, seed):
     """The source's cellular packets, combined a block's worth at a time and
     recombined when the source advances a block, are byte for byte the
-    packets per-packet encodes of session_rngs(seed)[1] give from the block
-    the source holds at each send."""
+    packets per-packet encodes of oracles.session_rngs(seed)[1] give from
+    the block the source holds at each send."""
     cfg, topo = chain_session(hops, seed=seed, block_size=block_size, ack_delay=ack_delay,
                               r_cell=4.0, link_rate_override=pipe, wifi_enabled=wifi,
                               block_target=block_target, slot_budget=400)
@@ -747,6 +748,6 @@ def test_cellular_packets_are_the_encodes_of_the_cellular_stream(
         mp.setattr(simengine._Session, "_emit", recording_emit)
         stats, _ = run_session(cfg, topo, pair=(0, hops))
     assert len(sends) == stats.cellular_sent
-    rng = simengine.session_rngs(seed)[1]
+    rng = session_rngs(seed)[1]
     for block, pkt in sends:
         assert pkt == rlnc.encode(block, rng)
