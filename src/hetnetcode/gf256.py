@@ -65,7 +65,7 @@ def weighted_row_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def solve(m, rhs) -> np.ndarray:
     """Solve m @ x = rhs over GF(2^8) by Gauss-Jordan elimination.
 
-    m must be square and full rank; rhs is (n, k) or (n,).  Raises
+    m must be square and full rank and rhs an (n, k) matrix.  Raises
     SingularMatrixError when no pivot can be found for some column.  Each
     column updates the whole uint8 augmented [m | rhs] with two table takes:
     row i is XORed with f[i] times the pivot row p, where f[i] = m[i] / p[col]
@@ -80,11 +80,10 @@ def solve(m, rhs) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("solve expects a square coefficient matrix")
     n = m.shape[0]
-    if b.shape[0] != n:
-        raise ValueError("rhs row count must match the matrix")
-    vector_rhs = b.ndim == 1
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError("rhs must be 2-D, and the rhs row count must match the matrix")
     # eliminate the augmented [m | rhs] in one pass; hstack copies the inputs
-    aug = np.hstack([m, b[:, None] if vector_rhs else b])
+    aug = np.hstack([m, b])
 
     for col in range(n):
         if not aug.item(col, col):
@@ -97,4 +96,4 @@ def solve(m, rhs) -> np.ndarray:
         f = MUL_TABLE[inv].take(aug[:, col])
         f[col] = 1 ^ inv
         aug ^= MUL_TABLE.take(f, axis=0).take(aug[col], axis=1)
-    return aug[:, n] if vector_rhs else aug[:, n:]
+    return aug[:, n:]

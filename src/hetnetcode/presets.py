@@ -65,7 +65,11 @@ def rate_fields(ratio: float) -> dict:
 
 
 def _base_config(spec: SweepSpec, **defaults) -> ScenarioConfig:
-    """The spec's scenario over the preset's defaults, validated."""
+    """The spec's scenario over the preset's defaults, validated.  A sweep's
+    trials take their seeds from the sweep's own seed, never the scenario's."""
+    if "seed" in spec.scenario:
+        raise ConfigError("a sweep seeds its trials from the sweep section's seed "
+                          "(or --seed), so the scenario section may not set one")
     return ScenarioConfig.from_dict({**defaults, **spec.scenario})
 
 

@@ -227,22 +227,9 @@ class DecoderState:
         return SourceBlock(self.block_id, gf256.solve(kept[:, :m], kept[:, m:]))
 
 
-def serialize_header(p: CodedPacket) -> bytes:
-    """[block_id: 2 bytes big-endian][coefficients: M bytes][payload: k bytes]."""
-    return int(p.block_id).to_bytes(2, "big") + p.row
-
-
-def parse_header(buf: bytes, block_size: int) -> CodedPacket:
-    """Inverse of serialize_header; payload length is the remainder."""
-    if len(buf) < 2 + block_size:
-        raise ValueError(
-            f"buffer of {len(buf)} bytes too short for a {2 + block_size}-byte header"
-        )
-    return CodedPacket(int.from_bytes(buf[:2], "big"), block_size, bytes(buf[2:]))
-
-
 def header_overhead(block_size: int, packet_size: int) -> float:
-    """Coefficient header cost as a percentage of the packet size."""
+    """Cost of a coded packet's header, its block_size coefficient bytes, as a
+    percentage of packet_size: about 1.43 % at M = 20 and 1400 B."""
     if packet_size <= 0:
         raise ValueError("packet_size must be positive")
     return 100.0 * block_size / packet_size

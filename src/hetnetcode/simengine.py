@@ -123,8 +123,9 @@ def _raw_blocks(bitgen: np.random.PCG64):
 
 
 class Draws:
-    """numpy's own draws from a PCG64 generator, served from blocks of its raw
-    64-bit outputs read ahead with `bit_generator.random_raw`.
+    """numpy's own draws from a PCG64 generator, served from `blocks`, an
+    iterator of blocks of its raw 64-bit outputs (_raw_blocks of a fresh
+    PCG64, or _stream_blocks of a session stream).
 
     PCG64's next_uint32 returns an output's low word and keeps its high word
     for the next call; next_double takes the top 53 bits of the next whole
@@ -133,26 +134,11 @@ class Draws:
     is the block's 4-byte chunks in order and a word is kept exactly when the
     read position sits halfway into an output.  `bytes(n)`, `below(k)` and
     `random(n)` return Generator.bytes(n), int(Generator.integers(0, k)) and
-    Generator.random(n) of the wrapped generator, or of a Generator on
-    _stream_bitgen(seed, i) for Draws.of_stream(seed, i).  A wrapped generator
-    runs ahead of them, so nothing else may draw from it; no lock is taken."""
+    Generator.random(n) of a Generator on that PCG64, started where the
+    blocks start.  The blocks run ahead of the draws, so nothing else may
+    draw from it; no lock is taken."""
 
-    def __init__(self, rng: np.random.Generator):
-        bitgen = rng.bit_generator
-        if not isinstance(bitgen, np.random.PCG64):
-            raise TypeError(f"Draws needs a PCG64 generator, not {type(bitgen).__name__}")
-        if bitgen.state["has_uint32"]:
-            raise ValueError("the generator holds half of a 64-bit output; Draws cannot serve it")
-        self._start(_raw_blocks(bitgen))
-
-    @classmethod
-    def of_stream(cls, seed: int, i: int) -> Draws:
-        """The draws of seed's session stream i, read from _stream_blocks."""
-        draws = cls.__new__(cls)
-        draws._start(_stream_blocks(seed, i))
-        return draws
-
-    def _start(self, blocks):
+    def __init__(self, blocks):
         self._blocks = blocks
         self._load(b"", 0)
 
@@ -292,8 +278,8 @@ def _stream_blocks(seed: int, i: int):
 
 
 def session_draws(seed: int) -> list[Draws]:
-    """The draws of seed's session streams 1-5, each seeded on first use."""
-    return [Draws.of_stream(seed, i) for i in range(1, 6)]
+    """The draws of seed's session streams 1-5, each from _stream_blocks."""
+    return [Draws(_stream_blocks(seed, i)) for i in range(1, 6)]
 
 
 class _Credit:
@@ -686,8 +672,11 @@ def run_session(config: ScenarioConfig, topo: HetNetTopology, pair: tuple[int, i
 def compare_modes(config: ScenarioConfig, topo: HetNetTopology,
                   pair: tuple[int, int] | None = None) -> tuple[SessionStats, SessionStats]:
     """(cellular-only, combined) stats of two sessions with the same seed on
-    the same topology; both pick the same pair when none is given."""
-    cellular_only, _ = run_session(replace(config, wifi_enabled=False, cellular_enabled=True),
-                                   topo, pair=pair)
-    combined, _ = run_session(replace(config, cellular_enabled=True), topo, pair=pair)
+    the same topology, config with WiFi off and config itself; both pick the
+    same pair when none is given.  Both need the cellular interface."""
+    if not config.cellular_enabled:
+        raise ConfigError("compare_modes compares against the cellular interface, "
+                          "which is disabled")
+    cellular_only, _ = run_session(replace(config, wifi_enabled=False), topo, pair=pair)
+    combined, _ = run_session(config, topo, pair=pair)
     return cellular_only, combined

@@ -118,6 +118,12 @@ MUTANTS = [
      "phase = (node * cfg.wired_relay_rate) % 1.0",
      "phase = (node * cfg.wired_relay_rate / len(self.topo)) % 1.0",
      [REFERENCE]),
+    # no generated chain fills a relay's send credit; the relay star does
+    ("send-credit-uncapped", ENGINE,
+     "relay.send_credit = min(self.cfg.buffer_capacity, relay.send_credit + 1)",
+     "relay.send_credit = relay.send_credit + 1",
+     ["tests/test_reference_engine.py::"
+      "test_relay_send_credit_cap_matches_the_reference_engine"]),
     ("skip-ahead-ignores-the-budget", ENGINE,
      "skipped = min(max(1, min(steps)) - 1, budget - self.slot - 1)",
      "skipped = max(1, min(steps)) - 1",

@@ -96,6 +96,13 @@ ROWS = [
     ("param_step-unknown", SWEEP, {"sweep": dict(ONE, param_step=0.1)},
      "unknown SweepSpec field 'param_step'"),
     ("out-3", SWEEP, {"sweep": dict(ONE, out=3)}, "out must be a string or null, not 3"),
+    # scenario fields a sweep would overwrite: trial seeds come from the sweep
+    # section, and the cellular-only baseline needs the cellular interface
+    ("sweep-scenario-seed", SWEEP1, {"scenario": {"seed": 12345}},
+     "a sweep seeds its trials from the sweep section's seed (or --seed), so the scenario "
+     "section may not set one"),
+    ("sweep-cellular-disabled", SWEEP1, {"scenario": {"cellular_enabled": False}},
+     "compare_modes compares against the cellular interface, which is disabled"),
     # scenario sections; every rate is in packets per slot and a session
     # keeps no byte count, so r_wifi and payload_bytes name no field
     *((f"field-{key}", SWEEP, {"scenario": {key: value}}, f"unknown ScenarioConfig field {key!r}")

@@ -22,7 +22,7 @@ from hetnetcode.presets import (
     preset_rate_sweep,
     preset_topo2,
 )
-from hetnetcode.simengine import Draws, NoPathError, run_session
+from hetnetcode.simengine import Draws, NoPathError, _raw_blocks, run_session
 
 RATE_RATIOS = (0.1, 0.5, 1.0, 2.0)
 TRIALS = 50
@@ -81,9 +81,9 @@ def test_criterion_02_codec_round_trip():
 
 
 def test_criterion_03_full_rank_probability():
-    # the test owns this stream, so a Draws serves it: the same values as the
-    # Generator's (bytes(20) is its integers(0, 256, (20, 1), uint8)), drawn faster
-    rng = Draws(np.random.default_rng(3))
+    # the test owns this stream, so a Draws serves it: the same values as
+    # default_rng(3)'s (bytes(20) is its integers(0, 256, (20, 1), uint8)), drawn faster
+    rng = Draws(_raw_blocks(np.random.PCG64(3)))
     block = rlnc.SourceBlock(0, np.frombuffer(rng.bytes(20), np.uint8).reshape(20, 1))
     trials = 10_000
     full = 0

@@ -10,11 +10,14 @@ credit rule is written once, in _tick.  Every single coded packet is
 combined in one place, rlnc._combined, and the numpy kernel
 gf256.weighted_row_sum serves the cellular batches (rlnc.coded_packets)
 alone.  The reference engine and oracles.py share neither the codec nor the
-routes with the program."""
+routes with the program.  Every function, class and method of the package is
+read by name in the package or named in README.md: none is there for the
+tests alone."""
 
 import ast
 import dataclasses
 import graphlib
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from hetnetcode.config import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hetnetcode"
+README = SRC.parents[1] / "README.md"
 TESTS = Path(__file__).resolve().parent
 CONFIG_NAMES = ("check_types", "declared_types", "finite_number", "config_from_dict",
                 "TopologyParams", "ForwardPolicy", "ScenarioConfig", "SweepSpec", "ConfigError")
@@ -185,3 +189,26 @@ def test_no_module_defines_or_calls_validate():
                     and node.func.attr == "validate"):
                 found.append(f"{path.name}:{node.lineno} calls .validate")
     assert found == []
+
+
+def test_no_name_in_the_package_is_there_for_the_tests_alone():
+    """Each module-level function and class, and each method of those
+    classes but the dunders, is read by name somewhere in the package (a
+    call, an attribute read or a decorator) or named in a code span of
+    README.md, which documents the public codec and API."""
+    trees = [_tree(path) for path in sorted(SRC.glob("*.py"))]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    spans = re.findall(r"`+([^`]+)`+", README.read_text(encoding="utf-8"))
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    surface = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                surface.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                surface.extend(f"{node.name}.{method.name}" for method in node.body
+                               if isinstance(method, ast.FunctionDef)
+                               and not re.fullmatch(r"__\w+__", method.name))
+    assert [name for name in surface if name.rpartition(".")[2] not in read | named] == []

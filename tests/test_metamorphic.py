@@ -92,7 +92,7 @@ def test_the_payload_stream_changes_nothing(kind, data):
 
     def other_payloads(seed):
         draws = session_draws(seed)
-        draws[4] = simengine.Draws(np.random.default_rng(other))
+        draws[4] = simengine.Draws(simengine._raw_blocks(np.random.PCG64(other)))
         return draws
 
     def first_block():
@@ -107,8 +107,9 @@ def test_the_payload_stream_changes_nothing(kind, data):
 
 
 def _cellular_only(cfg, topo, pair):
-    """compare_modes' cellular-only half: its stats with the pair left out,
-    and its trace as (slot, interface, block id, innovative) rows."""
+    """compare_modes' cellular-only half, with the cellular interface on: its
+    stats with the pair left out, and its trace as (slot, interface, block
+    id, innovative) rows."""
     traces = []
     run_session = simengine.run_session
 
@@ -120,7 +121,7 @@ def _cellular_only(cfg, topo, pair):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simengine, "run_session", recorded)
         try:
-            stats, _ = simengine.compare_modes(cfg, topo, pair)
+            stats, _ = simengine.compare_modes(replace(cfg, cellular_enabled=True), topo, pair)
         except NoPathError:
             assume(False)
     rows = [(ev.slot, ev.interface, ev.block_id, ev.innovative) for ev in traces[0]]

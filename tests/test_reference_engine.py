@@ -89,16 +89,31 @@ def test_engine_matches_the_reference_engine(kind, data):
     assert within_cut(cfg, topo, stats)
 
 
-@pytest.mark.parametrize("seed", [3, 0, 1])
-def test_probabilistic_relays_match_the_reference_engine(seed):
-    """A fixed 3-hop chain whose relays choose cellular with p = 0.3, one
-    relay-stream double per choice: equal stats, traces and schedules."""
-    config = ScenarioConfig(link_rate_override=0.5, seed=seed,
-                            relay_policy=ForwardPolicy("both", "probabilistic", 0.3))
-    cfg, topo, pair = presets.chain_scenario(config, 3)
+def _assert_matches_the_reference_engine(cfg, topo, pair):
+    """Equal stats, traces and radio schedules from the engine and the
+    reference engine."""
     schedule_log = []
     stats, trace = run_session(cfg, topo, pair, schedule_log=schedule_log)
     want_stats, want_trace, want_log = ReferenceSession(cfg, topo, pair).run()
     assert stats == want_stats
     assert trace.events == want_trace.events
     assert schedule_log == want_log
+
+
+@pytest.mark.parametrize("seed", [3, 0, 1])
+def test_probabilistic_relays_match_the_reference_engine(seed):
+    """A fixed 3-hop chain whose relays choose cellular with p = 0.3, one
+    relay-stream double per choice."""
+    config = ScenarioConfig(link_rate_override=0.5, seed=seed,
+                            relay_policy=ForwardPolicy("both", "probabilistic", 0.3))
+    _assert_matches_the_reference_engine(*presets.chain_scenario(config, 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("buffer_capacity", [1, 2])
+def test_relay_send_credit_cap_matches_the_reference_engine(buffer_capacity, seed):
+    """The topo2 testbed with 3 relays at 12 Mbit/s, whose relays receive
+    faster than they forward, so each relay's send credit reaches its cap of
+    buffer_capacity sends.  No generated chain shows the cap."""
+    config = ScenarioConfig(buffer_capacity=buffer_capacity, seed=seed)
+    _assert_matches_the_reference_engine(*presets.relay_star_scenario(config, 3, 12))
