@@ -1,7 +1,7 @@
 """Random linear network coding over parallel cellular and WiFi paths."""
 
 from . import config, gf256, rlnc, routing, simengine, topology
-from .config import ConfigError, ForwardPolicy, ScenarioConfig, TopologyParams
+from .config import ConfigError, ScenarioConfig, TopologyParams
 from .rlnc import CodedPacket, DecoderState, RecodeBuffer, SourceBlock
 from .simengine import (
     EventTrace,

@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import presets
-from .config import ConfigError, ScenarioConfig, SweepSpec
+from .config import ConfigError, ScenarioConfig, SweepSpec, config_from_dict
 from .presets import PRESETS, format_rows
 from .simengine import NoPathError, run_session
 
@@ -54,8 +54,9 @@ def load_config(path: str | None) -> dict:
 def merged_sections(args) -> SweepSpec:
     """The config file's sweep section, with the file's scenario section as
     its scenario, after every flag given is written over the field it sets
-    (each flag's dest names its field).  SweepSpec.from_dict reads the sweep
-    fields; the scenario is left to ScenarioConfig.from_dict.
+    (each flag's dest names its field).  config_from_dict(SweepSpec, ...)
+    reads the sweep fields; the scenario stays a dict, for the caller to read
+    with config_from_dict(ScenarioConfig, ...).
 
     --seed seeds a sweep's trials on a sweep command and the session
     elsewhere; --ratio sets both fields of presets.rate_fields.
@@ -72,7 +73,7 @@ def merged_sections(args) -> SweepSpec:
             scenario[key] = value
     if getattr(args, "ratio", None) is not None:
         scenario.update(presets.rate_fields(args.ratio))
-    return SweepSpec.from_dict({**sweep, "scenario": scenario})
+    return config_from_dict(SweepSpec, {**sweep, "scenario": scenario})
 
 
 def _emit(write, out: str | None):
@@ -92,19 +93,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_topology(args) -> int:
-    sc = ScenarioConfig.from_dict(merged_sections(args).scenario)
+    sc = config_from_dict(ScenarioConfig, merged_sections(args).scenario)
     _emit(presets.cell_topology(sc, sc.seed).dump, args.out)
     return 0
 
 
 def cmd_replay_trace(args) -> int:
-    sc = ScenarioConfig.from_dict(merged_sections(args).scenario)
+    scenario = merged_sections(args).scenario
+    sc = config_from_dict(ScenarioConfig, scenario)
     if args.chain_hops is not None and args.relays is not None:
         raise ConfigError("--chain-hops and --relays are mutually exclusive")
+    if args.link_rate is not None and args.relays is None:
+        raise ConfigError("--link-rate sets the access links of --relays, so it needs --relays")
     if args.chain_hops is not None:
+        presets.testbed_fields_unset(scenario, presets.CHAIN_FIELDS)
         sc, topo, pair = presets.chain_scenario(sc, args.chain_hops)
     elif args.relays is not None:
-        sc, topo, pair = presets.relay_star_scenario(sc, args.relays, args.link_rate)
+        presets.testbed_fields_unset(scenario, presets.RELAY_STAR_FIELDS)
+        link_rate = presets.TOPO2_REFERENCE_RATE if args.link_rate is None else args.link_rate
+        sc, topo, pair = presets.relay_star_scenario(sc, args.relays, link_rate)
     else:
         topo, pair = presets.cell_topology(sc, sc.seed), None
     _, trace = run_session(sc, topo, pair=pair)
@@ -153,7 +160,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--chain-hops", type=int, help="use a WiFi chain of this many hops")
     p.add_argument("--relays", type=int, help="use the dual-interface relay topology")
-    p.add_argument("--link-rate", type=float, default=54.0,
+    p.add_argument("--link-rate", type=float,
                    help="access link rate for --relays (default 54)")
 
     return ap

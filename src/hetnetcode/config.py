@@ -1,9 +1,11 @@
 """Every config class, the one JSON reader of them and the declared-type check.
 
-Each config class is frozen and checked when made, by __init__, replace or
-config_from_dict, which reads a JSON section by the fields' declared types:
-__post_init__ checks each value against its type (check_types), then the
-value itself.  So a config that exists is valid, and nothing checks it again.
+Every field is flat: a number, bool, string, list or null, never another
+config object.  Each config class is frozen and checked when made, by
+__init__, replace or config_from_dict(cls, section), the one reader, which
+reads a JSON section by the fields' declared types: __post_init__ checks
+each value against its type (check_types), then the value itself.  So a
+config that exists is valid, and nothing checks it again.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 import math
 import numbers
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -30,7 +32,7 @@ def finite_number(x) -> bool:
 
 
 # the values a declared field type accepts, and their name in errors; a JSON
-# list is read as a tuple, a JSON object for a dataclass field as that class
+# list is read as a tuple
 _ACCEPTS = {bool: (bool, "true or false"), int: (int, "an integer"),
             float: ((int, float), "a number"), str: (str, "a string"),
             type(None): (type(None), "null"), tuple: ((list, tuple), "a list"),
@@ -46,8 +48,7 @@ def declared_types(cls) -> dict:
     table = {}
     for f in fields(cls):
         kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-        accepts = [(kind, f"a {kind.__name__} (an object)") if is_dataclass(kind)
-                   else _ACCEPTS[kind] for kind in kinds]
+        accepts = [_ACCEPTS[kind] for kind in kinds]
         table[f.name] = (kinds, tuple(t for t, _ in accepts if t is not bool),
                          " or ".join(label for _, label in accepts))
     return table
@@ -129,8 +130,8 @@ class TopologyParams:
 
 
 LOADING_MODES = ("equal-rate", "equal-time")
-POLICY_MODES = ("cellular-only", "wifi-only", "both")
-BOTH_MODES = ("round-robin", "duplicate", "probabilistic")
+# a relay's interfaces for each packet it sends, applied by _Session._interfaces
+RELAY_POLICIES = ("wifi-only", "cellular-only", "round-robin", "duplicate", "probabilistic")
 
 
 def _tupled(value):
@@ -141,9 +142,8 @@ def _tupled(value):
 def config_from_dict(cls, values):
     """Dataclass cls from JSON-style values, the one reader of every config
     section: each key must be a field of cls.  A list for a tuple field
-    becomes a tuple and an object for a dataclass field (a ForwardPolicy)
-    becomes one; cls's __post_init__ checks each value against the field's
-    declared type, then the value itself."""
+    becomes a tuple; cls's __post_init__ checks each value against the
+    field's declared type, then the value itself."""
     if not isinstance(values, dict):
         raise ConfigError(f"{cls.__name__} settings must be an object")
     declared = declared_types(cls)
@@ -151,31 +151,8 @@ def config_from_dict(cls, values):
     for key, value in values.items():
         if key not in declared:
             raise ConfigError(f"unknown {cls.__name__} field {key!r}")
-        kinds = declared[key][0]
-        if isinstance(value, dict) and is_dataclass(kinds[0]):
-            value = config_from_dict(kinds[0], value)
-        elif tuple in kinds:
-            value = _tupled(value)
-        kwargs[key] = value
+        kwargs[key] = _tupled(value) if tuple in declared[key][0] else value
     return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class ForwardPolicy:
-    """A relay's interfaces for each packet, applied by _Session._interfaces."""
-
-    mode: str = "wifi-only"
-    both_mode: str = "round-robin"
-    p: float = 0.5  # probability of picking cellular in probabilistic mode
-
-    def __post_init__(self):
-        check_types(self)
-        if self.mode not in POLICY_MODES:
-            raise ConfigError(f"unknown policy mode {self.mode!r}")
-        if self.both_mode not in BOTH_MODES:
-            raise ConfigError(f"unknown both-mode schedule {self.both_mode!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("probabilistic p must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -197,18 +174,15 @@ class ScenarioConfig(TopologyParams):
     min_hops: int = 2
     slot_budget: int = 5000
     block_target: int = 3
-    # forwarding
-    relay_policy: ForwardPolicy = field(default_factory=ForwardPolicy)
+    # forwarding: a relay's interfaces per packet, one of RELAY_POLICIES
+    relay_policy: str = "wifi-only"
+    relay_p: float = 0.5  # chance of cellular per packet, read by probabilistic only
     # False switches off every non-cellular interface: WiFi, the wired access
     # links and the backbone bus, as compare_modes' cellular-only half needs
     wifi_enabled: bool = True
     cellular_enabled: bool = True
     wired_relay_rate: float = 1.0  # wired forwards per slot a relay can process
     seed: int = 0
-
-    @classmethod
-    def from_dict(cls, values: dict) -> ScenarioConfig:
-        return config_from_dict(cls, values)
 
     def __post_init__(self):
         super().__post_init__()
@@ -234,8 +208,12 @@ class ScenarioConfig(TopologyParams):
             raise ConfigError("block_target must be >= 1")
         if self.wired_relay_rate <= 0:
             raise ConfigError("wired_relay_rate must be positive")
-        if not self.cellular_enabled and self.relay_policy.mode != "wifi-only":
-            raise ConfigError(f"relay policy {self.relay_policy.mode!r} needs the "
+        if self.relay_policy not in RELAY_POLICIES:
+            raise ConfigError(f"unknown relay policy {self.relay_policy!r}")
+        if not 0.0 <= self.relay_p <= 1.0:
+            raise ConfigError("relay_p must lie in [0, 1]")
+        if not self.cellular_enabled and self.relay_policy != "wifi-only":
+            raise ConfigError(f"relay policy {self.relay_policy!r} needs the "
                               "cellular interface, which is disabled")
 
     def topology_params(self) -> TopologyParams:
@@ -255,10 +233,6 @@ class SweepSpec:
     out: str | None = None
     workers: int = 1
     scenario: dict = field(default_factory=dict)  # ScenarioConfig overrides
-
-    @classmethod
-    def from_dict(cls, values: dict) -> SweepSpec:
-        return config_from_dict(cls, values)
 
     def __post_init__(self):
         check_types(self)

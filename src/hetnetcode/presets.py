@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import topology as topo_mod
-from .config import TRIAL_SEED_STRIDE, ConfigError, ScenarioConfig, SweepSpec
+from .config import TRIAL_SEED_STRIDE, ConfigError, ScenarioConfig, SweepSpec, config_from_dict
 from .simengine import compare_modes, pick_session_pair, run_session
 
 TOPO2_RATES = (12, 18, 24, 36, 48, 54)
@@ -38,11 +38,19 @@ def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0):
     return topo_mod.generate(config.node_count, rng, config.topology_params())
 
 
+# the scenario fields a testbed sets itself, which its scenario section may
+# therefore not set (testbed_fields_unset)
+CHAIN_FIELDS = ("node_count", "min_hops", "backbone_fraction")
+
+
 def chain_scenario(config: ScenarioConfig, hops: int):
     """(config, topology, pair) of a WiFi chain of `hops` hops, end to end."""
     # the chain first, so that hops < 1 reads "need at least one hop"
     topo = topo_mod.chain_topology(hops, config.topology_params())
     return replace(config, node_count=hops + 1, min_hops=hops), topo, (0, hops)
+
+
+RELAY_STAR_FIELDS = (*CHAIN_FIELDS, "cellular_enabled", "wired_relay_rate")
 
 
 def relay_star_scenario(config: ScenarioConfig, n_relays: int, link_rate: float):
@@ -64,13 +72,24 @@ def rate_fields(ratio: float) -> dict:
     return {"link_rate_override": float(ratio), "r_cell": float(ratio)}
 
 
-def _base_config(spec: SweepSpec, **defaults) -> ScenarioConfig:
-    """The spec's scenario over the preset's defaults, validated.  A sweep's
-    trials take their seeds from the sweep's own seed, never the scenario's."""
+def testbed_fields_unset(scenario: dict, fixed: tuple):
+    """ConfigError if the scenario section names a field of fixed, which a
+    testbed sets itself and would otherwise drop without a word."""
+    if named := [name for name in fixed if name in scenario]:
+        raise ConfigError(f"the scenario section may not set {', '.join(named)}, "
+                          "which this testbed sets itself")
+
+
+def _base_config(spec: SweepSpec, fixed: tuple = (), **defaults) -> ScenarioConfig:
+    """The spec's scenario over the preset's defaults, validated, naming no
+    field of fixed.  A sweep's trials take their seeds from the sweep's own
+    seed, never the scenario's."""
     if "seed" in spec.scenario:
         raise ConfigError("a sweep seeds its trials from the sweep section's seed "
                           "(or --seed), so the scenario section may not set one")
-    return ScenarioConfig.from_dict({**defaults, **spec.scenario})
+    config = config_from_dict(ScenarioConfig, {**defaults, **spec.scenario})
+    testbed_fields_unset(spec.scenario, fixed)
+    return config
 
 
 def _pool_map(fn, args_list, workers: int):
@@ -213,7 +232,7 @@ def preset_topo1(spec: SweepSpec):
     """Seven-hop chain in parallel with a constant-rate WiMAX-style pipe."""
     ratios = spec.sweep_values(DEFAULT_TOPO1_RATIOS)
     points = [rate_fields(r) for r in ratios]
-    base = _base_config(spec, block_target=3, slot_budget=6000)
+    base = _base_config(spec, CHAIN_FIELDS, block_target=3, slot_budget=6000)
     rows = [(float(r), wimax, comb) for r, (wimax, comb, _)
             in zip(ratios, _compare_sweep(spec, base, points, chain_hops=TOPO1_HOPS))]
     return ["rate_ratio", "rel_tput_wimax", "rel_tput_combined"], rows
@@ -237,7 +256,7 @@ def preset_topo2(spec: SweepSpec):
     """Dual-interface access-point topology: throughput vs relay count N at
     each of TOPO2_RATES."""
     relay_counts = _counts(spec.sweep_values(DEFAULT_TOPO2_RELAYS), "relay counts")
-    base = _base_config(spec, block_target=4, slot_budget=60000)
+    base = _base_config(spec, RELAY_STAR_FIELDS, block_target=4, slot_budget=60000)
     points = [(rate, n) for rate in TOPO2_RATES for n in relay_counts]
     tasks = [(spec.seed, t, points, base) for t in range(spec.trials)]
     rows = [(float(rate), n, _mean(vals))

@@ -398,7 +398,7 @@ class _Session:
         self.trace = EventTrace()
         self.sent = {"wifi": 0, "cellular": 0, "wired": 0}
         self.slot = 0
-        self.relay_cellular = config.relay_policy.mode != "wifi-only"
+        self.relay_cellular = config.relay_policy != "wifi-only"
 
     # -- small helpers -----------------------------------------------------
 
@@ -426,15 +426,15 @@ class _Session:
         interface under the relay policy.  Round-robin starts on WiFi and
         alternates per relay; probabilistic draws one double from rng_relay."""
         policy = self.cfg.relay_policy
-        if policy.mode != "both":
-            cellular = policy.mode == "cellular-only"
-        elif policy.both_mode == "duplicate":
+        if policy == "duplicate":
             return True, True
-        elif policy.both_mode == "round-robin":
+        if policy == "round-robin":
             cellular = relay.round_robin % 2 == 1
             relay.round_robin += 1
-        else:  # probabilistic
-            cellular = self.rng_relay.random() < policy.p
+        elif policy == "probabilistic":
+            cellular = self.rng_relay.random() < self.cfg.relay_p
+        else:
+            cellular = policy == "cellular-only"
         return cellular, not cellular
 
     def _can_send(self, node: int) -> bool:

@@ -266,6 +266,8 @@ def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTop
     if hops < 1:
         raise ConfigError("need at least one hop")
     params = params or TopologyParams()
+    if not math.isfinite(hops * params.wifi_range):
+        raise ConfigError("the chain is too long: hops * wifi_range must be finite")
     spacing = params.wifi_range
     return HetNetTopology(params, [(i * spacing, 0.0) for i in range(hops + 1)])
 

@@ -110,9 +110,17 @@ MUTANTS = [
      "        for _ in range(self.cfg.block_target):\n",
      ["tests/test_metamorphic.py"]),
     ("probabilistic-choice-draws-from-the-data-stream", ENGINE,
-     "cellular = self.rng_relay.random() < policy.p",
-     "cellular = self.rng_data.random() < policy.p",
+     "cellular = self.rng_relay.random() < self.cfg.relay_p",
+     "cellular = self.rng_data.random() < self.cfg.relay_p",
      ["tests/test_reference_engine.py::test_probabilistic_relays_match_the_reference_engine"]),
+    ("relay-p-ignored", ENGINE,
+     "random() < self.cfg.relay_p",
+     "random() < 0.5",
+     ["tests/test_simengine.py::test_interfaces_probabilistic"]),
+    ("round-robin-starts-on-cellular", ENGINE,
+     "cellular = relay.round_robin % 2 == 1",
+     "cellular = relay.round_robin % 2 == 0",
+     ["tests/test_simengine.py::test_interfaces_round_robin_even_split"]),
     # tests/test_metamorphic.py passes this one
     ("relay-phases-spread-by-topology-size", ENGINE,
      "phase = (node * cfg.wired_relay_rate) % 1.0",
@@ -227,6 +235,11 @@ MUTANTS = [
      "dist[fresh] = nxt",
      "dist[fresh] = nxt + 1",
      [REFERENCE]),
+    ("testbed-fields-unchecked", "hetnetcode/presets.py",
+     "if named := [name for name in fixed if name in scenario]:",
+     "if named := []:",
+     [f"tests/test_rejected_inputs.py::test_rejected_input_exits_2_as_a_config_error[{row}]"
+      for row in ("testbed-topo1", "testbed-topo2", "testbed-chain", "testbed-star")]),
     ("json-syntax-error-exits-1", "hetnetcode/cli.py",
      "except (ValueError, RecursionError) as exc:",
      "except RecursionError as exc:",

@@ -169,14 +169,14 @@ class ReferenceSession:
 
     def interfaces(self, relay):
         policy = self.cfg.relay_policy
-        if policy.mode != "both":
-            return {policy.mode.removesuffix("-only")}
-        if policy.both_mode == "duplicate":
+        if policy.endswith("-only"):
+            return {policy.removesuffix("-only")}
+        if policy == "duplicate":
             return {"wifi", "cellular"}
-        if policy.both_mode == "round-robin":
+        if policy == "round-robin":
             relay.round_robin += 1
             return {"wifi"} if relay.round_robin % 2 else {"cellular"}
-        return {"cellular"} if self.rng_relay.random() < policy.p else {"wifi"}
+        return {"cellular"} if self.rng_relay.random() < self.cfg.relay_p else {"wifi"}
 
     def cellular_step(self):
         """(a): the source's pipe, then the relays' uplinks; returns the
@@ -189,7 +189,7 @@ class ReferenceSession:
                 if not self.cell_up.take():
                     break
                 self.cell_queue.append(self.emit(self.src, "cellular"))
-        if self.cfg.relay_policy.mode == "wifi-only":
+        if self.cfg.relay_policy == "wifi-only":
             radio = [(node, None) for node in sorted(self.relays)]
         else:
             radio = []

@@ -55,6 +55,8 @@ ROWS = [
         ("link-rate-inf", f"{STAR} --link-rate inf", "link capacity must be positive and finite"),
         ("chain-and-star", f"{CHAIN} --relays 2",
          "--chain-hops and --relays are mutually exclusive"),
+        ("link-rate-without-relays", f"{CHAIN} --link-rate 12",
+         "--link-rate sets the access links of --relays, so it needs --relays"),
         ("chain-hops-0", "replay-trace --chain-hops 0", "need at least one hop"),
         ("relays-0", "replay-trace --relays 0", "need at least one relay"),
         ("rate-sweep-seed--1", f"{SWEEP1} --seed -1", SEED),
@@ -124,16 +126,37 @@ ROWS = [
         ("slot_budget", 0, "slot_budget must be >= 1"),
         ("block_target", 0, "block_target must be >= 1"),
         ("wired_relay_rate", 0, "wired_relay_rate must be positive"))),
-    *((f"policy-{name}", CHAIN, {"scenario": {"relay_policy": policy}}, fragment)
-      for name, policy, fragment in (
-          ("mode-bogus", {"mode": "bogus"}, "unknown policy mode 'bogus'"),
-          ("both_mode-x", {"mode": "both", "both_mode": "x"}, "unknown both-mode schedule 'x'"),
-          ("p-1.5", {"mode": "both", "p": 1.5}, "probabilistic p must lie in [0, 1]"))),
+    *((f"policy-{name}", CHAIN, {"scenario": scenario}, fragment)
+      for name, scenario, fragment in (
+          ("mode-bogus", {"relay_policy": "bogus"}, "unknown relay policy 'bogus'"),
+          ("p-1.5", {"relay_policy": "probabilistic", "relay_p": 1.5},
+           "relay_p must lie in [0, 1]"))),
+    # the nested policy object of older config files, and its mode "both",
+    # name no relay policy, so such a file exits 2 rather than run a default
+    ("relay_policy-both", CHAIN, {"scenario": {"relay_policy": "both"}},
+     "unknown relay policy 'both'"),
+    ("relay_policy-object", CHAIN,
+     {"scenario": {"relay_policy": {"mode": "wifi-only", "both_mode": "duplicate", "p": 0.9}}},
+     "relay_policy must be a string, not {'mode': 'wifi-only', 'both_mode': 'duplicate', "
+     "'p': 0.9}"),
+    # fields a testbed sets itself, which its scenario section may not set
+    *((f"testbed-{name}", argv, {"scenario": scenario},
+       f"the scenario section may not set {named}, which this testbed sets itself")
+      for name, argv, scenario, named in (
+          ("topo1", "topo1 --values 0.5 --trials 1", {"node_count": 40, "backbone_fraction": 0.5},
+           "node_count, backbone_fraction"),
+          ("topo2", "topo2 --values 1 --trials 1", {"wired_relay_rate": 0.5, "min_hops": 5},
+           "min_hops, wired_relay_rate"),
+          ("chain", CHAIN, {"min_hops": 3}, "min_hops"),
+          ("star", STAR, {"cellular_enabled": False}, "cellular_enabled"))),
     # the relay star takes no geometry from the scenario, but checks it
     ("star-wifi_range--1", STAR, {"scenario": {"wifi_range": -1}}, POSITIVE),
     ("star-cell_radius-0", STAR, {"scenario": {"delta": -1, "cell_radius": 0}}, POSITIVE),
     ("star-backbone_fraction-2", STAR, {"scenario": {"backbone_fraction": 2.0}},
      "backbone_fraction must be in [0, 1]"),
+    # the chain's last node would lie at an infinite x
+    ("chain-wifi_range-1e308", CHAIN, {"scenario": {"wifi_range": 1e308}},
+     "the chain is too long: hops * wifi_range must be finite"),
     # cells whose bounding box overflows numpy's uniform draw or its squared
     # distances, that span too many WiFi ranges for int64 bucket codes, or
     # whose squared distances underflow
@@ -149,16 +172,15 @@ ROWS = [
       for form, argv in (("chain", "replay-trace --chain-hops 3"), ("sweep", SWEEP1))
       for name, scenario, fragment in (
           ("duplicate-without-cellular",
-           {"relay_policy": {"mode": "both", "both_mode": "duplicate"}, "cellular_enabled": False},
-           "relay policy 'both' needs the cellular interface, which is disabled"),
+           {"relay_policy": "duplicate", "cellular_enabled": False},
+           "relay policy 'duplicate' needs the cellular interface, which is disabled"),
           ("node_count-x", {"node_count": "x"}, "node_count must be an integer, not 'x'"),
           ("block_size-2.5", {"block_size": 2.5}, "block_size must be an integer, not 2.5"),
           ("cellular_enabled-1", {"cellular_enabled": 1},
            "cellular_enabled must be true or false, not 1"),
-          ("p-half", {"relay_policy": {"mode": "both", "p": "half"}},
-           "p must be a number, not 'half'"),
-          ("relay_policy-null", {"relay_policy": None},
-           "relay_policy must be a ForwardPolicy (an object), not None"),
+          ("relay_p-half", {"relay_policy": "probabilistic", "relay_p": "half"},
+           "relay_p must be a number, not 'half'"),
+          ("relay_policy-null", {"relay_policy": None}, "relay_policy must be a string, not None"),
           ("tier-of-one", {"rate_tiers": [[0.5, 1.0], [1.0]]}, TIERS),
           ("tier-nan", {"rate_tiers": [[0.5, float("nan")], [1.0, 0.5]]}, TIERS),
           ("link_rate_override-nan", {"link_rate_override": float("nan")},
@@ -181,9 +203,9 @@ SECTION_CASES = [(row_id,) for row_id in (
     "sweep-a-list", "scenario-5", "values-nan", "values-nested", "scenario-in-sweep", "sweep-bogus",
     "values-10**400", "r_cell-10**400", "block_size-10**400", "buffer_capacity-2**63")]
 SCENARIO_CASES = [(f"chain-{name}", f"sweep-{name}") for name in (
-    "duplicate-without-cellular", "node_count-x", "block_size-2.5", "cellular_enabled-1", "p-half",
-    "relay_policy-null", "tier-of-one", "link_rate_override-nan", "delta-inf", "tier-nan",
-    "link_rate_override-x", "min_hops-0")]
+    "duplicate-without-cellular", "node_count-x", "block_size-2.5", "cellular_enabled-1",
+    "relay_p-half", "relay_policy-null", "tier-of-one", "link_rate_override-nan", "delta-inf",
+    "tier-nan", "link_rate_override-x", "min_hops-0")]
 IN_CASES = {row_id for cases in (FLAG_CASES, SECTION_CASES, SCENARIO_CASES)
             for case in cases for row_id in case}
 

@@ -18,9 +18,9 @@ CHAIN3 = ["replay-trace", "--chain-hops", "3"]
 BUS_CELL = dict(SMALL, backbone_fraction=0.2)
 
 
-def _relays_on(**policy):
+def _relays_on(policy, **fields):
     """Chain scenario whose relays also forward on their cellular uplink."""
-    return {"link_rate_override": 0.5, "relay_policy": policy}
+    return {"link_rate_override": 0.5, "relay_policy": policy, **fields}
 
 
 # name -> (scenario overrides, argv); infra-sweep reaches k/n = 1.0, so the
@@ -34,11 +34,10 @@ CASES = {
     "topo1": ({}, ["topo1", "--values", "0.5", "1.0", "--trials", "2"]),
     "topo2": ({}, ["topo2", "--values", "1", "2", "--trials", "2"]),
     "replay-chain": ({}, CHAIN3),
-    "replay-relay-cellular-only": (_relays_on(mode="cellular-only"), CHAIN3),
-    "replay-relay-round-robin": (_relays_on(mode="both", both_mode="round-robin"), CHAIN3),
-    "replay-relay-duplicate": (_relays_on(mode="both", both_mode="duplicate"), CHAIN3),
-    "replay-relay-probabilistic": (
-        _relays_on(mode="both", both_mode="probabilistic", p=0.3), CHAIN3),
+    "replay-relay-cellular-only": (_relays_on("cellular-only"), CHAIN3),
+    "replay-relay-round-robin": (_relays_on("round-robin"), CHAIN3),
+    "replay-relay-duplicate": (_relays_on("duplicate"), CHAIN3),
+    "replay-relay-probabilistic": (_relays_on("probabilistic", relay_p=0.3), CHAIN3),
     "replay-relays": ({}, ["replay-trace", "--relays", "3"]),
     # the bus carries packets between relays, which forward them to the
     # destination by radio; with the wider range the destination is on the bus
@@ -47,7 +46,7 @@ CASES = {
     # relays on the bus also send on cellular, each picking its interfaces
     # before any relay recodes
     "replay-cell-bus-probabilistic": (
-        dict(BUS_CELL, relay_policy={"mode": "both", "both_mode": "probabilistic", "p": 0.3}),
+        dict(BUS_CELL, relay_policy="probabilistic", relay_p=0.3),
         ["replay-trace"]),
     # relays slower than one wired send per slot: a relay that another relay
     # creates in the middle of the wired loop must not tick in that slot

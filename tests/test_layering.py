@@ -24,7 +24,6 @@ import pytest
 
 from hetnetcode.config import (
     ConfigError,
-    ForwardPolicy,
     ScenarioConfig,
     SweepSpec,
     TopologyParams,
@@ -34,7 +33,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hetnetcode"
 README = SRC.parents[1] / "README.md"
 TESTS = Path(__file__).resolve().parent
 CONFIG_NAMES = ("check_types", "declared_types", "finite_number", "config_from_dict",
-                "TopologyParams", "ForwardPolicy", "ScenarioConfig", "SweepSpec", "ConfigError")
+                "TopologyParams", "ScenarioConfig", "SweepSpec", "ConfigError")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -161,7 +160,7 @@ def test_the_references_share_no_codec_and_no_routes(name):
     assert reads & (SHARED_MODULES | SHARED_NAMES) == set()
 
 
-@pytest.mark.parametrize("cls", [TopologyParams, ForwardPolicy, ScenarioConfig, SweepSpec])
+@pytest.mark.parametrize("cls", [TopologyParams, ScenarioConfig, SweepSpec])
 def test_config_classes_are_frozen(cls):
     assert dataclasses.is_dataclass(cls)
     config = cls()

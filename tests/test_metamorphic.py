@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import presets, simengine
-from hetnetcode.config import ForwardPolicy
 from hetnetcode.simengine import NoPathError, pick_session_pair, run_session
 from hetnetcode.topology import HetNetTopology
 from test_reference_engine import scenarios
@@ -85,8 +84,7 @@ def test_the_payload_stream_changes_nothing(kind, data):
     same stats and trace: no decision depends on a payload byte."""
     cfg, topo, pair = data.draw(scenarios(kind))
     if cfg.cellular_enabled and data.draw(st.booleans()):
-        cfg = replace(cfg, relay_policy=ForwardPolicy(mode="both", both_mode="probabilistic",
-                                                      p=data.draw(st.floats(0.05, 0.95))))
+        cfg = replace(cfg, relay_policy="probabilistic", relay_p=data.draw(st.floats(0.05, 0.95)))
     other = data.draw(st.integers(0, 2**32 - 1))
     session_draws = simengine.session_draws
 

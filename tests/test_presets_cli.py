@@ -10,7 +10,6 @@ from hetnetcode import cli, presets, simengine
 from hetnetcode.config import (
     TRIAL_SEED_STRIDE,
     ConfigError,
-    ForwardPolicy,
     ScenarioConfig,
     SweepSpec,
 )
@@ -142,9 +141,7 @@ def test_a_comparison_trial_runs_the_sessions_that_pick_their_own_pair(monkeypat
         assert stats == compare_modes(cfg, topo, None)
 
 
-@pytest.mark.parametrize("policy", [{"mode": "wifi-only"},
-                                    {"mode": "both", "both_mode": "duplicate"}],
-                         ids=["wifi-only", "both-duplicate"])
+@pytest.mark.parametrize("policy", ["wifi-only", "duplicate"], ids=["wifi-only", "both-duplicate"])
 def test_load_sweep_consistent_with_rate_sweep_at_single_user(policy):
     # rate-sweep builds its topology at the default r_cell and load-sweep at
     # its ratio; relays that send on cellular must see the same rates in both
@@ -357,9 +354,9 @@ def test_out_of_memory_is_a_runtime_error(monkeypatch, capsys):
 
 def test_config_coercion_keeps_json_values():
     sc = presets._base_config(SweepSpec(scenario={
-        "relay_policy": {"mode": "both", "p": 1}, "rate_tiers": [[0.5, 1], [1.0, 0.5]],
+        "relay_policy": "probabilistic", "relay_p": 1, "rate_tiers": [[0.5, 1], [1.0, 0.5]],
         "link_rate_override": 2}))
-    assert sc.relay_policy == ForwardPolicy(mode="both", p=1)
+    assert (sc.relay_policy, sc.relay_p) == ("probabilistic", 1)
     assert sc.rate_tiers == ((0.5, 1), (1.0, 0.5))
     assert sc.link_rate_override == 2
 

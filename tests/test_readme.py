@@ -1,5 +1,5 @@
-"""The README's Python examples and CLI commands run as written, and its
-flag table lists the parser's flags."""
+"""The README's Python examples, CLI commands and JSON configs run or read
+as written, and its flag table lists the parser's flags."""
 
 import argparse
 import re
@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 from hetnetcode import cli
+from hetnetcode.config import ScenarioConfig, SweepSpec, config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 COMMANDS = [shlex.split(line)[1:]
             for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
             for line in block.splitlines() if line.startswith("hetnetcode ")]
+JSON_BLOCKS = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
 
 
 def test_readme_has_python_examples():
@@ -24,6 +26,19 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_example_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_json_configs_read(tmp_path):
+    # each section through the one reader, as a command reads it
+    assert JSON_BLOCKS
+    classes = {"scenario": ScenarioConfig, "sweep": SweepSpec}
+    for index, block in enumerate(JSON_BLOCKS):
+        path = tmp_path / f"config{index}.json"
+        path.write_text(block)
+        sections = cli.load_config(str(path))
+        assert sections
+        for name, section in sections.items():
+            config_from_dict(classes[name], section)
 
 
 def test_readme_shows_every_subcommand():

@@ -7,13 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import presets, topology
-from hetnetcode.config import BOTH_MODES, LOADING_MODES, POLICY_MODES, ForwardPolicy, ScenarioConfig
+from hetnetcode.config import LOADING_MODES, RELAY_POLICIES, ScenarioConfig
 from hetnetcode.simengine import NoPathError, run_session
 from oracles import within_cut
 from reference_engine import ReferenceSession
-
-POLICIES = st.builds(ForwardPolicy, mode=st.sampled_from(POLICY_MODES),
-                     both_mode=st.sampled_from(BOTH_MODES), p=st.floats(0, 1))
 
 
 @st.composite
@@ -41,7 +38,8 @@ def configs(draw) -> ScenarioConfig:
         slot_budget=draw(st.integers(20, 300)),
         block_target=draw(st.integers(1, 3)),
         # a relay policy other than wifi-only needs the cellular interface
-        relay_policy=draw(POLICIES) if cellular else ForwardPolicy(),
+        relay_policy=draw(st.sampled_from(RELAY_POLICIES)) if cellular else "wifi-only",
+        relay_p=draw(st.floats(0, 1)),
         cellular_enabled=cellular,
         wifi_enabled=wifi,
         wired_relay_rate=draw(st.floats(0.05, 3.0)),
@@ -105,7 +103,7 @@ def test_probabilistic_relays_match_the_reference_engine(seed):
     """A fixed 3-hop chain whose relays choose cellular with p = 0.3, one
     relay-stream double per choice."""
     config = ScenarioConfig(link_rate_override=0.5, seed=seed,
-                            relay_policy=ForwardPolicy("both", "probabilistic", 0.3))
+                            relay_policy="probabilistic", relay_p=0.3)
     _assert_matches_the_reference_engine(*presets.chain_scenario(config, 3))
 
 

@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hetnetcode import gf256, presets, rlnc, routing, simengine, topology
 from hetnetcode.config import (
     LOADING_MODES,
+    RELAY_POLICIES,
     ConfigError,
-    ForwardPolicy,
     ScenarioConfig,
     SweepSpec,
     TopologyParams,
@@ -61,14 +61,14 @@ def test_config_keys_are_pinned():
         "backbone_rate", "node_count", "block_size", "buffer_capacity",
         "link_rate_override", "users_per_cell", "loading_mode", "ack_delay",
         "processing_delay", "min_hops", "slot_budget", "block_target", "relay_policy",
-        "wifi_enabled", "cellular_enabled", "wired_relay_rate", "seed"}
-    assert ScenarioConfig.from_dict(asdict(ScenarioConfig())) == ScenarioConfig()
+        "relay_p", "wifi_enabled", "cellular_enabled", "wired_relay_rate", "seed"}
+    assert config_from_dict(ScenarioConfig, asdict(ScenarioConfig())) == ScenarioConfig()
     # the topology fields are inherited, never declared again
     inherited = {f.name for f in fields(TopologyParams)}
     assert not set(ScenarioConfig.__annotations__) & inherited
 
 
-@pytest.mark.parametrize("cls", [ScenarioConfig, ForwardPolicy, SweepSpec])
+@pytest.mark.parametrize("cls", [ScenarioConfig, SweepSpec])
 def test_config_reader_knows_every_declared_type(cls):
     # a field whose annotation the reader cannot map to JSON types would
     # fail only when a config file names it; the table raises KeyError on one
@@ -99,7 +99,7 @@ def test_session_rejects_its_source_as_destination():
     lambda: ScenarioConfig(wifi_enabled="no"),
     lambda: ScenarioConfig(link_rate_override="x"),
     lambda: ScenarioConfig(delta=float("nan")),
-    lambda: ForwardPolicy(p="x"),
+    lambda: ScenarioConfig(relay_p="x"),
     lambda: TopologyParams(rate_tiers="x"),
     lambda: ScenarioConfig(r_cell=10**400),  # an int with no finite float value
     lambda: SweepSpec(values=(0.5, 10**400)),
@@ -501,9 +501,7 @@ def test_backbone_shortcut_speeds_up_session():
 
 
 def test_relay_cellular_policies_run():
-    for policy in (ForwardPolicy(mode="cellular-only"),
-                   ForwardPolicy(mode="both", both_mode="round-robin"),
-                   ForwardPolicy(mode="both", both_mode="duplicate")):
+    for policy in ("cellular-only", "round-robin", "duplicate"):
         cfg, topo = chain_session(2, link_rate_override=1.0,
                                   relay_policy=policy,
                                   block_target=2, slot_budget=500)
@@ -517,35 +515,38 @@ def test_relay_cellular_policies_run():
 
 
 def test_policy_validation():
-    with pytest.raises(ConfigError):
-        ForwardPolicy(mode="carrier-pigeon")
-    with pytest.raises(ConfigError):
-        ForwardPolicy(mode="both", both_mode="sometimes")
-    with pytest.raises(ConfigError):
-        ForwardPolicy(mode="both", both_mode="probabilistic", p=1.5)
+    with pytest.raises(ConfigError, match="unknown relay policy 'carrier-pigeon'"):
+        ScenarioConfig(relay_policy="carrier-pigeon")
+    # a mode of the nested policy object in older config files, not a policy
+    with pytest.raises(ConfigError, match="unknown relay policy 'both'"):
+        ScenarioConfig(relay_policy="both")
+    for p in (1.5, -0.1):
+        with pytest.raises(ConfigError, match=r"relay_p must lie in \[0, 1\]"):
+            ScenarioConfig(relay_policy="probabilistic", relay_p=p)
+    for p in (0, 1):
+        ScenarioConfig(relay_policy="probabilistic", relay_p=p)
 
 
 def policy_session(seed=0, **policy):
-    """A fresh session on a 2-hop chain under ForwardPolicy(**policy), and
-    its relay."""
-    cfg, topo, pair = presets.chain_scenario(
-        ScenarioConfig(seed=seed, relay_policy=ForwardPolicy(**policy)), 2)
+    """A fresh session on a 2-hop chain under the relay_policy and relay_p
+    fields of policy, and its relay."""
+    cfg, topo, pair = presets.chain_scenario(ScenarioConfig(seed=seed, **policy), 2)
     session = simengine._Session(cfg, topo, pair, None)
     return session, session._relay(1)
 
 
 def test_interfaces_fixed_modes():
-    session, relay = policy_session(mode="wifi-only")
+    session, relay = policy_session(relay_policy="wifi-only")
     for _ in range(5):
         assert session._interfaces(relay) == (False, True)
-    session, relay = policy_session(mode="both", both_mode="duplicate")
+    session, relay = policy_session(relay_policy="duplicate")
     assert session._interfaces(relay) == (True, True)
-    session, relay = policy_session(mode="cellular-only")
+    session, relay = policy_session(relay_policy="cellular-only")
     assert session._interfaces(relay) == (True, False)
 
 
 def test_interfaces_round_robin_even_split():
-    session, relay = policy_session(mode="both", both_mode="round-robin")
+    session, relay = policy_session(relay_policy="round-robin")
     picks = [session._interfaces(relay) for _ in range(100)]
     assert picks[0] == (False, True)  # WiFi first
     assert picks.count((False, True)) == 50
@@ -554,25 +555,21 @@ def test_interfaces_round_robin_even_split():
 
 
 def test_interfaces_probabilistic():
-    session, relay = policy_session(mode="both", both_mode="probabilistic", p=1.0)
+    session, relay = policy_session(relay_policy="probabilistic", relay_p=1.0)
     assert session._interfaces(relay) == (True, False)
-    session, relay = policy_session(seed=1, mode="both", both_mode="probabilistic", p=0.25)
+    session, relay = policy_session(seed=1, relay_policy="probabilistic", relay_p=0.25)
     picks = [session._interfaces(relay) for _ in range(2000)]
     assert 0.2 < picks.count((True, False)) / 2000 < 0.3
 
 
-@pytest.mark.parametrize("policy", [
-    {"mode": "wifi-only"}, {"mode": "cellular-only"},
-    {"mode": "both", "both_mode": "round-robin"}, {"mode": "both", "both_mode": "duplicate"},
-    {"mode": "both", "both_mode": "probabilistic", "p": 0.5},
-])
+@pytest.mark.parametrize("policy", [{"relay_policy": name} for name in RELAY_POLICIES])
 def test_only_the_probabilistic_schedule_draws_from_the_relay_stream(policy):
     """One double per choice, so each later recode draws where it did."""
     session, relay = policy_session(seed=7, **policy)
     for _ in range(25):
         session._interfaces(relay)
     want = session_rngs(7)[3]
-    want.random(25 if policy.get("both_mode") == "probabilistic" else 0)
+    want.random(25 if policy["relay_policy"] == "probabilistic" else 0)
     assert_next_draws_agree(session.rng_relay, want)
 
 
@@ -637,9 +634,8 @@ def _route_test_session(name):
     if name == "relay-star":
         return presets.relay_star_scenario(ScenarioConfig(seed=3), 6, 54.0)
     if name == "chain-round-robin":
-        policy = ForwardPolicy(mode="both", both_mode="round-robin")
         return presets.chain_scenario(
-            ScenarioConfig(seed=3, link_rate_override=0.5, relay_policy=policy), 3)
+            ScenarioConfig(seed=3, link_rate_override=0.5, relay_policy="round-robin"), 3)
     cfg = ScenarioConfig(node_count=250, cell_radius=400.0, backbone_fraction=0.2, seed=3)
     return cfg, presets.cell_topology(cfg, cfg.seed), None
 
