@@ -10,7 +10,8 @@ field-for-field:
     }
 
 A command-line flag that sets a config field has an argparse dest named
-after that field and overrides the file's value (see merged_sections).
+after that field and overrides the file's value (see merged_sections); every
+command reads the scenario section through presets.scenario_config.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def merged_sections(args) -> SweepSpec:
     its scenario, after every flag given is written over the field it sets
     (each flag's dest names its field).  config_from_dict(SweepSpec, ...)
     reads the sweep fields; the scenario stays a dict, for the caller to read
-    with config_from_dict(ScenarioConfig, ...).
+    with presets.scenario_config.
 
     --seed seeds a sweep's trials on a sweep command and the session
     elsewhere; --ratio sets both fields of presets.rate_fields.
@@ -93,23 +94,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_topology(args) -> int:
-    sc = config_from_dict(ScenarioConfig, merged_sections(args).scenario)
+    sc = presets.scenario_config(merged_sections(args).scenario)
     _emit(presets.cell_topology(sc, sc.seed).dump, args.out)
     return 0
 
 
 def cmd_replay_trace(args) -> int:
-    scenario = merged_sections(args).scenario
-    sc = config_from_dict(ScenarioConfig, scenario)
+    fixed = (presets.CHAIN_FIELDS if args.chain_hops is not None
+             else presets.RELAY_STAR_FIELDS if args.relays is not None else ())
+    sc = presets.scenario_config(merged_sections(args).scenario, fixed)
     if args.chain_hops is not None and args.relays is not None:
         raise ConfigError("--chain-hops and --relays are mutually exclusive")
     if args.link_rate is not None and args.relays is None:
         raise ConfigError("--link-rate sets the access links of --relays, so it needs --relays")
     if args.chain_hops is not None:
-        presets.testbed_fields_unset(scenario, presets.CHAIN_FIELDS)
         sc, topo, pair = presets.chain_scenario(sc, args.chain_hops)
     elif args.relays is not None:
-        presets.testbed_fields_unset(scenario, presets.RELAY_STAR_FIELDS)
         link_rate = presets.TOPO2_REFERENCE_RATE if args.link_rate is None else args.link_rate
         sc, topo, pair = presets.relay_star_scenario(sc, args.relays, link_rate)
     else:

@@ -4,7 +4,8 @@ Every preset is a pure function of (spec, seed): trial t of a sweep always
 sees the same topology, S-D pair, and coefficient draws, no matter which
 sweep point is being evaluated or how many workers run.  Sweep points are
 dispatched to a process pool when workers > 1; rows are always emitted in
-sweep-parameter order.
+sweep-parameter order.  Every run reads its scenario section through
+scenario_config, which refuses each field the run sets itself or never reads.
 """
 
 from __future__ import annotations
@@ -38,9 +39,14 @@ def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0):
     return topo_mod.generate(config.node_count, rng, config.topology_params())
 
 
-# the scenario fields a testbed sets itself, which its scenario section may
-# therefore not set (testbed_fields_unset)
-CHAIN_FIELDS = ("node_count", "min_hops", "backbone_fraction")
+# fields a run's scenario section may not set, as the run sets them or never
+# reads them (scenario_config): a rate point sets both RATE_FIELDS, the chain
+# has no wired link, bus or cells, and the relay star takes TopologyParams()
+RATE_FIELDS = ("link_rate_override", "r_cell")
+CHAIN_FIELDS = ("node_count", "min_hops", "backbone_fraction", "backbone_rate",
+                "wired_relay_rate", "cell_radius", "rate_tiers")
+RELAY_STAR_FIELDS = (*CHAIN_FIELDS, "cellular_enabled", "wifi_range", "delta", "r_cell",
+                     "link_rate_override", "users_per_cell", "loading_mode")
 
 
 def chain_scenario(config: ScenarioConfig, hops: int):
@@ -48,9 +54,6 @@ def chain_scenario(config: ScenarioConfig, hops: int):
     # the chain first, so that hops < 1 reads "need at least one hop"
     topo = topo_mod.chain_topology(hops, config.topology_params())
     return replace(config, node_count=hops + 1, min_hops=hops), topo, (0, hops)
-
-
-RELAY_STAR_FIELDS = (*CHAIN_FIELDS, "cellular_enabled", "wired_relay_rate")
 
 
 def relay_star_scenario(config: ScenarioConfig, n_relays: int, link_rate: float):
@@ -69,26 +72,16 @@ def rate_fields(ratio: float) -> dict:
     this cellular/WiFi link-rate ratio, which must be positive."""
     if not ratio > 0:
         raise ConfigError("rate ratios must be positive")
-    return {"link_rate_override": float(ratio), "r_cell": float(ratio)}
+    return dict.fromkeys(RATE_FIELDS, float(ratio))
 
 
-def testbed_fields_unset(scenario: dict, fixed: tuple):
-    """ConfigError if the scenario section names a field of fixed, which a
-    testbed sets itself and would otherwise drop without a word."""
-    if named := [name for name in fixed if name in scenario]:
+def scenario_config(section: dict, fixed: tuple = (), **defaults) -> ScenarioConfig:
+    """The scenario section over a run's defaults, checked; a ConfigError
+    if it names a field of fixed, which the run would otherwise drop."""
+    config = config_from_dict(ScenarioConfig, {**defaults, **section})
+    if named := [name for name in fixed if name in section]:
         raise ConfigError(f"the scenario section may not set {', '.join(named)}, "
-                          "which this testbed sets itself")
-
-
-def _base_config(spec: SweepSpec, fixed: tuple = (), **defaults) -> ScenarioConfig:
-    """The spec's scenario over the preset's defaults, validated, naming no
-    field of fixed.  A sweep's trials take their seeds from the sweep's own
-    seed, never the scenario's."""
-    if "seed" in spec.scenario:
-        raise ConfigError("a sweep seeds its trials from the sweep section's seed "
-                          "(or --seed), so the scenario section may not set one")
-    config = config_from_dict(ScenarioConfig, {**defaults, **spec.scenario})
-    testbed_fields_unset(spec.scenario, fixed)
+                          "which this run sets itself or never reads")
     return config
 
 
@@ -167,7 +160,7 @@ def preset_rate_sweep(spec: SweepSpec):
     """Relative throughput vs cellular/WiFi link-rate ratio (single session)."""
     ratios = spec.sweep_values(DEFAULT_RATE_RATIOS)
     points = [rate_fields(r) for r in ratios]
-    base = _base_config(spec, block_target=3, slot_budget=4000)
+    base = scenario_config(spec.scenario, ("seed", *RATE_FIELDS), block_target=3, slot_budget=4000)
     rows = [(float(r), *means) for r, means in zip(ratios, _compare_sweep(spec, base, points))]
     return ["rate_ratio", "rel_tput_cellular", "rel_tput_combined", "stderr"], rows
 
@@ -179,8 +172,8 @@ DEFAULT_LOAD_RATIO = 0.5
 def preset_load_sweep(spec: SweepSpec):
     """Cell loading: per-user throughput vs the number of users per cell."""
     users = _counts(spec.sweep_values(DEFAULT_LOAD_USERS), "users_per_cell values")
-    base = _base_config(spec, block_target=2, slot_budget=8000,
-                        **rate_fields(DEFAULT_LOAD_RATIO))
+    base = scenario_config(spec.scenario, ("seed", "users_per_cell"), block_target=2,
+                           slot_budget=8000, **rate_fields(DEFAULT_LOAD_RATIO))
     points = [{"users_per_cell": u} for u in users]
     rows = [(u, cell, comb)
             for u, (cell, comb, _) in zip(users, _compare_sweep(spec, base, points))]
@@ -213,8 +206,8 @@ def preset_infra_sweep(spec: SweepSpec):
     fracs = spec.sweep_values(DEFAULT_INFRA_FRACS)
     if any(not 0 < f <= 1 for f in fracs):
         raise ConfigError("k/n values must lie in (0, 1]")
-    base = _base_config(spec, block_target=3, slot_budget=4000,
-                        **rate_fields(DEFAULT_INFRA_RATIO))
+    base = scenario_config(spec.scenario, ("seed", "backbone_fraction"), block_target=3,
+                           slot_budget=4000, **rate_fields(DEFAULT_INFRA_RATIO))
     tasks = [(spec.seed, t, fracs, base) for t in range(spec.trials)]
     rows = [(float(frac), _mean(vals))
             for frac, vals in zip(fracs, _per_point(_infra_trial, tasks, spec.workers))]
@@ -232,7 +225,8 @@ def preset_topo1(spec: SweepSpec):
     """Seven-hop chain in parallel with a constant-rate WiMAX-style pipe."""
     ratios = spec.sweep_values(DEFAULT_TOPO1_RATIOS)
     points = [rate_fields(r) for r in ratios]
-    base = _base_config(spec, CHAIN_FIELDS, block_target=3, slot_budget=6000)
+    base = scenario_config(spec.scenario, ("seed", *RATE_FIELDS, *CHAIN_FIELDS),
+                           block_target=3, slot_budget=6000)
     rows = [(float(r), wimax, comb) for r, (wimax, comb, _)
             in zip(ratios, _compare_sweep(spec, base, points, chain_hops=TOPO1_HOPS))]
     return ["rate_ratio", "rel_tput_wimax", "rel_tput_combined"], rows
@@ -256,7 +250,8 @@ def preset_topo2(spec: SweepSpec):
     """Dual-interface access-point topology: throughput vs relay count N at
     each of TOPO2_RATES."""
     relay_counts = _counts(spec.sweep_values(DEFAULT_TOPO2_RELAYS), "relay counts")
-    base = _base_config(spec, RELAY_STAR_FIELDS, block_target=4, slot_budget=60000)
+    base = scenario_config(spec.scenario, ("seed", *RELAY_STAR_FIELDS), block_target=4,
+                           slot_budget=60000)
     points = [(rate, n) for rate in TOPO2_RATES for n in relay_counts]
     tasks = [(spec.seed, t, points, base) for t in range(spec.trials)]
     rows = [(float(rate), n, _mean(vals))

@@ -35,6 +35,7 @@ GF256 = "hetnetcode/gf256.py"
 REFERENCE = "tests/test_reference_engine.py"
 CELLULAR_ENCODES = ("tests/test_simengine.py::"
                     "test_cellular_packets_are_the_encodes_of_the_cellular_stream")
+REJECTED = "tests/test_rejected_inputs.py::test_rejected_input_exits_2_as_a_config_error[{}]"
 
 # (name, file under src/, exact old text, new text, oracle tests)
 MUTANTS = [
@@ -196,6 +197,10 @@ MUTANTS = [
      "                self._cell_ready = deque(rlnc.coded_packets(self.block, coefficients))\n",
      "            self._cell_ready.clear()\n",
      [CELLULAR_ENCODES]),
+    ("cellular-batch-repeats-a-vector", ENGINE,
+     "b\"\".join([rlnc.random_nonzero_bytes(m, rng) for _ in range(m)])",
+     "rlnc.random_nonzero_bytes(m, rng) * m",
+     ["tests/test_bounds.py::test_non_innovative_arrivals_match_their_exact_mean"]),
     ("receive-lead-one-byte-high", "hetnetcode/rlnc.py",
      "shift = ((res & -res).bit_length() - 1) & ~7",
      "shift = (((res & -res).bit_length() - 1) & ~7) + 8",
@@ -235,15 +240,19 @@ MUTANTS = [
      "dist[fresh] = nxt",
      "dist[fresh] = nxt + 1",
      [REFERENCE]),
-    ("testbed-fields-unchecked", "hetnetcode/presets.py",
-     "if named := [name for name in fixed if name in scenario]:",
+    ("run-fields-unchecked", "hetnetcode/presets.py",
+     "if named := [name for name in fixed if name in section]:",
      "if named := []:",
-     [f"tests/test_rejected_inputs.py::test_rejected_input_exits_2_as_a_config_error[{row}]"
-      for row in ("testbed-topo1", "testbed-topo2", "testbed-chain", "testbed-star")]),
+     [REJECTED.format(f"refuses-{run}") for run in (
+         "rate-sweep", "load-sweep", "infra-sweep", "topo1", "topo2", "chain", "star")]),
+    ("load-sweep-users-unlisted", "hetnetcode/presets.py",
+     '("seed", "users_per_cell")',
+     '("seed",)',
+     [REJECTED.format("refuses-load-sweep")]),
     ("json-syntax-error-exits-1", "hetnetcode/cli.py",
      "except (ValueError, RecursionError) as exc:",
      "except RecursionError as exc:",
-     ["tests/test_rejected_inputs.py::test_rejected_input_exits_2_as_a_config_error[not-json]"]),
+     [REJECTED.format("not-json")]),
     ("solve-without-row-swap", GF256,
      "            aug[[col, piv]] = aug[[piv, col]]\n",
      "",

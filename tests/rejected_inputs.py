@@ -32,6 +32,18 @@ TRIALS, VALUES = "trials must lie in [1, 1000003]", "sweep values must be finite
 ONE = {"values": [0.5], "trials": 1}
 SWEEP, SWEEP1 = "rate-sweep", "rate-sweep --values 0.5 --trials 1"
 CHAIN, STAR = "replay-trace --chain-hops 2", "replay-trace --relays 2"
+REFUSED = "the scenario section may not set {}, which this run sets itself or never reads"
+# the fields a run refuses, and a valid value of each
+RATE_SET = ("link_rate_override", "r_cell")
+CHAIN_SET = ("node_count", "min_hops", "backbone_fraction", "backbone_rate", "wired_relay_rate",
+             "cell_radius", "rate_tiers")
+STAR_SET = (*CHAIN_SET, "cellular_enabled", "wifi_range", "delta", "r_cell", "link_rate_override",
+            "users_per_cell", "loading_mode")
+REFUSABLE = {"seed": 1, "link_rate_override": 0.3, "r_cell": 0.3, "users_per_cell": 4,
+             "backbone_fraction": 0.5, "node_count": 40, "min_hops": 3, "backbone_rate": 3.0,
+             "wired_relay_rate": 0.2, "cell_radius": 300.0, "rate_tiers": [[1.0, 0.5]],
+             "cellular_enabled": False, "wifi_range": 50.0, "delta": 0.5,
+             "loading_mode": "equal-time"}
 
 ROWS = [
     # flags, each checked like the config field it sets
@@ -98,11 +110,9 @@ ROWS = [
     ("param_step-unknown", SWEEP, {"sweep": dict(ONE, param_step=0.1)},
      "unknown SweepSpec field 'param_step'"),
     ("out-3", SWEEP, {"sweep": dict(ONE, out=3)}, "out must be a string or null, not 3"),
-    # scenario fields a sweep would overwrite: trial seeds come from the sweep
-    # section, and the cellular-only baseline needs the cellular interface
-    ("sweep-scenario-seed", SWEEP1, {"scenario": {"seed": 12345}},
-     "a sweep seeds its trials from the sweep section's seed (or --seed), so the scenario "
-     "section may not set one"),
+    # a sweep seeds its trials from the sweep section, and the cellular-only
+    # baseline needs the cellular interface
+    ("sweep-scenario-seed", SWEEP1, {"scenario": {"seed": 12345}}, REFUSED.format("seed")),
     ("sweep-cellular-disabled", SWEEP1, {"scenario": {"cellular_enabled": False}},
      "compare_modes compares against the cellular interface, which is disabled"),
     # scenario sections; every rate is in packets per slot and a session
@@ -139,17 +149,18 @@ ROWS = [
      {"scenario": {"relay_policy": {"mode": "wifi-only", "both_mode": "duplicate", "p": 0.9}}},
      "relay_policy must be a string, not {'mode': 'wifi-only', 'both_mode': 'duplicate', "
      "'p': 0.9}"),
-    # fields a testbed sets itself, which its scenario section may not set
-    *((f"testbed-{name}", argv, {"scenario": scenario},
-       f"the scenario section may not set {named}, which this testbed sets itself")
-      for name, argv, scenario, named in (
-          ("topo1", "topo1 --values 0.5 --trials 1", {"node_count": 40, "backbone_fraction": 0.5},
-           "node_count, backbone_fraction"),
-          ("topo2", "topo2 --values 1 --trials 1", {"wired_relay_rate": 0.5, "min_hops": 5},
-           "min_hops, wired_relay_rate"),
-          ("chain", CHAIN, {"min_hops": 3}, "min_hops"),
-          ("star", STAR, {"cellular_enabled": False}, "cellular_enabled"))),
-    # the relay star takes no geometry from the scenario, but checks it
+    # every field a run sets itself or never reads, which its scenario section
+    # may not set, named in the run's order
+    *((f"refuses-{run}", argv, {"scenario": {name: REFUSABLE[name] for name in fields}},
+       REFUSED.format(", ".join(fields)))
+      for run, argv, fields in (
+          ("rate-sweep", SWEEP1, ("seed", *RATE_SET)),
+          ("load-sweep", "load-sweep --values 1 --trials 1", ("seed", "users_per_cell")),
+          ("infra-sweep", "infra-sweep --values 0.5 --trials 1", ("seed", "backbone_fraction")),
+          ("topo1", "topo1 --values 0.5 --trials 1", ("seed", *RATE_SET, *CHAIN_SET)),
+          ("topo2", "topo2 --values 1 --trials 1", ("seed", *STAR_SET)),
+          ("chain", CHAIN, CHAIN_SET), ("star", STAR, STAR_SET))),
+    # the relay star refuses every geometry field, but checks it first
     ("star-wifi_range--1", STAR, {"scenario": {"wifi_range": -1}}, POSITIVE),
     ("star-cell_radius-0", STAR, {"scenario": {"delta": -1, "cell_radius": 0}}, POSITIVE),
     ("star-backbone_fraction-2", STAR, {"scenario": {"backbone_fraction": 2.0}},

@@ -13,11 +13,14 @@ engine: each bound is computed here from the preset constants alone.
 - The cellular-only stop-and-wait pipe follows its closed form, given which
   arrivals the decoder found innovative (cellular_pipe), on the engine's
   skip-ahead path and on the reference engine's slot loop.
+- The non-innovative arrivals of a cellular-only pipe follow their exact law
+  for uniform nonzero coefficient vectors.
 """
 
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -151,3 +154,36 @@ def test_cellular_only_pipe_follows_its_closed_form(m, rate):
                 assert [(ev.slot, ev.block_id, ev.innovative) for ev in trace] == events
                 assert stats.decode_slots == decode_slots
                 assert stats.cellular_sent == len(events)
+
+
+def non_innovative_moments(m: int, q: int = 256) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of the non-innovative arrivals a block of m
+    packets takes when each arrival carries a uniform nonzero vector of
+    GF(q)^m: at rank i an arrival is innovative with probability p_i =
+    (q^m - q^i) / (q^m - 1) (Ho et al., A Random Linear Network Coding
+    Approach to Multicast, IEEE Trans. IT 2006), so the misses before it are
+    geometric, with mean (1 - p_i) / p_i and variance (1 - p_i) / p_i^2."""
+    ps = [Fraction(q**m - q**i, q**m - 1) for i in range(m)]
+    return sum((1 - p) / p for p in ps), sum((1 - p) / p**2 for p in ps)
+
+
+@pytest.mark.parametrize("m, rate", [(2, 1.0), (3, 0.5)])
+def test_non_innovative_arrivals_match_their_exact_mean(m, rate):
+    # the flags are the engine's, but the prediction shares no draw with it:
+    # the tolerance is 4 standard deviations of the exact law, fixed before the run
+    blocks = 10_000
+    mean, var = (blocks * x for x in non_innovative_moments(m))
+    cfg, topo, pair = presets.chain_scenario(ScenarioConfig(
+        wifi_enabled=False, block_size=m, block_target=blocks, slot_budget=20 * m * blocks,
+        seed=0, **presets.rate_fields(rate)), 1)
+    stats, trace = run_session(cfg, topo, pair=pair)
+    assert stats.blocks_delivered == blocks
+    misses, rank, decoded = 0, 0, None
+    for ev in trace:
+        if ev.block_id == decoded:  # stale: its block decoded before it landed
+            continue
+        if not ev.innovative:
+            misses += 1
+        elif (rank := rank + 1) == m:
+            rank, decoded = 0, ev.block_id
+    assert abs(misses - mean) <= 4 * math.sqrt(var), (misses, float(mean), math.sqrt(var))

@@ -9,7 +9,7 @@ again: no validate is defined or called.  In simengine.py the per-slot
 credit rule is written once, in _tick.  Every single coded packet is
 combined in one place, rlnc._combined, and the numpy kernel
 gf256.weighted_row_sum serves the cellular batches (rlnc.coded_packets)
-alone.  The reference engine and oracles.py share neither the codec nor the
+alone.  Every scenario section is read by presets.scenario_config alone.  The reference engine and oracles.py share neither the codec nor the
 routes with the program.  Every function, class and method of the package is
 read by name in the package or named in README.md: none is there for the
 tests alone."""
@@ -99,22 +99,37 @@ def test_the_package_imports_form_no_cycle():
     graphlib.TopologicalSorter(graph).prepare()
 
 
-def _attribute_uses(tree: ast.Module, attr: str) -> list[tuple[str, str]]:
-    """(qualified name of the enclosing function or class, "Load" or
-    "Store") of every .attr in tree; module level is ""."""
-    uses = []
+def _scoped(tree: ast.Module):
+    """(qualified name of the enclosing function or class, node) of every
+    node in tree; module level is ""."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}".lstrip("."))
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr:
-                uses.append((scope, type(child.ctx).__name__))
-            visit(child, scope)
+            yield scope, child
+            yield from visit(child, scope)
 
-    visit(tree, "")
-    return uses
+    return visit(tree, "")
+
+
+def _attribute_uses(tree: ast.Module, attr: str) -> list[tuple[str, str]]:
+    """(qualified name of the enclosing function or class, "Load" or
+    "Store") of every .attr in tree; module level is ""."""
+    return [(scope, type(node.ctx).__name__) for scope, node in _scoped(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def test_one_reader_of_every_scenario_section():
+    # every config_from_dict call in src/ names its class, and only
+    # presets.scenario_config reads a ScenarioConfig, so no command reads a
+    # scenario section without refusing the fields its run sets or never reads
+    calls = {(path.stem, scope, ast.unparse(node.args[0]))
+             for path in sorted(SRC.glob("*.py")) for scope, node in _scoped(_tree(path))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "config_from_dict"}
+    assert calls == {("presets", "scenario_config", "ScenarioConfig"),
+                     ("cli", "merged_sections", "SweepSpec")}
 
 
 def test_the_credit_rule_is_written_once():

@@ -214,8 +214,8 @@ def test_topo1_rows_match_direct_engine_run():
 
     spec = SweepSpec(values=(0.5,), trials=2, seed=8)
     _, rows = preset_topo1(spec)
-    base = presets._base_config(spec, node_count=8, min_hops=7,
-                                block_target=3, slot_budget=6000)
+    base = presets.scenario_config(spec.scenario, node_count=8, min_hops=7,
+                                   block_target=3, slot_budget=6000)
     topo = topology.chain_topology(7, base.topology_params())
     cell_vals, comb_vals = [], []
     for trial in range(2):
@@ -353,9 +353,9 @@ def test_out_of_memory_is_a_runtime_error(monkeypatch, capsys):
 
 
 def test_config_coercion_keeps_json_values():
-    sc = presets._base_config(SweepSpec(scenario={
+    sc = presets.scenario_config({
         "relay_policy": "probabilistic", "relay_p": 1, "rate_tiers": [[0.5, 1], [1.0, 0.5]],
-        "link_rate_override": 2}))
+        "link_rate_override": 2})
     assert (sc.relay_policy, sc.relay_p) == ("probabilistic", 1)
     assert sc.rate_tiers == ((0.5, 1), (1.0, 0.5))
     assert sc.link_rate_override == 2

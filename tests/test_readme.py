@@ -1,5 +1,6 @@
 """The README's Python examples, CLI commands and JSON configs run or read
-as written, and its flag table lists the parser's flags."""
+as written, its flag table lists the parser's flags, and its table of
+refused scenario fields lists each run's fixed fields."""
 
 import argparse
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hetnetcode import cli
+from hetnetcode import cli, presets
 from hetnetcode.config import ScenarioConfig, SweepSpec, config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,3 +79,43 @@ def test_readme_flag_table_matches_the_parser():
               for action in parser._actions for flag in action.option_strings
               if flag not in UNTABLED | UNTABLED_ON.get(name, set())}
     assert flag_table() == parsed
+
+
+# every run, as the README's table of refused fields names it, and its argv
+RUNS = {**{name: [name] for name in cli.PRESETS}, "gen-topology": ["gen-topology"],
+        "replay-trace": ["replay-trace"],
+        "replay-trace --chain-hops": ["replay-trace", "--chain-hops", "2"],
+        "replay-trace --relays": ["replay-trace", "--relays", "2"]}
+
+
+def refused_table() -> dict:
+    """{run: the fields of every row of the README's table of refused fields
+    that names it}, an "every sweep" row standing for each preset."""
+    text = README.read_text()
+    table = text[text.index("| run "):].split("\n\n", 1)[0].splitlines()[2:]
+    refused = {run: set() for run in RUNS}
+    for row in table:
+        runs, fields = (cell.strip() for cell in row.strip("|").split("|"))
+        names = cli.PRESETS if runs == "every sweep" else re.findall(r"`([^`]+)`", runs)
+        for name in names:
+            refused[name] |= set(re.findall(r"`(\w+)`", fields))
+    return refused
+
+
+class _Read(Exception):
+    """Stops a command at its presets.scenario_config call."""
+
+
+def test_readme_refused_fields_table_matches_each_runs_fixed_fields(monkeypatch):
+    seen = {}
+
+    def record(section, fixed=(), **defaults):
+        seen[run] = fixed
+        raise _Read
+
+    monkeypatch.setattr(presets, "scenario_config", record)
+    for run, argv in RUNS.items():
+        with pytest.raises(_Read):
+            cli.main(argv)
+        assert len(set(seen[run])) == len(seen[run]), run
+    assert refused_table() == {run: set(fixed) for run, fixed in seen.items()}
