@@ -41,29 +41,35 @@ def cell_topology(config: ScenarioConfig, seed: int, trial: int = 0):
 
 # fields a run's scenario section may not set, as the run sets them or never
 # reads them (scenario_config): a rate point sets both RATE_FIELDS, the chain
-# has no wired link, bus or cells, and the relay star takes TopologyParams()
+# has no wired link, bus or cells, nor a byte that moves with its WiFi range,
+# and the relay star takes TopologyParams()
 RATE_FIELDS = ("link_rate_override", "r_cell")
 CHAIN_FIELDS = ("node_count", "min_hops", "backbone_fraction", "backbone_rate",
-                "wired_relay_rate", "cell_radius", "rate_tiers")
-RELAY_STAR_FIELDS = (*CHAIN_FIELDS, "cellular_enabled", "wifi_range", "delta", "r_cell",
+                "wired_relay_rate", "cell_radius", "rate_tiers", "wifi_range")
+RELAY_STAR_FIELDS = (*CHAIN_FIELDS, "cellular_enabled", "delta", "r_cell",
                      "link_rate_override", "users_per_cell", "loading_mode")
 
 
 def chain_scenario(config: ScenarioConfig, hops: int):
-    """(config, topology, pair) of a WiFi chain of `hops` hops, end to end."""
-    # the chain first, so that hops < 1 reads "need at least one hop"
-    topo = topo_mod.chain_topology(hops, config.topology_params())
-    return replace(config, node_count=hops + 1, min_hops=hops), topo, (0, hops)
+    """(config, topology, pair) of a WiFi chain of `hops` hops, end to end;
+    the config, whose node_count must fit an int64, is sized first."""
+    if hops < 1:
+        raise ConfigError("need at least one hop")
+    config = replace(config, node_count=hops + 1, min_hops=hops)
+    return config, topo_mod.chain_topology(hops, config.topology_params()), (0, hops)
 
 
 def relay_star_scenario(config: ScenarioConfig, n_relays: int, link_rate: float):
     """(config, topology, pair) of the dual-interface relay testbed: wired
-    only, access links at link_rate (Mbit/s) and relays processing-limited."""
+    only, access links at link_rate (Mbit/s) and relays processing-limited;
+    the config is sized first, as the chain's is."""
+    if n_relays < 1:
+        raise ConfigError("need at least one relay")
+    config = replace(config, node_count=n_relays + 2, min_hops=2, cellular_enabled=False,
+                     wired_relay_rate=TOPO2_RELAY_RATE)
     topo = topo_mod.relay_star_topology(n_relays,
                                         link_capacity=link_rate / TOPO2_REFERENCE_RATE,
                                         interfaces_per_node=TOPO2_INTERFACES)
-    config = replace(config, node_count=n_relays + 2, min_hops=2, cellular_enabled=False,
-                     wired_relay_rate=TOPO2_RELAY_RATE)
     return config, topo, (0, n_relays + 1)
 
 

@@ -50,17 +50,9 @@ class SourceBlock:
 
     @functools.cached_property
     def rows(self) -> list[bytes]:
-        """[unit vector t | packet t] as bytes per packet t, built on first
-        use: an encode combines these rows as a recode combines its ring's."""
-        m, k = self.packets.shape
-        flat = self.packets.tobytes()
-        return [u + flat[t * k:(t + 1) * k] for t, u in enumerate(_unit_rows(m))]
-
-
-@functools.cache
-def _unit_rows(m: int) -> tuple[bytes, ...]:
-    """The m unit vectors of length m as bytes, made once per block size."""
-    return tuple(map(bytes, np.eye(m, dtype=np.uint8)))
+        """Each packet's payload as bytes, built on first use: an encode
+        combines these rows as a recode combines its ring's."""
+        return list(map(bytes, self.packets))
 
 
 @dataclass(slots=True)
@@ -95,16 +87,14 @@ def random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
     return v
 
 
-def _combined(block_id: int, m: int, rows: list[bytes], weights: bytes) -> CodedPacket:
-    """The packet sum_t weights[t] * rows[t] of [coefficients (m bytes) |
-    payload] bytes rows, each scaled with one translate and summed as XORed
-    big-endian ints: its coefficients describe its payload in terms of the
-    source block exactly as the rows' do."""
+def _combined(rows: list[bytes], weights: bytes) -> bytes:
+    """The bytes sum_t weights[t] * rows[t], each row scaled with one
+    translate and summed as XORed big-endian ints."""
     mul, from_bytes = gf256.MUL_BYTES, int.from_bytes
     acc = 0
     for w, row in zip(weights, rows):
         acc ^= from_bytes(row.translate(mul[w]))
-    return CodedPacket(block_id, m, acc.to_bytes(len(rows[0])))
+    return acc.to_bytes(len(rows[0]))
 
 
 def coded_packets(block: SourceBlock, coefficients: bytes) -> list[CodedPacket]:
@@ -121,9 +111,10 @@ def coded_packets(block: SourceBlock, coefficients: bytes) -> list[CodedPacket]:
 
 
 def encode(block: SourceBlock, rng: np.random.Generator) -> CodedPacket:
-    """Fresh coded packet: a recode of the block's unit rows, all-zero weights rejected."""
-    m = block.size
-    return _combined(block.block_id, m, block.rows, random_nonzero_bytes(m, rng))
+    """Fresh coded packet: its weights, all-zero rejected, then their
+    combination of the block's packets."""
+    weights = random_nonzero_bytes(block.size, rng)
+    return CodedPacket(block.block_id, block.size, weights + _combined(block.rows, weights))
 
 
 class RecodeBuffer:
@@ -165,7 +156,7 @@ def recode(buffer: RecodeBuffer, rng: np.random.Generator) -> CodedPacket:
     if not packets:
         raise ValueError("cannot recode from an empty buffer")
     weights = random_nonzero_bytes(len(packets), rng)
-    return _combined(buffer.block_id, packets[0].m, [p.row for p in packets], weights)
+    return CodedPacket(buffer.block_id, packets[0].m, _combined([p.row for p in packets], weights))
 
 
 class DecoderState:

@@ -262,13 +262,14 @@ def generate(node_count: int, rng: np.random.Generator,
 
 
 def chain_topology(hops: int, params: TopologyParams | None = None) -> HetNetTopology:
-    """Straight line of hops+1 nodes spaced exactly one WiFi range apart."""
+    """Straight line of hops+1 nodes spaced by the largest power of two within
+    the WiFi range, so that every distance on it is exact."""
     if hops < 1:
         raise ConfigError("need at least one hop")
     params = params or TopologyParams()
-    if not math.isfinite(hops * params.wifi_range):
-        raise ConfigError("the chain is too long: hops * wifi_range must be finite")
-    spacing = params.wifi_range
+    spacing = math.ldexp(1.0, math.frexp(params.wifi_range)[1] - 1)
+    if not math.isfinite(hops * spacing):
+        raise ConfigError("the chain is too long: hops * spacing must be finite")
     return HetNetTopology(params, [(i * spacing, 0.0) for i in range(hops + 1)])
 
 

@@ -137,6 +137,11 @@ MUTANTS = [
      "skipped = min(max(1, min(steps)) - 1, budget - self.slot - 1)",
      "skipped = max(1, min(steps)) - 1",
      ["tests/test_bounds.py"]),
+    # the budget run then steps one slot past its budget
+    ("skip-ahead-clamp-one-slot-late", ENGINE,
+     "skipped = min(max(1, min(steps)) - 1, budget - self.slot - 1)",
+     "skipped = min(max(1, min(steps)) - 1, budget - self.slot)",
+     ["tests/test_metamorphic.py::test_a_lower_slot_budget_gives_a_prefix"]),
     ("topology-params-untyped", "hetnetcode/config.py",
      "        ranges.\"\"\"\n        check_types(self)\n",
      "        ranges.\"\"\"\n",
@@ -149,6 +154,11 @@ MUTANTS = [
      "tol = 1e-12 * radius",
      "tol = 1e-9",
      ["tests/test_topology.py"]),
+    # rounding then pushes some gaps of the chain past the range
+    ("chain-spaced-by-the-range", "hetnetcode/topology.py",
+     "spacing = math.ldexp(1.0, math.frexp(params.wifi_range)[1] - 1)",
+     "spacing = params.wifi_range",
+     ["tests/test_topology.py::test_a_chain_is_a_chain_at_every_wifi_range"]),
     # the reference engine steps every slot, so a jump that credits one slot bites
     ("skip-ahead-ticks-one-slot-per-jump", ENGINE,
      "c.value = min(c.limit, c.value + c.rate * skipped)",
@@ -216,6 +226,12 @@ MUTANTS = [
     ("combine-drops-the-first-row", "hetnetcode/rlnc.py",
      "for w, row in zip(weights, rows):",
      "for w, row in zip(weights[1:], rows[1:]):",
+     ["tests/test_rlnc.py::"
+      "test_encode_is_the_batch_kernels_packet_and_the_oracles_combination"]),
+    # the header still holds the weights drawn
+    ("encode-payload-from-other-weights", "hetnetcode/rlnc.py",
+     "weights + _combined(block.rows, weights))",
+     "weights + _combined(block.rows, weights[::-1]))",
      ["tests/test_rlnc.py::"
       "test_encode_is_the_batch_kernels_packet_and_the_oracles_combination"]),
     ("block-id-window-inclusive", "hetnetcode/rlnc.py",

@@ -36,9 +36,10 @@ REFUSED = "the scenario section may not set {}, which this run sets itself or ne
 # the fields a run refuses, and a valid value of each
 RATE_SET = ("link_rate_override", "r_cell")
 CHAIN_SET = ("node_count", "min_hops", "backbone_fraction", "backbone_rate", "wired_relay_rate",
-             "cell_radius", "rate_tiers")
-STAR_SET = (*CHAIN_SET, "cellular_enabled", "wifi_range", "delta", "r_cell", "link_rate_override",
+             "cell_radius", "rate_tiers", "wifi_range")
+STAR_SET = (*CHAIN_SET, "cellular_enabled", "delta", "r_cell", "link_rate_override",
             "users_per_cell", "loading_mode")
+SIZE = "node_count must be a 64-bit integer"
 REFUSABLE = {"seed": 1, "link_rate_override": 0.3, "r_cell": 0.3, "users_per_cell": 4,
              "backbone_fraction": 0.5, "node_count": 40, "min_hops": 3, "backbone_rate": 3.0,
              "wired_relay_rate": 0.2, "cell_radius": 300.0, "rate_tiers": [[1.0, 0.5]],
@@ -71,6 +72,10 @@ ROWS = [
          "--link-rate sets the access links of --relays, so it needs --relays"),
         ("chain-hops-0", "replay-trace --chain-hops 0", "need at least one hop"),
         ("relays-0", "replay-trace --relays 0", "need at least one relay"),
+        # a testbed's node_count is sized before any node is built
+        ("chain-hops-10**400", f"replay-trace --chain-hops {10**400}", SIZE),
+        ("relays-10**400", f"replay-trace --relays {10**400}", SIZE),
+        ("topo2-relays-1e300", "topo2 --values 1e300 --trials 1", SIZE),
         ("rate-sweep-seed--1", f"{SWEEP1} --seed -1", SEED),
         ("topo2-seed--2", "topo2 --values 1 --trials 1 --seed -2", SEED),
         ("replay-trace-seed--3", "replay-trace --seed -3 --chain-hops 2", SEED),
@@ -165,9 +170,10 @@ ROWS = [
     ("star-cell_radius-0", STAR, {"scenario": {"delta": -1, "cell_radius": 0}}, POSITIVE),
     ("star-backbone_fraction-2", STAR, {"scenario": {"backbone_fraction": 2.0}},
      "backbone_fraction must be in [0, 1]"),
-    # the chain's last node would lie at an infinite x
+    # the chain reads the same at every WiFi range, so it refuses one, even
+    # one at which its last node would lie at an infinite x
     ("chain-wifi_range-1e308", CHAIN, {"scenario": {"wifi_range": 1e308}},
-     "the chain is too long: hops * wifi_range must be finite"),
+     REFUSED.format("wifi_range")),
     # cells whose bounding box overflows numpy's uniform draw or its squared
     # distances, that span too many WiFi ranges for int64 bucket codes, or
     # whose squared distances underflow

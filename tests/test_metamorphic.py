@@ -53,6 +53,35 @@ def test_a_lower_block_target_gives_a_prefix(kind, data):
     assert trace == [ev for ev in more_trace if ev.slot <= last]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_lower_slot_budget_gives_a_prefix(kind, data):
+    """slot_budget B below a run's slots_elapsed gives that run's decode
+    slots up to B and its trace up to slot B, and reports its last decode
+    slot as slots_elapsed, or B when it decoded none."""
+    cfg, topo, pair = data.draw(scenarios(kind))
+    full, full_trace = _run(cfg, topo, pair)
+    assume(full.slots_elapsed > 1)
+    budget = data.draw(st.integers(1, full.slots_elapsed - 1))
+    stats, trace = _run(replace(cfg, slot_budget=budget), topo, pair)
+    assert stats.decode_slots == [s for s in full.decode_slots if s <= budget]
+    assert trace == [ev for ev in full_trace if ev.slot <= budget]
+    assert stats.slots_elapsed == (stats.decode_slots[-1] if stats.decode_slots else budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_wifi_range_changes_no_chain_run(data):
+    """A chain's nodes lie one power of two apart, the largest within the
+    WiFi range, so a chain session has the same stats and trace at every
+    range: the reason a chain run refuses the field."""
+    cfg, topo, pair = data.draw(scenarios("chain"))
+    wifi_range = data.draw(st.sampled_from([0.1, 0.3, 7.77]) | st.floats(1e-5, 1e6))
+    other = presets.chain_scenario(replace(cfg, wifi_range=wifi_range), pair[1])
+    assert _run(*other) == _run(cfg, topo, pair)
+
+
 def _with_isolated_node(topo: HetNetTopology) -> HetNetTopology:
     """topo and one more node, out of every node's WiFi range and with no
     wired edge."""

@@ -22,6 +22,8 @@ LIBRARY_ONLY = {
         "test_simengine.py::test_session_rejects_its_source_as_destination",
     ("topology", "place", "node_count must be positive"):
         "test_topology.py::test_generate_rejects_bad_params",
+    ("topology", "chain_topology", "the chain is too long: hops * spacing must be finite"):
+        "test_topology.py::test_chain_topology_refuses_a_last_node_at_infinity",
 }
 
 

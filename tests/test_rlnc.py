@@ -79,10 +79,10 @@ _WEIGHTS = st.sampled_from([0, 1, 2, 255]) | st.integers(0, 255)
 @example(weights=[255], width=1400, redraw=False, seed=1)
 def test_encode_is_the_batch_kernels_packet_and_the_oracles_combination(
         weights, width, redraw, seed):
-    """An encode, a bytes-row combine of the block's unit rows, gives the
-    packet that the numpy batch kernel gives for the bytes it drew, and the
-    pure-Python oracle's payload for them; zero weights included, and after
-    an all-zero redraw."""
+    """An encode, its weights followed by their bytes-row combine of the
+    block's packets, gives the packet that the numpy batch kernel gives for
+    the bytes it drew, and the pure-Python oracle's payload for them; zero
+    weights included, and after an all-zero redraw."""
     rng = np.random.default_rng(seed)
     m = len(weights)
     block = make_block(rng, block_id=int(rng.integers(0, rlnc.BLOCK_ID_MODULUS)), m=m, k=width)

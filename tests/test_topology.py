@@ -415,10 +415,34 @@ def test_chain_topology():
 
 @pytest.mark.parametrize("wifi_range", [None, {}, "x", -1.0])
 def test_chain_topology_checks_its_params_first(wifi_range):
-    # the chain's spacing is its WiFi range; TopologyParams checks it when
+    # the chain's spacing comes from its WiFi range; TopologyParams checks it when
     # made, so a non-number fails with a ConfigError, not a TypeError
     with pytest.raises(ConfigError, match="wifi_range"):
         topology.chain_topology(2, TopologyParams(wifi_range=wifi_range))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wifi_range=st.floats(1e-5, 1e306), hops=st.integers(1, 40))
+@example(wifi_range=0.1, hops=7)
+@example(wifi_range=0.3, hops=7)
+@example(wifi_range=7.77, hops=7)
+@example(wifi_range=1e-5, hops=40)
+def test_a_chain_is_a_chain_at_every_wifi_range(wifi_range, hops):
+    """At any range the params accept, node i's WiFi neighbours are i - 1
+    and i + 1 alone, and it lies hops - i hops from the last node."""
+    topo = topology.chain_topology(hops, TopologyParams(wifi_range=wifi_range))
+    assert topo.neighbors == [[j for j in (i - 1, i + 1) if 0 <= j <= hops]
+                              for i in range(hops + 1)]
+    assert topo.routes.distances_to(hops).tolist() == [hops - i for i in range(hops + 1)]
+
+
+def test_chain_topology_refuses_a_last_node_at_infinity():
+    # at range 6e307 the nodes lie 2**1022 apart: three hops end at a
+    # finite x, though 3 * 6e307 is not, and four at 2**1024
+    params = TopologyParams(wifi_range=6e307)
+    assert topology.chain_topology(3, params).positions[-1, 0] == 3 * 2.0**1022
+    with pytest.raises(ConfigError, match=r"too long: hops \* spacing must be finite"):
+        topology.chain_topology(4, params)
 
 
 def test_relay_star_topology():
