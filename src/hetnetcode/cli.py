@@ -175,7 +175,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NoPathError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception may carry no message, as MemoryError() does
+        reason = str(exc) or ("out of memory" if isinstance(exc, MemoryError)
+                              else type(exc).__name__)
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

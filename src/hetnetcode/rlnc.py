@@ -89,7 +89,10 @@ def random_nonzero_bytes(n: int, rng: np.random.Generator) -> bytes:
 
 def _combined(rows: list[bytes], weights: bytes) -> bytes:
     """The bytes sum_t weights[t] * rows[t], each row scaled with one
-    translate and summed as XORed big-endian ints."""
+    translate and summed as XORed big-endian ints; b"" at once for
+    zero-width rows, such as a session block's."""
+    if not rows[0]:
+        return b""
     mul, from_bytes = gf256.MUL_BYTES, int.from_bytes
     acc = 0
     for w, row in zip(weights, rows):

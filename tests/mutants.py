@@ -110,9 +110,9 @@ MUTANTS = [
      "        # bounded by their processing rate and their send credit\n"
      "        for _ in range(self.cfg.block_target):\n",
      ["tests/test_metamorphic.py"]),
-    ("probabilistic-choice-draws-from-the-data-stream", ENGINE,
+    ("probabilistic-choice-draws-from-the-scheduler-stream", ENGINE,
      "cellular = self.rng_relay.random() < self.cfg.relay_p",
-     "cellular = self.rng_data.random() < self.cfg.relay_p",
+     "cellular = self.rng_sched.random() < self.cfg.relay_p",
      ["tests/test_reference_engine.py::test_probabilistic_relays_match_the_reference_engine"]),
     ("relay-p-ignored", ENGINE,
      "random() < self.cfg.relay_p",
@@ -185,6 +185,13 @@ MUTANTS = [
      "order = sorted(zip(priorities, rng.random(n), range(n)))",
      "order = sorted(zip([0] * n, rng.random(n), range(n)))",
      ["tests/test_bounds.py::test_wifi_chain_stays_under_one_in_three_reuse"]),
+    # a session's blocks carry no payload: the decode at full rank is its
+    # one check that the kept coefficient rows are independent
+    ("session-rank-check-dropped", ENGINE,
+     "            self.decoder.decode()\n",
+     "",
+     ["tests/test_simengine.py::"
+      "test_session_rank_check_catches_a_dependent_packet_counted_innovative"]),
     ("stale-counted-innovative", ENGINE,
      "self.decoder.block_id and self.decoder.receive(packet)",
      "self.decoder.block_id and (self.decoder.receive(packet) or True)",

@@ -2,7 +2,7 @@
 copy of each: GF(2^8) arithmetic from shift-and-reduce multiplication, and
 linear algebra over it on uint8 matrices and on Python ints; the coefficient
 draw through numpy's uint8 integers, numpy's own draws beside a session
-stream's, and a session's six streams as numpy Generators; the
+stream's, and a session's streams as numpy Generators; the
 protocol-model guard over every pair of transmissions; hop counts by a BFS
 over an explicit adjacency, and a session's pair pick, loaded cellular rate
 and cut bound; per-node topology scans; and the reader of a topology dump,
@@ -18,10 +18,14 @@ import math
 import numpy as np
 
 from hetnetcode.config import ConfigError, TopologyParams
-from hetnetcode.simengine import CHECK_PAYLOAD_BYTES, Draws
+from hetnetcode.simengine import Draws
 from hetnetcode.topology import _DUMP_KEYS, CELLS, HetNetTopology
 
 INF = math.inf
+# payload bytes per packet of a reference-engine block: 8 columns coded alike
+# catch a payload that disagrees with its coefficients in the decoded ==
+# source check, missing it w.p. 2^-64 per block
+CHECK_PAYLOAD_BYTES = 8
 
 
 def gf_mul(a, b):
@@ -55,8 +59,8 @@ def random_nonzero_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 def draw(rng, kind: str, n):
     """One draw of kind ("bytes", "below", "payload" or "random") with
     argument n, through a simengine.Draws or, as numpy makes it, from a
-    Generator; "payload" is a session block's n rows of CHECK_PAYLOAD_BYTES
-    bytes, as nested lists."""
+    Generator; "payload" is a reference-engine block's n rows of
+    CHECK_PAYLOAD_BYTES bytes, as nested lists."""
     if kind == "bytes":
         return rng.bytes(n)
     if kind == "payload":
@@ -71,9 +75,10 @@ def draw(rng, kind: str, n):
 
 
 def session_rngs(seed: int) -> list[np.random.Generator]:
-    """numpy's own Generators for a session's six streams, in order: S-D pair
-    pick, cellular coefficients, source WiFi/wired draws, relay recodes and
-    hop picks, radio scheduler, block payloads."""
+    """numpy's own Generators for six streams of seed, in order: the five a
+    session reads (S-D pair pick, cellular coefficients, source WiFi/wired
+    draws, relay recodes and hop picks, radio scheduler), then the reference
+    engine's block payloads."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
 
 

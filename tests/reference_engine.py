@@ -14,13 +14,15 @@ hetnetcode.rlnc, hetnetcode.routing or a route table.
 - A relay's ring is a list under the block-id rule, written out.
 - The destination keeps the rows of the live block's innovative arrivals:
   an arrival is innovative iff oracles.rank grows, and at full rank
-  oracles.solve must give back the block's payload.
+  oracles.solve must give back the block's payload.  The engine's blocks
+  carry no payload, so this is the one place a session's payload is checked.
 - Hop distances are oracles.bfs over oracles.adjacency, the bus as a clique.
 It keeps no caches and skips no slot, scans each node's neighbours for its
 next hops in every slot, admits radio transmissions under
 oracles.brute_force_guard_ok, and makes every hop pick, interface choice
 and scheduler draw with numpy's own Generator methods, on the six streams
-of oracles.session_rngs in the engine's order.  run() returns what
+of oracles.session_rngs in the engine's order, the sixth drawing the block
+payloads.  run() returns what
 simengine.run_session returns, and the schedule log.
 """
 
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from hetnetcode.simengine import CHECK_PAYLOAD_BYTES, EventTrace, SessionStats, TraceEvent
+from hetnetcode.simengine import EventTrace, SessionStats, TraceEvent
 from oracles import (
+    CHECK_PAYLOAD_BYTES,
     INF,
     adjacency,
     bfs,
@@ -161,7 +164,8 @@ class ReferenceSession:
         self.trace.append(TraceEvent(self.slot, self.dst, interface, block_id, innovative))
         if len(self.kept) == m:
             decoded = solve([r[:m] for r in self.kept], [r[m:] for r in self.kept])
-            assert decoded == [r[m:] for r in self.block]
+            assert decoded == [r[m:] for r in self.block], \
+                "decoded block does not match the source block"
             self.decode_slots.append(self.slot)
             self.ack_slot = self.slot + 1 + cfg.ack_delay
             self.expected = (self.expected + 1) % BLOCK_IDS

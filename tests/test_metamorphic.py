@@ -1,6 +1,8 @@
 """Metamorphic relations over the session engine: pairs of runs whose
 outputs must relate in a known way, with no oracle for either run (Chen,
-Cheung & Yiu, HKUST-CS98-01, 1998), on the reference-engine scenarios."""
+Cheung & Yiu, HKUST-CS98-01, 1998), on the reference-engine scenarios.  The
+payload relation runs on the reference engine, the one that carries
+payloads."""
 
 from dataclasses import replace
 
@@ -8,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
+import reference_engine
 from hetnetcode import presets, simengine
 from hetnetcode.simengine import NoPathError, pick_session_pair, run_session
 from hetnetcode.topology import HetNetTopology
+from reference_engine import ReferenceSession
 from test_reference_engine import scenarios
 
 KINDS = ["chain", "relay-star", "cell"]
@@ -109,28 +114,34 @@ def test_an_isolated_node_changes_nothing(kind, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_the_payload_stream_changes_nothing(kind, data):
-    """A session whose block payloads come from another generator has the
-    same stats and trace: no decision depends on a payload byte."""
+    """A reference session whose block payloads come from another generator
+    has the same stats, trace and schedule: no decision depends on a payload
+    byte.  The engine's blocks carry no payload, so the relation holds on
+    the reference engine, which decodes its blocks' payloads."""
     cfg, topo, pair = data.draw(scenarios(kind))
     if cfg.cellular_enabled and data.draw(st.booleans()):
         cfg = replace(cfg, relay_policy="probabilistic", relay_p=data.draw(st.floats(0.05, 0.95)))
+    pair = _with_pair(cfg, topo, pair)
     other = data.draw(st.integers(0, 2**32 - 1))
-    session_draws = simengine.session_draws
 
     def other_payloads(seed):
-        draws = session_draws(seed)
-        draws[4] = simengine.Draws(simengine._raw_blocks(np.random.PCG64(other)))
-        return draws
+        rngs = oracles.session_rngs(seed)
+        rngs[5] = np.random.default_rng(other)
+        return rngs
 
-    def first_block():
-        return simengine._Session(cfg, topo, pair, None).block.packets
+    def run(session_rngs):
+        """The first block's rows and (stats, trace events, schedule)."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reference_engine, "session_rngs", session_rngs)
+            session = ReferenceSession(cfg, topo, pair)
+        block = session.block
+        stats, trace, schedule = session.run()
+        return block, (stats, trace.events, schedule)
 
-    want = _run(cfg, topo, pair)
-    block = first_block()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simengine, "session_draws", other_payloads)
-        assert _run(cfg, topo, pair) == want
-        assert not np.array_equal(first_block(), block)
+    block, want = run(oracles.session_rngs)
+    other_block, got = run(other_payloads)
+    assert got == want
+    assert other_block != block
 
 
 def _cellular_only(cfg, topo, pair):

@@ -14,9 +14,12 @@ Nothing here runs a simulation.
 """
 
 import csv
+import itertools
 from pathlib import Path
 
 import pytest
+
+from hetnetcode import presets
 
 FIGURES = Path(__file__).resolve().parent / "paper_scale"
 
@@ -67,6 +70,26 @@ def test_the_paper_scale_figures_show_the_papers_claims():
         assert non_decreasing([throughput[r, n] for n in relays])
     for n in relays:
         assert non_decreasing([throughput[r, n] for r in rates])
+
+
+# each preset's point columns, and the axes its default points combine
+DEFAULT_POINTS = {
+    "rate-sweep": (("rate_ratio",), (presets.DEFAULT_RATE_RATIOS,)),
+    "load-sweep": (("users_per_cell",), (presets.DEFAULT_LOAD_USERS,)),
+    "infra-sweep": (("k_over_n",), (presets.DEFAULT_INFRA_FRACS,)),
+    "topo1": (("rate_ratio",), (presets.DEFAULT_TOPO1_RATIOS,)),
+    "topo2": (("link_rate", "n_relays"), (presets.TOPO2_RATES, presets.DEFAULT_TOPO2_RELAYS)),
+}
+
+
+@pytest.mark.parametrize("name", DEFAULT_POINTS)
+def test_each_presets_default_points_are_its_figures_points(name):
+    """A preset run with no --values sweeps the points its paper-scale CSV
+    was recorded at, in order: each combination of its axes, the first
+    slowest."""
+    keys, axes = DEFAULT_POINTS[name]
+    rows = [tuple(row[key] for key in keys) for row in figure(name)]
+    assert rows == [tuple(map(float, point)) for point in itertools.product(*axes)]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the credit clip releases one packet "

@@ -352,6 +352,22 @@ def test_out_of_memory_is_a_runtime_error(monkeypatch, capsys):
     assert captured.err == "error: Unable to allocate 149. GiB for an array\n"
 
 
+@pytest.mark.parametrize("exc, reason", [(MemoryError(), "out of memory"),
+                                         (ValueError(), "ValueError")])
+def test_a_runtime_error_without_a_message_still_names_the_failure(monkeypatch, capsys,
+                                                                   exc, reason):
+    """A sweep that runs out of memory before numpy can say how much, as a
+    topology built node by node does, exits 1 with a reason on stderr."""
+    def exhausted(spec):
+        raise exc
+
+    monkeypatch.setitem(presets.PRESETS, "rate-sweep", exhausted)
+    assert run_cli(["rate-sweep", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+
+
 def test_config_coercion_keeps_json_values():
     sc = presets.scenario_config({
         "relay_policy": "probabilistic", "relay_p": 1, "rate_tiers": [[0.5, 1], [1.0, 0.5]],

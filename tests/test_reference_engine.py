@@ -3,13 +3,14 @@ on generated chains, relay stars and random cells with a backbone."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hetnetcode import presets, topology
 from hetnetcode.config import LOADING_MODES, RELAY_POLICIES, ScenarioConfig
 from hetnetcode.simengine import NoPathError, run_session
-from oracles import within_cut
+from oracles import weighted_row_sum, within_cut
 from reference_engine import ReferenceSession
 
 
@@ -115,3 +116,27 @@ def test_relay_send_credit_cap_matches_the_reference_engine(buffer_capacity, see
     buffer_capacity sends.  No generated chain shows the cap."""
     config = ScenarioConfig(buffer_capacity=buffer_capacity, seed=seed)
     _assert_matches_the_reference_engine(*presets.relay_star_scenario(config, 3, 12))
+
+
+def test_reference_engine_catches_a_payload_that_disagrees_with_its_coefficients(monkeypatch):
+    """Relays whose payload combines the ring with other weights than the
+    coefficients they send: only the reference engine's payload check can
+    tell, since the engine's blocks carry no payload."""
+    cfg = ScenarioConfig(cellular_enabled=False, block_target=2, slot_budget=1000)
+    cfg, topo, pair = presets.chain_scenario(cfg, 3)
+    stats, _, _ = ReferenceSession(cfg, topo, pair).run()
+    assert stats.blocks_delivered == 2
+    real_emit = ReferenceSession.emit
+    other = np.random.default_rng(99)
+
+    def mismatched_emit(session, node, interface):
+        block_id, row = real_emit(session, node, interface)
+        if node != session.src:
+            m, ring = cfg.block_size, session.relays[node].ring
+            weights = other.integers(1, 256, size=len(ring)).tolist()
+            row = row[:m] + weighted_row_sum(weights, [r[m:] for r in ring], len(row) - m)
+        return block_id, row
+
+    monkeypatch.setattr(ReferenceSession, "emit", mismatched_emit)
+    with pytest.raises(AssertionError, match="does not match the source block"):
+        ReferenceSession(cfg, topo, pair).run()

@@ -659,25 +659,32 @@ def test_session_looks_up_each_route_once(monkeypatch, name):
     assert session.relay_order == tuple(sorted(session.relays))
 
 
-def test_session_check_catches_payload_that_disagrees_with_coefficients(monkeypatch):
-    """Relays whose payload combines the buffer with other weights than the
-    coefficients they send: only the session's 8-byte check payload can tell."""
-    cfg, topo = chain_session(3, cellular_enabled=False, block_target=2, slot_budget=1000)
-    stats, _ = run_session(cfg, topo, pair=(0, 3))
+def test_session_rank_check_catches_a_dependent_packet_counted_innovative(monkeypatch):
+    """A decoder that keeps a dependent packet as innovative reaches rank M
+    on a singular system, and the session's decode at full rank raises
+    SingularMatrixError.  A session's blocks carry no payload, so this rank
+    check is the session's own; the reference engine checks payloads.  Under
+    the duplicate policy the last relay of a chain sends each recode to the
+    destination on both interfaces, so the second copy is dependent."""
+    cfg, topo = chain_session(2, relay_policy="duplicate", block_size=4, block_target=2,
+                              slot_budget=1000)
+    stats, _ = run_session(cfg, topo, pair=(0, 2))
     assert stats.blocks_delivered == 2
-    real_recode = rlnc.recode
-    other = np.random.default_rng(99)
+    real_receive = rlnc.DecoderState.receive
+    dependent = []
 
-    def mismatched_recode(buffer, rng):
-        pkt = real_recode(buffer, rng)
-        weights = other.integers(1, 256, size=(1, len(buffer)), dtype=np.uint8)
-        payloads = np.stack([p.payload for p in buffer.packets])
-        return rlnc.CodedPacket(pkt.block_id, pkt.m, pkt.coefficients.tobytes()
-                                + gf256.weighted_row_sum(weights, payloads)[0].tobytes())
+    def accepting_receive(self, p):
+        if real_receive(self, p):
+            return True
+        dependent.append(p)
+        self._kept.append(p.row)
+        self.rank += 1
+        return True
 
-    monkeypatch.setattr(rlnc, "recode", mismatched_recode)
-    with pytest.raises(AssertionError, match="does not match the source block"):
-        run_session(cfg, topo, pair=(0, 3))
+    monkeypatch.setattr(rlnc.DecoderState, "receive", accepting_receive)
+    with pytest.raises(gf256.SingularMatrixError):
+        run_session(cfg, topo, pair=(0, 2))
+    assert dependent
 
 
 def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
