@@ -497,10 +497,10 @@ class _Session:
         if self.ack_slot is not None and self.slot >= self.ack_slot:
             self.ack_slot = None
             self.block = self._make_block((self.block.block_id + 1) % rlnc.BLOCK_ID_MODULUS)
-            ready = self._cell_ready
-            if ready:  # unsent cellular packets keep their coefficients
-                coefficients = b"".join([p.row[:p.m] for p in ready])
-                self._cell_ready = deque(rlnc.coded_packets(self.block, coefficients))
+            # unsent cellular packets keep their coefficients; a block has no
+            # payload bytes, so each is the new block's packet once relabelled
+            block_id = self.block.block_id
+            self._cell_ready = deque([CodedPacket(block_id, p.m, p.row) for p in self._cell_ready])
 
     def _ingest_relays(self):
         # in landing order, not relay by relay: an ingest draws nothing and

@@ -15,8 +15,9 @@ generation, so a verdict does not depend on what earlier runs left in
 every oracle test on an unmutated copy must pass.  Exit status 0 when the
 control passes and every mutant is killed, 1 otherwise.
 
-No oracle may be tests/test_golden.py: a digest catches any fault that moves
-a byte, and the point is that an independent check catches this one.
+No oracle may be a test of tests/test_golden.py: its golden files catch any
+fault that moves a byte, and the point is that an independent check catches
+this one.
 """
 
 from __future__ import annotations
@@ -201,18 +202,12 @@ MUTANTS = [
      "self.packets.pop()",
      ["tests/test_rlnc.py::test_stacked_ring_matches_packets_and_recode_oracle"]),
     ("unsent-cellular-packets-keep-the-old-block", ENGINE,
-     "            ready = self._cell_ready\n"
-     "            if ready:  # unsent cellular packets keep their coefficients\n"
-     "                coefficients = b\"\".join([p.row[:p.m] for p in ready])\n"
-     "                self._cell_ready = deque(rlnc.coded_packets(self.block, coefficients))\n",
-     "",
+     "deque([CodedPacket(block_id, p.m, p.row)",
+     "deque([CodedPacket(p.block_id, p.m, p.row)",
      [CELLULAR_ENCODES]),
     ("unsent-cellular-packets-redrawn", ENGINE,
-     "            ready = self._cell_ready\n"
-     "            if ready:  # unsent cellular packets keep their coefficients\n"
-     "                coefficients = b\"\".join([p.row[:p.m] for p in ready])\n"
-     "                self._cell_ready = deque(rlnc.coded_packets(self.block, coefficients))\n",
-     "            self._cell_ready.clear()\n",
+     "deque([CodedPacket(block_id, p.m, p.row) for p in self._cell_ready])",
+     "deque()",
      [CELLULAR_ENCODES]),
     ("cellular-batch-repeats-a-vector", ENGINE,
      "b\"\".join([rlnc.random_nonzero_bytes(m, rng) for _ in range(m)])",
@@ -336,7 +331,7 @@ def _timed_run(mutant) -> tuple[int, float]:
 
 def main(names: list[str]) -> int:
     for name, *_, oracles in MUTANTS:
-        if "tests/test_golden.py" in oracles:
+        if any(oracle.split("::")[0] == "tests/test_golden.py" for oracle in oracles):
             raise SystemExit(f"{name}: tests/test_golden.py may not be an oracle")
     unknown = set(names) - {m[0] for m in MUTANTS}
     if unknown:

@@ -96,7 +96,7 @@ def test_replay_sessions_stay_within_their_cut(tmp_path, monkeypatch, name):
     scenario, argv = CASES[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": scenario}))
-    for seed in SEEDS + (3,):  # 3 is the golden digests' seed
+    for seed in SEEDS + (3,):  # 3 is the golden files' seed
         assert cli.main([*argv, "--seed", str(seed), "--config", str(cfg),
                          "--out", str(tmp_path / "out.csv")]) == 0
     assert len(sessions) == len(SEEDS) + 1

@@ -1,16 +1,30 @@
-"""Golden digests: the exact bytes each preset, trace and topology dump emits.
+"""Golden outputs: the exact bytes each preset, trace and topology dump
+emits, checked in as tests/golden/<case>.csv beside the paper-scale figures
+in tests/paper_scale/.
 
-A refactor that keeps these digests keeps every RNG draw and every CSV
-byte.  Re-record a digest only on purpose, and say which bytes changed and
-why in CHANGES.md.
+A refactor that keeps these bytes keeps every RNG draw and every CSV byte.
+Re-record only on purpose, by running this module as a script:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+It rewrites tests/golden/ and the five tests/paper_scale/ CSVs (default
+specs, one worker) and prints each file it changed.  Then
+`git diff tests/golden tests/paper_scale` shows the rows that moved; say
+which and why in CHANGES.md.
 """
 
-import hashlib
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from hetnetcode import cli
+from test_paper_scale import FIGURES
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 SMALL = {"node_count": 250, "cell_radius": 400.0}
 CHAIN3 = ["replay-trace", "--chain-hops", "3"]
@@ -57,48 +71,84 @@ CASES = {
 }
 PRESET_CASES = ("rate-sweep", "load-sweep", "infra-sweep", "topo1", "topo2")
 
-GOLDEN = {
-    "rate-sweep": "2f6c36875ef41b6925c00ae20b104c57f7a134fcbc402f4e894df230c1c942e5",
-    "rate-sweep-low": "8521cdabf222329a6fe8e4061e70eeff6aedef44e7a14f0e90497a60480138b4",
-    "load-sweep": "c312103890335ffad032621c230296c5d188c47d197edf3fdfef2a8e0f6451b9",
-    "infra-sweep": "48747341ffee72a7239973526ca3557584543be99f6c721d0712805ec20daaa1",
-    "topo1": "a68e7028256eaecc4b434c7349babdd0b3e6c2addfc368ba8af0ff8d9a849edf",
-    "topo2": "ffe528a964cb979f74cd1d9b114dbd0e75e598f102088ac693064c91243972a6",
-    "replay-chain": "a825f099b5306c9c188087322eb95e842eb1ea4c02d64d782087b7e9fa3094c3",
-    "replay-relay-cellular-only":
-        "ca616eceedc31ea20c262ed33ac032bbf10b23264a3c89a0b7f908b0b11c8c86",
-    "replay-relay-round-robin": "1041e59e517c051c40f41319739127a197a9a24acd778727e9106dca280efe0c",
-    "replay-relay-duplicate": "3973fcd7ad12f2ed66d3c8916a005d6f33482fae945c8c5eeee081dbd66d8e9d",
-    "replay-relay-probabilistic":
-        "c490e7b071892e318110997b106d0d8bd2117b548c98417a931593360f4a8f96",
-    "replay-relays": "b48f093e85b5d1e26286db74c6182d2593383ce8b1b19fed8dab44bae4bac909",
-    "replay-cell-bus": "c099eb3c39a536029dff6d2482fe56a0dc834ccff0d65be96b691433539dfb8b",
-    "replay-cell-bus-destination":
-        "85582b55c9ccc0a878db2a44a178bf99041fab59d716018854e7ad933fe1e2de",
-    "replay-cell-bus-probabilistic":
-        "0b751cc888ce05ac2c0b96ed07635a46b6885f8bdad507e6291099c293414c01",
-    "replay-cell-bus-slow-relays":
-        "edb0e36d91dcca8839060a2ba0c993a3c19b19ce977fb597b72ced67114c2606",
-    "replay-relays-6-slow": "8eee18b0585f5ff6e4eb358369ecd66a1f5db79994866c1f4a3be11806bf2394",
-    "gen-topology": "e77c49851d1b5bf3e4f32312ca54960ab981c970a9cdc6cf744c7cca059cdacc",
-}
 
-
-def _digest(tmp_path, name, *extra):
+def _output(tmp_path, name, *extra) -> bytes:
     scenario, argv = CASES[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": scenario}))
     out = tmp_path / "out.csv"
     assert cli.main([*argv, "--seed", "3", "--config", str(cfg),
                      "--out", str(out), *extra]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return out.read_bytes()
+
+
+def first_difference(got: bytes, want: bytes) -> str:
+    """The first line at which two different outputs differ, with both
+    sides; a line keeps its newline, so a missing last newline shows."""
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    line, (ours, theirs) = next((i, pair) for i, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    return f"line {line} differs:\n  got:  {_shown(ours)}\n  want: {_shown(theirs)}"
+
+
+def _shown(line: bytes | None) -> str:
+    return "end of file" if line is None else repr(line)
+
+
+def _check(name, got: bytes):
+    path = GOLDEN / f"{name}.csv"
+    want = path.read_bytes()
+    if got != want:
+        where = path.relative_to(TESTS.parent)
+        pytest.fail(f"{where} {first_difference(got, want)}", pytrace=False)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_digest(tmp_path, name):
-    assert _digest(tmp_path, name) == GOLDEN[name]
+    _check(name, _output(tmp_path, name))
 
 
 @pytest.mark.parametrize("name", PRESET_CASES)
 def test_worker_pool_matches_serial(tmp_path, name):
-    assert _digest(tmp_path, name, "--workers", "2") == GOLDEN[name]
+    _check(name, _output(tmp_path, name, "--workers", "2"))
+
+
+def test_each_store_holds_exactly_its_cases():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(f"{n}.csv" for n in CASES)
+    assert sorted(path.name for path in FIGURES.iterdir()) == sorted(
+        f"{n}.csv" for n in PRESET_CASES)
+
+
+WANT = b"x,y\n1,2\n3,4\n"
+
+
+@pytest.mark.parametrize("got, message", [
+    (b"x,y\n1,2\n3,5\n", "line 3 differs:\n  got:  b'3,5\\n'\n  want: b'3,4\\n'"),
+    (b"x,y\n1,2\n3,4\n5,6\n", "line 4 differs:\n  got:  b'5,6\\n'\n  want: end of file"),
+    (b"x,y\n1,2\n", "line 3 differs:\n  got:  end of file\n  want: b'3,4\\n'"),
+    (b"x,y\n1,2\n3,4", "line 3 differs:\n  got:  b'3,4'\n  want: b'3,4\\n'"),
+], ids=["changed-row", "extra-last-line", "missing-last-line", "no-trailing-newline"])
+def test_a_mismatch_names_its_first_differing_line(got, message):
+    assert first_difference(got, WANT) == message
+
+
+def record() -> list[Path]:
+    """Rewrite every golden file and paper-scale figure; returns the paths
+    whose bytes changed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {GOLDEN / f"{name}.csv": _output(Path(tmp), name) for name in CASES}
+        for name in PRESET_CASES:
+            out = Path(tmp) / f"{name}.csv"
+            assert cli.main([name, "--workers", "1", "--out", str(out)]) == 0
+            outputs[FIGURES / f"{name}.csv"] = out.read_bytes()
+    changed = [path for path, data in outputs.items()
+               if not path.exists() or path.read_bytes() != data]
+    for path in changed:
+        path.write_bytes(outputs[path])
+    return changed
+
+
+if __name__ == "__main__":
+    changed = record()
+    for path in changed:
+        print(path.relative_to(TESTS.parent))
+    print(f"{len(changed)} files changed")

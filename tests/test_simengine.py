@@ -733,9 +733,10 @@ def test_numpy_kernel_serves_only_the_encodes(monkeypatch):
 def test_cellular_packets_are_the_encodes_of_the_cellular_stream(
         block_size, ack_delay, pipe, hops, wifi, block_target, seed):
     """The source's cellular packets, combined a block's worth at a time and
-    recombined when the source advances a block, are byte for byte the
-    packets per-packet encodes of oracles.session_rngs(seed)[1] give from
-    the block the source holds at each send."""
+    relabelled with the new block id when the source advances a block, are
+    byte for byte the packets per-packet encodes of
+    oracles.session_rngs(seed)[1] give from the block the source holds at
+    each send."""
     cfg, topo = chain_session(hops, seed=seed, block_size=block_size, ack_delay=ack_delay,
                               r_cell=4.0, link_rate_override=pipe, wifi_enabled=wifi,
                               block_target=block_target, slot_budget=400)
